@@ -5,13 +5,17 @@ elements identified by their position in the declared element order.  All
 derived operations (star, the two meet/join families, the three order
 relations) and every named axiom are computed from it.  Values are immutable
 and hashable, so results of the heavier classification scans are cached.
+
+``AXIOMS`` is the single term table of the 17 laws.  Each law is compiled
+once into a predicate that serves both the full scans of ``check_axiom`` and
+the enumeration pruner's scans of partial tables.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from typing import Callable, Iterator
 
@@ -36,14 +40,22 @@ class NonLatticeError(AlgebraError):
     """A meet/join fold produced a value that is not a bound of its input."""
 
 
+def _env_int(var: str, default: str) -> int:
+    raw = os.environ.get(var, default)
+    try:
+        return int(raw)
+    except ValueError:
+        raise InputError(f"{var}={raw!r} is not an integer") from None
+
+
 def max_elements() -> int:
     """Universe-size cap; override with ORTHO_MAX_ELEMENTS."""
-    return int(os.environ.get("ORTHO_MAX_ELEMENTS", "64"))
+    return _env_int("ORTHO_MAX_ELEMENTS", "64")
 
 
 def node_budget() -> int:
     """Search-node cap for backtracking searches; override with ORTHO_NODE_BUDGET."""
-    return int(os.environ.get("ORTHO_NODE_BUDGET", "5000000"))
+    return _env_int("ORTHO_NODE_BUDGET", "5000000")
 
 
 @dataclass(frozen=True)
@@ -276,97 +288,73 @@ def big_join(alg: FiniteAlgebra, members: int) -> int:
 # Axioms.
 # ---------------------------------------------------------------------------
 
-def _be1(a, x):
-    return a.arrow[x][x] == a.one
+# Term language: "x"/"y"/"z" are variables, "0"/"1" constants, and
+# ("->", s, t) the arrow.  Star is arrow-to-0.
+def _imp(s, t):
+    return ("->", s, t)
 
 
-def _be2(a, x):
-    return a.arrow[x][a.one] == a.one
+def _neg(t):
+    return _imp(t, "0")
 
 
-def _be3(a, x):
-    return a.arrow[a.one][x] == x
+def _veeq(s, t):
+    return _imp(_imp(s, t), t)
 
 
-def _be4(a, x, y, z):
-    return a.arrow[x][a.arrow[y][z]] == a.arrow[y][a.arrow[x][z]]
+def _wedgeq(s, t):
+    return _neg(_veeq(_neg(s), _neg(t)))
 
 
-def _bounded(a, x):
-    return a.arrow[a.zero][x] == a.one
-
-
-def _dn(a, x):
-    return star(a, star(a, x)) == x
-
-
-def _impl(a, x, y):
-    return a.arrow[a.arrow[x][y]][x] == x
-
-
-def _ig(a, x):
-    return a.arrow[star(a, x)][x] == x
-
-
-def _pi(a, x, y):
-    return a.arrow[x][a.arrow[x][y]] == a.arrow[x][y]
-
-
-def _iabs(a, x, y):
-    return a.arrow[a.arrow[x][a.arrow[x][y]]][x] == x
-
-
-def _iom(a, x, y):
-    return wedge_q(a, x, a.arrow[y][x]) == x
-
-
-def _iom_prime(a, x, y):
-    return wedge_q(a, x, a.arrow[star(a, x)][y]) == x
-
-
-def _iom_second(a, x, y):
-    return vee_q(a, x, star(a, a.arrow[x][y])) == x
-
-
-def _at(a, x, y):
-    return a.arrow[a.arrow[star(a, y)][x]][y] == a.arrow[x][y]
-
-
-def _idiv(a, x, y):
-    return a.arrow[x][star(a, a.arrow[x][y])] == a.arrow[x][star(a, y)]
-
-
-def _idis1(a, x, y, z):
-    lhs = star(a, a.arrow[a.arrow[star(a, x)][y]][star(a, z)])
-    rhs = a.arrow[a.arrow[x][star(a, z)]][star(a, a.arrow[y][star(a, z)])]
-    return lhs == rhs
-
-
-def _idis2(a, x, y, z):
-    lhs = star(a, a.arrow[a.arrow[x][star(a, y)]][z])
-    rhs = a.arrow[a.arrow[star(a, z)][x]][star(a, a.arrow[star(a, z)][y])]
-    return lhs == rhs
-
-
-AXIOMS: dict[str, tuple[tuple[str, ...], Callable[..., bool]]] = {
-    "BE1": (("x",), _be1),
-    "BE2": (("x",), _be2),
-    "BE3": (("x",), _be3),
-    "BE4": (("x", "y", "z"), _be4),
-    "bounded": (("x",), _bounded),
-    "DN": (("x",), _dn),
-    "impl": (("x", "y"), _impl),
-    "iG": (("x",), _ig),
-    "pi": (("x", "y"), _pi),
-    "Iabs-i": (("x", "y"), _iabs),
-    "IOM": (("x", "y"), _iom),
-    "IOM'": (("x", "y"), _iom_prime),
-    "IOM''": (("x", "y"), _iom_second),
-    "@": (("x", "y"), _at),
-    "Idiv": (("x", "y"), _idiv),
-    "Idis1": (("x", "y", "z"), _idis1),
-    "Idis2": (("x", "y", "z"), _idis2),
+# The single definition of every law: id -> (roles, lhs, rhs), read as the
+# equation lhs = rhs for all values of the roles.
+AXIOMS: dict[str, tuple[tuple[str, ...], tuple | str, tuple | str]] = {
+    "BE1": (("x",), _imp("x", "x"), "1"),
+    "BE2": (("x",), _imp("x", "1"), "1"),
+    "BE3": (("x",), _imp("1", "x"), "x"),
+    "BE4": (("x", "y", "z"), _imp("x", _imp("y", "z")), _imp("y", _imp("x", "z"))),
+    "bounded": (("x",), _imp("0", "x"), "1"),
+    "DN": (("x",), _neg(_neg("x")), "x"),
+    "impl": (("x", "y"), _imp(_imp("x", "y"), "x"), "x"),
+    "iG": (("x",), _imp(_neg("x"), "x"), "x"),
+    "pi": (("x", "y"), _imp("x", _imp("x", "y")), _imp("x", "y")),
+    "Iabs-i": (("x", "y"), _imp(_imp("x", _imp("x", "y")), "x"), "x"),
+    "IOM": (("x", "y"), _wedgeq("x", _imp("y", "x")), "x"),
+    "IOM'": (("x", "y"), _wedgeq("x", _imp(_neg("x"), "y")), "x"),
+    "IOM''": (("x", "y"), _veeq("x", _neg(_imp("x", "y"))), "x"),
+    "@": (("x", "y"), _imp(_imp(_neg("y"), "x"), "y"), _imp("x", "y")),
+    "Idiv": (("x", "y"), _imp("x", _neg(_imp("x", "y"))), _imp("x", _neg("y"))),
+    "Idis1": (
+        ("x", "y", "z"),
+        _neg(_imp(_imp(_neg("x"), "y"), _neg("z"))),
+        _imp(_imp("x", _neg("z")), _neg(_imp("y", _neg("z")))),
+    ),
+    "Idis2": (
+        ("x", "y", "z"),
+        _neg(_imp(_imp("x", _neg("y")), "z")),
+        _imp(_imp(_neg("z"), "x"), _neg(_imp(_neg("z"), "y"))),
+    ),
 }
+
+
+def _render(term) -> str:
+    if isinstance(term, tuple):
+        return f"t[{_render(term[1])}][{_render(term[2])}]"
+    return {"0": "Z", "1": "O"}.get(term, term)
+
+
+def _compile(roles, lhs, rhs) -> Callable[..., bool]:
+    """The law as one predicate ``(t, Z, O, U, *roles) -> bool`` over an
+    arrow table ``t`` with 0 = Z and 1 = O: true when the instance holds or
+    when either side evaluates to the marker U.  A partial table whose
+    unknown cells hold U, and whose row and column U hold U throughout,
+    thus rejects exactly the determined instances that fail."""
+    body = f"(l := {_render(lhs)}) == (r := {_render(rhs)}) or l == U or r == U"
+    return eval(f"lambda t, Z, O, U, {', '.join(roles)}: {body}")
+
+
+# Compiled once at import from the constant terms above, never from input.
+AXIOM_PREDICATES = {key: _compile(*spec) for key, spec in AXIOMS.items()}
 
 # Case-insensitive lookup aliases for CLI use ("at" stands in for "@").
 AXIOM_ALIASES = {key.lower(): key for key in AXIOMS} | {
@@ -389,9 +377,11 @@ def check_axiom(alg: FiniteAlgebra, axiom_id: str) -> CheckResult:
     element order; the first violating tuple is the canonical witness."""
     if axiom_id not in AXIOMS:
         raise InputError(f"unknown axiom id {axiom_id!r}")
-    roles, pred = AXIOMS[axiom_id]
+    roles = AXIOMS[axiom_id][0]
+    # -1 is never a table value, so every instance is determined.
+    holds = partial(AXIOM_PREDICATES[axiom_id], alg.arrow, alg.zero, alg.one, -1)
     for tup in product(range(alg.n), repeat=len(roles)):
-        if not pred(alg, *tup):
+        if not holds(*tup):
             witness = tuple(
                 (role, alg.elements[v]) for role, v in zip(roles, tup)
             )
@@ -426,13 +416,3 @@ def classify(alg: FiniteAlgebra) -> ClassLabel:
 def require_iol(alg: FiniteAlgebra) -> None:
     if not classify(alg).is_iol:
         raise PreconditionError(f"{alg.name}: not an i-OL")
-
-
-def require_ioml(alg: FiniteAlgebra) -> None:
-    if not classify(alg).is_ioml:
-        raise PreconditionError(f"{alg.name}: not an i-OML")
-
-
-def axiom_report(alg: FiniteAlgebra) -> dict[str, CheckResult]:
-    """One CheckResult per registered axiom, in registry order."""
-    return {axiom_id: check_axiom(alg, axiom_id) for axiom_id in AXIOMS}

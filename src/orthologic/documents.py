@@ -22,14 +22,16 @@ def algebra_from_names(
 ) -> FiniteAlgebra:
     """Build and validate an algebra from a name-valued table."""
     elements = tuple(elements)
+    # Type checks come before any hashing, so an unhashable entry is an
+    # input error rather than a TypeError.
+    if any(not isinstance(e, str) or not e for e in elements):
+        raise InputError(f"{name}: element names must be non-empty strings")
     if len(set(elements)) != len(elements):
         dupes = sorted({e for e in elements if elements.count(e) > 1})
         raise InputError(f"{name}: duplicate element names {dupes}")
-    if any(not isinstance(e, str) or not e for e in elements):
-        raise InputError(f"{name}: element names must be non-empty strings")
     index = {e: i for i, e in enumerate(elements)}
     for const, label in ((one, "one"), (zero, "zero")):
-        if const not in index:
+        if not isinstance(const, str) or const not in index:
             raise InputError(f"{name}: constant {label}={const!r} is not an element")
     if len(arrow_names) != len(elements):
         raise InputError(f"{name}: arrow has {len(arrow_names)} rows, expected {len(elements)}")
@@ -42,7 +44,7 @@ def algebra_from_names(
             )
         out = []
         for j, entry in enumerate(row):
-            if entry not in index:
+            if not isinstance(entry, str) or entry not in index:
                 raise InputError(
                     f"{name}: arrow[{elements[i]}][{elements[j]}] = {entry!r}"
                     " is not an element"

@@ -1,24 +1,28 @@
 """Exhaustive generation of small models up to isomorphism.
 
-The search universe is the bounded involutive BE candidates: the star map is
-fixed first as the standard fixed-point-free pairing on the non-constant
-elements (every involutive algebra is isomorphic to one of this shape), which
-pins the 0-column, and the forced 0/1 rows and columns and the diagonal are
-pre-filled.  The remaining cells come in contrapositive pairs
-(x -> y = y* -> x*), halving the free-cell count.  Backtracking assigns one
-cell pair at a time and prunes on every axiom instance that is already fully
-determined.  Axioms are interpreted from a small term table here, separate
-from the direct predicates used for final verification, so the two encodings
-cross-check each other at every accepted leaf.
+The search universe is the bounded involutive BE candidates.  The star map is
+fixed first, which pins the 0-column.  Every involution on the non-constant
+elements is conjugate to a standard one, pairs followed by k fixed points,
+so the search runs over those, for every k of the parity of n - 2.
+When the goal requires ``impl`` or ``iG`` only the fixed-point-free pairing
+is searched, since both laws force x* -> x = x, which fails at a fixed point.
+The forced 0/1 rows and columns and the diagonal are pre-filled.  The
+remaining cells come in contrapositive pairs (x -> y = y* -> x*), halving the
+free-cell count.  Backtracking assigns one cell pair at a time and prunes on
+every axiom instance that is already fully determined, using the same
+compiled laws as ``check_axiom``; each leaf is then verified in full.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from functools import partial
+from itertools import count, permutations, product, starmap
 from typing import Iterator, Optional
 
 from .algebra import (
+    AXIOM_PREDICATES,
+    AXIOMS,
     FiniteAlgebra,
     InputError,
     ResourceLimitError,
@@ -27,52 +31,6 @@ from .algebra import (
     node_budget,
     resolve_axiom_id,
 )
-
-# Term language: "x"/"y"/"z" are variables, "0"/"1" constants, and
-# ("->", s, t) the arrow.  Star is arrow-to-0.
-def _imp(s, t):
-    return ("->", s, t)
-
-
-def _neg(t):
-    return _imp(t, "0")
-
-
-def _veeq(s, t):
-    return _imp(_imp(s, t), t)
-
-
-def _wedgeq(s, t):
-    return _neg(_veeq(_neg(s), _neg(t)))
-
-
-AXIOM_TERMS: dict[str, tuple[tuple[str, ...], tuple, tuple]] = {
-    "BE1": (("x",), _imp("x", "x"), "1"),
-    "BE2": (("x",), _imp("x", "1"), "1"),
-    "BE3": (("x",), _imp("1", "x"), "x"),
-    "BE4": (("x", "y", "z"), _imp("x", _imp("y", "z")), _imp("y", _imp("x", "z"))),
-    "bounded": (("x",), _imp("0", "x"), "1"),
-    "DN": (("x",), _neg(_neg("x")), "x"),
-    "impl": (("x", "y"), _imp(_imp("x", "y"), "x"), "x"),
-    "iG": (("x",), _imp(_neg("x"), "x"), "x"),
-    "pi": (("x", "y"), _imp("x", _imp("x", "y")), _imp("x", "y")),
-    "Iabs-i": (("x", "y"), _imp(_imp("x", _imp("x", "y")), "x"), "x"),
-    "IOM": (("x", "y"), _wedgeq("x", _imp("y", "x")), "x"),
-    "IOM'": (("x", "y"), _wedgeq("x", _imp(_neg("x"), "y")), "x"),
-    "IOM''": (("x", "y"), _veeq("x", _neg(_imp("x", "y"))), "x"),
-    "@": (("x", "y"), _imp(_imp(_neg("y"), "x"), "y"), _imp("x", "y")),
-    "Idiv": (("x", "y"), _imp("x", _neg(_imp("x", "y"))), _imp("x", _neg("y"))),
-    "Idis1": (
-        ("x", "y", "z"),
-        _neg(_imp(_imp(_neg("x"), "y"), _neg("z"))),
-        _imp(_imp("x", _neg("z")), _neg(_imp("y", _neg("z")))),
-    ),
-    "Idis2": (
-        ("x", "y", "z"),
-        _neg(_imp(_imp("x", _neg("y")), "z")),
-        _imp(_imp(_neg("z"), "x"), _neg(_imp(_neg("z"), "y"))),
-    ),
-}
 
 # Axioms that hold on every candidate by construction of the pre-fill.
 _UNIVERSE_AXIOMS = frozenset({"BE1", "BE2", "BE3", "bounded", "DN"})
@@ -90,7 +48,7 @@ class SearchGoal:
 
     def __post_init__(self) -> None:
         for name in self.require | self.forbid:
-            if name not in AXIOM_TERMS:
+            if name not in AXIOMS:
                 raise InputError(f"unknown axiom id {name!r}")
         if self.require & self.forbid:
             raise InputError("contradictory goal: require and forbid overlap")
@@ -102,61 +60,48 @@ class SearchGoal:
             raise InputError("sizes below 2 are rejected (trivial algebra)")
 
 
-def _peval(term, table, env, zero, one) -> Optional[int]:
-    """Evaluate a term over a partial table; None when any needed cell is
-    still unknown."""
-    if term == "0":
-        return zero
-    if term == "1":
-        return one
-    if isinstance(term, str):
-        return env[term]
-    a = _peval(term[1], table, env, zero, one)
-    if a is None:
-        return None
-    b = _peval(term[2], table, env, zero, one)
-    if b is None:
-        return None
-    return table[a][b]
-
-
-def _partial_violation(axiom_id, table, n, zero, one) -> bool:
-    """True when some fully determined instance of the axiom is violated."""
-    roles, lhs, rhs = AXIOM_TERMS[axiom_id]
-    env = {}
-    for tup in product(range(n), repeat=len(roles)):
-        for r, v in zip(roles, tup):
-            env[r] = v
-        a = _peval(lhs, table, env, zero, one)
-        if a is None:
-            continue
-        b = _peval(rhs, table, env, zero, one)
-        if b is None:
-            continue
-        if a != b:
-            return True
-    return False
-
-
 def _standard_names(n: int) -> tuple[str, ...]:
     return ("0",) + tuple(f"x{i}" for i in range(1, n - 1)) + ("1",)
 
 
+def _star_maps(n: int, required: frozenset[str]) -> Iterator[list[int]]:
+    """The standard star involutions searched at size n: 0 and 1 swapped,
+    then pairs (1 2)(3 4)... on the middle, then fixed points."""
+    mid = n - 2
+    most_fixed = 0 if "impl" in required or "iG" in required else mid
+    for fixed in range(mid % 2, most_fixed + 1, 2):
+        star_of = [n - 1] + list(range(1, n - 1)) + [0]
+        for i in range(1, mid - fixed, 2):
+            star_of[i], star_of[i + 1] = i + 1, i
+        yield star_of
+
+
 def _search_tables(n: int, required: frozenset[str]) -> Iterator[FiniteAlgebra]:
     """Yield completed candidate tables (unverified, undeduplicated)."""
-    zero, one = 0, n - 1
+    prune_axioms = tuple(
+        a for a in (("BE4",) + tuple(sorted(required))) if a not in _UNIVERSE_AXIOMS
+    )
+    nodes = count(1)
+    budget = node_budget()
+    for star_of in _star_maps(n, required):
+        yield from _fill_tables(n, star_of, required, prune_axioms, nodes, budget)
+
+
+def _fill_tables(
+    n: int,
+    star_of: list[int],
+    required: frozenset[str],
+    prune_axioms: tuple[str, ...],
+    nodes: Iterator[int],
+    budget: int,
+) -> Iterator[FiniteAlgebra]:
+    """Backtrack over the free cells of one star map; ``nodes`` counts
+    search nodes across all star maps of one search."""
+    zero, one, unknown = 0, n - 1, n
     names = _standard_names(n)
-    if n == 2:
-        yield FiniteAlgebra("model", names, ((1, 1), (0, 1)), one, zero)
-        return
-    mid = n - 2
-    if mid % 2:
-        return  # no fixed-point-free star pairing on an odd middle
-    star_of = {zero: one, one: zero}
-    for i in range(1, mid + 1, 2):
-        star_of[i] = i + 1
-        star_of[i + 1] = i
-    table: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
+    # Row and column ``unknown`` stay unknown, so any instance that reads an
+    # unassigned cell evaluates to unknown and is not judged yet.
+    table = [[unknown] * (n + 1) for _ in range(n + 1)]
     for x in range(n):
         table[zero][x] = one
         table[one][x] = x
@@ -170,42 +115,38 @@ def _search_tables(n: int, required: frozenset[str]) -> Iterator[FiniteAlgebra]:
     paired: set[tuple[int, int]] = set()
     for i in range(1, n - 1):
         for j in range(1, n - 1):
-            if table[i][j] is None and (i, j) not in paired:
+            if table[i][j] == unknown and (i, j) not in paired:
                 cells.append((i, j))
                 paired.add((i, j))
                 paired.add((star_of[j], star_of[i]))
-    prune_axioms = tuple(
-        a for a in (("BE4",) + tuple(sorted(required))) if a not in _UNIVERSE_AXIOMS
+    checks = tuple(
+        (partial(AXIOM_PREDICATES[a], table, zero, one, unknown), len(AXIOMS[a][0]))
+        for a in prune_axioms
     )
-    budget = node_budget()
-    nodes = 0
 
-    def assign(i: int, j: int, v: Optional[int]) -> None:
+    def assign(i: int, j: int, v: int) -> None:
         # x -> y = y* -> x* on involutive candidates, so the partner cell
         # carries the same value; a cell (x, x*) is its own partner.
         table[i][j] = v
-        pi, pj = star_of[j], star_of[i]
-        if (pi, pj) != (i, j):
-            table[pi][pj] = v
+        table[star_of[j]][star_of[i]] = v
 
     def fill(k: int) -> Iterator[FiniteAlgebra]:
-        nonlocal nodes
         if k == len(cells):
             yield FiniteAlgebra(
-                "model", names, tuple(tuple(r) for r in table), one, zero
+                "model", names, tuple(tuple(r[:n]) for r in table[:n]), one, zero
             )
             return
         i, j = cells[k]
         for v in range(n):
-            nodes += 1
-            if nodes > budget:
+            if next(nodes) > budget:
                 raise ResourceLimitError("enumeration exceeded node budget")
             assign(i, j, v)
-            if not any(
-                _partial_violation(a, table, n, zero, one) for a in prune_axioms
+            if all(
+                all(starmap(holds, product(range(n), repeat=arity)))
+                for holds, arity in checks
             ):
                 yield from fill(k + 1)
-        assign(i, j, None)
+        assign(i, j, unknown)
 
     yield from fill(0)
 

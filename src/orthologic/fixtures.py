@@ -74,6 +74,3 @@ def fixture(name: str) -> FiniteAlgebra:
     spec = _TABLES[name]
     return algebra_from_names(name, spec["elements"], spec["arrow"], "1", "0")
 
-
-def all_fixtures() -> dict[str, FiniteAlgebra]:
-    return {name: fixture(name) for name in FIXTURE_NAMES}

@@ -223,6 +223,19 @@ def test_counterexample_search_exhausted_range_returns_none():
     assert counterexample_search(goal_from_names(["impl", "DN"], ["IOM"], 2, 5)) is None
 
 
+def test_counterexample_search_covers_star_fixed_points():
+    # The Lukasiewicz chain 0 < h < 1 has h* = h: bounded, involutive and BE,
+    # but (h -> 0) -> h = 1, so it fails impl.  No 2-element model does.
+    lukasiewicz3 = FiniteAlgebra(
+        "L3", ("0", "h", "1"), ((2, 2, 2), (1, 2, 2), (0, 1, 2)), 2, 0
+    )
+    lab = classify(lukasiewicz3)
+    assert lab.is_be and lab.is_involutive and not lab.is_iol
+    hit = counterexample_search(goal_from_names([], ["impl"], 2, 3))
+    assert hit is not None and hit.n == 3
+    assert is_isomorphic(hit, lukasiewicz3) is not None
+
+
 def test_contradictory_goal_is_rejected():
     with pytest.raises(InputError):
         SearchGoal(frozenset({"impl", "DN"}), frozenset({"impl"}))

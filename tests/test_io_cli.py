@@ -231,6 +231,35 @@ def test_cli_max_elements_cap(monkeypatch, capsys):
     assert run_cli("classify", "ioml10") == 3
 
 
+@pytest.mark.parametrize(
+    "var, value, argv",
+    [
+        ("ORTHO_NODE_BUDGET", "lots", ("enumerate", "--size", "6", "--class", "iol")),
+        ("ORTHO_MAX_ELEMENTS", "x", ("classify", "benzene6")),
+    ],
+)
+def test_cli_malformed_cap_is_input_error(monkeypatch, capsys, var, value, argv):
+    monkeypatch.setenv(var, value)
+    assert run_cli(*argv) == 2
+    assert var in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("elements", ["0", ["a"], "b", "c", "d", "1"]), ("one", {"a": 1}), ("arrow", ["a"])],
+)
+def test_cli_validate_rejects_non_string_entries(capsys, tmp_path, key, value):
+    base = algebra_to_document(fixture("benzene6"))
+    if key == "arrow":
+        base["arrow"][1][2] = value
+    else:
+        base[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(base), encoding="utf-8")
+    assert run_cli("validate", str(path)) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cli_validate_flags_non_be_table(capsys, tmp_path):
     base = algebra_to_document(fixture("benzene6"))
     base["arrow"][1][2] = "c"  # break the exchange law, keep the shape valid
