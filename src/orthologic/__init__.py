@@ -39,7 +39,6 @@ from .orthospace import (
     ClosedFamily,
     OrthoSpace,
     associated_orthospace,
-    block_boolean_family,
     blocks,
     cl_algebra,
     enumerate_orthoclosed,
@@ -52,6 +51,7 @@ from .orthospace import (
 from .sasaki import (
     PartialMap,
     ProjectionMap,
+    block_boolean_family,
     center,
     check_sasaki_set,
     commutes,

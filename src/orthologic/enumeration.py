@@ -58,6 +58,11 @@ class SearchGoal:
             )
         if self.min_size < 2:
             raise InputError("sizes below 2 are rejected (trivial algebra)")
+        if self.max_size < self.min_size:
+            raise InputError(
+                f"empty size range: max size {self.max_size} is below"
+                f" min size {self.min_size}"
+            )
 
 
 def _standard_names(n: int) -> tuple[str, ...]:
@@ -196,6 +201,8 @@ def enumerate_models(
         raise InputError(f"unknown class {cls!r}; expected iol, ioml or iboolean")
     if n < 2:
         raise InputError("sizes below 2 are rejected (trivial algebra)")
+    if limit is not None and limit < 0:
+        raise InputError(f"negative limit {limit}")
     required = _CLASS_AXIOMS[cls]
     seen: dict[tuple[int, ...], FiniteAlgebra] = {}
     for cand in _search_tables(n, required):

@@ -5,6 +5,9 @@ Subsets are bit masks over the point order.  The family of orthoclosed sets
 is generated as all intersections of point-perps together with the full
 point set, which is sound because every orthoclosed set is a perp and perp
 turns unions into intersections.
+
+``associated_orthospace`` checks ``require_iol``; the rest works on the space
+alone.  ``block_boolean_family`` lives in ``sasaki``, beside the test it uses.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from .algebra import (
     CheckResult,
     FiniteAlgebra,
     InputError,
-    PreconditionError,
     ResourceLimitError,
     check_axiom,
     classify,
@@ -260,54 +262,3 @@ def is_normal(space: OrthoSpace) -> CheckResult:
                 )
     return CheckResult("normal", "pass")
 
-
-def block_boolean_family(space: OrthoSpace, block: int) -> tuple[CheckResult, tuple[int, ...]]:
-    """The family {closure(A) : A subset of the block}, checked to be a
-    subalgebra of the orthoclosed-set logic whose members pairwise satisfy
-    the divisibility law.  Requires a normal space and an actual block."""
-    if block not in blocks(space):
-        raise PreconditionError(f"{space.subset_name(block)} is not a block")
-    if not is_normal(space).passed:
-        raise PreconditionError("space is not normal")
-    bits = list(iter_bits(block))
-    family = set()
-    for r in range(len(bits) + 1):
-        for combo in combinations(bits, r):
-            a = 0
-            for i in combo:
-                a |= 1 << i
-            family.add(orthoclosure(space, a))
-    members = tuple(sorted(family, key=lambda m: (popcount(m), m)))
-    logic = cl_algebra(space)
-    closed = enumerate_orthoclosed(space)
-    idx = {m: closed.index(m) for m in members}
-    inside = set(idx.values())
-
-    def name(i: int) -> str:
-        return logic.elements[i]
-
-    from .sasaki import divides  # deferred; sasaki imports this module
-
-    for a in members:
-        if closed.index(perp(space, a)) not in inside:
-            res = CheckResult(
-                "block-boolean", "fail", (("member", space.subset_name(a)),)
-            )
-            return res, members
-        for b in members:
-            ia, ib = idx[a], idx[b]
-            if logic.arrow[ia][ib] not in inside:
-                res = CheckResult(
-                    "block-boolean",
-                    "fail",
-                    (("x", name(ia)), ("y", name(ib))),
-                )
-                return res, members
-            if not divides(logic, ia, ib):
-                res = CheckResult(
-                    "block-boolean",
-                    "fail",
-                    (("x", name(ia)), ("y", name(ib))),
-                )
-                return res, members
-    return CheckResult("block-boolean", "pass"), members

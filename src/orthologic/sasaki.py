@@ -1,6 +1,11 @@
 """Sasaki projections, commutation and divisibility, centers, and the
 projection-family machinery on top of them.
 
+Element-level operations are defined on any table; entry points that take a
+whole algebra check ``require_iol`` once.  ``is_iboolean_subalgebra`` is the one
+implicative-Boolean subalgebra test, behind the center, orthogonal-pair and
+block-family (``block_boolean_family``) results.
+
 A projection is stored as its full image vector.  The canonical family
 {phi_a : a in X} with phi_a(x) = x ^Q a decides the existence question for
 full projection families: on any algebra where some full family satisfies
@@ -23,6 +28,7 @@ from .algebra import (
     le_l,
     node_budget,
     ortho,
+    popcount,
     require_iol,
     star,
     vee_q,
@@ -30,8 +36,12 @@ from .algebra import (
 )
 from .orthospace import (
     OrthoSpace,
+    blocks,
+    cl_algebra,
     enumerate_orthoclosed,
+    is_normal,
     is_orthoclosed,
+    orthoclosure,
     perp,
 )
 
@@ -44,9 +54,6 @@ class ProjectionMap:
     image: tuple[int, ...]
     label: Optional[str] = None
 
-    def __call__(self, x: int) -> int:
-        return self.image[x]
-
 
 @dataclass(frozen=True)
 class PartialMap:
@@ -56,12 +63,6 @@ class PartialMap:
     domain: int
     image: tuple[Optional[int], ...]
 
-    def __call__(self, x: int) -> int:
-        v = self.image[x]
-        if v is None:
-            raise PreconditionError("point outside the map domain")
-        return v
-
 
 def compose(f: ProjectionMap, g: ProjectionMap) -> ProjectionMap:
     """f after g."""
@@ -69,31 +70,31 @@ def compose(f: ProjectionMap, g: ProjectionMap) -> ProjectionMap:
 
 
 def sasaki_projection(alg: FiniteAlgebra, a: int) -> ProjectionMap:
-    """phi_a(x) = x ^Q a."""
-    require_iol(alg)
+    """phi_a(x) = x ^Q a.  Defined on any table; callers check
+    ``require_iol`` once."""
     return ProjectionMap(
         tuple(wedge_q(alg, x, a) for x in range(alg.n)), alg.elements[a]
     )
 
 
 def dual_projection(alg: FiniteAlgebra, a: int) -> ProjectionMap:
-    """The dual of phi_a: x |-> x vQ a*."""
-    require_iol(alg)
+    """The dual of phi_a: x |-> x vQ a*.  Defined on any table; callers
+    check ``require_iol`` once."""
     sa = star(alg, a)
     return ProjectionMap(tuple(vee_q(alg, x, sa) for x in range(alg.n)))
 
 
 def commutes(alg: FiniteAlgebra, x: int, y: int) -> bool:
     """x C y iff phi_x(y) = (x -> y*)*.  The orientation matters: phi_x is
-    applied to y, so the relation is not symmetric outside orthomodularity."""
-    require_iol(alg)
+    applied to y, so the relation is not symmetric outside orthomodularity.
+    Defined on any table; callers check ``require_iol`` once."""
     return wedge_q(alg, y, x) == star(alg, alg.arrow[x][star(alg, y)])
 
 
 def divides(alg: FiniteAlgebra, x: int, y: int) -> bool:
     """x D y iff the pair satisfies the divisibility law
-    x -> (x -> y)* = x -> y*."""
-    require_iol(alg)
+    x -> (x -> y)* = x -> y*.  Defined on any table; callers check
+    ``require_iol`` once."""
     return alg.arrow[x][star(alg, alg.arrow[x][y])] == alg.arrow[x][star(alg, y)]
 
 
@@ -192,13 +193,9 @@ def orthogonal_pair_boolean_witness(
     for v in values.values():
         members |= 1 << v
     check_id = "orthogonal-pair-boolean"
-    if not is_subalgebra(alg, members):
-        return CheckResult(check_id, "fail", (("subset", "not a subalgebra"),)), members
-    for p in iter_bits(members):
-        for q in iter_bits(members):
-            if not divides(alg, p, q):
-                witness = (("x", alg.elements[p]), ("y", alg.elements[q]))
-                return CheckResult(check_id, "fail", witness), members
+    verdict = is_iboolean_subalgebra(alg, members)
+    if not verdict.passed:
+        return CheckResult(check_id, "fail", verdict.witness), members
     for i, row in enumerate(_PAIR_TABLE):
         for j, sym in enumerate(row):
             lhs = alg.arrow[values[_PAIR_SYMBOLS[i]]][values[_PAIR_SYMBOLS[j]]]
@@ -210,6 +207,25 @@ def orthogonal_pair_boolean_witness(
                 )
                 return CheckResult(check_id, "fail", witness), members
     return CheckResult(check_id, "pass"), members
+
+
+def block_boolean_family(space: OrthoSpace, block: int) -> tuple[CheckResult, tuple[int, ...]]:
+    """The family {closure(A) : A subset of the block}, checked to be an
+    implicative-Boolean subalgebra of the orthoclosed-set logic; the payload is
+    the family in (cardinality, mask) order.  Requires a normal space and a block."""
+    if block not in blocks(space):
+        raise PreconditionError(f"{space.subset_name(block)} is not a block")
+    if not is_normal(space).passed:
+        raise PreconditionError("space is not normal")
+    subsets = [0]
+    for i in iter_bits(block):
+        subsets += [a | 1 << i for a in subsets]
+    family = {orthoclosure(space, a) for a in subsets}
+    members = tuple(sorted(family, key=lambda m: (popcount(m), m)))
+    closed = enumerate_orthoclosed(space)
+    mask = sum(1 << closed.index(m) for m in members)
+    verdict = is_iboolean_subalgebra(cl_algebra(space), mask)
+    return CheckResult("block-boolean", verdict.status, verdict.witness), members
 
 
 # ---------------------------------------------------------------------------
@@ -312,34 +328,24 @@ def sasaki_map_search(space: OrthoSpace, closed: int) -> Optional[PartialMap]:
     lexicographically least; an exhausted search proves none exists."""
     if not is_orthoclosed(space, closed):
         raise PreconditionError(f"{space.subset_name(closed)} is not orthoclosed")
+    # The domain contains the closed set, which is disjoint from its perp.
     domain = space.full() & ~perp(space, closed)
     image: list[Optional[int]] = [None] * space.n
-    fixed = closed & domain  # closed is disjoint from its perp, so this is closed
-    for i in iter_bits(fixed):
+    for i in iter_bits(closed):
         image[i] = i
-    todo = [i for i in iter_bits(domain & ~fixed)]
-    assigned = list(iter_bits(fixed))
+    todo = list(iter_bits(domain & ~closed))
+    assigned = list(iter_bits(closed))
     budget = node_budget()
     nodes = 0
 
     def consistent(i: int) -> bool:
+        # Checks the pairs (i, j); the pairs (j, i), the self pair and the
+        # pairs inside the fixed closed set follow by symmetry of the relation.
         fi = image[i]
         for j in assigned:
-            fj = image[j]
-            bi, bj = 1 << i, 1 << j
-            if bool(space.rel[fi] & bj) != bool(space.rel[i] & (1 << fj)):
+            if bool(space.rel[fi] & (1 << j)) != bool(space.rel[i] & (1 << image[j])):
                 return False
-            if bool(space.rel[fj] & bi) != bool(space.rel[j] & (1 << fi)):
-                return False
-        if bool(space.rel[fi] & (1 << i)) != bool(space.rel[i] & (1 << fi)):
-            return False  # self pair; vacuous by symmetry but kept explicit
         return True
-
-    # SM2 already constrains pairs inside the fixed part only through other
-    # points, but verify the fixed block once for robustness.
-    for i in list(assigned):
-        if not consistent(i):
-            return None
 
     def extend(k: int) -> bool:
         nonlocal nodes
@@ -359,8 +365,6 @@ def sasaki_map_search(space: OrthoSpace, closed: int) -> Optional[PartialMap]:
             image[i] = None
         return False
 
-    if closed == 0:
-        return PartialMap(0, tuple(image))
     if extend(0):
         return PartialMap(domain, tuple(image))
     return None

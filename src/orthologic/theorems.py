@@ -36,7 +36,6 @@ from .orthospace import (
     OrthoSpace,
     associated_orthospace,
     blocks,
-    block_boolean_family,
     cl_algebra,
     enumerate_orthoclosed,
     is_dacey,
@@ -46,6 +45,7 @@ from .orthospace import (
 )
 from .sasaki import (
     ProjectionMap,
+    block_boolean_family,
     canonical_projection_family,
     center,
     check_sasaki_set,

@@ -138,6 +138,12 @@ def test_enumerate_limit_and_validation():
         enumerate_models(1, "iol")
 
 
+def test_enumerate_rejects_negative_limit():
+    with pytest.raises(InputError, match="negative limit"):
+        enumerate_models(6, "iol", limit=-1)
+    assert enumerate_models(6, "iol", limit=0) == []
+
+
 def test_six_element_models_are_the_two_known_ones():
     hexagon, mo2 = None, None
     for m in enumerate_models(6, "iol"):
@@ -243,3 +249,11 @@ def test_contradictory_goal_is_rejected():
         SearchGoal(frozenset(), frozenset({"DN"}))
     with pytest.raises(InputError):
         goal_from_names(["nonsense"], [])
+
+
+def test_empty_size_range_is_rejected():
+    with pytest.raises(InputError, match="empty size range"):
+        goal_from_names(["impl"], ["IOM"], max_size=1)
+    with pytest.raises(InputError, match="empty size range"):
+        SearchGoal(frozenset(), frozenset({"impl"}), min_size=5, max_size=4)
+    assert goal_from_names(["impl"], ["IOM"], 4, 4).max_size == 4

@@ -1,4 +1,8 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -183,7 +187,13 @@ def test_cli_theorems_filter_json(capsys):
     assert run_cli("theorems", "benzene6", "--filter", "T2-CHAR-IOML-5WAY", "--json") == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload == [{"check": "T2-CHAR-IOML-5WAY", "status": "pass", "witness": []}]
-    assert run_cli("theorems", "benzene6", "--filter", "BOGUS") == 2
+    capsys.readouterr()
+    # Every id is resolved before anything is printed.
+    for ids in (["BOGUS"], ["L2-BE-PROPS", "BOGUS"]):
+        assert run_cli("theorems", "benzene6", "--filter", *ids) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown check id 'BOGUS'" in captured.err
 
 
 def test_cli_enumerate(capsys):
@@ -194,6 +204,15 @@ def test_cli_enumerate(capsys):
     assert len(lines) == 1
     parsed = parse_algebra(lines[0])
     assert classify(parsed).is_ioml
+
+
+def test_cli_enumerate_limit(capsys):
+    assert run_cli("enumerate", "--size", "6", "--class", "iol", "--limit", "0", "--count-only") == 0
+    assert capsys.readouterr().out.strip() == "0"
+    assert run_cli("enumerate", "--size", "6", "--class", "iol", "--limit", "-1", "--count-only") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "negative limit" in captured.err
 
 
 def test_cli_enumerate_respects_node_budget(capsys, monkeypatch):
@@ -224,6 +243,35 @@ def test_cli_search(capsys):
 
 def test_cli_search_rejects_contradiction(capsys):
     assert run_cli("search", "--require", "impl", "--forbid", "impl") == 2
+
+
+def test_cli_search_rejects_empty_size_range(capsys):
+    assert run_cli("search", "--require", "impl", "--forbid", "IOM", "--max-size", "1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "empty size range" in captured.err
+
+
+@pytest.fixture(scope="module")
+def non_iol_file(tmp_path_factory):
+    """The three-element table that refutes iG, which is no i-OL."""
+    from orthologic.enumeration import counterexample_search, goal_from_names
+
+    alg = counterexample_search(goal_from_names([], ["iG"], 2, 4))
+    assert alg.n == 3 and not classify(alg).is_iol
+    path = tmp_path_factory.mktemp("non_iol") / "non_iol.json"
+    path.write_text(serialize_algebra(alg), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "flags", [(), ("--projections",), ("--commute",), ("--center",), ("--full-set",)]
+)
+def test_cli_sasaki_rejects_non_iol(capsys, non_iol_file, flags):
+    assert run_cli("sasaki", non_iol_file, *flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not an i-OL" in captured.err
 
 
 def test_cli_max_elements_cap(monkeypatch, capsys):
@@ -267,3 +315,66 @@ def test_cli_validate_flags_non_be_table(capsys, tmp_path):
     path.write_text(json.dumps(base), encoding="utf-8")
     assert run_cli("validate", str(path)) == 2
     assert "BE4" in capsys.readouterr().out
+
+
+# -- exit-code contract under random documents -----------------------------------------
+
+@st.composite
+def documents(draw):
+    """JSON text of a random document: n = 1..6, half of them with the forced
+    1-row, 1-column and 0-row filled in, and about one in eight corrupted."""
+    n = draw(st.integers(1, 6))
+    elements = [str(i) for i in range(n)]
+    zero, one = elements[0], elements[-1]
+    arrow = [[draw(st.sampled_from(elements)) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        for x in range(n):
+            arrow[n - 1][x] = elements[x]
+            arrow[x][n - 1] = one
+            arrow[0][x] = one
+    doc = {"name": "fuzz", "elements": elements, "one": one, "zero": zero, "arrow": arrow}
+    if draw(st.integers(0, 7)) == 0:
+        damage = draw(st.sampled_from(
+            ["drop-row", "short-row", "int-entry", "null-entry", "list-entry",
+             "bad-one", "no-arrow", "not-object", "not-json"]
+        ))
+        if damage == "drop-row":
+            doc["arrow"] = arrow[:-1]
+        elif damage == "short-row":
+            arrow[0] = arrow[0][:-1]
+        elif damage in ("int-entry", "null-entry", "list-entry"):
+            arrow[n // 2][0] = {"int-entry": 1, "null-entry": None, "list-entry": [one]}[damage]
+        elif damage == "bad-one":
+            doc["one"] = "missing"
+        elif damage == "no-arrow":
+            del doc["arrow"]
+        elif damage == "not-object":
+            return json.dumps(list(doc.values()))
+        else:
+            return json.dumps(doc)[:-1]
+    return json.dumps(doc)
+
+
+FUZZ_COMMANDS = (
+    ("validate",),
+    ("classify", "--json"),
+    ("derive", "--op", "le_l"),
+    ("ortho", "--cl", "--dacey", "--blocks", "--normal", "--sasaki-space", "--json"),
+    ("sasaki",),
+    ("sasaki", "--projections", "--commute", "--center", "--full-set", "--json"),
+    ("theorems", "--json"),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=documents())
+def test_cli_exit_codes_on_random_documents(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        argvs = [(cmd, str(path), *flags) for cmd, *flags in FUZZ_COMMANDS]
+        argvs.append(("iso", str(path), str(path)))
+        for argv in argvs:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = run_cli(*argv)
+            assert code in (0, 1, 2, 3), argv

@@ -3,21 +3,29 @@ from itertools import product
 import pytest
 
 from orthologic import (
+    PartialMap,
     PreconditionError,
     associated_orthospace,
+    block_boolean_family,
+    blocks,
     center,
     check_sasaki_set,
+    cl_algebra,
     classify,
     commutes,
     divides,
     dual_projection,
+    enumerate_models,
+    enumerate_orthoclosed,
     generated_subalgebra,
     has_full_sasaki_set,
     is_full,
     is_iboolean_subalgebra,
+    is_normal,
     is_sasaki_space,
     is_subalgebra,
     le_l,
+    orthoclosure,
     orthogonal_pair_boolean_witness,
     sasaki_map_search,
     sasaki_maps_for_all,
@@ -271,6 +279,45 @@ def test_orthogonal_pair_witness_requires_orthogonality(benzene6):
         orthogonal_pair_boolean_witness(benzene6, benzene6.index("b"), benzene6.index("c"))
 
 
+def test_boolean_results_share_the_subalgebra_verdict(algebras):
+    """The orthogonal-pair and block-family results report exactly the
+    verdict of is_iboolean_subalgebra on their member sets, on the fixtures
+    and on every i-OL with at most six elements."""
+    models = [m for n in range(2, 7) for m in enumerate_models(n, "iol")]
+    for alg in list(algebras.values()) + models:
+        for x, y in pairs(alg):
+            if not ortho(alg, x, y):
+                continue
+            res, members = orthogonal_pair_boolean_witness(alg, x, y)
+            verdict = is_iboolean_subalgebra(alg, members)
+            if verdict.passed:
+                # Only the eight-by-eight cross-check can still fail.
+                assert res.passed or res.witness[0][0] == "row"
+            else:
+                assert (res.check_id, res.status, res.witness) == (
+                    "orthogonal-pair-boolean", "fail", verdict.witness,
+                )
+        sp = associated_orthospace(alg)
+        for blk in blocks(sp):
+            if not is_normal(sp).passed:
+                with pytest.raises(PreconditionError):
+                    block_boolean_family(sp, blk)
+                continue
+            res, members = block_boolean_family(sp, blk)
+            closed = enumerate_orthoclosed(sp)
+            mask = 0
+            for m in members:
+                mask |= 1 << closed.index(m)
+            verdict = is_iboolean_subalgebra(cl_algebra(sp), mask)
+            assert res.check_id == "block-boolean"
+            assert (res.status, res.witness) == (verdict.status, verdict.witness)
+            sub = [0]
+            for i in range(sp.n):
+                if blk >> i & 1:
+                    sub += [s | 1 << i for s in sub]
+            assert set(members) == {orthoclosure(sp, s) for s in sub}
+
+
 # -- projection families -----------------------------------------------------------
 
 def test_trivial_family_is_a_sasaki_set(algebras):
@@ -369,6 +416,12 @@ def test_identity_sasaki_map_on_full_set(algebras):
         assert result is not None
         assert result.domain == sp.full()
         assert result.image == tuple(range(sp.n))
+
+
+def test_sasaki_map_on_empty_set_is_the_empty_map(algebras):
+    for alg in algebras.values():
+        sp = associated_orthospace(alg)
+        assert sasaki_map_search(sp, 0) == PartialMap(0, (None,) * sp.n)
 
 
 def test_sasaki_map_requires_orthoclosed_input(benzene6_space):
