@@ -362,9 +362,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once at import: a process that forks after importing this module
+# hands the parser to its children.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ResourceLimitError as exc:

@@ -6,6 +6,13 @@ predicates, so an algebra falsifying every clause at once still passes the
 check.  Class preconditions are evaluated first; an unmet one yields a skip
 whose witness names the requirement.  Witnesses of failing scans are min-lex
 in the declared element order, with item tags for multi-part laws.
+
+A multi-part law is a list of (tag, predicate) items.  Each predicate takes
+the prefix of the roles x, y, z, u that it reads, and ``_scan_items`` runs it
+over the tuples of that arity only; its first failing tuple, padded with
+element 0 up to the check's arity, competes with the other items' as it
+would in one full-arity scan, so the witness is unchanged.  The subset items
+of L7-DOWNSET share one incremental pass over the 2^n subsets.
 """
 
 from __future__ import annotations
@@ -119,15 +126,24 @@ def _names(alg, roles, tup):
 
 
 def _scan_items(alg, check_id, arity, items, roles=("x", "y", "z", "u")):
-    """items: sequence of (tag, predicate).  First violation wins, scanning
-    tuples lexicographically and items in listed order."""
-    roles = roles[:arity]
-    for tup in product(range(alg.n), repeat=arity):
-        for tag, pred in items:
+    """items: sequence of (tag, predicate).  Each predicate takes the algebra
+    and the prefix of x, y, z, u that it reads, and is scanned over n^k
+    tuples of its own arity k <= arity.  The witness is the first violation
+    of a full-arity scan (tuples lexicographically, items in listed order):
+    the least (tuple, item index) over the items' first failing tuples,
+    each padded with element 0 up to the check's arity."""
+    failures = []
+    for index, (_, pred) in enumerate(items):
+        k = pred.__code__.co_argcount - 1
+        for tup in product(range(alg.n), repeat=k):
             if not pred(alg, *tup):
-                witness = (("item", tag),) + _names(alg, roles, tup)
-                return CheckResult(check_id, "fail", witness)
-    return CheckResult(check_id, "pass")
+                failures.append((tup + (0,) * (arity - k), index))
+                break
+    if not failures:
+        return CheckResult(check_id, "pass")
+    tup, index = min(failures)
+    witness = (("item", items[index][0]),) + _names(alg, roles[:arity], tup)
+    return CheckResult(check_id, "fail", witness)
 
 
 def _forall(alg, arity, pred) -> Optional[tuple[int, ...]]:
@@ -171,23 +187,23 @@ def _pointwise_equiv(alg, check_id, arity, sides, roles=("x", "y", "z", "u")):
 def _l2_be_props(alg):
     lab = classify(alg)
     items = [
-        ("(1)", lambda a, x, y, z: a.arrow[x][a.arrow[y][x]] == a.one),
-        ("(2)", lambda a, x, y, z: le(a, x, vee_q(a, x, y))),
+        ("(1)", lambda a, x, y: a.arrow[x][a.arrow[y][x]] == a.one),
+        ("(2)", lambda a, x, y: le(a, x, vee_q(a, x, y))),
     ]
     if lab.is_bounded:
         items += [
-            ("(3)", lambda a, x, y, z: a.arrow[x][star(a, y)] == a.arrow[y][star(a, x)]),
-            ("(4)", lambda a, x, y, z: le(a, x, star(a, star(a, x)))),
+            ("(3)", lambda a, x, y: a.arrow[x][star(a, y)] == a.arrow[y][star(a, x)]),
+            ("(4)", lambda a, x: le(a, x, star(a, star(a, x)))),
         ]
     if lab.is_involutive:
         items += [
-            ("(5)", lambda a, x, y, z: a.arrow[star(a, x)][y] == a.arrow[star(a, y)][x]),
-            ("(6)", lambda a, x, y, z: a.arrow[star(a, x)][star(a, y)] == a.arrow[y][x]),
+            ("(5)", lambda a, x, y: a.arrow[star(a, x)][y] == a.arrow[star(a, y)][x]),
+            ("(6)", lambda a, x, y: a.arrow[star(a, x)][star(a, y)] == a.arrow[y][x]),
             ("(7)", lambda a, x, y, z: a.arrow[star(a, a.arrow[x][y])][z]
              == a.arrow[x][a.arrow[star(a, y)][z]]),
             ("(8)", lambda a, x, y, z: a.arrow[x][a.arrow[y][z]]
              == a.arrow[star(a, a.arrow[x][star(a, y)])][z]),
-            ("(9)", lambda a, x, y, z: a.arrow[star(a, a.arrow[star(a, x)][y])][a.arrow[star(a, x)][y]]
+            ("(9)", lambda a, x, y: a.arrow[star(a, a.arrow[star(a, x)][y])][a.arrow[star(a, x)][y]]
              == a.arrow[star(a, a.arrow[star(a, x)][x])][a.arrow[star(a, y)][y]]),
         ]
     return _scan_items(alg, "L2-BE-PROPS", 3, items)
@@ -196,20 +212,20 @@ def _l2_be_props(alg):
 @_register("P2-QBE-PROPS", "invbe", "order scaffolding on involutive BE algebras", 4)
 def _p2_qbe_props(alg):
     items = [
-        ("(1)", lambda a, x, y, z, u: not le_q(a, x, y)
+        ("(1)", lambda a, x, y: not le_q(a, x, y)
          or (x == wedge_q(a, y, x) and y == vee_q(a, x, y))),
-        ("(2-refl)", lambda a, x, y, z, u: le_q(a, x, x)),
-        ("(2-antisym)", lambda a, x, y, z, u: not (le_q(a, x, y) and le_q(a, y, x)) or x == y),
-        ("(3)", lambda a, x, y, z, u: vee_q(a, x, y)
+        ("(2-refl)", lambda a, x: le_q(a, x, x)),
+        ("(2-antisym)", lambda a, x, y: not (le_q(a, x, y) and le_q(a, y, x)) or x == y),
+        ("(3)", lambda a, x, y: vee_q(a, x, y)
          == star(a, wedge_q(a, star(a, x), star(a, y)))),
-        ("(4)", lambda a, x, y, z, u: not le_q(a, x, y) or le(a, x, y)),
-        ("(5)", lambda a, x, y, z, u: not (le_q(a, x, z) and le_q(a, y, z)
+        ("(4)", lambda a, x, y: not le_q(a, x, y) or le(a, x, y)),
+        ("(5)", lambda a, x, y, z: not (le_q(a, x, z) and le_q(a, y, z)
          and a.arrow[z][x] == a.arrow[z][y]) or x == y),
-        ("(6)", lambda a, x, y, z, u: not le_l(a, x, y) or le(a, x, y)),
-        ("(7-antisym)", lambda a, x, y, z, u: not (le_l(a, x, y) and le_l(a, y, x)) or x == y),
-        ("(7-trans)", lambda a, x, y, z, u: not (le_l(a, x, y) and le_l(a, y, z))
+        ("(6)", lambda a, x, y: not le_l(a, x, y) or le(a, x, y)),
+        ("(7-antisym)", lambda a, x, y: not (le_l(a, x, y) and le_l(a, y, x)) or x == y),
+        ("(7-trans)", lambda a, x, y, z: not (le_l(a, x, y) and le_l(a, y, z))
          or le_l(a, x, z)),
-        ("(8)", lambda a, x, y, z, u: not (le_l(a, z, x) and le_l(a, z, y))
+        ("(8)", lambda a, x, y, z: not (le_l(a, z, x) and le_l(a, z, y))
          or le_l(a, z, wedge_p(a, x, y))),
         ("(9)", lambda a, x, y, z, u: a.arrow[wedge_p(a, x, y)][a.arrow[z][star(a, u)]]
          == a.arrow[wedge_p(a, x, z)][a.arrow[y][star(a, u)]]),
@@ -254,26 +270,26 @@ def _l2_impl_equiv(alg):
 @_register("L2-IOL-PROPS", "iol", "le_l arithmetic on implicative-ortholattices", 4)
 def _l2_iol_props(alg):
     items = [
-        ("(1)", lambda a, x, y, z, u: le_l(a, x, y) == le_l(a, star(a, y), star(a, x))),
-        ("(2)", lambda a, x, y, z, u: not le_q(a, x, y) or le_l(a, x, y)),
-        ("(3)", lambda a, x, y, z, u: le_l(a, x, a.arrow[y][x])
+        ("(1)", lambda a, x, y: le_l(a, x, y) == le_l(a, star(a, y), star(a, x))),
+        ("(2)", lambda a, x, y: not le_q(a, x, y) or le_l(a, x, y)),
+        ("(3)", lambda a, x, y: le_l(a, x, a.arrow[y][x])
          and le_l(a, x, a.arrow[star(a, x)][y])),
-        ("(4)", lambda a, x, y, z, u: le_l(a, wedge_p(a, x, y), x)
+        ("(4)", lambda a, x, y: le_l(a, wedge_p(a, x, y), x)
          and le_l(a, wedge_p(a, x, y), y)),
-        ("(5)", lambda a, x, y, z, u: (star(a, x) == a.arrow[x][y])
+        ("(5)", lambda a, x, y: (star(a, x) == a.arrow[x][y])
          == (star(a, y) == a.arrow[y][x])),
-        ("(6)", lambda a, x, y, z, u: wedge_q(a, x, y) != x
+        ("(6)", lambda a, x, y: wedge_q(a, x, y) != x
          or wedge_q(a, x, star(a, y)) == a.zero),
-        ("(7)", lambda a, x, y, z, u: not le_l(a, x, y)
+        ("(7)", lambda a, x, y: not le_l(a, x, y)
          or wedge_q(a, x, star(a, y)) == a.zero),
-        ("(8)", lambda a, x, y, z, u: not le_l(a, x, y)
+        ("(8)", lambda a, x, y, z: not le_l(a, x, y)
          or (le_l(a, a.arrow[y][z], a.arrow[x][z]) and le_l(a, a.arrow[z][x], a.arrow[z][y]))),
-        ("(9)", lambda a, x, y, z, u: not le_l(a, x, y)
+        ("(9)", lambda a, x, y, z: not le_l(a, x, y)
          or (le_l(a, vee_q(a, x, z), vee_q(a, y, z))
              and le_l(a, wedge_q(a, x, z), wedge_q(a, y, z)))),
-        ("(10)", lambda a, x, y, z, u: not (le_l(a, x, z) and le_l(a, y, z))
+        ("(10)", lambda a, x, y, z: not (le_l(a, x, z) and le_l(a, y, z))
          or le_l(a, a.arrow[star(a, x)][y], z)),
-        ("(11)", lambda a, x, y, z, u: le_l(
+        ("(11)", lambda a, x, y: le_l(
             a, a.arrow[a.arrow[x][star(a, y)]][star(a, a.arrow[x][y])], x)),
         ("(12)", lambda a, x, y, z, u: not (le_l(a, x, y) and le_l(a, z, u))
          or le_l(a, a.arrow[star(a, x)][z], a.arrow[star(a, y)][u])),
@@ -319,18 +335,18 @@ def _c2_leq_eq_lel(alg):
 @_register("P2-IOML-PROPS-A", "ioml", "meet/join arithmetic on orthomodular algebras", 3)
 def _p2_ioml_a(alg):
     items = [
-        ("(1)", lambda a, x, y, z: a.arrow[x][wedge_q(a, y, x)] == a.arrow[x][y]),
-        ("(2)", lambda a, x, y, z: a.arrow[vee_q(a, x, y)][star(a, a.arrow[x][y])]
+        ("(1)", lambda a, x, y: a.arrow[x][wedge_q(a, y, x)] == a.arrow[x][y]),
+        ("(2)", lambda a, x, y: a.arrow[vee_q(a, x, y)][star(a, a.arrow[x][y])]
          == star(a, y)),
         ("(3)", lambda a, x, y, z: wedge_q(
             a, x, wedge_q(a, a.arrow[y][x], a.arrow[z][x])) == x),
-        ("(4)", lambda a, x, y, z: a.arrow[a.arrow[x][y]][wedge_q(a, y, x)] == x),
-        ("(5)", lambda a, x, y, z: not (le(a, x, y) and le_l(a, y, x)) or x == y),
-        ("(6)", lambda a, x, y, z: le_l(a, wedge_q(a, x, y), y)
+        ("(4)", lambda a, x, y: a.arrow[a.arrow[x][y]][wedge_q(a, y, x)] == x),
+        ("(5)", lambda a, x, y: not (le(a, x, y) and le_l(a, y, x)) or x == y),
+        ("(6)", lambda a, x, y: le_l(a, wedge_q(a, x, y), y)
          and le_l(a, y, vee_q(a, x, y))),
-        ("(7)", lambda a, x, y, z: a.arrow[wedge_q(a, x, y)][wedge_q(a, y, x)] == a.one),
-        ("(8)", lambda a, x, y, z: a.arrow[vee_q(a, x, y)][vee_q(a, y, x)] == a.one),
-        ("(9)", lambda a, x, y, z: a.arrow[vee_q(a, x, y)][y] == a.arrow[x][y]),
+        ("(7)", lambda a, x, y: a.arrow[wedge_q(a, x, y)][wedge_q(a, y, x)] == a.one),
+        ("(8)", lambda a, x, y: a.arrow[vee_q(a, x, y)][vee_q(a, y, x)] == a.one),
+        ("(9)", lambda a, x, y: a.arrow[vee_q(a, x, y)][y] == a.arrow[x][y]),
         ("(10)", lambda a, x, y, z: wedge_q(a, wedge_q(a, x, y), wedge_q(a, y, z))
          == wedge_q(a, wedge_q(a, x, y), z)),
     ]
@@ -344,11 +360,11 @@ def _p2_ioml_b(alg):
          or le_l(a, x, wedge_q(a, y, z))),
         ("(2)", lambda a, x, y, z: not le_l(a, x, y)
          or wedge_q(a, wedge_q(a, z, y), x) == wedge_q(a, z, x)),
-        ("(3)", lambda a, x, y, z: not (le(a, x, y) and le_l(a, y, x)) or x == y),
+        ("(3)", lambda a, x, y: not (le(a, x, y) and le_l(a, y, x)) or x == y),
         ("(4)", lambda a, x, y, z: not (le_l(a, y, x) and le_l(a, z, x))
          or le_l(a, vee_q(a, y, z), x)),
-        ("(5)", lambda a, x, y, z: a.arrow[x][wedge_q(a, x, y)] == a.arrow[x][y]),
-        ("(6)", lambda a, x, y, z: wedge_q(a, x, star(a, y)) != a.zero
+        ("(5)", lambda a, x, y: a.arrow[x][wedge_q(a, x, y)] == a.arrow[x][y]),
+        ("(6)", lambda a, x, y: wedge_q(a, x, star(a, y)) != a.zero
          or wedge_q(a, x, y) == x),
     ]
     return _scan_items(alg, "P2-IOML-PROPS-B", 3, items)
@@ -401,12 +417,12 @@ def _r2_idiv_at(alg):
 @_register("MBE-EQ", "invbe", "product-signature cross-check via x*y := (x -> y*)*", 3)
 def _mbe_eq(alg):
     items = [
-        ("PU", lambda a, x, y, z: wedge_p(a, a.one, x) == x),
-        ("Pcomm", lambda a, x, y, z: wedge_p(a, x, y) == wedge_p(a, y, x)),
+        ("PU", lambda a, x: wedge_p(a, a.one, x) == x),
+        ("Pcomm", lambda a, x, y: wedge_p(a, x, y) == wedge_p(a, y, x)),
         ("Pass", lambda a, x, y, z: wedge_p(a, x, wedge_p(a, y, z))
          == wedge_p(a, wedge_p(a, x, y), z)),
-        ("m-La", lambda a, x, y, z: wedge_p(a, x, a.zero) == a.zero),
-        ("m-Re", lambda a, x, y, z: wedge_p(a, x, star(a, x)) == a.zero),
+        ("m-La", lambda a, x: wedge_p(a, x, a.zero) == a.zero),
+        ("m-Re", lambda a, x: wedge_p(a, x, star(a, x)) == a.zero),
     ]
     scan = _scan_items(alg, "MBE-EQ", 3, items)
     if scan.failed:
@@ -432,9 +448,9 @@ def _mbe_eq(alg):
 def _l3_ortho_basics(alg):
     items = [
         ("(1)", lambda a, x, y: ortho(a, x, y) == ortho(a, y, x)),
-        ("(2)", lambda a, x, y: ortho(a, x, x) == (x == a.zero)),
-        ("(3)", lambda a, x, y: ortho(a, a.zero, x)),
-        ("(4)", lambda a, x, y: ortho(a, a.one, x) == (x == a.zero)),
+        ("(2)", lambda a, x: ortho(a, x, x) == (x == a.zero)),
+        ("(3)", lambda a, x: ortho(a, a.zero, x)),
+        ("(4)", lambda a, x: ortho(a, a.one, x) == (x == a.zero)),
         ("(5)", lambda a, x, y: not le_l(a, x, y) or ortho(a, x, star(a, y))),
         ("(6)", lambda a, x, y: ortho(a, x, star(a, a.arrow[y][x]))),
         ("(7)", lambda a, x, y: ortho(a, x, y) == le_l(a, x, star(a, y))),
@@ -502,14 +518,14 @@ def _p3_cl_is_iol(alg):
 @_register("P4-SP-BASIC", "iol", "first projection identities", 3)
 def _p4_sp_basic(alg):
     items = [
-        ("(1)", lambda a, x, y, z: wedge_q(a, x, x) == x
+        ("(1)", lambda a, x: wedge_q(a, x, x) == x
          and wedge_q(a, x, a.one) == x and wedge_q(a, a.one, x) == x
          and wedge_q(a, x, a.zero) == a.zero and wedge_q(a, a.zero, x) == a.zero
          and wedge_q(a, star(a, x), x) == a.zero
          and wedge_q(a, x, star(a, x)) == a.zero),
-        ("(2)", lambda a, x, y, z: not le_l(a, x, y) or wedge_q(a, y, x) == x),
-        ("(3)", lambda a, x, y, z: wedge_q(a, y, wedge_q(a, y, x)) == wedge_q(a, y, x)),
-        ("(4)", lambda a, x, y, z: not le_q(a, x, y) or wedge_q(a, x, y) == x),
+        ("(2)", lambda a, x, y: not le_l(a, x, y) or wedge_q(a, y, x) == x),
+        ("(3)", lambda a, x, y: wedge_q(a, y, wedge_q(a, y, x)) == wedge_q(a, y, x)),
+        ("(4)", lambda a, x, y: not le_q(a, x, y) or wedge_q(a, x, y) == x),
         ("(5)", lambda a, x, y, z: not le_l(a, x, y)
          or le_l(a, wedge_q(a, x, z), wedge_q(a, y, z))),
     ]
@@ -518,7 +534,7 @@ def _p4_sp_basic(alg):
 
 @_register("P4-SP-IOML", "ioml", "projection composition identities", 3)
 def _p4_sp_ioml(alg):
-    def item1(a, x, y, z):
+    def item1(a, x, y):
         if any(wedge_q(a, v, x) != v for v in range(a.n)):
             return True
         if any(wedge_q(a, v, y) != v for v in range(a.n)):
@@ -528,14 +544,14 @@ def _p4_sp_ioml(alg):
 
     items = [
         ("(1)", item1),
-        ("(2)", lambda a, x, y, z: wedge_q(a, wedge_q(a, x, y), y) == wedge_q(a, x, y)),
-        ("(3)", lambda a, x, y, z: wedge_q(a, star(a, wedge_q(a, x, y)), y)
+        ("(2)", lambda a, x, y: wedge_q(a, wedge_q(a, x, y), y) == wedge_q(a, x, y)),
+        ("(3)", lambda a, x, y: wedge_q(a, star(a, wedge_q(a, x, y)), y)
          == star(a, a.arrow[y][x])),
-        ("(4)", lambda a, x, y, z: le_l(
+        ("(4)", lambda a, x, y: le_l(
             a, wedge_q(a, star(a, wedge_q(a, x, y)), y), star(a, x))),
         ("(5)", lambda a, x, y, z: le_l(a, wedge_q(a, x, z), star(a, y))
          == le_l(a, wedge_q(a, y, z), star(a, x))),
-        ("(6)", lambda a, x, y, z: wedge_q(a, wedge_q(a, x, y), x) == wedge_q(a, y, x)),
+        ("(6)", lambda a, x, y: wedge_q(a, wedge_q(a, x, y), x) == wedge_q(a, y, x)),
         ("(7)", lambda a, x, y, z: x != wedge_q(a, x, y)
          or wedge_q(a, z, x) == wedge_q(a, wedge_q(a, z, y), x)),
     ]
@@ -544,7 +560,7 @@ def _p4_sp_ioml(alg):
 
 @_register("P4-SP-IOML-B", "ioml", "projection fixed points, kernels and adjoint-style swaps", 3)
 def _p4_sp_ioml_b(alg):
-    def item5(a, x, y, z):
+    def item5(a, x):
         squared_zero = all(
             wedge_q(a, wedge_q(a, v, x), x) == a.zero for v in range(a.n)
         )
@@ -552,8 +568,8 @@ def _p4_sp_ioml_b(alg):
         return squared_zero == le_l(a, top, star(a, top))
 
     items = [
-        ("(1)", lambda a, x, y, z: (wedge_q(a, x, y) == x) == le_l(a, x, y)),
-        ("(2)", lambda a, x, y, z: (wedge_q(a, x, y) == a.zero) == le_l(a, x, star(a, y))),
+        ("(1)", lambda a, x, y: (wedge_q(a, x, y) == x) == le_l(a, x, y)),
+        ("(2)", lambda a, x, y: (wedge_q(a, x, y) == a.zero) == le_l(a, x, star(a, y))),
         ("(3)", lambda a, x, y, z: not le_l(a, x, y)
          or wedge_q(a, wedge_q(a, z, y), x) == wedge_q(a, z, x)),
         ("(4)", lambda a, x, y, z: (star(a, wedge_q(a, x, z))
@@ -562,8 +578,8 @@ def _p4_sp_ioml_b(alg):
         ("(5)", item5),
         ("(6)", lambda a, x, y, z: ortho(a, wedge_q(a, x, z), y)
          == ortho(a, x, wedge_q(a, y, z))),
-        ("(7)", lambda a, x, y, z: ortho(a, x, y) == (wedge_q(a, y, x) == a.zero)),
-        ("(8)", lambda a, x, y, z: not ortho(a, x, y)
+        ("(7)", lambda a, x, y: ortho(a, x, y) == (wedge_q(a, y, x) == a.zero)),
+        ("(8)", lambda a, x, y: not ortho(a, x, y)
          or ortho(a, wedge_q(a, x, y), star(a, y))),
     ]
     return _scan_items(alg, "P4-SP-IOML-B", 3, items)
@@ -589,7 +605,7 @@ def _t4_sasaki_perp(alg):
 @_register("L4-C-BASICS", "iol", "easy commutation facts", 2)
 def _l4_c_basics(alg):
     items = [
-        ("(1)", lambda a, x, y: commutes(a, x, x) and commutes(a, x, a.zero)
+        ("(1)", lambda a, x: commutes(a, x, x) and commutes(a, x, a.zero)
          and commutes(a, a.zero, x) and commutes(a, x, a.one)
          and commutes(a, a.one, x) and commutes(a, x, star(a, x))
          and commutes(a, star(a, x), x)),
@@ -723,7 +739,7 @@ def _l5_c_iff_d(alg):
 @_register("L5-D-BASICS", "iol", "easy divisibility facts", 2)
 def _l5_d_basics(alg):
     items = [
-        ("(1)", lambda a, x, y: divides(a, x, x) and divides(a, x, a.zero)
+        ("(1)", lambda a, x: divides(a, x, x) and divides(a, x, a.zero)
          and divides(a, a.zero, x) and divides(a, x, a.one)
          and divides(a, a.one, x) and divides(a, x, star(a, x))
          and divides(a, star(a, x), x)),
@@ -947,9 +963,9 @@ def _p6_full_props(alg):
     items = [
         ("(1)", lambda a, x, y, z: not (le_l(a, z, x) and le_l(a, z, y))
          or le(a, z, wedge_q(a, star(a, wedge_q(a, star(a, y), x)), x))),
-        ("(2)", lambda a, x, y, z: wedge_q(a, star(a, wedge_q(a, star(a, y), x)), x)
+        ("(2)", lambda a, x, y: wedge_q(a, star(a, wedge_q(a, star(a, y), x)), x)
          == wedge_p(a, x, y)),
-        ("(3)", lambda a, x, y, z: wedge_q(a, star(a, x), x) == a.zero),
+        ("(3)", lambda a, x: wedge_q(a, star(a, x), x) == a.zero),
     ]
     return _scan_items(alg, "P6-FULL-PROPS", 3, items)
 
@@ -1010,17 +1026,66 @@ def _p7_dacey_pairs(alg):
     )
 
 
+def _subset_items(alg, space: OrthoSpace, down, point_down) -> Optional[CheckResult]:
+    """Items (4) and (5) of L7-DOWNSET, given the down-set of every element
+    over the elements and over the points.  The verdict is that of scanning
+    the masks in increasing order for item (4), then again for item (5).
+
+    One depth-first pass visits each nonempty subset Y once, reached from
+    its parent by adding a member above the parent's largest, and carries
+    the intersection of the down-sets of Y, the ascending ^P fold of Y (the
+    fold ``big_meet`` computes), perp(Y) over the points and the
+    intersection of the point down-sets of the starred members.  It keeps
+    the least mask of three kinds: the fold is not a <=L lower bound of Y
+    (``big_meet`` raises NonLatticeError there); the down-set of the fold
+    differs from the intersection (item 4); Y avoids 0 and perp(Y) differs
+    from the starred intersection (item 5).  Item (5) is reported only when
+    item (4) holds for every Y; star being a bijection, that intersection is
+    then the point down-set of big_meet(Y*), as the item states."""
+    point_of = {alg.index(p): i for i, p in enumerate(space.points)}
+    least = [None, None, None]
+
+    def note(kind, mask):
+        if least[kind] is None or mask < least[kind]:
+            least[kind] = mask
+
+    def visit(mask, top, inter, fold, perp_y, down_star):
+        for y in range(top + 1, alg.n):
+            m = mask | 1 << y
+            i = inter & down[y]
+            f = wedge_p(alg, fold, y)
+            if not i >> f & 1:
+                note(0, m)
+            if i != down[f]:
+                note(1, m)
+            if down_star is None or y == alg.zero:
+                visit(m, y, i, f, None, None)
+                continue
+            p = perp_y & space.rel[point_of[y]]
+            s = down_star & point_down[star(alg, y)]
+            if p != s:
+                note(2, m)
+            visit(m, y, i, f, p, s)
+
+    visit(0, -1, alg.universe_mask(), alg.one, space.full(), space.full())
+    not_bound, item4, item5 = least
+    if not_bound is not None and (item4 is None or not_bound <= item4):
+        big_meet(alg, not_bound)  # raises NonLatticeError
+    for tag, mask in (("(4)", item4), ("(5)", item5)):
+        if mask is not None:
+            return CheckResult(
+                "L7-DOWNSET", "fail", (("item", tag), ("Y", ",".join(alg.names(mask)))))
+    return None
+
+
 @_register("L7-DOWNSET", "iol", "down-set identities linking the algebra to its space", 2)
 def _l7_downset(alg):
     space = associated_orthospace(alg)
-
-    def pts(mask: int) -> int:
-        return _space_masks(alg, space, mask)
-
+    down = [down_set(alg, x) for x in range(alg.n)]
+    point_down = [_space_masks(alg, space, d) for d in down]
     for x in range(alg.n):
-        dx = pts(down_set(alg, x))
-        lhs = perp(space, dx)
-        mid = pts(down_set(alg, star(alg, x)))
+        lhs = perp(space, point_down[x])
+        mid = point_down[star(alg, x)]
         direct = 0
         for i, p in enumerate(space.points):
             if ortho(alg, x, alg.index(p)):
@@ -1029,35 +1094,19 @@ def _l7_downset(alg):
             return CheckResult("L7-DOWNSET", "fail", (("item", "(1)"), ("x", alg.elements[x])))
     for x in range(alg.n):
         for y in range(alg.n):
-            if down_set(alg, x) & down_set(alg, y) != down_set(alg, wedge_p(alg, x, y)):
+            if down[x] & down[y] != down[wedge_p(alg, x, y)]:
                 return CheckResult(
                     "L7-DOWNSET", "fail",
                     (("item", "(2)"), ("x", alg.elements[x]), ("y", alg.elements[y])))
-            ax, ay = pts(down_set(alg, x)), pts(down_set(alg, y))
-            cl_arrow = perp(space, ax & perp(space, ay))
-            if pts(down_set(alg, alg.arrow[x][y])) != cl_arrow:
+            cl_arrow = perp(space, point_down[x] & perp(space, point_down[y]))
+            if point_down[alg.arrow[x][y]] != cl_arrow:
                 return CheckResult(
                     "L7-DOWNSET", "fail",
                     (("item", "(3)"), ("x", alg.elements[x]), ("y", alg.elements[y])))
     if alg.n <= SUBSET_SCAN_CAP:
-        for mask in range(1, 1 << alg.n):
-            inter = alg.universe_mask()
-            for y in iter_bits(mask):
-                inter &= down_set(alg, y)
-            if inter != down_set(alg, big_meet(alg, mask)):
-                return CheckResult(
-                    "L7-DOWNSET", "fail",
-                    (("item", "(4)"), ("Y", ",".join(alg.names(mask)))))
-        star_fold = lambda m: big_meet(
-            alg, sum(1 << star(alg, y) for y in iter_bits(m)))
-        for mask in range(1, 1 << alg.n):
-            if mask & (1 << alg.zero):
-                continue  # perp is a point-set notion
-            expected = pts(down_set(alg, star_fold(mask)))
-            if perp(space, pts(mask)) != expected:
-                return CheckResult(
-                    "L7-DOWNSET", "fail",
-                    (("item", "(5)"), ("Y", ",".join(alg.names(mask)))))
+        failure = _subset_items(alg, space, down, point_down)
+        if failure is not None:
+            return failure
     return CheckResult("L7-DOWNSET", "pass")
 
 

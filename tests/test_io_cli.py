@@ -196,6 +196,17 @@ def test_cli_theorems_filter_json(capsys):
         assert "unknown check id 'BOGUS'" in captured.err
 
 
+def test_cli_parser_is_built_once(monkeypatch, capsys):
+    import orthologic.cli as cli
+
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    assert run_cli("theorems", "benzene6", "--filter", "T2-CHAR-IOML-5WAY", "--json") == 0
+    capsys.readouterr()
+    # Nothing parsed by one call carries over to the next.
+    assert run_cli("theorems", "benzene6", "--json") == 1
+    assert len(json.loads(capsys.readouterr().out)) == 54
+
+
 def test_cli_enumerate(capsys):
     assert run_cli("enumerate", "--size", "6", "--class", "iol", "--count-only") == 0
     assert capsys.readouterr().out.strip() == "2"
