@@ -11,7 +11,6 @@ from .algebra import (
     NonLatticeError,
     PreconditionError,
     ResourceLimitError,
-    big_join,
     big_meet,
     check_axiom,
     classify,
@@ -56,8 +55,6 @@ from .sasaki import (
     check_sasaki_set,
     commutes,
     divides,
-    dual_projection,
-    generated_subalgebra,
     has_full_sasaki_set,
     is_full,
     is_iboolean_subalgebra,
@@ -65,7 +62,6 @@ from .sasaki import (
     is_subalgebra,
     orthogonal_pair_boolean_witness,
     sasaki_map_search,
-    sasaki_maps_for_all,
     sasaki_projection,
     sp_center_monoid_check,
 )

@@ -270,20 +270,6 @@ def big_meet(alg: FiniteAlgebra, members: int) -> int:
     return acc
 
 
-def big_join(alg: FiniteAlgebra, members: int) -> int:
-    """Fold of vP over the masked elements; the empty join is 0."""
-    acc = alg.zero
-    for x in iter_bits(members):
-        acc = vee_p(alg, acc, x)
-    for x in iter_bits(members):
-        if not le_l(alg, x, acc):
-            raise NonLatticeError(
-                f"{alg.name}: join fold gave {alg.elements[acc]}, not an upper"
-                f" bound of {alg.elements[x]}"
-            )
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Axioms.
 # ---------------------------------------------------------------------------

@@ -210,8 +210,7 @@ def enumerate_models(
             continue
         if not all(axiom_holds(cand, a) for a in sorted(required)):
             continue
-        label = classify(cand)
-        if not {"iol": label.is_iol, "ioml": label.is_ioml, "iboolean": label.is_iboolean}[cls]:
+        if not classify(cand).as_dict()[cls]:
             continue
         key = canonical_key(cand)
         if key not in seen:

@@ -4,7 +4,9 @@ projection-family machinery on top of them.
 Element-level operations are defined on any table; entry points that take a
 whole algebra check ``require_iol`` once.  ``is_iboolean_subalgebra`` is the one
 implicative-Boolean subalgebra test, behind the center, orthogonal-pair and
-block-family (``block_boolean_family``) results.
+block-family (``block_boolean_family``) results; ``pair_hull_check`` is the
+one route to the Boolean hull of an orthogonal pair, for the public
+``orthogonal_pair_boolean_witness`` and the registry alike.
 
 A projection is stored as its full image vector.  The canonical family
 {phi_a : a in X} with phi_a(x) = x ^Q a decides the existence question for
@@ -31,7 +33,6 @@ from .algebra import (
     popcount,
     require_iol,
     star,
-    vee_q,
     wedge_q,
 )
 from .orthospace import (
@@ -77,13 +78,6 @@ def sasaki_projection(alg: FiniteAlgebra, a: int) -> ProjectionMap:
     )
 
 
-def dual_projection(alg: FiniteAlgebra, a: int) -> ProjectionMap:
-    """The dual of phi_a: x |-> x vQ a*.  Defined on any table; callers
-    check ``require_iol`` once."""
-    sa = star(alg, a)
-    return ProjectionMap(tuple(vee_q(alg, x, sa) for x in range(alg.n)))
-
-
 def commutes(alg: FiniteAlgebra, x: int, y: int) -> bool:
     """x C y iff phi_x(y) = (x -> y*)*.  The orientation matters: phi_x is
     applied to y, so the relation is not symmetric outside orthomodularity.
@@ -122,20 +116,6 @@ def is_subalgebra(alg: FiniteAlgebra, members: int) -> bool:
     return True
 
 
-def generated_subalgebra(alg: FiniteAlgebra, gens: int) -> int:
-    """Closure of gens together with 1 and 0 under arrow; star comes free
-    since x* = x -> 0.  Fixed point in at most n rounds."""
-    members = gens | (1 << alg.one) | (1 << alg.zero)
-    while True:
-        new = members
-        for x in iter_bits(members):
-            for y in iter_bits(members):
-                new |= 1 << alg.arrow[x][y]
-        if new == members:
-            return members
-        members = new
-
-
 def is_iboolean_subalgebra(alg: FiniteAlgebra, members: int) -> CheckResult:
     """Pass iff the mask is a subalgebra whose members pairwise divide."""
     if not is_subalgebra(alg, members):
@@ -169,15 +149,22 @@ _PAIR_TABLE = (
 def orthogonal_pair_boolean_witness(
     alg: FiniteAlgebra, x: int, y: int
 ) -> tuple[CheckResult, int]:
-    """For orthogonal x, y: build Y = {0, x, y, x*->y, x*, y*, (x*->y)*, 1},
-    check it is a subalgebra with pairwise divisibility, then cross-check its
-    arrow entries against the fixed eight-by-eight pattern (duplicates in Y
-    collapse).  The payload is the member mask."""
+    """For orthogonal x, y of an i-OL: the verdict of ``pair_hull_check``
+    and the member mask."""
     require_iol(alg)
     if not ortho(alg, x, y):
         raise PreconditionError(
             f"{alg.elements[x]} and {alg.elements[y]} are not orthogonal"
         )
+    return pair_hull_check(alg, x, y)
+
+
+def pair_hull_check(alg: FiniteAlgebra, x: int, y: int) -> tuple[CheckResult, int]:
+    """Build Y = {0, x, y, x*->y, x*, y*, (x*->y)*, 1}, check it is a
+    subalgebra with pairwise divisibility, then cross-check its arrow
+    entries against the fixed eight-by-eight pattern (duplicates in Y
+    collapse).  The payload is the member mask.  Defined on any table;
+    ``orthogonal_pair_boolean_witness`` adds the preconditions."""
     u = alg.arrow[star(alg, x)][y]
     values = {
         "0": alg.zero,
@@ -368,13 +355,6 @@ def sasaki_map_search(space: OrthoSpace, closed: int) -> Optional[PartialMap]:
     if extend(0):
         return PartialMap(domain, tuple(image))
     return None
-
-
-def sasaki_maps_for_all(space: OrthoSpace) -> dict[int, Optional[PartialMap]]:
-    """One search per orthoclosed set, keyed by the member mask."""
-    return {
-        m: sasaki_map_search(space, m) for m in enumerate_orthoclosed(space).members
-    }
 
 
 def is_sasaki_space(space: OrthoSpace) -> CheckResult:

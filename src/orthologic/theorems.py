@@ -1,23 +1,30 @@
 """Registry of executable checks, one per structural law of the theory.
 
 Every check scans one loaded algebra exhaustively and returns a CheckResult.
-Characterization results are evaluated as equivalences of whole-table
-predicates, so an algebra falsifying every clause at once still passes the
-check.  Class preconditions are evaluated first; an unmet one yields a skip
-whose witness names the requirement.  Witnesses of failing scans are min-lex
-in the declared element order, with item tags for multi-part laws.
+Class preconditions are evaluated first; an unmet one yields a skip whose
+witness names the requirement.  Witnesses of failing scans are min-lex in the
+declared element order, with item tags for multi-part laws.
 
-A multi-part law is a list of (tag, predicate) items.  Each predicate takes
-the prefix of the roles x, y, z, u that it reads, and ``_scan_items`` runs it
-over the tuples of that arity only; its first failing tuple, padded with
-element 0 up to the check's arity, competes with the other items' as it
-would in one full-arity scan, so the witness is unchanged.  The subset items
-of L7-DOWNSET share one incremental pass over the 2^n subsets.
+Most checks are one row of one of three shapes.  ``_items(id, pre, desc,
+arity, *items)`` is a multi-part law of (tag, predicate) items: each predicate
+takes the prefix of the roles x, y, z, u that it reads and is scanned at that
+arity, its first failing tuple padded with element 0 up to the check's arity,
+so the witness is that of one full-arity scan.  ``_pointwise(id, pre, desc,
+arity, *sides)`` has (label, predicate) sides that must agree on every tuple.
+``_characterisation(id, pre, desc, arity, *clauses)`` is an equivalence of
+whole-table clauses, so an algebra falsifying every clause at once passes; a
+clause is a tuple of axiom ids, which holds when all of them hold, or a
+predicate, scanned at the arity it takes, whose least failing tuple is its
+witness.  ``_first_failure`` is the one scan loop behind items and clauses.
+Checks that do not fit a row (class-dependent item lists, the space, family
+and Sasaki checks) are functions over the same evaluators.  The subset items
+of L7-DOWNSET share one incremental pass over the 2^n subsets, run up to
+``SUBSET_SCAN_CAP`` elements; above it the check skips.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Callable, Optional
 
@@ -58,16 +65,17 @@ from .sasaki import (
     check_sasaki_set,
     commutes,
     divides,
-    generated_subalgebra,
     has_full_sasaki_set,
     is_full,
     is_iboolean_subalgebra,
     is_sasaki_space,
+    pair_hull_check,
     sp_center_monoid_check,
     trivial_projection_family,
 )
 
-SUBSET_SCAN_CAP = 14  # universe size above which subset-quantified items skip
+SUBSET_SCAN_CAP = 14  # universe size above which L7-DOWNSET skips its subset items
+_ROLES = ("x", "y", "z", "u")
 
 
 @dataclass(frozen=True)
@@ -91,15 +99,26 @@ def _register(check_id: str, precondition: str, description: str, arity: int):
     return deco
 
 
+def _items(check_id, precondition, description, arity, *items):
+    _register(check_id, precondition, description, arity)(
+        lambda alg: _scan_items(alg, check_id, arity, items))
+
+
+def _pointwise(check_id, precondition, description, arity, *sides):
+    _register(check_id, precondition, description, arity)(
+        lambda alg: _pointwise_equiv(alg, check_id, arity, sides))
+
+
+def _characterisation(check_id, precondition, description, arity, *clauses):
+    _register(check_id, precondition, description, arity)(
+        lambda alg: _equivalence(check_id, [_clause(alg, *clause) for clause in clauses]))
+
+
 def _meets(alg: FiniteAlgebra, precondition: str) -> bool:
-    lab = classify(alg)
-    return {
-        "be": lab.is_be,
-        "invbe": lab.is_be and lab.is_involutive,
-        "iol": lab.is_iol,
-        "ioml": lab.is_ioml,
-        "iboolean": lab.is_iboolean,
-    }[precondition]
+    flags = classify(alg).as_dict()
+    if precondition == "invbe":
+        return flags["be"] and flags["involutive"]
+    return flags[precondition]
 
 
 def list_checks() -> tuple[CheckSpec, ...]:
@@ -121,11 +140,20 @@ def run_all(alg: FiniteAlgebra) -> tuple[CheckResult, ...]:
 
 # -- scan helpers -----------------------------------------------------------
 
-def _names(alg, roles, tup):
-    return tuple((r, alg.elements[v]) for r, v in zip(roles, tup))
+def _names(alg, tup):
+    return tuple((r, alg.elements[v]) for r, v in zip(_ROLES, tup))
 
 
-def _scan_items(alg, check_id, arity, items, roles=("x", "y", "z", "u")):
+def _first_failure(alg, pred) -> Optional[tuple[int, ...]]:
+    """The least tuple, in lexicographic order over the roles the predicate
+    takes after the algebra, at which it fails; None when it holds on all."""
+    for tup in product(range(alg.n), repeat=pred.__code__.co_argcount - 1):
+        if not pred(alg, *tup):
+            return tup
+    return None
+
+
+def _scan_items(alg, check_id, arity, items):
     """items: sequence of (tag, predicate).  Each predicate takes the algebra
     and the prefix of x, y, z, u that it reads, and is scanned over n^k
     tuples of its own arity k <= arity.  The witness is the first violation
@@ -134,26 +162,25 @@ def _scan_items(alg, check_id, arity, items, roles=("x", "y", "z", "u")):
     each padded with element 0 up to the check's arity."""
     failures = []
     for index, (_, pred) in enumerate(items):
-        k = pred.__code__.co_argcount - 1
-        for tup in product(range(alg.n), repeat=k):
-            if not pred(alg, *tup):
-                failures.append((tup + (0,) * (arity - k), index))
-                break
+        tup = _first_failure(alg, pred)
+        if tup is not None:
+            failures.append((tup + (0,) * (arity - len(tup)), index))
     if not failures:
         return CheckResult(check_id, "pass")
     tup, index = min(failures)
-    witness = (("item", items[index][0]),) + _names(alg, roles[:arity], tup)
-    return CheckResult(check_id, "fail", witness)
+    return CheckResult(check_id, "fail", (("item", items[index][0]),) + _names(alg, tup))
 
 
-def _forall(alg, arity, pred) -> Optional[tuple[int, ...]]:
-    for tup in product(range(alg.n), repeat=arity):
-        if not pred(alg, *tup):
-            return tup
-    return None
+def _clause(alg, label, clause):
+    """(label, holds, witness-or-None) of one characterisation clause: a
+    tuple of axiom ids, or a predicate carrying its least failing tuple."""
+    if isinstance(clause, tuple):
+        return label, all(axiom_holds(alg, a) for a in clause), None
+    tup = _first_failure(alg, clause)
+    return label, tup is None, None if tup is None else _names(alg, tup)
 
 
-def _equivalence(alg, check_id, clauses):
+def _equivalence(check_id, clauses):
     """clauses: sequence of (label, bool, witness-or-None).  Pass iff all the
     booleans agree; otherwise report each clause's value plus the first
     available witness of a false clause."""
@@ -168,13 +195,12 @@ def _equivalence(alg, check_id, clauses):
     return CheckResult(check_id, "fail", witness)
 
 
-def _pointwise_equiv(alg, check_id, arity, sides, roles=("x", "y", "z", "u")):
+def _pointwise_equiv(alg, check_id, arity, sides):
     """sides: (label, pred) pairs that must agree on every tuple."""
-    roles = roles[:arity]
     for tup in product(range(alg.n), repeat=arity):
         values = [(label, pred(alg, *tup)) for label, pred in sides]
         if len({v for _, v in values}) > 1:
-            witness = _names(alg, roles, tup) + tuple(
+            witness = _names(alg, tup) + tuple(
                 (label, "holds" if v else "fails") for label, v in values
             )
             return CheckResult(check_id, "fail", witness)
@@ -209,209 +235,151 @@ def _l2_be_props(alg):
     return _scan_items(alg, "L2-BE-PROPS", 3, items)
 
 
-@_register("P2-QBE-PROPS", "invbe", "order scaffolding on involutive BE algebras", 4)
-def _p2_qbe_props(alg):
-    items = [
-        ("(1)", lambda a, x, y: not le_q(a, x, y)
-         or (x == wedge_q(a, y, x) and y == vee_q(a, x, y))),
-        ("(2-refl)", lambda a, x: le_q(a, x, x)),
-        ("(2-antisym)", lambda a, x, y: not (le_q(a, x, y) and le_q(a, y, x)) or x == y),
-        ("(3)", lambda a, x, y: vee_q(a, x, y)
-         == star(a, wedge_q(a, star(a, x), star(a, y)))),
-        ("(4)", lambda a, x, y: not le_q(a, x, y) or le(a, x, y)),
-        ("(5)", lambda a, x, y, z: not (le_q(a, x, z) and le_q(a, y, z)
-         and a.arrow[z][x] == a.arrow[z][y]) or x == y),
-        ("(6)", lambda a, x, y: not le_l(a, x, y) or le(a, x, y)),
-        ("(7-antisym)", lambda a, x, y: not (le_l(a, x, y) and le_l(a, y, x)) or x == y),
-        ("(7-trans)", lambda a, x, y, z: not (le_l(a, x, y) and le_l(a, y, z))
-         or le_l(a, x, z)),
-        ("(8)", lambda a, x, y, z: not (le_l(a, z, x) and le_l(a, z, y))
-         or le_l(a, z, wedge_p(a, x, y))),
-        ("(9)", lambda a, x, y, z, u: a.arrow[wedge_p(a, x, y)][a.arrow[z][star(a, u)]]
-         == a.arrow[wedge_p(a, x, z)][a.arrow[y][star(a, u)]]),
-    ]
-    return _scan_items(alg, "P2-QBE-PROPS", 4, items)
-
-
-def _le_l_is_order(alg) -> bool:
-    return (
-        _forall(alg, 1, lambda a, x: le_l(a, x, x)) is None
-        and _forall(alg, 2, lambda a, x, y: not (le_l(a, x, y) and le_l(a, y, x)) or x == y) is None
-        and _forall(alg, 3, lambda a, x, y, z: not (le_l(a, x, y) and le_l(a, y, z)) or le_l(a, x, z)) is None
-    )
+_items(
+    "P2-QBE-PROPS", "invbe", "order scaffolding on involutive BE algebras", 4,
+    ("(1)", lambda a, x, y: not le_q(a, x, y)
+     or (x == wedge_q(a, y, x) and y == vee_q(a, x, y))),
+    ("(2-refl)", lambda a, x: le_q(a, x, x)),
+    ("(2-antisym)", lambda a, x, y: not (le_q(a, x, y) and le_q(a, y, x)) or x == y),
+    ("(3)", lambda a, x, y: vee_q(a, x, y)
+     == star(a, wedge_q(a, star(a, x), star(a, y)))),
+    ("(4)", lambda a, x, y: not le_q(a, x, y) or le(a, x, y)),
+    ("(5)", lambda a, x, y, z: not (le_q(a, x, z) and le_q(a, y, z)
+     and a.arrow[z][x] == a.arrow[z][y]) or x == y),
+    ("(6)", lambda a, x, y: not le_l(a, x, y) or le(a, x, y)),
+    ("(7-antisym)", lambda a, x, y: not (le_l(a, x, y) and le_l(a, y, x)) or x == y),
+    ("(7-trans)", lambda a, x, y, z: not (le_l(a, x, y) and le_l(a, y, z))
+     or le_l(a, x, z)),
+    ("(8)", lambda a, x, y, z: not (le_l(a, z, x) and le_l(a, z, y))
+     or le_l(a, z, wedge_p(a, x, y))),
+    ("(9)", lambda a, x, y, z, u: a.arrow[wedge_p(a, x, y)][a.arrow[z][star(a, u)]]
+     == a.arrow[wedge_p(a, x, z)][a.arrow[y][star(a, u)]]),
+)
 
 
 @_register("R2-LEL-ORDER-IFF-IG", "invbe", "le_l is an order exactly under the iG law", 3)
 def _r2_lel_order(alg):
-    refl = _forall(alg, 1, lambda a, x: le_l(a, x, x))
+    # The order clause carries the reflexivity witness only.
+    label, reflexive, witness = _clause(alg, "le_l-order", lambda a, x: le_l(a, x, x))
+    order = reflexive and all(_first_failure(alg, pred) is None for pred in (
+        lambda a, x, y: not (le_l(a, x, y) and le_l(a, y, x)) or x == y,
+        lambda a, x, y, z: not (le_l(a, x, y) and le_l(a, y, z)) or le_l(a, x, z),
+    ))
     return _equivalence(
-        alg,
-        "R2-LEL-ORDER-IFF-IG",
-        (
-            ("le_l-order", _le_l_is_order(alg), _names(alg, ("x",), refl) if refl else None),
-            ("iG", axiom_holds(alg, "iG"), None),
-        ),
-    )
+        "R2-LEL-ORDER-IFF-IG", ((label, order, witness), _clause(alg, "iG", ("iG",))))
 
 
-@_register("L2-IMPL-EQUIV", "invbe", "three equivalent packagings of implicativity", 2)
-def _l2_impl_equiv(alg):
-    return _equivalence(
-        alg,
-        "L2-IMPL-EQUIV",
-        (
-            ("impl", axiom_holds(alg, "impl"), None),
-            ("iG+Iabs-i", axiom_holds(alg, "iG") and axiom_holds(alg, "Iabs-i"), None),
-            ("pi+Iabs-i", axiom_holds(alg, "pi") and axiom_holds(alg, "Iabs-i"), None),
-        ),
-    )
+_characterisation(
+    "L2-IMPL-EQUIV", "invbe", "three equivalent packagings of implicativity", 2,
+    ("impl", ("impl",)),
+    ("iG+Iabs-i", ("iG", "Iabs-i")),
+    ("pi+Iabs-i", ("pi", "Iabs-i")),
+)
+
+_items(
+    "L2-IOL-PROPS", "iol", "le_l arithmetic on implicative-ortholattices", 4,
+    ("(1)", lambda a, x, y: le_l(a, x, y) == le_l(a, star(a, y), star(a, x))),
+    ("(2)", lambda a, x, y: not le_q(a, x, y) or le_l(a, x, y)),
+    ("(3)", lambda a, x, y: le_l(a, x, a.arrow[y][x])
+     and le_l(a, x, a.arrow[star(a, x)][y])),
+    ("(4)", lambda a, x, y: le_l(a, wedge_p(a, x, y), x)
+     and le_l(a, wedge_p(a, x, y), y)),
+    ("(5)", lambda a, x, y: (star(a, x) == a.arrow[x][y])
+     == (star(a, y) == a.arrow[y][x])),
+    ("(6)", lambda a, x, y: wedge_q(a, x, y) != x
+     or wedge_q(a, x, star(a, y)) == a.zero),
+    ("(7)", lambda a, x, y: not le_l(a, x, y)
+     or wedge_q(a, x, star(a, y)) == a.zero),
+    ("(8)", lambda a, x, y, z: not le_l(a, x, y)
+     or (le_l(a, a.arrow[y][z], a.arrow[x][z]) and le_l(a, a.arrow[z][x], a.arrow[z][y]))),
+    ("(9)", lambda a, x, y, z: not le_l(a, x, y)
+     or (le_l(a, vee_q(a, x, z), vee_q(a, y, z))
+         and le_l(a, wedge_q(a, x, z), wedge_q(a, y, z)))),
+    ("(10)", lambda a, x, y, z: not (le_l(a, x, z) and le_l(a, y, z))
+     or le_l(a, a.arrow[star(a, x)][y], z)),
+    ("(11)", lambda a, x, y: le_l(
+        a, a.arrow[a.arrow[x][star(a, y)]][star(a, a.arrow[x][y])], x)),
+    ("(12)", lambda a, x, y, z, u: not (le_l(a, x, y) and le_l(a, z, u))
+     or le_l(a, a.arrow[star(a, x)][z], a.arrow[star(a, y)][u])),
+)
+
+_characterisation(
+    "L2-IOM-3WAY", "invbe", "the three orthomodularity laws agree", 2,
+    ("IOM", ("IOM",)),
+    ("IOM'", ("IOM'",)),
+    ("IOM''", ("IOM''",)),
+)
+
+_characterisation(
+    "T2-CHAR-IOML-LE", "iol", "orthomodularity via the order inclusion le_l into le_q", 2,
+    ("(a)", ("IOM",)),
+    ("(b)", lambda a, x, y: not le_l(a, x, y) or le_q(a, x, y)),
+    ("(c)", lambda a, x, y: not le_l(a, x, y) or y == vee_q(a, y, x)),
+)
+
+_pointwise(
+    "C2-LEQ-EQ-LEL", "ioml", "le_q and le_l coincide on orthomodular algebras", 2,
+    ("le_q", le_q), ("le_l", le_l),
+)
+
+_items(
+    "P2-IOML-PROPS-A", "ioml", "meet/join arithmetic on orthomodular algebras", 3,
+    ("(1)", lambda a, x, y: a.arrow[x][wedge_q(a, y, x)] == a.arrow[x][y]),
+    ("(2)", lambda a, x, y: a.arrow[vee_q(a, x, y)][star(a, a.arrow[x][y])]
+     == star(a, y)),
+    ("(3)", lambda a, x, y, z: wedge_q(
+        a, x, wedge_q(a, a.arrow[y][x], a.arrow[z][x])) == x),
+    ("(4)", lambda a, x, y: a.arrow[a.arrow[x][y]][wedge_q(a, y, x)] == x),
+    ("(5)", lambda a, x, y: not (le(a, x, y) and le_l(a, y, x)) or x == y),
+    ("(6)", lambda a, x, y: le_l(a, wedge_q(a, x, y), y)
+     and le_l(a, y, vee_q(a, x, y))),
+    ("(7)", lambda a, x, y: a.arrow[wedge_q(a, x, y)][wedge_q(a, y, x)] == a.one),
+    ("(8)", lambda a, x, y: a.arrow[vee_q(a, x, y)][vee_q(a, y, x)] == a.one),
+    ("(9)", lambda a, x, y: a.arrow[vee_q(a, x, y)][y] == a.arrow[x][y]),
+    ("(10)", lambda a, x, y, z: wedge_q(a, wedge_q(a, x, y), wedge_q(a, y, z))
+     == wedge_q(a, wedge_q(a, x, y), z)),
+)
+
+_items(
+    "P2-IOML-PROPS-B", "ioml", "bound transfer on orthomodular algebras", 3,
+    ("(1)", lambda a, x, y, z: not (le_l(a, x, y) and le_l(a, x, z))
+     or le_l(a, x, wedge_q(a, y, z))),
+    ("(2)", lambda a, x, y, z: not le_l(a, x, y)
+     or wedge_q(a, wedge_q(a, z, y), x) == wedge_q(a, z, x)),
+    ("(3)", lambda a, x, y: not (le(a, x, y) and le_l(a, y, x)) or x == y),
+    ("(4)", lambda a, x, y, z: not (le_l(a, y, x) and le_l(a, z, x))
+     or le_l(a, vee_q(a, y, z), x)),
+    ("(5)", lambda a, x, y: a.arrow[x][wedge_q(a, x, y)] == a.arrow[x][y]),
+    ("(6)", lambda a, x, y: wedge_q(a, x, star(a, y)) != a.zero
+     or wedge_q(a, x, y) == x),
+)
+
+_characterisation(
+    "T2-CHAR-IOML-5WAY", "iol", "five equivalent forms of orthomodularity", 2,
+    ("(a)", ("IOM",)),
+    ("(b)", lambda a, x, y: a.arrow[a.arrow[x][y]][wedge_q(a, y, x)] == x),
+    ("(c)", lambda a, x, y: not (le(a, x, y) and le_l(a, y, x)) or x == y),
+    ("(d)", lambda a, x, y: wedge_q(a, x, star(a, y)) != a.zero
+     or wedge_q(a, x, y) == x),
+    ("(e)", lambda a, x, y: a.arrow[x][wedge_q(a, x, y)] == a.arrow[x][y]),
+)
+
+_characterisation(
+    "P2-IDIV-IFF-DISTRIB", "ioml", "divisibility equals distributivity", 3,
+    ("Idiv", ("Idiv",)),
+    ("Idis1+Idis2", ("Idis1", "Idis2")),
+)
+
+_characterisation(
+    "R2-IDIV-IFF-AT", "iol", "the divisibility and contraction laws agree", 2,
+    ("Idiv", ("Idiv",)),
+    ("@", ("@",)),
+)
 
 
-@_register("L2-IOL-PROPS", "iol", "le_l arithmetic on implicative-ortholattices", 4)
-def _l2_iol_props(alg):
-    items = [
-        ("(1)", lambda a, x, y: le_l(a, x, y) == le_l(a, star(a, y), star(a, x))),
-        ("(2)", lambda a, x, y: not le_q(a, x, y) or le_l(a, x, y)),
-        ("(3)", lambda a, x, y: le_l(a, x, a.arrow[y][x])
-         and le_l(a, x, a.arrow[star(a, x)][y])),
-        ("(4)", lambda a, x, y: le_l(a, wedge_p(a, x, y), x)
-         and le_l(a, wedge_p(a, x, y), y)),
-        ("(5)", lambda a, x, y: (star(a, x) == a.arrow[x][y])
-         == (star(a, y) == a.arrow[y][x])),
-        ("(6)", lambda a, x, y: wedge_q(a, x, y) != x
-         or wedge_q(a, x, star(a, y)) == a.zero),
-        ("(7)", lambda a, x, y: not le_l(a, x, y)
-         or wedge_q(a, x, star(a, y)) == a.zero),
-        ("(8)", lambda a, x, y, z: not le_l(a, x, y)
-         or (le_l(a, a.arrow[y][z], a.arrow[x][z]) and le_l(a, a.arrow[z][x], a.arrow[z][y]))),
-        ("(9)", lambda a, x, y, z: not le_l(a, x, y)
-         or (le_l(a, vee_q(a, x, z), vee_q(a, y, z))
-             and le_l(a, wedge_q(a, x, z), wedge_q(a, y, z)))),
-        ("(10)", lambda a, x, y, z: not (le_l(a, x, z) and le_l(a, y, z))
-         or le_l(a, a.arrow[star(a, x)][y], z)),
-        ("(11)", lambda a, x, y: le_l(
-            a, a.arrow[a.arrow[x][star(a, y)]][star(a, a.arrow[x][y])], x)),
-        ("(12)", lambda a, x, y, z, u: not (le_l(a, x, y) and le_l(a, z, u))
-         or le_l(a, a.arrow[star(a, x)][z], a.arrow[star(a, y)][u])),
-    ]
-    return _scan_items(alg, "L2-IOL-PROPS", 4, items)
-
-
-@_register("L2-IOM-3WAY", "invbe", "the three orthomodularity laws agree", 2)
-def _l2_iom_3way(alg):
-    return _equivalence(
-        alg,
-        "L2-IOM-3WAY",
-        (
-            ("IOM", axiom_holds(alg, "IOM"), None),
-            ("IOM'", axiom_holds(alg, "IOM'"), None),
-            ("IOM''", axiom_holds(alg, "IOM''"), None),
-        ),
-    )
-
-
-@_register("T2-CHAR-IOML-LE", "iol", "orthomodularity via the order inclusion le_l into le_q", 2)
-def _t2_char_le(alg):
-    b = _forall(alg, 2, lambda a, x, y: not le_l(a, x, y) or le_q(a, x, y))
-    c = _forall(alg, 2, lambda a, x, y: not le_l(a, x, y) or y == vee_q(a, y, x))
-    return _equivalence(
-        alg,
-        "T2-CHAR-IOML-LE",
-        (
-            ("(a)", axiom_holds(alg, "IOM"), None),
-            ("(b)", b is None, _names(alg, ("x", "y"), b) if b else None),
-            ("(c)", c is None, _names(alg, ("x", "y"), c) if c else None),
-        ),
-    )
-
-
-@_register("C2-LEQ-EQ-LEL", "ioml", "le_q and le_l coincide on orthomodular algebras", 2)
-def _c2_leq_eq_lel(alg):
-    return _pointwise_equiv(
-        alg, "C2-LEQ-EQ-LEL", 2, (("le_q", le_q), ("le_l", le_l))
-    )
-
-
-@_register("P2-IOML-PROPS-A", "ioml", "meet/join arithmetic on orthomodular algebras", 3)
-def _p2_ioml_a(alg):
-    items = [
-        ("(1)", lambda a, x, y: a.arrow[x][wedge_q(a, y, x)] == a.arrow[x][y]),
-        ("(2)", lambda a, x, y: a.arrow[vee_q(a, x, y)][star(a, a.arrow[x][y])]
-         == star(a, y)),
-        ("(3)", lambda a, x, y, z: wedge_q(
-            a, x, wedge_q(a, a.arrow[y][x], a.arrow[z][x])) == x),
-        ("(4)", lambda a, x, y: a.arrow[a.arrow[x][y]][wedge_q(a, y, x)] == x),
-        ("(5)", lambda a, x, y: not (le(a, x, y) and le_l(a, y, x)) or x == y),
-        ("(6)", lambda a, x, y: le_l(a, wedge_q(a, x, y), y)
-         and le_l(a, y, vee_q(a, x, y))),
-        ("(7)", lambda a, x, y: a.arrow[wedge_q(a, x, y)][wedge_q(a, y, x)] == a.one),
-        ("(8)", lambda a, x, y: a.arrow[vee_q(a, x, y)][vee_q(a, y, x)] == a.one),
-        ("(9)", lambda a, x, y: a.arrow[vee_q(a, x, y)][y] == a.arrow[x][y]),
-        ("(10)", lambda a, x, y, z: wedge_q(a, wedge_q(a, x, y), wedge_q(a, y, z))
-         == wedge_q(a, wedge_q(a, x, y), z)),
-    ]
-    return _scan_items(alg, "P2-IOML-PROPS-A", 3, items)
-
-
-@_register("P2-IOML-PROPS-B", "ioml", "bound transfer on orthomodular algebras", 3)
-def _p2_ioml_b(alg):
-    items = [
-        ("(1)", lambda a, x, y, z: not (le_l(a, x, y) and le_l(a, x, z))
-         or le_l(a, x, wedge_q(a, y, z))),
-        ("(2)", lambda a, x, y, z: not le_l(a, x, y)
-         or wedge_q(a, wedge_q(a, z, y), x) == wedge_q(a, z, x)),
-        ("(3)", lambda a, x, y: not (le(a, x, y) and le_l(a, y, x)) or x == y),
-        ("(4)", lambda a, x, y, z: not (le_l(a, y, x) and le_l(a, z, x))
-         or le_l(a, vee_q(a, y, z), x)),
-        ("(5)", lambda a, x, y: a.arrow[x][wedge_q(a, x, y)] == a.arrow[x][y]),
-        ("(6)", lambda a, x, y: wedge_q(a, x, star(a, y)) != a.zero
-         or wedge_q(a, x, y) == x),
-    ]
-    return _scan_items(alg, "P2-IOML-PROPS-B", 3, items)
-
-
-@_register("T2-CHAR-IOML-5WAY", "iol", "five equivalent forms of orthomodularity", 2)
-def _t2_char_5way(alg):
-    b = _forall(alg, 2, lambda a, x, y: a.arrow[a.arrow[x][y]][wedge_q(a, y, x)] == x)
-    c = _forall(alg, 2, lambda a, x, y: not (le(a, x, y) and le_l(a, y, x)) or x == y)
-    d = _forall(alg, 2, lambda a, x, y: wedge_q(a, x, star(a, y)) != a.zero
-                or wedge_q(a, x, y) == x)
-    e = _forall(alg, 2, lambda a, x, y: a.arrow[x][wedge_q(a, x, y)] == a.arrow[x][y])
-    return _equivalence(
-        alg,
-        "T2-CHAR-IOML-5WAY",
-        (
-            ("(a)", axiom_holds(alg, "IOM"), None),
-            ("(b)", b is None, _names(alg, ("x", "y"), b) if b else None),
-            ("(c)", c is None, _names(alg, ("x", "y"), c) if c else None),
-            ("(d)", d is None, _names(alg, ("x", "y"), d) if d else None),
-            ("(e)", e is None, _names(alg, ("x", "y"), e) if e else None),
-        ),
-    )
-
-
-@_register("P2-IDIV-IFF-DISTRIB", "ioml", "divisibility equals distributivity", 3)
-def _p2_idiv_distrib(alg):
-    return _equivalence(
-        alg,
-        "P2-IDIV-IFF-DISTRIB",
-        (
-            ("Idiv", axiom_holds(alg, "Idiv"), None),
-            ("Idis1+Idis2", axiom_holds(alg, "Idis1") and axiom_holds(alg, "Idis2"), None),
-        ),
-    )
-
-
-@_register("R2-IDIV-IFF-AT", "iol", "the divisibility and contraction laws agree", 2)
-def _r2_idiv_at(alg):
-    return _equivalence(
-        alg,
-        "R2-IDIV-IFF-AT",
-        (
-            ("Idiv", axiom_holds(alg, "Idiv"), None),
-            ("@", axiom_holds(alg, "@"), None),
-        ),
-    )
+def _m_pimpl(a, x, y):
+    t = star(a, wedge_p(a, x, star(a, y)))
+    return star(a, wedge_p(a, t, star(a, x))) == x
 
 
 @_register("MBE-EQ", "invbe", "product-signature cross-check via x*y := (x -> y*)*", 3)
@@ -427,80 +395,50 @@ def _mbe_eq(alg):
     scan = _scan_items(alg, "MBE-EQ", 3, items)
     if scan.failed:
         return scan
-
-    def m_pimpl(a, x, y):
-        t = star(a, wedge_p(a, x, star(a, y)))
-        return star(a, wedge_p(a, t, star(a, x))) == x
-
-    return _equivalence(
-        alg,
-        "MBE-EQ",
-        (
-            ("m-Pimpl", _forall(alg, 2, m_pimpl) is None, None),
-            ("impl", axiom_holds(alg, "impl"), None),
-        ),
-    )
+    # The m-Pimpl clause is reported without a witness tuple.
+    return _equivalence("MBE-EQ", (
+        ("m-Pimpl", _first_failure(alg, _m_pimpl) is None, None),
+        _clause(alg, "impl", ("impl",)),
+    ))
 
 
 # -- orthogonality ----------------------------------------------------------
 
-@_register("L3-ORTHO-BASICS", "iol", "elementary facts about the orthogonality relation", 2)
-def _l3_ortho_basics(alg):
-    items = [
-        ("(1)", lambda a, x, y: ortho(a, x, y) == ortho(a, y, x)),
-        ("(2)", lambda a, x: ortho(a, x, x) == (x == a.zero)),
-        ("(3)", lambda a, x: ortho(a, a.zero, x)),
-        ("(4)", lambda a, x: ortho(a, a.one, x) == (x == a.zero)),
-        ("(5)", lambda a, x, y: not le_l(a, x, y) or ortho(a, x, star(a, y))),
-        ("(6)", lambda a, x, y: ortho(a, x, star(a, a.arrow[y][x]))),
-        ("(7)", lambda a, x, y: ortho(a, x, y) == le_l(a, x, star(a, y))),
-    ]
-    return _scan_items(alg, "L3-ORTHO-BASICS", 2, items)
+_items(
+    "L3-ORTHO-BASICS", "iol", "elementary facts about the orthogonality relation", 2,
+    ("(1)", lambda a, x, y: ortho(a, x, y) == ortho(a, y, x)),
+    ("(2)", lambda a, x: ortho(a, x, x) == (x == a.zero)),
+    ("(3)", lambda a, x: ortho(a, a.zero, x)),
+    ("(4)", lambda a, x: ortho(a, a.one, x) == (x == a.zero)),
+    ("(5)", lambda a, x, y: not le_l(a, x, y) or ortho(a, x, star(a, y))),
+    ("(6)", lambda a, x, y: ortho(a, x, star(a, a.arrow[y][x]))),
+    ("(7)", lambda a, x, y: ortho(a, x, y) == le_l(a, x, star(a, y))),
+)
 
+_items(
+    "L3-ORTHO-CONSEQ", "iol", "arrow identities for orthogonal pairs", 2,
+    ("(1)", lambda a, x, y: not ortho(a, x, y)
+     or (a.arrow[star(a, x)][star(a, y)] == star(a, y)
+         and a.arrow[star(a, y)][star(a, x)] == star(a, x))),
+    ("(2)", lambda a, x, y: not ortho(a, x, y)
+     or a.arrow[a.arrow[star(a, x)][y]][x] == star(a, y)),
+    ("(3)", lambda a, x, y: not ortho(a, x, y)
+     or a.arrow[a.arrow[star(a, x)][y]][y] == star(a, x)),
+    ("(4)", lambda a, x, y: not ortho(a, x, y)
+     or a.arrow[star(a, x)][star(a, a.arrow[star(a, x)][y])] == star(a, y)),
+)
 
-@_register("L3-ORTHO-CONSEQ", "iol", "arrow identities for orthogonal pairs", 2)
-def _l3_ortho_conseq(alg):
-    items = [
-        ("(1)", lambda a, x, y: not ortho(a, x, y)
-         or (a.arrow[star(a, x)][star(a, y)] == star(a, y)
-             and a.arrow[star(a, y)][star(a, x)] == star(a, x))),
-        ("(2)", lambda a, x, y: not ortho(a, x, y)
-         or a.arrow[a.arrow[star(a, x)][y]][x] == star(a, y)),
-        ("(3)", lambda a, x, y: not ortho(a, x, y)
-         or a.arrow[a.arrow[star(a, x)][y]][y] == star(a, x)),
-        ("(4)", lambda a, x, y: not ortho(a, x, y)
-         or a.arrow[star(a, x)][star(a, a.arrow[star(a, x)][y])] == star(a, y)),
-    ]
-    return _scan_items(alg, "L3-ORTHO-CONSEQ", 2, items)
+_pointwise(
+    "P3-PERP-IFF-MEETZERO", "iol", "orthogonality equals vanishing meet (orthomodular law)", 2,
+    ("ortho", ortho),
+    ("meet-zero", lambda a, x, y: wedge_q(a, x, y) == a.zero),
+)
 
-
-@_register("P3-PERP-IFF-MEETZERO", "iol", "orthogonality equals vanishing meet (orthomodular law)", 2)
-def _p3_perp_meetzero(alg):
-    return _pointwise_equiv(
-        alg,
-        "P3-PERP-IFF-MEETZERO",
-        2,
-        (
-            ("ortho", ortho),
-            ("meet-zero", lambda a, x, y: wedge_q(a, x, y) == a.zero),
-        ),
-    )
-
-
-@_register("P3-CHAR-IOML-ORTHO", "iol", "orthomodularity via meets of orthogonal pairs", 2)
-def _p3_char_ioml_ortho(alg):
-    rhs = _forall(
-        alg, 2,
-        lambda a, x, y: not ortho(a, x, y) or wedge_q(a, x, star(a, y)) == x,
-    )
-    return _equivalence(
-        alg,
-        "P3-CHAR-IOML-ORTHO",
-        (
-            ("IOM", axiom_holds(alg, "IOM"), None),
-            ("ortho-meet", rhs is None, _names(alg, ("x", "y"), rhs) if rhs else None),
-        ),
-    )
+_characterisation(
+    "P3-CHAR-IOML-ORTHO", "iol", "orthomodularity via meets of orthogonal pairs", 2,
+    ("IOM", ("IOM",)),
+    ("ortho-meet", lambda a, x, y: not ortho(a, x, y) or wedge_q(a, x, star(a, y)) == x),
+)
 
 
 @_register("P3-CL-IS-IOL", "iol", "the orthoclosed-set logic is an implicative-ortholattice", 0)
@@ -515,225 +453,162 @@ def _p3_cl_is_iol(alg):
 
 # -- projections and commutation --------------------------------------------
 
-@_register("P4-SP-BASIC", "iol", "first projection identities", 3)
-def _p4_sp_basic(alg):
-    items = [
-        ("(1)", lambda a, x: wedge_q(a, x, x) == x
-         and wedge_q(a, x, a.one) == x and wedge_q(a, a.one, x) == x
-         and wedge_q(a, x, a.zero) == a.zero and wedge_q(a, a.zero, x) == a.zero
-         and wedge_q(a, star(a, x), x) == a.zero
-         and wedge_q(a, x, star(a, x)) == a.zero),
-        ("(2)", lambda a, x, y: not le_l(a, x, y) or wedge_q(a, y, x) == x),
-        ("(3)", lambda a, x, y: wedge_q(a, y, wedge_q(a, y, x)) == wedge_q(a, y, x)),
-        ("(4)", lambda a, x, y: not le_q(a, x, y) or wedge_q(a, x, y) == x),
-        ("(5)", lambda a, x, y, z: not le_l(a, x, y)
-         or le_l(a, wedge_q(a, x, z), wedge_q(a, y, z))),
-    ]
-    return _scan_items(alg, "P4-SP-BASIC", 3, items)
+_items(
+    "P4-SP-BASIC", "iol", "first projection identities", 3,
+    ("(1)", lambda a, x: wedge_q(a, x, x) == x
+     and wedge_q(a, x, a.one) == x and wedge_q(a, a.one, x) == x
+     and wedge_q(a, x, a.zero) == a.zero and wedge_q(a, a.zero, x) == a.zero
+     and wedge_q(a, star(a, x), x) == a.zero
+     and wedge_q(a, x, star(a, x)) == a.zero),
+    ("(2)", lambda a, x, y: not le_l(a, x, y) or wedge_q(a, y, x) == x),
+    ("(3)", lambda a, x, y: wedge_q(a, y, wedge_q(a, y, x)) == wedge_q(a, y, x)),
+    ("(4)", lambda a, x, y: not le_q(a, x, y) or wedge_q(a, x, y) == x),
+    ("(5)", lambda a, x, y, z: not le_l(a, x, y)
+     or le_l(a, wedge_q(a, x, z), wedge_q(a, y, z))),
+)
 
 
-@_register("P4-SP-IOML", "ioml", "projection composition identities", 3)
-def _p4_sp_ioml(alg):
-    def item1(a, x, y):
-        if any(wedge_q(a, v, x) != v for v in range(a.n)):
-            return True
-        if any(wedge_q(a, v, y) != v for v in range(a.n)):
-            return True
-        m = wedge_q(a, x, y)
-        return all(wedge_q(a, v, m) == v for v in range(a.n))
-
-    items = [
-        ("(1)", item1),
-        ("(2)", lambda a, x, y: wedge_q(a, wedge_q(a, x, y), y) == wedge_q(a, x, y)),
-        ("(3)", lambda a, x, y: wedge_q(a, star(a, wedge_q(a, x, y)), y)
-         == star(a, a.arrow[y][x])),
-        ("(4)", lambda a, x, y: le_l(
-            a, wedge_q(a, star(a, wedge_q(a, x, y)), y), star(a, x))),
-        ("(5)", lambda a, x, y, z: le_l(a, wedge_q(a, x, z), star(a, y))
-         == le_l(a, wedge_q(a, y, z), star(a, x))),
-        ("(6)", lambda a, x, y: wedge_q(a, wedge_q(a, x, y), x) == wedge_q(a, y, x)),
-        ("(7)", lambda a, x, y, z: x != wedge_q(a, x, y)
-         or wedge_q(a, z, x) == wedge_q(a, wedge_q(a, z, y), x)),
-    ]
-    return _scan_items(alg, "P4-SP-IOML", 3, items)
-
-
-@_register("P4-SP-IOML-B", "ioml", "projection fixed points, kernels and adjoint-style swaps", 3)
-def _p4_sp_ioml_b(alg):
-    def item5(a, x):
-        squared_zero = all(
-            wedge_q(a, wedge_q(a, v, x), x) == a.zero for v in range(a.n)
-        )
-        top = wedge_q(a, a.one, x)
-        return squared_zero == le_l(a, top, star(a, top))
-
-    items = [
-        ("(1)", lambda a, x, y: (wedge_q(a, x, y) == x) == le_l(a, x, y)),
-        ("(2)", lambda a, x, y: (wedge_q(a, x, y) == a.zero) == le_l(a, x, star(a, y))),
-        ("(3)", lambda a, x, y, z: not le_l(a, x, y)
-         or wedge_q(a, wedge_q(a, z, y), x) == wedge_q(a, z, x)),
-        ("(4)", lambda a, x, y, z: (star(a, wedge_q(a, x, z))
-         == a.arrow[wedge_q(a, x, z)][y])
-         == (star(a, wedge_q(a, y, z)) == a.arrow[wedge_q(a, y, z)][x])),
-        ("(5)", item5),
-        ("(6)", lambda a, x, y, z: ortho(a, wedge_q(a, x, z), y)
-         == ortho(a, x, wedge_q(a, y, z))),
-        ("(7)", lambda a, x, y: ortho(a, x, y) == (wedge_q(a, y, x) == a.zero)),
-        ("(8)", lambda a, x, y: not ortho(a, x, y)
-         or ortho(a, wedge_q(a, x, y), star(a, y))),
-    ]
-    return _scan_items(alg, "P4-SP-IOML-B", 3, items)
-
-
-@_register("T4-SASAKI-PERP-CHAR", "iol", "orthomodularity via projections moving across the relation", 3)
-def _t4_sasaki_perp(alg):
-    rhs = _forall(
-        alg, 3,
-        lambda a, x, y, z: not ortho(a, wedge_q(a, x, y), z)
-        or ortho(a, x, wedge_q(a, z, y)),
-    )
-    return _equivalence(
-        alg,
-        "T4-SASAKI-PERP-CHAR",
-        (
-            ("IOM", axiom_holds(alg, "IOM"), None),
-            ("swap", rhs is None, _names(alg, ("x", "y", "z"), rhs) if rhs else None),
-        ),
-    )
-
-
-@_register("L4-C-BASICS", "iol", "easy commutation facts", 2)
-def _l4_c_basics(alg):
-    items = [
-        ("(1)", lambda a, x: commutes(a, x, x) and commutes(a, x, a.zero)
-         and commutes(a, a.zero, x) and commutes(a, x, a.one)
-         and commutes(a, a.one, x) and commutes(a, x, star(a, x))
-         and commutes(a, star(a, x), x)),
-        ("(2)", lambda a, x, y: not (le_l(a, x, y) or le_l(a, x, star(a, y)))
-         or commutes(a, x, y)),
-        ("(3)", lambda a, x, y: commutes(a, x, a.arrow[y][x])
-         and commutes(a, x, a.arrow[star(a, x)][y])
-         and commutes(a, y, a.arrow[star(a, x)][y])),
-    ]
-    return _scan_items(alg, "L4-C-BASICS", 2, items)
-
-
-@_register("T4-C-SYMMETRIC", "iol", "orthomodularity equals symmetry of commutation", 2)
-def _t4_c_symmetric(alg):
-    rhs = _forall(
-        alg, 2, lambda a, x, y: not commutes(a, x, y) or commutes(a, y, x)
-    )
-    return _equivalence(
-        alg,
-        "T4-C-SYMMETRIC",
-        (
-            ("IOM", axiom_holds(alg, "IOM"), None),
-            ("C-symmetric", rhs is None, _names(alg, ("x", "y"), rhs) if rhs else None),
-        ),
-    )
-
-
-@_register("C4-C-MEET-COMM", "iol", "orthomodularity via commuting meets", 2)
-def _c4_c_meet_comm(alg):
-    rhs = _forall(
-        alg, 2,
-        lambda a, x, y: not commutes(a, x, y)
-        or wedge_q(a, x, y) == wedge_q(a, y, x),
-    )
-    return _equivalence(
-        alg,
-        "C4-C-MEET-COMM",
-        (
-            ("IOM", axiom_holds(alg, "IOM"), None),
-            ("C-meet", rhs is None, _names(alg, ("x", "y"), rhs) if rhs else None),
-        ),
-    )
-
-
-@_register("L4-C-STAR-CLOSED", "ioml", "commutation is star-closed", 2)
-def _l4_c_star_closed(alg):
-    items = [
-        ("", lambda a, x, y: not commutes(a, x, y)
-         or (commutes(a, x, star(a, y)) and commutes(a, star(a, x), y)
-             and commutes(a, star(a, x), star(a, y)))),
-    ]
-    return _scan_items(alg, "L4-C-STAR-CLOSED", 2, items)
-
-
-@_register("P4-C-FORMULA", "ioml", "commutation via a single equation", 2)
-def _p4_c_formula(alg):
-    return _pointwise_equiv(
-        alg,
-        "P4-C-FORMULA",
-        2,
-        (
-            ("C", commutes),
-            ("equation", lambda a, x, y: a.arrow[a.arrow[x][star(a, y)]][star(a, a.arrow[x][y])] == x),
-        ),
-    )
-
-
-@_register("P4-C-MEET-FORMULA", "ioml", "commutation via the pointed meet", 2)
-def _p4_c_meet_formula(alg):
-    return _pointwise_equiv(
-        alg,
-        "P4-C-MEET-FORMULA",
-        2,
-        (
-            ("C", commutes),
-            ("meet-form", lambda a, x, y: wedge_q(a, x, y) == wedge_p(a, x, y)),
-        ),
-    )
-
-
-@_register("C4-C-4WAY", "ioml", "four equivalent forms of commutation", 2)
-def _c4_c_4way(alg):
-    return _pointwise_equiv(
-        alg,
-        "C4-C-4WAY",
-        2,
-        (
-            ("(a)", commutes),
-            ("(b)", lambda a, x, y: wedge_q(a, x, y) == wedge_q(a, y, x)),
-            ("(c)", lambda a, x, y: vee_q(a, x, y) == vee_q(a, y, x)),
-            ("(d)", lambda a, x, y: wedge_q(a, y, x) == wedge_q(a, x, y)),
-        ),
-    )
-
-
-@_register("T4-SP-COMPOSE", "ioml", "commuting generators compose to the meet projection", 2)
-def _t4_sp_compose(alg):
-    def compose_ok(a, x, y):
-        m = wedge_q(a, x, y)
-        return all(
-            wedge_q(a, wedge_q(a, v, y), x) == wedge_q(a, wedge_q(a, v, x), y)
-            == wedge_q(a, v, m)
-            for v in range(a.n)
-        )
-
-    def stable_ok(a, x, y):
-        for v in range(a.n):
-            if le_l(a, v, x) and not le_l(a, wedge_q(a, v, y), x):
-                return False
-            if le_l(a, v, y) and not le_l(a, wedge_q(a, v, x), y):
-                return False
+def _identity_projections_meet(a, x, y):
+    if any(wedge_q(a, v, x) != v for v in range(a.n)):
         return True
+    if any(wedge_q(a, v, y) != v for v in range(a.n)):
+        return True
+    m = wedge_q(a, x, y)
+    return all(wedge_q(a, v, m) == v for v in range(a.n))
 
-    return _pointwise_equiv(
-        alg,
-        "T4-SP-COMPOSE",
-        2,
-        (("(a)", commutes), ("(b)", compose_ok), ("(c)", stable_ok)),
+
+_items(
+    "P4-SP-IOML", "ioml", "projection composition identities", 3,
+    ("(1)", _identity_projections_meet),
+    ("(2)", lambda a, x, y: wedge_q(a, wedge_q(a, x, y), y) == wedge_q(a, x, y)),
+    ("(3)", lambda a, x, y: wedge_q(a, star(a, wedge_q(a, x, y)), y)
+     == star(a, a.arrow[y][x])),
+    ("(4)", lambda a, x, y: le_l(
+        a, wedge_q(a, star(a, wedge_q(a, x, y)), y), star(a, x))),
+    ("(5)", lambda a, x, y, z: le_l(a, wedge_q(a, x, z), star(a, y))
+     == le_l(a, wedge_q(a, y, z), star(a, x))),
+    ("(6)", lambda a, x, y: wedge_q(a, wedge_q(a, x, y), x) == wedge_q(a, y, x)),
+    ("(7)", lambda a, x, y, z: x != wedge_q(a, x, y)
+     or wedge_q(a, z, x) == wedge_q(a, wedge_q(a, z, y), x)),
+)
+
+
+def _square_zero_kernel(a, x):
+    squared_zero = all(
+        wedge_q(a, wedge_q(a, v, x), x) == a.zero for v in range(a.n)
     )
+    top = wedge_q(a, a.one, x)
+    return squared_zero == le_l(a, top, star(a, top))
+
+
+_items(
+    "P4-SP-IOML-B", "ioml", "projection fixed points, kernels and adjoint-style swaps", 3,
+    ("(1)", lambda a, x, y: (wedge_q(a, x, y) == x) == le_l(a, x, y)),
+    ("(2)", lambda a, x, y: (wedge_q(a, x, y) == a.zero) == le_l(a, x, star(a, y))),
+    ("(3)", lambda a, x, y, z: not le_l(a, x, y)
+     or wedge_q(a, wedge_q(a, z, y), x) == wedge_q(a, z, x)),
+    ("(4)", lambda a, x, y, z: (star(a, wedge_q(a, x, z))
+     == a.arrow[wedge_q(a, x, z)][y])
+     == (star(a, wedge_q(a, y, z)) == a.arrow[wedge_q(a, y, z)][x])),
+    ("(5)", _square_zero_kernel),
+    ("(6)", lambda a, x, y, z: ortho(a, wedge_q(a, x, z), y)
+     == ortho(a, x, wedge_q(a, y, z))),
+    ("(7)", lambda a, x, y: ortho(a, x, y) == (wedge_q(a, y, x) == a.zero)),
+    ("(8)", lambda a, x, y: not ortho(a, x, y)
+     or ortho(a, wedge_q(a, x, y), star(a, y))),
+)
+
+_characterisation(
+    "T4-SASAKI-PERP-CHAR", "iol", "orthomodularity via projections moving across the relation", 3,
+    ("IOM", ("IOM",)),
+    ("swap", lambda a, x, y, z: not ortho(a, wedge_q(a, x, y), z)
+     or ortho(a, x, wedge_q(a, z, y))),
+)
+
+_items(
+    "L4-C-BASICS", "iol", "easy commutation facts", 2,
+    ("(1)", lambda a, x: commutes(a, x, x) and commutes(a, x, a.zero)
+     and commutes(a, a.zero, x) and commutes(a, x, a.one)
+     and commutes(a, a.one, x) and commutes(a, x, star(a, x))
+     and commutes(a, star(a, x), x)),
+    ("(2)", lambda a, x, y: not (le_l(a, x, y) or le_l(a, x, star(a, y)))
+     or commutes(a, x, y)),
+    ("(3)", lambda a, x, y: commutes(a, x, a.arrow[y][x])
+     and commutes(a, x, a.arrow[star(a, x)][y])
+     and commutes(a, y, a.arrow[star(a, x)][y])),
+)
+
+_characterisation(
+    "T4-C-SYMMETRIC", "iol", "orthomodularity equals symmetry of commutation", 2,
+    ("IOM", ("IOM",)),
+    ("C-symmetric", lambda a, x, y: not commutes(a, x, y) or commutes(a, y, x)),
+)
+
+_characterisation(
+    "C4-C-MEET-COMM", "iol", "orthomodularity via commuting meets", 2,
+    ("IOM", ("IOM",)),
+    ("C-meet", lambda a, x, y: not commutes(a, x, y)
+     or wedge_q(a, x, y) == wedge_q(a, y, x)),
+)
+
+_items(
+    "L4-C-STAR-CLOSED", "ioml", "commutation is star-closed", 2,
+    ("", lambda a, x, y: not commutes(a, x, y)
+     or (commutes(a, x, star(a, y)) and commutes(a, star(a, x), y)
+         and commutes(a, star(a, x), star(a, y)))),
+)
+
+_pointwise(
+    "P4-C-FORMULA", "ioml", "commutation via a single equation", 2,
+    ("C", commutes),
+    ("equation", lambda a, x, y: a.arrow[a.arrow[x][star(a, y)]][star(a, a.arrow[x][y])] == x),
+)
+
+_pointwise(
+    "P4-C-MEET-FORMULA", "ioml", "commutation via the pointed meet", 2,
+    ("C", commutes),
+    ("meet-form", lambda a, x, y: wedge_q(a, x, y) == wedge_p(a, x, y)),
+)
+
+_pointwise(
+    "C4-C-4WAY", "ioml", "four equivalent forms of commutation", 2,
+    ("(a)", commutes),
+    ("(b)", lambda a, x, y: wedge_q(a, x, y) == wedge_q(a, y, x)),
+    ("(c)", lambda a, x, y: vee_q(a, x, y) == vee_q(a, y, x)),
+    ("(d)", lambda a, x, y: wedge_q(a, y, x) == wedge_q(a, x, y)),
+)
+
+
+def _projections_compose(a, x, y):
+    m = wedge_q(a, x, y)
+    return all(
+        wedge_q(a, wedge_q(a, v, y), x) == wedge_q(a, wedge_q(a, v, x), y)
+        == wedge_q(a, v, m)
+        for v in range(a.n)
+    )
+
+
+def _projections_stable(a, x, y):
+    for v in range(a.n):
+        if le_l(a, v, x) and not le_l(a, wedge_q(a, v, y), x):
+            return False
+        if le_l(a, v, y) and not le_l(a, wedge_q(a, v, x), y):
+            return False
+    return True
+
+
+_pointwise(
+    "T4-SP-COMPOSE", "ioml", "commuting generators compose to the meet projection", 2,
+    ("(a)", commutes), ("(b)", _projections_compose), ("(c)", _projections_stable),
+)
 
 
 # -- divisibility and the Boolean side ---------------------------------------
 
-@_register("L5-C-IFF-D", "iol", "commutation and divisibility coincide", 2)
-def _l5_c_iff_d(alg):
-    return _pointwise_equiv(
-        alg, "L5-C-IFF-D", 2, (("C", commutes), ("D", divides))
-    )
+_pointwise(
+    "L5-C-IFF-D", "iol", "commutation and divisibility coincide", 2,
+    ("C", commutes), ("D", divides),
+)
 
 
 @_register("L5-D-BASICS", "iol", "easy divisibility facts", 2)
@@ -769,116 +644,70 @@ def _p5_boolean_is_ioml(alg):
     return CheckResult("P5-BOOLEAN-IS-IOML", "pass")
 
 
-@_register("T5-BOOLEAN-6WAY", "ioml", "six equivalent forms of the Boolean law", 2)
-def _t5_boolean_6way(alg):
-    def side(pred):
-        w = _forall(alg, 2, pred)
-        return w is None, _names(alg, ("x", "y"), w) if w else None
+# (e)/(f) assert that every pair commutes/divides (the center is all of X);
+# mere symmetry of the relations is automatic under orthomodularity and would
+# not be equivalent to the Boolean law.
+_characterisation(
+    "T5-BOOLEAN-6WAY", "ioml", "six equivalent forms of the Boolean law", 2,
+    ("(a)", ("@",)),
+    ("(b)", lambda a, x, y: wedge_q(a, x, y) == wedge_p(a, x, y)),
+    ("(c)", lambda a, x, y: wedge_q(a, x, y) == wedge_q(a, y, x)),
+    ("(d)", lambda a, x, y: vee_q(a, x, y) == vee_q(a, y, x)),
+    ("(e)", commutes),
+    ("(f)", divides),
+)
 
-    # (e)/(f) assert that every pair commutes/divides (the center is all of
-    # X); mere symmetry of the relations is automatic under orthomodularity
-    # and would not be equivalent to the Boolean law.
-    b, bw = side(lambda a, x, y: wedge_q(a, x, y) == wedge_p(a, x, y))
-    c, cw = side(lambda a, x, y: wedge_q(a, x, y) == wedge_q(a, y, x))
-    d, dw = side(lambda a, x, y: vee_q(a, x, y) == vee_q(a, y, x))
-    e, ew = side(commutes)
-    f, fw = side(divides)
-    return _equivalence(
-        alg,
-        "T5-BOOLEAN-6WAY",
-        (
-            ("(a)", axiom_holds(alg, "@"), None),
-            ("(b)", b, bw),
-            ("(c)", c, cw),
-            ("(d)", d, dw),
-            ("(e)", e, ew),
-            ("(f)", f, fw),
-        ),
-    )
+_characterisation(
+    "T5-BOOLEAN-MEETLE", "ioml", "the Boolean law via bounded meets and joins", 2,
+    ("(a)", ("@",)),
+    ("(b)", lambda a, x, y: le_l(a, wedge_q(a, x, y), x)),
+    ("(c)", lambda a, x, y: le_l(a, x, vee_q(a, x, y))),
+)
 
+_characterisation(
+    "T5-BOOLEAN-LE", "ioml", "the Boolean law via the inclusion le into le_l", 2,
+    ("@", ("@",)),
+    ("le-in-le_l", lambda a, x, y: not le(a, x, y) or le_l(a, x, y)),
+)
 
-@_register("T5-BOOLEAN-MEETLE", "ioml", "the Boolean law via bounded meets and joins", 2)
-def _t5_boolean_meetle(alg):
-    b = _forall(alg, 2, lambda a, x, y: le_l(a, wedge_q(a, x, y), x))
-    c = _forall(alg, 2, lambda a, x, y: le_l(a, x, vee_q(a, x, y)))
-    return _equivalence(
-        alg,
-        "T5-BOOLEAN-MEETLE",
-        (
-            ("(a)", axiom_holds(alg, "@"), None),
-            ("(b)", b is None, _names(alg, ("x", "y"), b) if b else None),
-            ("(c)", c is None, _names(alg, ("x", "y"), c) if c else None),
-        ),
-    )
+_pointwise(
+    "C5-ORDERS-COINCIDE", "iboolean", "all three orders coincide on Boolean algebras", 2,
+    ("le", le), ("le_l", le_l), ("le_q", le_q),
+)
 
 
-@_register("T5-BOOLEAN-LE", "ioml", "the Boolean law via the inclusion le into le_l", 2)
-def _t5_boolean_le(alg):
-    rhs = _forall(alg, 2, lambda a, x, y: not le(a, x, y) or le_l(a, x, y))
-    return _equivalence(
-        alg,
-        "T5-BOOLEAN-LE",
-        (
-            ("@", axiom_holds(alg, "@"), None),
-            ("le-in-le_l", rhs is None, _names(alg, ("x", "y"), rhs) if rhs else None),
-        ),
-    )
+def _central_arrow(a, x, y, z):
+    if not (commutes(a, x, z) and commutes(a, y, z)):
+        return True
+    t = a.arrow[x][y]
+    return le_l(a, t, a.arrow[a.arrow[t][star(a, z)]][star(a, a.arrow[t][z])])
 
 
-@_register("C5-ORDERS-COINCIDE", "iboolean", "all three orders coincide on Boolean algebras", 2)
-def _c5_orders(alg):
-    return _pointwise_equiv(
-        alg,
-        "C5-ORDERS-COINCIDE",
-        2,
-        (("le", le), ("le_l", le_l), ("le_q", le_q)),
-    )
-
-
-@_register("L5-CENTER-ARROW", "ioml", "arrows of elements commuting with a third stay central", 3)
-def _l5_center_arrow(alg):
-    def item(a, x, y, z):
-        if not (commutes(a, x, z) and commutes(a, y, z)):
-            return True
-        t = a.arrow[x][y]
-        return le_l(a, t, a.arrow[a.arrow[t][star(a, z)]][star(a, a.arrow[t][z])])
-
-    return _scan_items(alg, "L5-CENTER-ARROW", 3, ((("", item)),))
+_items(
+    "L5-CENTER-ARROW", "ioml", "arrows of elements commuting with a third stay central", 3,
+    ("", _central_arrow),
+)
 
 
 @_register("T5-CENTER-BOOLEAN", "ioml", "the center is a Boolean subalgebra", 2)
 def _t5_center_boolean(alg):
-    inner = is_iboolean_subalgebra(alg, center(alg))
-    return CheckResult("T5-CENTER-BOOLEAN", inner.status, inner.witness)
+    return replace(is_iboolean_subalgebra(alg, center(alg)), check_id="T5-CENTER-BOOLEAN")
 
 
-def _ortho_pairs_boolean(alg) -> Optional[tuple[int, int]]:
-    for x in range(alg.n):
-        for y in range(alg.n):
-            if ortho(alg, x, y):
-                closure = generated_subalgebra(alg, (1 << x) | (1 << y))
-                if not is_iboolean_subalgebra(alg, closure).passed:
-                    return x, y
-    return None
+def _pair_hull_boolean(a, x, y):
+    return not ortho(a, x, y) or pair_hull_check(a, x, y)[0].passed
 
 
-@_register("T5-ORTHO-PAIR-BOOLEAN", "iol", "orthomodularity via Boolean hulls of orthogonal pairs", 2)
-def _t5_ortho_pair_boolean(alg):
-    rhs = _ortho_pairs_boolean(alg)
-    return _equivalence(
-        alg,
-        "T5-ORTHO-PAIR-BOOLEAN",
-        (
-            ("IOM", axiom_holds(alg, "IOM"), None),
-            ("pairs-boolean", rhs is None, _names(alg, ("x", "y"), rhs) if rhs else None),
-        ),
-    )
+_characterisation(
+    "T5-ORTHO-PAIR-BOOLEAN", "iol", "orthomodularity via Boolean hulls of orthogonal pairs", 2,
+    ("IOM", ("IOM",)),
+    ("pairs-boolean", _pair_hull_boolean),
+)
 
 
 @_register("T5-SP-CENTER-MONOID", "ioml", "central projections form an Abelian monoid", 2)
 def _t5_sp_center_monoid(alg):
-    inner = sp_center_monoid_check(alg)
-    return CheckResult("T5-SP-CENTER-MONOID", inner.status, inner.witness)
+    return replace(sp_center_monoid_check(alg), check_id="T5-SP-CENTER-MONOID")
 
 
 # -- projection families -----------------------------------------------------
@@ -958,16 +787,14 @@ def _p6_ss_arrow(alg):
     return CheckResult("P6-SS-ARROW", "pass")
 
 
-@_register("P6-FULL-PROPS", "ioml", "identities of the full canonical family", 3)
-def _p6_full_props(alg):
-    items = [
-        ("(1)", lambda a, x, y, z: not (le_l(a, z, x) and le_l(a, z, y))
-         or le(a, z, wedge_q(a, star(a, wedge_q(a, star(a, y), x)), x))),
-        ("(2)", lambda a, x, y: wedge_q(a, star(a, wedge_q(a, star(a, y), x)), x)
-         == wedge_p(a, x, y)),
-        ("(3)", lambda a, x: wedge_q(a, star(a, x), x) == a.zero),
-    ]
-    return _scan_items(alg, "P6-FULL-PROPS", 3, items)
+_items(
+    "P6-FULL-PROPS", "ioml", "identities of the full canonical family", 3,
+    ("(1)", lambda a, x, y, z: not (le_l(a, z, x) and le_l(a, z, y))
+     or le(a, z, wedge_q(a, star(a, wedge_q(a, star(a, y), x)), x))),
+    ("(2)", lambda a, x, y: wedge_q(a, star(a, wedge_q(a, star(a, y), x)), x)
+     == wedge_p(a, x, y)),
+    ("(3)", lambda a, x: wedge_q(a, star(a, x), x) == a.zero),
+)
 
 
 @_register("P6-FULL-FORMULA", "ioml", "any full family computes the pointed meet", 2)
@@ -989,14 +816,10 @@ def _p6_full_formula(alg):
 @_register("T6-FULLSET-IFF-IOML", "iol", "orthomodularity equals having a full projection family", 2)
 def _t6_fullset(alg):
     verdict = has_full_sasaki_set(alg)
-    return _equivalence(
-        alg,
-        "T6-FULLSET-IFF-IOML",
-        (
-            ("IOM", axiom_holds(alg, "IOM"), None),
-            ("full-set", verdict.passed, verdict.witness if verdict.failed else None),
-        ),
-    )
+    return _equivalence("T6-FULLSET-IFF-IOML", (
+        _clause(alg, "IOM", ("IOM",)),
+        ("full-set", verdict.passed, verdict.witness if verdict.failed else None),
+    ))
 
 
 # -- spaces -------------------------------------------------------------------
@@ -1013,17 +836,9 @@ def _space_masks(alg, space: OrthoSpace, element_mask: int) -> int:
 @_register("P7-DACEY-IFF-BOOLEAN-PAIRS", "iol", "the Dacey property via Boolean hulls inside the logic", 2)
 def _p7_dacey_pairs(alg):
     space = associated_orthospace(alg)
-    logic = cl_algebra(space)
-    rhs = _ortho_pairs_boolean(logic)
+    pairs = _clause(cl_algebra(space), "pairs-boolean", _pair_hull_boolean)
     return _equivalence(
-        alg,
-        "P7-DACEY-IFF-BOOLEAN-PAIRS",
-        (
-            ("dacey", is_dacey(space).passed, None),
-            ("pairs-boolean", rhs is None,
-             _names(logic, ("x", "y"), rhs) if rhs else None),
-        ),
-    )
+        "P7-DACEY-IFF-BOOLEAN-PAIRS", (("dacey", is_dacey(space).passed, None), pairs))
 
 
 def _subset_items(alg, space: OrthoSpace, down, point_down) -> Optional[CheckResult]:
@@ -1103,11 +918,10 @@ def _l7_downset(alg):
                 return CheckResult(
                     "L7-DOWNSET", "fail",
                     (("item", "(3)"), ("x", alg.elements[x]), ("y", alg.elements[y])))
-    if alg.n <= SUBSET_SCAN_CAP:
-        failure = _subset_items(alg, space, down, point_down)
-        if failure is not None:
-            return failure
-    return CheckResult("L7-DOWNSET", "pass")
+    if alg.n > SUBSET_SCAN_CAP:
+        return CheckResult(
+            "L7-DOWNSET", "skipped", (("precondition", f"at most {SUBSET_SCAN_CAP} elements"),))
+    return _subset_items(alg, space, down, point_down) or CheckResult("L7-DOWNSET", "pass")
 
 
 @_register("P7-CL-ISO", "iol", "the down-set map is an isomorphism onto the logic", 2)
@@ -1130,8 +944,7 @@ def _p7_cl_iso(alg):
 
 @_register("T7-IOML-SASAKI", "ioml", "orthomodular algebras give Sasaki spaces", 0)
 def _t7_ioml_sasaki(alg):
-    inner = is_sasaki_space(associated_orthospace(alg))
-    return CheckResult("T7-IOML-SASAKI", inner.status, inner.witness)
+    return replace(is_sasaki_space(associated_orthospace(alg)), check_id="T7-IOML-SASAKI")
 
 
 @_register("P7-FULLSET-SASAKI", "iol", "a full projection family forces a Sasaki space", 0)

@@ -1,6 +1,8 @@
+from functools import lru_cache
+
 import pytest
 
-from orthologic import associated_orthospace, fixture
+from orthologic import associated_orthospace, enumerate_models, fixture
 from orthologic.fixtures import FIXTURE_NAMES
 
 IOML_FIXTURES = ("ioml10", "ioml6-full", "sasaki6")
@@ -39,6 +41,12 @@ def benzene6_space(benzene6):
 @pytest.fixture(scope="session")
 def sasaki6_space(sasaki6):
     return associated_orthospace(sasaki6)
+
+
+@lru_cache(maxsize=None)
+def iols_up_to(n):
+    """The i-OLs with at most n elements, one per isomorphism class."""
+    return tuple(m for k in range(2, n + 1) for m in enumerate_models(k, "iol"))
 
 
 def el(alg, name):

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from orthologic import (
     InputError,
     NonLatticeError,
-    big_join,
     big_meet,
     check_axiom,
     classify,
@@ -114,16 +113,13 @@ def test_arrow_star_swap_on_bounded(algebras):
             assert alg.arrow[x][star(alg, y)] == alg.arrow[y][star(alg, x)]
 
 
-# -- big meets and joins ------------------------------------------------------
+# -- big meets ----------------------------------------------------------------
 
 def test_big_meet_examples(algebras):
     bz = algebras["benzene6"]
     assert bz.elements[big_meet(bz, bz.mask(["a", "b"]))] == "a"
     for alg in algebras.values():
         assert big_meet(alg, 0) == alg.one
-        assert big_join(alg, 0) == alg.zero
-    i6 = algebras["ioml6-full"]
-    assert big_join(i6, i6.mask(["a", "c"])) == i6.one
 
 
 def test_big_meet_is_greatest_lower_bound(algebras):

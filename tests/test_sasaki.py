@@ -14,10 +14,8 @@ from orthologic import (
     classify,
     commutes,
     divides,
-    dual_projection,
     enumerate_models,
     enumerate_orthoclosed,
-    generated_subalgebra,
     has_full_sasaki_set,
     is_full,
     is_iboolean_subalgebra,
@@ -28,7 +26,6 @@ from orthologic import (
     orthoclosure,
     orthogonal_pair_boolean_witness,
     sasaki_map_search,
-    sasaki_maps_for_all,
     sasaki_projection,
     sp_center_monoid_check,
     star,
@@ -36,13 +33,16 @@ from orthologic import (
     wedge_q,
 )
 from orthologic.algebra import ortho
+from orthologic.algebra import iter_bits
 from orthologic.sasaki import (
     ProjectionMap,
     canonical_projection_family,
     compose,
+    pair_hull_check,
     trivial_projection_family,
 )
 
+from conftest import iols_up_to
 from published_tables import COMPOSED_ROW_IOML10, PROJECTIONS_IOML6
 
 IOML_NAMES = ("ioml10", "ioml6-full", "sasaki6")
@@ -73,24 +73,6 @@ def test_projection_constants(algebras):
 def test_projection_spot_value(ioml10):
     phi_e = sasaki_projection(ioml10, ioml10.index("e"))
     assert ioml10.elements[phi_e.image[ioml10.index("c")]] == "e"
-
-
-def test_dual_projection_examples(algebras):
-    for alg in algebras.values():
-        assert dual_projection(alg, alg.one).image == tuple(range(alg.n))
-    i6 = algebras["ioml6-full"]
-    assert i6.elements[dual_projection(i6, i6.index("a")).image[i6.zero]] == "b"
-    bz = algebras["benzene6"]
-    assert bz.elements[dual_projection(bz, bz.index("c")).image[bz.index("a")]] == "a"
-
-
-def test_dual_is_star_conjugate(algebras):
-    for alg in algebras.values():
-        for a in range(alg.n):
-            phi = sasaki_projection(alg, a)
-            dual = dual_projection(alg, a)
-            for x in range(alg.n):
-                assert dual.image[x] == star(alg, phi.image[star(alg, x)])
 
 
 def test_projection_identities_on_orthomodular_fixtures(algebras):
@@ -217,6 +199,21 @@ def test_center_is_boolean_subalgebra_on_orthomodular(algebras):
         assert is_iboolean_subalgebra(alg, center(alg)).passed
 
 
+def generated_subalgebra(alg, gens):
+    """Reference hull: the closure of gens together with 1 and 0 under
+    arrow; star comes free since x* = x -> 0.  Fixed point in at most n
+    rounds."""
+    members = gens | (1 << alg.one) | (1 << alg.zero)
+    while True:
+        new = members
+        for x in iter_bits(members):
+            for y in iter_bits(members):
+                new |= 1 << alg.arrow[x][y]
+        if new == members:
+            return members
+        members = new
+
+
 def test_generated_subalgebra_examples(benzene6, ioml10, algebras):
     gens = benzene6.mask(["a", "d"])
     closure = generated_subalgebra(benzene6, gens)
@@ -261,6 +258,26 @@ def test_orthogonal_pair_witness_fails_on_hexagon(benzene6):
     b = benzene6.index("b")
     assert benzene6.elements[benzene6.arrow[b][star(benzene6, benzene6.arrow[b][a])]] == "d"
     assert benzene6.elements[benzene6.arrow[b][star(benzene6, a)]] == "c"
+
+
+def test_pair_routes_agree(algebras):
+    """The eight-element check behind orthogonal_pair_boolean_witness and the
+    registry gives the verdict of the generated hull, on every orthogonal
+    pair of the fixtures, the i-OLs with n <= 8 and the fixtures' logics."""
+    logics = [cl_algebra(associated_orthospace(alg)) for alg in algebras.values()]
+    pool = list(algebras.values()) + list(iols_up_to(8)) + logics
+    checked = failed = 0
+    for alg in pool:
+        for x, y in pairs(alg):
+            if not ortho(alg, x, y):
+                continue
+            res, _ = orthogonal_pair_boolean_witness(alg, x, y)
+            assert res == pair_hull_check(alg, x, y)[0]
+            hull = generated_subalgebra(alg, 1 << x | 1 << y)
+            assert res.passed == is_iboolean_subalgebra(alg, hull).passed, (alg.name, x, y)
+            checked += 1
+            failed += res.failed
+    assert 0 < failed < checked  # both verdicts are reached
 
 
 def test_orthogonal_pair_witness_degenerate(algebras):
@@ -439,9 +456,9 @@ def test_is_sasaki_space(benzene6_space, sasaki6_space, ioml10):
 
 def test_sasaki6_maps_are_the_four_constants_plus_identity(sasaki6_space):
     sp = sasaki6_space
-    found = sasaki_maps_for_all(sp)
     constants = 0
-    for mask, pm in found.items():
+    for mask in enumerate_orthoclosed(sp).members:
+        pm = sasaki_map_search(sp, mask)
         assert pm is not None
         size = bin(mask).count("1")
         if size == 1:

@@ -24,6 +24,7 @@ from orthologic import (
     fixture,
     list_checks,
     run_all,
+    run_check,
     theorems,
 )
 from orthologic.algebra import CheckResult, NonLatticeError, big_meet, down_set, iter_bits, star
@@ -237,6 +238,13 @@ def hexagons(k):
     return ortholattice_iol(f"hex{k}-", below, comp)
 
 
+def boolean(k):
+    """The Boolean algebra of the subsets of k atoms, each element its mask."""
+    n = 1 << k
+    below = [sum(1 << y for y in range(n) if y & ~x == 0) for x in range(n)]
+    return ortholattice_iol(f"b{n}-", below, [x ^ (n - 1) for x in range(n)])
+
+
 def relabelled(alg, seed):
     perm = list(range(alg.n))
     random.Random(seed).shuffle(perm)
@@ -297,3 +305,13 @@ def test_subset_items_agree_on_mutated_tables():
         seen.add(res[0] if isinstance(res, tuple) else res and res.witness[0][1])
     # both failing items and the non-lattice error are reached
     assert {"raised", "(4)", "(5)"} <= seen
+
+
+@pytest.mark.parametrize("alg", [boolean(4), relabelled(mo(7), 7), relabelled(hexagons(4), 4)],
+                         ids=lambda alg: f"{alg.name}{alg.n}")
+def test_downset_skips_its_subset_items_above_the_cap(alg):
+    # Items (1)-(3) hold, and items (4)/(5) are not scanned above the cap.
+    assert alg.n > theorems.SUBSET_SCAN_CAP
+    skip = CheckResult("L7-DOWNSET", "skipped", (("precondition", "at most 14 elements"),))
+    assert theorems._EVAL["L7-DOWNSET"](alg) == skip
+    assert run_check(alg, "L7-DOWNSET") == skip
