@@ -15,6 +15,7 @@ from .algebra import (
     check_axiom,
     classify,
     down_set,
+    is_distributive,
     le,
     le_l,
     le_q,

@@ -7,16 +7,21 @@ relations) and every named axiom are computed from it.  Values are immutable
 and hashable, so results of the heavier classification scans are cached.
 
 ``AXIOMS`` is the single term table of the 17 laws.  Each law is compiled
-once into a predicate that serves both the full scans of ``check_axiom`` and
-the enumeration pruner's scans of partial tables.
+once, at import, into two forms: a row scan for ``check_axiom`` and an
+instance predicate for the enumeration pruner's scans of partial tables.  The
+row scan loops over every role but the last, in lexicographic order, and
+evaluates both sides as tuples indexed by the last role, each subterm in the
+outermost loop it can live in; the first outer tuple whose two rows differ,
+completed by the first index at which they differ, is the lexicographically
+least violating tuple, the same witness a tuple-by-tuple scan finds.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import product
+from functools import lru_cache
+from operator import getitem, itemgetter
 from typing import Callable, Iterator
 
 
@@ -94,7 +99,6 @@ class ClassLabel:
     is_iol: bool
     is_ioml: bool
     is_iboolean: bool
-    is_distributive: bool
 
     def as_dict(self) -> dict[str, bool]:
         return {
@@ -104,7 +108,6 @@ class ClassLabel:
             "iol": self.is_iol,
             "ioml": self.is_ioml,
             "iboolean": self.is_iboolean,
-            "distributive": self.is_distributive,
         }
 
 
@@ -334,13 +337,84 @@ def _compile(roles, lhs, rhs) -> Callable[..., bool]:
     arrow table ``t`` with 0 = Z and 1 = O: true when the instance holds or
     when either side evaluates to the marker U.  A partial table whose
     unknown cells hold U, and whose row and column U hold U throughout,
-    thus rejects exactly the determined instances that fail."""
+    thus rejects exactly the determined instances that fail.  Only the
+    enumeration pruner uses it; ``check_axiom`` runs the row scans below."""
     body = f"(l := {_render(lhs)}) == (r := {_render(rhs)}) or l == U or r == U"
     return eval(f"lambda t, Z, O, U, {', '.join(roles)}: {body}")
 
 
+def _first_diff(l: tuple, r: tuple) -> int:
+    return next(i for i, (a, b) in enumerate(zip(l, r)) if a != b)
+
+
+def _compile_scan(roles, lhs, rhs) -> Callable[..., tuple[int, ...] | None]:
+    """The law as one scan ``(t, Z, O, n) -> failing tuple | None`` over a
+    complete arrow table ``t`` with n >= 2 elements.
+
+    The last role becomes a row: a term that reads it is a tuple indexed by
+    its value, every other term a scalar.  ``t[s][v]`` for a scalar s reads
+    the row ``t[s]`` at the indices ``v``, ``t[v][s]`` the column ``c[s]`` of
+    the transposed table, and two vectors combine elementwise.  Each subterm
+    is evaluated once, in the loop of the innermost outer role it reads; the
+    sides are compared as whole rows in the innermost loop."""
+    *outer, last = roles
+    levels: list[list[str]] = [[] for _ in range(len(outer) + 1)]
+    nodes: dict = {}  # term, or derived key -> (variable, loop depth, kind)
+
+    def emit(key, expr, depth, kind):
+        if key not in nodes:
+            nodes[key] = (f"v{len(nodes)}", depth, kind)
+            levels[depth].append(f"v{len(nodes) - 1} = {expr}")
+        return nodes[key]
+
+    def walk(term):
+        if term in nodes:
+            return nodes[term]
+        if term == last:
+            return ("I", 0, "identity")
+        if term in outer:
+            return (term, outer.index(term) + 1, "scalar")
+        if not isinstance(term, tuple):
+            return ({"0": "Z", "1": "O"}[term], 0, "scalar")
+        (s, sd, sk), (u, ud, uk) = walk(term[1]), walk(term[2])
+        depth = max(sd, ud)
+        if sk == uk == "scalar":
+            return emit(term, f"t[{s}][{u}]", depth, "scalar")
+        if sk == "scalar":
+            expr = f"t[{s}]" if uk == "identity" else f"_get(*{u})(t[{s}])"
+        elif uk == "scalar":
+            expr = f"c[{u}]" if sk == "identity" else f"_get(*{s})(c[{u}])"
+        elif sk == "identity":
+            expr = f"tuple(map(_item, t, {u}))"
+        else:
+            rows = emit(("rows", term[1]), f"_get(*{s})(t)", sd, "rows")[0]
+            expr = f"tuple(map(_item, {rows}, {u}))"
+        return emit(term, expr, depth, "vector")
+
+    def row(term):
+        name, depth, kind = walk(term)
+        if kind != "scalar":
+            return name
+        return emit(("row", term), f"({name},) * n", depth, "vector")[0]
+
+    l, r = row(lhs), row(rhs)
+    lines = ["def scan(t, Z, O, n):", "    I, c = tuple(range(n)), tuple(zip(*t))"]
+    for depth, stmts in enumerate(levels):
+        if depth:
+            lines.append("    " * depth + f"for {outer[depth - 1]} in I:")
+        lines += ["    " * (depth + 1) + stmt for stmt in stmts]
+    pad = "    " * len(levels)
+    lines += [pad + f"if {l} != {r}:",
+              pad + f"    return {''.join(v + ', ' for v in outer)}_first_diff({l}, {r}),",
+              "    return None"]
+    namespace = {"_get": itemgetter, "_item": getitem, "_first_diff": _first_diff}
+    exec("\n".join(lines), namespace)
+    return namespace["scan"]
+
+
 # Compiled once at import from the constant terms above, never from input.
 AXIOM_PREDICATES = {key: _compile(*spec) for key, spec in AXIOMS.items()}
+AXIOM_SCANS = {key: _compile_scan(*spec) for key, spec in AXIOMS.items()}
 
 # Case-insensitive lookup aliases for CLI use ("at" stands in for "@").
 AXIOM_ALIASES = {key.lower(): key for key in AXIOMS} | {
@@ -360,19 +434,23 @@ def resolve_axiom_id(name: str) -> str:
 
 def check_axiom(alg: FiniteAlgebra, axiom_id: str) -> CheckResult:
     """Exhaustive scan of one axiom in lexicographic order over the declared
-    element order; the first violating tuple is the canonical witness."""
+    element order; the first violating tuple is the canonical witness.
+
+    The scan walks the outer roles in lexicographic order and compares the
+    two sides as whole rows over the last role, so the first outer tuple
+    with a differing row, completed by the first index at which the rows
+    differ, is the lexicographically least violating tuple."""
     if axiom_id not in AXIOMS:
         raise InputError(f"unknown axiom id {axiom_id!r}")
+    # With one element every term is 0, so every law holds.
+    failing = (
+        AXIOM_SCANS[axiom_id](alg.arrow, alg.zero, alg.one, alg.n) if alg.n > 1 else None
+    )
+    if failing is None:
+        return CheckResult(axiom_id, "pass")
     roles = AXIOMS[axiom_id][0]
-    # -1 is never a table value, so every instance is determined.
-    holds = partial(AXIOM_PREDICATES[axiom_id], alg.arrow, alg.zero, alg.one, -1)
-    for tup in product(range(alg.n), repeat=len(roles)):
-        if not holds(*tup):
-            witness = tuple(
-                (role, alg.elements[v]) for role, v in zip(roles, tup)
-            )
-            return CheckResult(axiom_id, "fail", witness)
-    return CheckResult(axiom_id, "pass")
+    witness = tuple((role, alg.elements[v]) for role, v in zip(roles, failing))
+    return CheckResult(axiom_id, "fail", witness)
 
 
 @lru_cache(maxsize=None)
@@ -390,13 +468,12 @@ def classify(alg: FiniteAlgebra) -> ClassLabel:
     is_iol = is_be and is_involutive and axiom_holds(alg, "impl")
     is_ioml = is_iol and axiom_holds(alg, "IOM")
     is_iboolean = is_iol and axiom_holds(alg, "@")
-    is_distributive = (
-        is_iol and axiom_holds(alg, "Idis1") and axiom_holds(alg, "Idis2")
-    )
-    return ClassLabel(
-        is_be, is_bounded, is_involutive, is_iol, is_ioml, is_iboolean,
-        is_distributive,
-    )
+    return ClassLabel(is_be, is_bounded, is_involutive, is_iol, is_ioml, is_iboolean)
+
+
+def is_distributive(alg: FiniteAlgebra) -> bool:
+    """An i-OL satisfying both distributive laws Idis1 and Idis2."""
+    return classify(alg).is_iol and axiom_holds(alg, "Idis1") and axiom_holds(alg, "Idis2")
 
 
 def require_iol(alg: FiniteAlgebra) -> None:

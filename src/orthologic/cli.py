@@ -20,6 +20,7 @@ from .algebra import (
     ResourceLimitError,
     check_axiom,
     classify,
+    is_distributive,
     le,
     le_l,
     le_q,
@@ -111,7 +112,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_classify(args) -> int:
     alg = _load(args.file)
-    flags = classify(alg).as_dict()
+    flags = classify(alg).as_dict() | {"distributive": is_distributive(alg)}
     if args.json:
         print(json.dumps({"name": alg.name, "classification": flags}, indent=2))
     else:

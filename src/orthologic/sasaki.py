@@ -227,10 +227,12 @@ def check_sasaki_set(alg: FiniteAlgebra, maps: tuple[ProjectionMap, ...]) -> Che
     def name(m: ProjectionMap, k: int) -> str:
         return m.label if m.label is not None else f"#{k}"
 
+    below = [[le_l(alg, x, y) for y in range(alg.n)] for x in range(alg.n)]
     for k, phi in enumerate(maps):
+        img = phi.image
         for x in range(alg.n):
             for y in range(alg.n):
-                if le_l(alg, x, y) and not le_l(alg, phi.image[x], phi.image[y]):
+                if below[x][y] and not below[img[x]][img[y]]:
                     return CheckResult(
                         "sasaki-set",
                         "fail",

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orthologic import (
+    FiniteAlgebra,
     InputError,
     NonLatticeError,
     big_meet,
@@ -11,6 +12,7 @@ from orthologic import (
     classify,
     down_set,
     fixture,
+    is_distributive,
     le,
     le_l,
     le_q,
@@ -212,7 +214,27 @@ def test_distributive_iff_boolean_on_iols(algebras):
     for alg in algebras.values():
         lab = classify(alg)
         if lab.is_iol:
-            assert lab.is_distributive == lab.is_iboolean
+            assert is_distributive(alg) == lab.is_iboolean
+
+
+def test_classify_does_not_scan_the_distributive_laws(monkeypatch):
+    import orthologic.algebra as algebra_module
+
+    scanned = []
+    real = algebra_module.axiom_holds
+
+    def recording(alg, axiom_id):
+        scanned.append(axiom_id)
+        return real(alg, axiom_id)
+
+    monkeypatch.setattr(algebra_module, "axiom_holds", recording)
+    two = fixture_two_element()
+    # A fresh name misses classify's cache; on a Boolean algebra every flag holds.
+    lab = classify(FiniteAlgebra("fresh-two", two.elements, two.arrow, two.one, two.zero))
+    assert lab.is_iboolean
+    assert {"BE4", "impl", "IOM", "@"} <= set(scanned)
+    assert not {"Idis1", "Idis2"} & set(scanned)
+    assert "distributive" not in lab.as_dict()
 
 
 def test_implicative_involutive_gives_ig_pi_iabs(algebras):

@@ -1,19 +1,24 @@
-"""The compiled term table behind ``check_axiom`` against hand-written
-predicates of the same 17 laws.
+"""The row scans behind ``check_axiom`` against two references.
 
-The predicates below are an independent second encoding, kept only as a
-reference: each reads the arrow table directly.  Verdicts and witnesses must
-agree on the fixtures, on the enumerated models, on every bounded involutive
-candidate table of the search, and on random tables that are mostly not BE.
+The hand-written predicates below are an independent second encoding of the
+17 laws: each reads the arrow table directly.  The product loop over the
+compiled instance predicates (the enumeration pruner's form of the same
+terms) is the other reference.  Verdicts and witnesses must agree on the
+fixtures, on the enumerated models, on every bounded involutive candidate
+table of the search, on random tables that are mostly not BE, and on Boolean
+and MO_m i-OLs of 16 to 64 elements with their one-cell mutations.
 """
 
+import random
+from functools import partial
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orthologic import FiniteAlgebra, check_axiom, enumerate_models, fixture
-from orthologic.algebra import AXIOMS, CheckResult, star, vee_q, wedge_q
+from conftest import relabel
+from orthologic import FiniteAlgebra, check_axiom, classify, enumerate_models, fixture
+from orthologic.algebra import AXIOM_PREDICATES, AXIOMS, CheckResult, star, vee_q, wedge_q
 from orthologic.enumeration import _search_tables
 from orthologic.fixtures import FIXTURE_NAMES
 
@@ -122,9 +127,21 @@ def oracle_check(alg, axiom_id):
     return CheckResult(axiom_id, "pass")
 
 
-def assert_agrees(alg):
+def product_loop_check(alg, axiom_id):
+    """Lexicographic scan with the compiled instance predicate, one call per
+    tuple; -1 is never a table value, so every instance is determined."""
+    roles = AXIOMS[axiom_id][0]
+    holds = partial(AXIOM_PREDICATES[axiom_id], alg.arrow, alg.zero, alg.one, -1)
+    for tup in product(range(alg.n), repeat=len(roles)):
+        if not holds(*tup):
+            witness = tuple((role, alg.elements[v]) for role, v in zip(roles, tup))
+            return CheckResult(axiom_id, "fail", witness)
+    return CheckResult(axiom_id, "pass")
+
+
+def assert_agrees(alg, reference=oracle_check):
     for axiom_id in ORACLE:
-        assert check_axiom(alg, axiom_id) == oracle_check(alg, axiom_id), (
+        assert check_axiom(alg, axiom_id) == reference(alg, axiom_id), (
             alg.name, alg.arrow, axiom_id)
 
 
@@ -156,7 +173,7 @@ def test_search_candidates_agree(n):
 
 @st.composite
 def tables(draw):
-    n = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 5))
     cell = st.integers(0, n - 1)
     arrow = [[draw(cell) for _ in range(n)] for _ in range(n)]
     zero, one = 0, n - 1
@@ -166,7 +183,7 @@ def tables(draw):
         for x in range(n):
             arrow[x][x] = arrow[x][one] = arrow[zero][x] = one
             arrow[one][x] = x
-    else:
+    elif n > 1:
         zero, one = draw(st.permutations(range(n)))[:2]
     names = tuple(f"e{i}" for i in range(n))
     return FiniteAlgebra("random", names, tuple(map(tuple, arrow)), one, zero)
@@ -176,3 +193,68 @@ def tables(draw):
 @given(alg=tables())
 def test_random_tables_agree(alg):
     assert_agrees(alg)
+    assert_agrees(alg, product_loop_check)
+
+
+def test_one_element_table_satisfies_every_law():
+    alg = FiniteAlgebra("trivial", ("e0",), ((0,),), 0, 0)
+    assert_agrees(alg)
+    assert all(check_axiom(alg, axiom_id).passed for axiom_id in AXIOMS)
+
+
+# i-OLs of ortholattices, x -> y := (x meet y')', at the sizes of the
+# ``reports`` benchmark.
+def _iol(name, n, meet, comp, one, zero):
+    arrow = tuple(tuple(comp(meet(x, comp(y))) for y in range(n)) for x in range(n))
+    return FiniteAlgebra(name, tuple(f"e{i}" for i in range(n)), arrow, one, zero)
+
+
+def boolean_iol(k):
+    """2^k with elements the bitmasks of a k-set."""
+    full = (1 << k) - 1
+    return _iol(f"B{1 << k}", 1 << k, lambda x, y: x & y, lambda x: full ^ x, full, 0)
+
+
+def mo_iol(m):
+    """MO_m: 0, 1 and the atoms a_i (bit pattern 2 + 2i) with complements
+    a_i' (3 + 2i); distinct atoms meet in 0."""
+    def meet(x, y):
+        return x if x == y or y == 1 else y if x == 1 else 0
+
+    return _iol(f"MO{m}", 2 * m + 2, meet, lambda x: x ^ 1, 1, 0)
+
+
+LARGE = [boolean_iol(4), boolean_iol(5), boolean_iol(6), mo_iol(7), mo_iol(15), mo_iol(31)]
+
+
+def _shuffled(alg, seed):
+    perm = list(range(alg.n))
+    random.Random(seed).shuffle(perm)
+    return relabel(alg, perm)
+
+
+def _mutations(alg, count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        arrow = [list(row) for row in alg.arrow]
+        arrow[rng.randrange(alg.n)][rng.randrange(alg.n)] = rng.randrange(alg.n)
+        yield FiniteAlgebra(alg.name, alg.elements, tuple(map(tuple, arrow)), alg.one, alg.zero)
+
+
+@pytest.mark.parametrize("alg", LARGE, ids=lambda a: a.name)
+def test_large_iols_agree(alg):
+    shuffled = _shuffled(alg, alg.n)
+    lab = classify(shuffled)
+    assert lab.is_ioml and lab.is_iboolean == alg.name.startswith("B")
+    assert_agrees(shuffled)
+    assert_agrees(shuffled, product_loop_check)
+
+
+@pytest.mark.parametrize("alg", LARGE, ids=lambda a: a.name)
+def test_large_mutations_agree(alg):
+    failing = 0
+    for mutant in _mutations(_shuffled(alg, alg.n), 30, alg.n):
+        assert_agrees(mutant)
+        assert_agrees(mutant, product_loop_check)
+        failing += sum(check_axiom(mutant, a).failed for a in AXIOMS)
+    assert failing
