@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import count, permutations, product, starmap
-from typing import Iterator, Optional
+from math import isqrt
+from typing import Callable, Iterator, Optional
 
 from .algebra import (
     AXIOM_PREDICATES,
@@ -144,7 +145,10 @@ def _fill_tables(
         i, j = cells[k]
         for v in range(n):
             if next(nodes) > budget:
-                raise ResourceLimitError("enumeration exceeded node budget")
+                raise ResourceLimitError(
+                    f"enumeration at size {n} exceeded node budget {budget},"
+                    f" {k} of {len(cells)} free cells filled"
+                )
             assign(i, j, v)
             if all(
                 all(starmap(holds, product(range(n), repeat=arity)))
@@ -183,13 +187,32 @@ def canonical_key(alg: FiniteAlgebra) -> tuple[int, ...]:
     return best
 
 
+def _from_key(name: str, key: tuple[int, ...]) -> FiniteAlgebra:
+    """The algebra whose flattened arrow table is ``key``, with standard
+    element names, 0 first and 1 last."""
+    n = isqrt(len(key))
+    arrow = tuple(key[x * n : (x + 1) * n] for x in range(n))
+    return FiniteAlgebra(name, _standard_names(n), arrow, n - 1, 0)
+
+
 def canonical_form(alg: FiniteAlgebra) -> FiniteAlgebra:
     """The canonically relabeled copy, with standard element names; invariant
     under any relabeling of the input."""
-    key = canonical_key(alg)
-    n = alg.n
-    arrow = tuple(tuple(key[x * n + y] for y in range(n)) for x in range(n))
-    return FiniteAlgebra(alg.name, _standard_names(n), arrow, n - 1, 0)
+    return _from_key(alg.name, canonical_key(alg))
+
+
+def _accepted_keys(
+    n: int, required: frozenset[str], accept: Callable[[FiniteAlgebra], bool]
+) -> list[tuple[int, ...]]:
+    """Sorted canonical keys of the search leaves at size n that satisfy BE4
+    and every required law, and pass ``accept``."""
+    return sorted({
+        canonical_key(cand)
+        for cand in _search_tables(n, required)
+        if axiom_holds(cand, "BE4")
+        and all(axiom_holds(cand, a) for a in sorted(required))
+        and accept(cand)
+    })
 
 
 def enumerate_models(
@@ -203,24 +226,8 @@ def enumerate_models(
         raise InputError("sizes below 2 are rejected (trivial algebra)")
     if limit is not None and limit < 0:
         raise InputError(f"negative limit {limit}")
-    required = _CLASS_AXIOMS[cls]
-    seen: dict[tuple[int, ...], FiniteAlgebra] = {}
-    for cand in _search_tables(n, required):
-        if not axiom_holds(cand, "BE4"):
-            continue
-        if not all(axiom_holds(cand, a) for a in sorted(required)):
-            continue
-        if not classify(cand).as_dict()[cls]:
-            continue
-        key = canonical_key(cand)
-        if key not in seen:
-            seen[key] = canonical_form(cand)
-    ordered = [seen[k] for k in sorted(seen)]
-    renamed = [
-        FiniteAlgebra(f"{cls}-{n}-{i}", a.elements, a.arrow, a.one, a.zero)
-        for i, a in enumerate(ordered)
-    ]
-    return renamed[:limit] if limit is not None else renamed
+    keys = _accepted_keys(n, _CLASS_AXIOMS[cls], lambda c: classify(c).as_dict()[cls])
+    return [_from_key(f"{cls}-{n}-{i}", key) for i, key in enumerate(keys[:limit])]
 
 
 def counterexample_search(goal: SearchGoal) -> Optional[FiniteAlgebra]:
@@ -228,22 +235,11 @@ def counterexample_search(goal: SearchGoal) -> Optional[FiniteAlgebra]:
     axiom and refuting every forbidden one; None is a proof of absence for
     the whole size range."""
     for n in range(goal.min_size, goal.max_size + 1):
-        hits: dict[tuple[int, ...], FiniteAlgebra] = {}
-        for cand in _search_tables(n, goal.require):
-            if not axiom_holds(cand, "BE4"):
-                continue
-            if not all(axiom_holds(cand, a) for a in sorted(goal.require)):
-                continue
-            if any(axiom_holds(cand, a) for a in sorted(goal.forbid)):
-                continue
-            key = canonical_key(cand)
-            if key not in hits:
-                hits[key] = canonical_form(cand)
-        if hits:
-            best = hits[min(hits)]
-            return FiniteAlgebra(
-                f"counterexample-{n}", best.elements, best.arrow, best.one, best.zero
-            )
+        keys = _accepted_keys(
+            n, goal.require, lambda c: not any(axiom_holds(c, a) for a in sorted(goal.forbid))
+        )
+        if keys:
+            return _from_key(f"counterexample-{n}", keys[0])
     return None
 
 

@@ -1,9 +1,12 @@
+import random
 from functools import lru_cache
 
 import pytest
 
-from orthologic import associated_orthospace, enumerate_models, fixture
+from orthologic import FiniteAlgebra, associated_orthospace, classify, enumerate_models, fixture
+from orthologic.algebra import iter_bits
 from orthologic.fixtures import FIXTURE_NAMES
+from orthologic.orthospace import OrthoSpace
 
 IOML_FIXTURES = ("ioml10", "ioml6-full", "sasaki6")
 
@@ -59,8 +62,6 @@ def names_of(alg, mask):
 
 def relabel(alg, perm):
     """A copy of the algebra with element i moved to position perm[i]."""
-    from orthologic import FiniteAlgebra
-
     n = alg.n
     elements = [None] * n
     arrow = [[None] * n for _ in range(n)]
@@ -72,3 +73,69 @@ def relabel(alg, perm):
     return FiniteAlgebra(
         alg.name, tuple(elements), tuple(map(tuple, arrow)), perm[alg.one], perm[alg.zero]
     )
+
+
+def relabelled(alg, seed):
+    """A copy of the algebra under a seeded random relabelling."""
+    perm = list(range(alg.n))
+    random.Random(seed).shuffle(perm)
+    return relabel(alg, perm)
+
+
+# i-OLs of ortholattices, x -> y := (x meet y')', at the sizes of the
+# ``reports`` benchmark.
+def _iol(name, n, meet, comp, one, zero):
+    arrow = tuple(tuple(comp(meet(x, comp(y))) for y in range(n)) for x in range(n))
+    return FiniteAlgebra(name, tuple(f"e{i}" for i in range(n)), arrow, one, zero)
+
+
+def boolean_iol(k):
+    """2^k with elements the bitmasks of a k-set."""
+    full = (1 << k) - 1
+    return _iol(f"B{1 << k}", 1 << k, lambda x, y: x & y, lambda x: full ^ x, full, 0)
+
+
+def mo_iol(m):
+    """MO_m: 0, 1 and the atoms a_i (bit pattern 2 + 2i) with complements
+    a_i' (3 + 2i); distinct atoms meet in 0."""
+    def meet(x, y):
+        return x if x == y or y == 1 else y if x == 1 else 0
+
+    return _iol(f"MO{m}", 2 * m + 2, meet, lambda x: x ^ 1, 1, 0)
+
+
+def ortholattice_iol(name, below, comp):
+    """The i-OL x -> y = (x meet y')' of an ortholattice on 0..n-1, given by
+    the down-set mask of each element and the complement."""
+    n = len(below)
+    by_mask = {m: x for x, m in enumerate(below)}
+    meet = [[by_mask[below[x] & below[y]] for y in range(n)] for x in range(n)]
+    arrow = tuple(tuple(comp[meet[x][comp[y]]] for y in range(n)) for x in range(n))
+    bottom = next(x for x in range(n) if below[x] == 1 << x)
+    alg = FiniteAlgebra(name, tuple(f"{name}{i}" for i in range(n)), arrow,
+                        comp[bottom], bottom)
+    assert classify(alg).is_iol
+    return alg
+
+
+def hexagons(k):
+    """The horizontal sum of k hexagons 0 < a < b < 1, 0 < b' < a' < 1."""
+    n = 4 * k + 2
+    below, comp = [1], [n - 1]
+    for h in range(k):
+        a, b, b_, a_ = range(4 * h + 1, 4 * h + 5)
+        below += [1 | 1 << a, 1 | 1 << a | 1 << b, 1 | 1 << b_, 1 | 1 << b_ | 1 << a_]
+        comp += [a_, b_, b, a]
+    below.append((1 << n) - 1)
+    comp.append(0)
+    return ortholattice_iol(f"hex{k}-", below, comp)
+
+
+def without_pair(space):
+    """The space with its first orthogonal pair (in point order) removed."""
+    i = next(i for i, row in enumerate(space.rel) if row)
+    j = next(iter_bits(space.rel[i]))
+    rel = list(space.rel)
+    rel[i] &= ~(1 << j)
+    rel[j] &= ~(1 << i)
+    return OrthoSpace(space.points, tuple(rel))

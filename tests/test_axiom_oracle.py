@@ -16,7 +16,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import relabel
+from conftest import boolean_iol, mo_iol, relabelled
 from orthologic import FiniteAlgebra, check_axiom, classify, enumerate_models, fixture
 from orthologic.algebra import AXIOM_PREDICATES, AXIOMS, CheckResult, star, vee_q, wedge_q
 from orthologic.enumeration import _search_tables
@@ -202,35 +202,7 @@ def test_one_element_table_satisfies_every_law():
     assert all(check_axiom(alg, axiom_id).passed for axiom_id in AXIOMS)
 
 
-# i-OLs of ortholattices, x -> y := (x meet y')', at the sizes of the
-# ``reports`` benchmark.
-def _iol(name, n, meet, comp, one, zero):
-    arrow = tuple(tuple(comp(meet(x, comp(y))) for y in range(n)) for x in range(n))
-    return FiniteAlgebra(name, tuple(f"e{i}" for i in range(n)), arrow, one, zero)
-
-
-def boolean_iol(k):
-    """2^k with elements the bitmasks of a k-set."""
-    full = (1 << k) - 1
-    return _iol(f"B{1 << k}", 1 << k, lambda x, y: x & y, lambda x: full ^ x, full, 0)
-
-
-def mo_iol(m):
-    """MO_m: 0, 1 and the atoms a_i (bit pattern 2 + 2i) with complements
-    a_i' (3 + 2i); distinct atoms meet in 0."""
-    def meet(x, y):
-        return x if x == y or y == 1 else y if x == 1 else 0
-
-    return _iol(f"MO{m}", 2 * m + 2, meet, lambda x: x ^ 1, 1, 0)
-
-
 LARGE = [boolean_iol(4), boolean_iol(5), boolean_iol(6), mo_iol(7), mo_iol(15), mo_iol(31)]
-
-
-def _shuffled(alg, seed):
-    perm = list(range(alg.n))
-    random.Random(seed).shuffle(perm)
-    return relabel(alg, perm)
 
 
 def _mutations(alg, count, seed):
@@ -243,7 +215,7 @@ def _mutations(alg, count, seed):
 
 @pytest.mark.parametrize("alg", LARGE, ids=lambda a: a.name)
 def test_large_iols_agree(alg):
-    shuffled = _shuffled(alg, alg.n)
+    shuffled = relabelled(alg, alg.n)
     lab = classify(shuffled)
     assert lab.is_ioml and lab.is_iboolean == alg.name.startswith("B")
     assert_agrees(shuffled)
@@ -253,7 +225,7 @@ def test_large_iols_agree(alg):
 @pytest.mark.parametrize("alg", LARGE, ids=lambda a: a.name)
 def test_large_mutations_agree(alg):
     failing = 0
-    for mutant in _mutations(_shuffled(alg, alg.n), 30, alg.n):
+    for mutant in _mutations(relabelled(alg, alg.n), 30, alg.n):
         assert_agrees(mutant)
         assert_agrees(mutant, product_loop_check)
         failing += sum(check_axiom(mutant, a).failed for a in AXIOMS)

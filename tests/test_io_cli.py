@@ -229,6 +229,11 @@ def test_cli_enumerate_limit(capsys):
 def test_cli_enumerate_respects_node_budget(capsys, monkeypatch):
     monkeypatch.setenv("ORTHO_NODE_BUDGET", "3")
     assert run_cli("enumerate", "--size", "6", "--class", "iol", "--count-only") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "resource cap: enumeration at size 6 exceeded node budget 3, 1 of 4 free cells filled\n"
+    )
 
 
 def test_cli_iso(capsys):

@@ -69,7 +69,7 @@ DIGESTS = {
     "C5-ORDERS-COINCIDE": "a8260f76db99d2af",
     "L5-CENTER-ARROW": "0c5353b776195bc1",
     "T5-CENTER-BOOLEAN": "449d20c8c535f07b",
-    "T5-ORTHO-PAIR-BOOLEAN": "28a00f454035b6ac",
+    "T5-ORTHO-PAIR-BOOLEAN": "95b332a1bc4b7f61",
     "T5-SP-CENTER-MONOID": "0864541f046f9479",
     "P6-SS-PROPS": "397e23efc579e28a",
     "P6-SS-ARROW": "6d5f1fd19d1dfb61",

@@ -1,4 +1,5 @@
-from itertools import product
+import random
+from itertools import combinations, product
 
 import pytest
 
@@ -16,6 +17,7 @@ from orthologic import (
     divides,
     enumerate_models,
     enumerate_orthoclosed,
+    fixture,
     has_full_sasaki_set,
     is_full,
     is_iboolean_subalgebra,
@@ -27,13 +29,16 @@ from orthologic import (
     orthogonal_pair_boolean_witness,
     sasaki_map_search,
     sasaki_projection,
+    serialize_algebra,
     sp_center_monoid_check,
     star,
     vee_q,
     wedge_q,
 )
-from orthologic.algebra import ortho
-from orthologic.algebra import iter_bits
+from orthologic.algebra import iter_bits, ortho
+from orthologic.cli import main
+from orthologic.fixtures import FIXTURE_NAMES
+from orthologic.orthospace import OrthoSpace, perp
 from orthologic.sasaki import (
     ProjectionMap,
     canonical_projection_family,
@@ -42,7 +47,7 @@ from orthologic.sasaki import (
     trivial_projection_family,
 )
 
-from conftest import iols_up_to
+from conftest import boolean_iol, hexagons, iols_up_to, mo_iol, relabelled, without_pair
 from published_tables import COMPOSED_ROW_IOML10, PROJECTIONS_IOML6
 
 IOML_NAMES = ("ioml10", "ioml6-full", "sasaki6")
@@ -260,24 +265,63 @@ def test_orthogonal_pair_witness_fails_on_hexagon(benzene6):
     assert benzene6.elements[benzene6.arrow[b][star(benzene6, a)]] == "c"
 
 
+def orthogonal_pairs(algebras):
+    """Every orthogonal pair of the fixtures, the i-OLs with n <= 8 and the
+    fixtures' logics."""
+    logics = [cl_algebra(associated_orthospace(alg)) for alg in algebras.values()]
+    for alg in list(algebras.values()) + list(iols_up_to(8)) + logics:
+        for x, y in pairs(alg):
+            if ortho(alg, x, y):
+                yield alg, x, y
+
+
 def test_pair_routes_agree(algebras):
     """The eight-element check behind orthogonal_pair_boolean_witness and the
-    registry gives the verdict of the generated hull, on every orthogonal
-    pair of the fixtures, the i-OLs with n <= 8 and the fixtures' logics."""
-    logics = [cl_algebra(associated_orthospace(alg)) for alg in algebras.values()]
-    pool = list(algebras.values()) + list(iols_up_to(8)) + logics
+    registry gives the verdict of the generated hull."""
     checked = failed = 0
-    for alg in pool:
-        for x, y in pairs(alg):
-            if not ortho(alg, x, y):
-                continue
-            res, _ = orthogonal_pair_boolean_witness(alg, x, y)
-            assert res == pair_hull_check(alg, x, y)[0]
-            hull = generated_subalgebra(alg, 1 << x | 1 << y)
-            assert res.passed == is_iboolean_subalgebra(alg, hull).passed, (alg.name, x, y)
-            checked += 1
-            failed += res.failed
+    for alg, x, y in orthogonal_pairs(algebras):
+        res, _ = orthogonal_pair_boolean_witness(alg, x, y)
+        assert res == pair_hull_check(alg, x, y)[0]
+        hull = generated_subalgebra(alg, 1 << x | 1 << y)
+        assert res.passed == is_iboolean_subalgebra(alg, hull).passed, (alg.name, x, y)
+        checked += 1
+        failed += res.failed
     assert 0 < failed < checked  # both verdicts are reached
+
+
+# Arrow table of the Boolean algebra spanned by an orthogonal pair, in the
+# symbolic order [0, x, y, u, x*, y*, u*, 1] with u = x* -> y.
+PAIR_SYMBOLS = ("0", "x", "y", "u", "x*", "y*", "u*", "1")
+PAIR_TABLE = (
+    ("1", "1", "1", "1", "1", "1", "1", "1"),
+    ("x*", "1", "x*", "1", "x*", "1", "x*", "1"),
+    ("y*", "y*", "1", "1", "1", "y*", "y*", "1"),
+    ("u*", "y*", "x*", "1", "x*", "y*", "u*", "1"),
+    ("x", "x", "u", "u", "1", "y*", "y*", "1"),
+    ("y", "u", "y", "u", "x*", "1", "x*", "1"),
+    ("u", "u", "u", "u", "1", "1", "1", "1"),
+    ("0", "x", "y", "u", "x*", "y*", "u*", "1"),
+)
+
+
+def test_passing_pair_hulls_have_the_boolean_arrow_table(algebras):
+    """On an i-OL the subalgebra verdict is the whole pair-hull test: every
+    passing hull carries the eight-by-eight table, duplicates collapsing."""
+    passed = 0
+    for alg, x, y in orthogonal_pairs(algebras):
+        res, members = pair_hull_check(alg, x, y)
+        if not res.passed:
+            continue
+        u = alg.arrow[star(alg, x)][y]
+        values = dict(zip(PAIR_SYMBOLS, (alg.zero, x, y, u, star(alg, x), star(alg, y),
+                                         star(alg, u), alg.one)))
+        assert members == sum(1 << v for v in set(values.values()))
+        for row_sym, row in zip(PAIR_SYMBOLS, PAIR_TABLE):
+            for col_sym, sym in zip(PAIR_SYMBOLS, row):
+                got = alg.arrow[values[row_sym]][values[col_sym]]
+                assert got == values[sym], (alg.name, x, y, row_sym, col_sym)
+        passed += 1
+    assert passed
 
 
 def test_orthogonal_pair_witness_degenerate(algebras):
@@ -307,13 +351,9 @@ def test_boolean_results_share_the_subalgebra_verdict(algebras):
                 continue
             res, members = orthogonal_pair_boolean_witness(alg, x, y)
             verdict = is_iboolean_subalgebra(alg, members)
-            if verdict.passed:
-                # Only the eight-by-eight cross-check can still fail.
-                assert res.passed or res.witness[0][0] == "row"
-            else:
-                assert (res.check_id, res.status, res.witness) == (
-                    "orthogonal-pair-boolean", "fail", verdict.witness,
-                )
+            assert (res.check_id, res.status, res.witness) == (
+                "orthogonal-pair-boolean", verdict.status, verdict.witness,
+            )
         sp = associated_orthospace(alg)
         for blk in blocks(sp):
             if not is_normal(sp).passed:
@@ -480,6 +520,96 @@ def test_sasaki_space_implies_dacey(algebras):
         sp = associated_orthospace(alg)
         if is_sasaki_space(sp).passed:
             assert is_dacey(sp).passed
+
+
+def pairwise_reference(space, closed):
+    """The map search that re-checks each new point against every point
+    already mapped, in point order with candidates in point order."""
+    domain = space.full() & ~perp(space, closed)
+    image = [None] * space.n
+    for i in iter_bits(closed):
+        image[i] = i
+    todo = list(iter_bits(domain & ~closed))
+    assigned = list(iter_bits(closed))
+
+    def consistent(i):
+        fi = image[i]
+        for j in assigned:
+            if bool(space.rel[fi] & (1 << j)) != bool(space.rel[i] & (1 << image[j])):
+                return False
+        return True
+
+    def extend(k):
+        if k == len(todo):
+            return True
+        i = todo[k]
+        for cand in iter_bits(closed):
+            image[i] = cand
+            if consistent(i):
+                assigned.append(i)
+                if extend(k + 1):
+                    return True
+                assigned.pop()
+            image[i] = None
+        return False
+
+    if extend(0):
+        return PartialMap(domain, tuple(image))
+    return None
+
+
+def map_search_spaces():
+    """Spaces of the fixtures, the i-OLs with n <= 8 and relabelled Boolean
+    2^4, MO_7 and sums of 1-3 hexagons, each also with one orthogonal pair
+    deleted; then 300 seeded random relations on 3 to 8 points."""
+    algs = [fixture(name) for name in sorted(FIXTURE_NAMES)] + list(iols_up_to(8))
+    for seed in range(3):
+        algs += [relabelled(alg, seed) for alg in
+                 (boolean_iol(4), mo_iol(7), hexagons(1), hexagons(2), hexagons(3))]
+    for alg in algs:
+        space = associated_orthospace(alg)
+        yield space
+        if any(space.rel):
+            yield without_pair(space)
+    rng = random.Random(9)
+    for _ in range(300):
+        n = rng.randrange(3, 9)
+        points = tuple(f"p{i}" for i in range(n))
+        yield OrthoSpace.from_pairs(points, [(x, y) for x, y in combinations(points, 2)
+                                             if rng.random() < 0.4])
+
+
+def test_map_search_agrees_with_the_pairwise_reference():
+    found = missing = 0
+    for space in map_search_spaces():
+        for closed in enumerate_orthoclosed(space).members:
+            result = sasaki_map_search(space, closed)
+            assert result == pairwise_reference(space, closed), (space.points, closed)
+            found += result is not None
+            missing += result is None
+    assert found and missing  # both outcomes are reached
+
+
+def test_sasaki_space_verdict_does_not_depend_on_labelling(monkeypatch):
+    # The verdict takes no search, so no node budget comes into play.
+    monkeypatch.setenv("ORTHO_NODE_BUDGET", "1")
+    for seed in range(6):
+        space = associated_orthospace(relabelled(hexagons(8), seed))
+        res = is_sasaki_space(space)
+        assert res.failed
+        ((_, name),) = res.witness
+        closed = enumerate_orthoclosed(space).members
+        witness = next(m for m in closed if space.subset_name(m) == name)
+        assert sasaki_map_search(space, witness) is None
+
+
+def test_cli_sasaki_space_fails_on_eight_hexagons(tmp_path, capsys):
+    # On this labelling, pairwise_reference tries more candidates than the
+    # default node budget allows before it finds the closed set with no map.
+    path = tmp_path / "hex8.json"
+    path.write_text(serialize_algebra(relabelled(hexagons(8), 6)), encoding="utf-8")
+    assert main(["ortho", str(path), "--sasaki-space"]) == 1
+    assert "sasaki-space: fail" in capsys.readouterr().out
 
 
 # -- the central projection monoid ------------------------------------------------

@@ -19,7 +19,6 @@ from orthologic import (
     AlgebraError,
     FiniteAlgebra,
     associated_orthospace,
-    classify,
     enumerate_models,
     fixture,
     list_checks,
@@ -30,10 +29,10 @@ from orthologic import (
 from orthologic.algebra import CheckResult, NonLatticeError, big_meet, down_set, iter_bits, star
 from orthologic.enumeration import _search_tables
 from orthologic.fixtures import FIXTURE_NAMES
-from orthologic.orthospace import OrthoSpace, perp
+from orthologic.orthospace import perp
 from orthologic.theorems import _scan_items, _space_masks, _subset_items
 
-from conftest import relabel
+from conftest import hexagons, ortholattice_iol, relabelled, without_pair
 
 ROLES = ("x", "y", "z", "u")
 
@@ -203,20 +202,6 @@ def test_registry_items_agree_on_failing_tables(monkeypatch):
 
 # -- L7-DOWNSET items (4) and (5) ------------------------------------------------
 
-def ortholattice_iol(name, below, comp):
-    """The i-OL x -> y = (x meet y')' of an ortholattice on 0..n-1, given by
-    the down-set mask of each element and the complement."""
-    n = len(below)
-    by_mask = {m: x for x, m in enumerate(below)}
-    meet = [[by_mask[below[x] & below[y]] for y in range(n)] for x in range(n)]
-    arrow = tuple(tuple(comp[meet[x][comp[y]]] for y in range(n)) for x in range(n))
-    bottom = next(x for x in range(n) if below[x] == 1 << x)
-    alg = FiniteAlgebra(name, tuple(f"{name}{i}" for i in range(n)), arrow,
-                        comp[bottom], bottom)
-    assert classify(alg).is_iol
-    return alg
-
-
 def mo(m):
     """MO_m: 0, 1 and m pairs of complementary atoms."""
     n = 2 * m + 2
@@ -225,30 +210,11 @@ def mo(m):
     return ortholattice_iol(f"mo{m}-", below, comp)
 
 
-def hexagons(k):
-    """The horizontal sum of k hexagons 0 < a < b < 1, 0 < b' < a' < 1."""
-    n = 4 * k + 2
-    below, comp = [1], [n - 1]
-    for h in range(k):
-        a, b, b_, a_ = range(4 * h + 1, 4 * h + 5)
-        below += [1 | 1 << a, 1 | 1 << a | 1 << b, 1 | 1 << b_, 1 | 1 << b_ | 1 << a_]
-        comp += [a_, b_, b, a]
-    below.append((1 << n) - 1)
-    comp.append(0)
-    return ortholattice_iol(f"hex{k}-", below, comp)
-
-
 def boolean(k):
     """The Boolean algebra of the subsets of k atoms, each element its mask."""
     n = 1 << k
     below = [sum(1 << y for y in range(n) if y & ~x == 0) for x in range(n)]
     return ortholattice_iol(f"b{n}-", below, [x ^ (n - 1) for x in range(n)])
-
-
-def relabelled(alg, seed):
-    perm = list(range(alg.n))
-    random.Random(seed).shuffle(perm)
-    return relabel(alg, perm)
 
 
 @pytest.mark.parametrize("alg", [fixture(name) for name in sorted(FIXTURE_NAMES)]
@@ -259,16 +225,6 @@ def test_subset_items_pass_on_iols(alg):
     space = associated_orthospace(alg)
     assert reference_subset_items(alg, space) is None
     assert sized_subset_items(alg, space) is None
-
-
-def without_pair(space):
-    """The space with its first orthogonal pair (in point order) removed."""
-    i = next(i for i, row in enumerate(space.rel) if row)
-    j = next(iter_bits(space.rel[i]))
-    rel = list(space.rel)
-    rel[i] &= ~(1 << j)
-    rel[j] &= ~(1 << i)
-    return OrthoSpace(space.points, tuple(rel))
 
 
 @pytest.mark.parametrize("alg", [fixture("benzene6"), fixture("ioml10"),
