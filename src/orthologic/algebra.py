@@ -14,6 +14,11 @@ evaluates both sides as tuples indexed by the last role, each subterm in the
 outermost loop it can live in; the first outer tuple whose two rows differ,
 completed by the first index at which they differ, is the lexicographically
 least violating tuple, the same witness a tuple-by-tuple scan finds.
+
+The same compiler takes any formula of the term language (equations joined
+by not/and/or/iff), such as the registry's items in ``theorems``:
+``first_failure`` compiles each one on first use and returns its least
+failing tuple.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import getitem, itemgetter
+from operator import and_, eq, getitem, itemgetter, ne, or_
 from typing import Callable, Iterator
 
 
@@ -277,8 +282,13 @@ def big_meet(alg: FiniteAlgebra, members: int) -> int:
 # Axioms.
 # ---------------------------------------------------------------------------
 
-# Term language: "x"/"y"/"z" are variables, "0"/"1" constants, and
-# ("->", s, t) the arrow.  Star is arrow-to-0.
+# Term language.  Element terms: the roles "x", "y", "z", "u", the constants
+# "0" and "1", and ("->", s, t), the arrow; star is arrow-to-0.  Formulas:
+# ("=", s, t) of two element terms, ("not", f), ("and", f, ...),
+# ("or", f, ...), and ("iff", f, g) of two formulas.
+ROLES = ("x", "y", "z", "u")
+
+
 def _imp(s, t):
     return ("->", s, t)
 
@@ -293,6 +303,60 @@ def _veeq(s, t):
 
 def _wedgeq(s, t):
     return _neg(_veeq(_neg(s), _neg(t)))
+
+
+def _wedgep(s, t):
+    return _neg(_imp(s, _neg(t)))
+
+
+def _eq(s, t):
+    return ("=", s, t)
+
+
+def _not(f):
+    return ("not", f)
+
+
+def _and(*fs):
+    return ("and", *fs)
+
+
+def _or(*fs):
+    return ("or", *fs)
+
+
+def _iff(f, g):
+    return ("iff", f, g)
+
+
+def _implies(*fs):
+    """The premises fs[:-1] imply fs[-1], as one disjunction, so that the row
+    scan skips the tuples of each premise that fails before the last role."""
+    return _or(*map(_not, fs[:-1]), fs[-1])
+
+
+def _le(s, t):
+    return _eq(_imp(s, t), "1")
+
+
+def _lel(s, t):
+    return _eq(s, _wedgep(s, t))
+
+
+def _leq(s, t):
+    return _eq(s, _wedgeq(s, t))
+
+
+def _ortho(s, t):
+    return _eq(_neg(s), _imp(s, t))
+
+
+def _commutes(s, t):
+    return _eq(_wedgeq(t, s), _wedgep(s, t))
+
+
+def _divides(s, t):
+    return _eq(_imp(s, _neg(_imp(s, t))), _imp(s, _neg(t)))
 
 
 # The single definition of every law: id -> (roles, lhs, rhs), read as the
@@ -326,10 +390,30 @@ AXIOMS: dict[str, tuple[tuple[str, ...], tuple | str, tuple | str]] = {
 }
 
 
+def formula_roles(term) -> tuple[str, ...]:
+    """The roles of a term: x, y, z, u up to the last of them it reads."""
+    def read(t):
+        if isinstance(t, tuple):
+            for arg in t[1:]:
+                yield from read(arg)
+        elif t in ROLES:
+            yield ROLES.index(t) + 1
+
+    return ROLES[:max(read(term), default=0)]
+
+
+_SCALAR_OPS = {"->": "t[{}][{}]", "=": "{} == {}", "iff": "{} == {}", "!=": "{} != {}",
+               "xor": "{} != {}", "not": "not {}"}
+
+
 def _render(term) -> str:
-    if isinstance(term, tuple):
-        return f"t[{_render(term[1])}][{_render(term[2])}]"
-    return {"0": "Z", "1": "O"}.get(term, term)
+    """The term as a Python expression over t, Z (0), O (1) and its roles."""
+    if not isinstance(term, tuple):
+        return {"0": "Z", "1": "O"}.get(term, term)
+    head, *args = term
+    if head in ("and", "or"):
+        return "(" + f" {head} ".join(map(_render, args)) + ")"
+    return "(" + _SCALAR_OPS[head].format(*map(_render, args)) + ")"
 
 
 def _compile(roles, lhs, rhs) -> Callable[..., bool]:
@@ -347,74 +431,224 @@ def _first_diff(l: tuple, r: tuple) -> int:
     return next(i for i, (a, b) in enumerate(zip(l, r)) if a != b)
 
 
-def _compile_scan(roles, lhs, rhs) -> Callable[..., tuple[int, ...] | None]:
-    """The law as one scan ``(t, Z, O, n) -> failing tuple | None`` over a
-    complete arrow table ``t`` with n >= 2 elements.
+@lru_cache(maxsize=None)
+def _one_hot(n: int) -> tuple[tuple[tuple[bool, ...], ...], tuple[tuple[bool, ...], ...]]:
+    """The rows of the n x n identity matrix as truth values, and their negations."""
+    rows = tuple(tuple(i == j for j in range(n)) for i in range(n))
+    return rows, tuple(tuple(not v for v in row) for row in rows)
+
+
+# The globals every compiled scan shares.
+_SCAN_GLOBALS = {"_get": itemgetter, "_item": getitem, "_first_diff": _first_diff,
+                 "_one_hot": _one_hot, "NOT": (True, False),
+                 "_eq": eq, "_ne": ne, "_and": and_, "_or": or_}
+
+
+def _compile_scan(roles, formula) -> Callable[..., tuple[int, ...] | None]:
+    """The formula as one scan ``(t, Z, O, n) -> failing tuple | None`` over
+    a complete arrow table ``t`` with n >= 2 elements.
 
     The last role becomes a row: a term that reads it is a tuple indexed by
     its value, every other term a scalar.  ``t[s][v]`` for a scalar s reads
     the row ``t[s]`` at the indices ``v``, ``t[v][s]`` the column ``c[s]`` of
-    the transposed table, and two vectors combine elementwise.  Each subterm
-    is evaluated once, in the loop of the innermost outer role it reads; the
-    sides are compared as whole rows in the innermost loop."""
+    the transposed table, and two vectors, of elements or of truth values,
+    combine elementwise.  A row of truth values is read from a table where
+    one exists: v = s is row s of the identity matrix ``EQ`` at the indices
+    v, and "not" is (True, False) at the indices of its operand.  Other rows
+    are built as ``(*map(...),)``, which sizes the tuple exactly, so that it
+    comes from and returns to the interpreter's free list for its size;
+    ``tuple(map(...))`` allocates it afresh and leaves one more spare tuple
+    on that list each time, up to the list's cap.
+
+    Each subterm is evaluated once, in the loop of the innermost outer role
+    it reads.  A subterm that reads one outer role, not the first, is also
+    evaluated in a loop over that role before the others, and the rows
+    computed there (by a gather or a map) are read back from its table.  A
+    scalar disjunct of a top-level "or" skips the rest of its loop when it
+    holds, since every tuple below it holds.  An equation at the top
+    compares its two sides as whole rows; any other formula is a row of
+    truth values, and its first false index completes the witness."""
     *outer, last = roles
     levels: list[list[str]] = [[] for _ in range(len(outer) + 1)]
-    nodes: dict = {}  # term, or derived key -> (variable, loop depth, kind)
+    # term, or derived key -> (variable, kind, loop depths of the outer
+    # roles it reads)
+    nodes: dict = {}
+    tables: set[str] = set()  # of "EQ" and "T" that the scan reads
+    tabulated: dict[int, list[str]] = {}  # loop depth -> statements of its own loop
+    rows_of: dict[int, list[str]] = {}  # loop depth -> variables read back from it
 
-    def emit(key, expr, depth, kind):
+    def emit(key, expr, kind, reads):
         if key not in nodes:
-            nodes[key] = (f"v{len(nodes)}", depth, kind)
-            levels[depth].append(f"v{len(nodes) - 1} = {expr}")
+            depth, name = max(reads, default=0), f"v{len(nodes)}"
+            nodes[key] = (name, kind, reads)
+            if len(reads) == 1 and depth > 1:
+                tabulated.setdefault(depth, []).append(f"{name} = {expr}")
+                if "_get(" in expr or "map(" in expr:
+                    rows_of.setdefault(depth, []).append(name)
+                    return nodes[key]
+            levels[depth].append(f"{name} = {expr}")
         return nodes[key]
+
+    def arrow(term, s, sk, sr, u, uk, ur):
+        sd, ud, reads = max(sr, default=0), max(ur, default=0), sr | ur
+        if sk == uk == "scalar":
+            return emit(term, f"t[{s}][{u}]", "scalar", reads)
+        # A row (column) read at a vector two or more loops outer than its
+        # index is gathered for every row (column) once, in the vector's loop.
+        if sk == "scalar":
+            if uk == "identity":
+                expr = f"t[{s}]"
+            elif sd - ud > 1:
+                expr = emit(("rows at", term[2]), f"(*map(_get(*{u}), t),)", "rows", ur)[0] \
+                    + f"[{s}]"
+            else:
+                expr = f"_get(*{u})(t[{s}])"
+        elif uk == "scalar":
+            if sk == "identity":
+                expr = f"c[{u}]"
+            elif ud - sd > 1:
+                expr = emit(("columns at", term[1]), f"(*map(_get(*{s}), c),)", "rows", sr)[0] \
+                    + f"[{u}]"
+            else:
+                expr = f"_get(*{s})(c[{u}])"
+        elif sk == "identity":
+            expr = f"(*map(_item, t, {u}),)"
+        else:
+            rows = emit(("rows", term[1]), f"_get(*{s})(t)", "rows", sr)[0]
+            expr = f"(*map(_item, {rows}, {u}),)"
+        return emit(term, expr, "vector", reads)
+
+    def combine(key, head, parts):
+        """A connective of two operands, or "not" of one; "!=" and "xor"
+        are the negated "=" and "iff"."""
+        reads = frozenset().union(*(r for _, _, r in parts))
+        if all(k == "scalar" for _, k, _ in parts):
+            names = [name for name, _, _ in parts]
+            expr = f" {head} ".join(names) if head in ("and", "or") else \
+                _SCALAR_OPS[head].format(*names)
+            return emit(key, expr, "scalar", reads)
+        if head == "not":
+            return emit(key, f"_get(*{parts[0][0]})(NOT)", "vector", reads)
+        (s, sk, _), (u, uk, _) = parts
+        if sk == "scalar" or uk == "scalar":
+            if uk == "scalar":
+                (s, sk), (u, uk) = (u, uk), (s, sk)
+            # s is the scalar, u the vector
+            if head in ("=", "!="):
+                tables.add("EQ")
+                row_s = f"{'EQ' if head == '=' else 'NE'}[{s}]"
+                expr = row_s if uk == "identity" else f"_get(*{u})({row_s})"
+            else:
+                tables.add("T")
+                expr = {"iff": f"({u} if {s} else _get(*{u})(NOT))",
+                        "xor": f"(_get(*{u})(NOT) if {s} else {u})",
+                        "and": f"({u} if {s} else F)", "or": f"(T if {s} else {u})"}[head]
+        else:
+            op = {"=": "_eq", "!=": "_ne", "iff": "_eq", "xor": "_ne",
+                  "and": "_and", "or": "_or"}[head]
+            expr = f"(*map({op}, {s}, {u}),)"
+        return emit(key, expr, "vector", reads)
 
     def walk(term):
         if term in nodes:
             return nodes[term]
         if term == last:
-            return ("I", 0, "identity")
+            return ("I", "identity", frozenset())
         if term in outer:
-            return (term, outer.index(term) + 1, "scalar")
+            return (term, "scalar", frozenset({outer.index(term) + 1}))
         if not isinstance(term, tuple):
-            return ({"0": "Z", "1": "O"}[term], 0, "scalar")
-        (s, sd, sk), (u, ud, uk) = walk(term[1]), walk(term[2])
-        depth = max(sd, ud)
-        if sk == uk == "scalar":
-            return emit(term, f"t[{s}][{u}]", depth, "scalar")
-        if sk == "scalar":
-            expr = f"t[{s}]" if uk == "identity" else f"_get(*{u})(t[{s}])"
-        elif uk == "scalar":
-            expr = f"c[{u}]" if sk == "identity" else f"_get(*{s})(c[{u}])"
-        elif sk == "identity":
-            expr = f"tuple(map(_item, t, {u}))"
-        else:
-            rows = emit(("rows", term[1]), f"_get(*{s})(t)", sd, "rows")[0]
-            expr = f"tuple(map(_item, {rows}, {u}))"
-        return emit(term, expr, depth, "vector")
+            return ({"0": "Z", "1": "O"}[term], "scalar", frozenset())
+        head, *args = term
+        if head == "->":
+            return arrow(term, *walk(args[0]), *walk(args[1]))
+        if head == "not" and args[0][0] in ("=", "iff"):
+            negated = "!=" if args[0][0] == "=" else "xor"
+            return combine(term, negated, [walk(args[0][1]), walk(args[0][2])])
+        acc = walk(args[0])
+        if head == "not":
+            return combine(term, head, [acc])
+        for k in range(1, len(args)):
+            acc = combine(term if k == len(args) - 1 else (head, *args[:k + 1]),
+                          head, [acc, walk(args[k])])
+        return acc
 
     def row(term):
-        name, depth, kind = walk(term)
+        name, kind, reads = walk(term)
         if kind != "scalar":
             return name
-        return emit(("row", term), f"({name},) * n", depth, "vector")[0]
+        return emit(("row", term), f"({name},) * n", "vector", reads)[0]
 
-    l, r = row(lhs), row(rhs)
-    lines = ["def scan(t, Z, O, n):", "    I, c = tuple(range(n)), tuple(zip(*t))"]
-    for depth, stmts in enumerate(levels):
-        if depth:
-            lines.append("    " * depth + f"for {outer[depth - 1]} in I:")
-        lines += ["    " * (depth + 1) + stmt for stmt in stmts]
     pad = "    " * len(levels)
-    lines += [pad + f"if {l} != {r}:",
-              pad + f"    return {''.join(v + ', ' for v in outer)}_first_diff({l}, {r}),",
+    if formula[0] == "=":
+        l, r = row(formula[1]), row(formula[2])
+        test, index = f"if {l} != {r}:", f"_first_diff({l}, {r})"
+    else:
+        vectors = []
+        for disjunct in formula[1:] if formula[0] == "or" else (formula,):
+            name, kind, reads = walk(disjunct)
+            if kind == "scalar":
+                depth = max(reads, default=0)
+                levels[depth].append(f"if {name}: " + ("continue" if depth else "return None"))
+            else:
+                vectors.append(disjunct)
+        if not vectors:
+            tables.add("T")
+        b = row(_or(*vectors)) if len(vectors) > 1 else row(vectors[0]) if vectors else "F"
+        test, index = f"if False in {b}:", f"{b}.index(False)"
+    lines = ["def scan(t, Z, O, n):", "    I, c = tuple(range(n)), (*zip(*t),)"]
+    if "EQ" in tables:
+        lines.append("    EQ, NE = _one_hot(n)")
+    if "T" in tables:
+        lines.append("    T, F = (True,) * n, (False,) * n")
+    lines += ["    " + stmt for stmt in levels[0]]
+    for depth, names in rows_of.items():
+        role, names = outer[depth - 1], "".join(v + ", " for v in names)
+        lines += [f"    H{depth} = []", f"    for {role} in I:"]
+        lines += ["        " + stmt for stmt in tabulated[depth]]
+        lines.append(f"        H{depth}.append(({names}))")
+        levels[depth].insert(0, f"{names}= H{depth}[{role}]")
+    for depth, stmts in enumerate(levels[1:], 1):
+        lines.append("    " * depth + f"for {outer[depth - 1]} in I:")
+        lines += ["    " * (depth + 1) + stmt for stmt in stmts]
+    lines += [pad + test,
+              pad + f"    return {''.join(v + ', ' for v in outer)}{index},",
               "    return None"]
-    namespace = {"_get": itemgetter, "_item": getitem, "_first_diff": _first_diff}
-    exec("\n".join(lines), namespace)
-    return namespace["scan"]
+    exec("\n".join(lines), _SCAN_GLOBALS)
+    return _SCAN_GLOBALS.pop("scan")
 
 
-# Compiled once at import from the constant terms above, never from input.
+@lru_cache(maxsize=None)
+def _scan_of(formula) -> Callable[..., tuple[int, ...] | None]:
+    return _compile_scan(formula_roles(formula), formula)
+
+
+@lru_cache(maxsize=None)
+def _evaluator_of(formula) -> Callable[..., bool]:
+    roles = "".join(role + ", " for role in formula_roles(formula))
+    return eval(f"lambda t, Z, O, {roles}*_: {_render(formula)}")
+
+
+def holds_at(alg: FiniteAlgebra, formula, tup: tuple[int, ...]) -> bool:
+    """The formula's value at one tuple of role values (extra values ignored)."""
+    return _evaluator_of(formula)(alg.arrow, alg.zero, alg.one, *tup)
+
+
+def first_failure(alg: FiniteAlgebra, formula) -> tuple[int, ...] | None:
+    """The least tuple, in lexicographic order over ``formula_roles``, at
+    which the formula fails; None when it holds throughout.  Formulas are
+    compiled to row scans once each, on first use, and must be constants of
+    this package, never input."""
+    if alg.n > 1:
+        return _scan_of(formula)(alg.arrow, alg.zero, alg.one, alg.n)
+    # With one element every term is 0, so the one tuple decides.
+    at = (0,) * len(formula_roles(formula))
+    return None if holds_at(alg, formula, at) else at
+
+
+# Compiled once at import from the constant terms above, never from input:
+# each law is the formula lhs = rhs.
 AXIOM_PREDICATES = {key: _compile(*spec) for key, spec in AXIOMS.items()}
-AXIOM_SCANS = {key: _compile_scan(*spec) for key, spec in AXIOMS.items()}
+AXIOM_SCANS = {key: _compile_scan(roles, _eq(lhs, rhs)) for key, (roles, lhs, rhs) in AXIOMS.items()}
 
 # Case-insensitive lookup aliases for CLI use ("at" stands in for "@").
 AXIOM_ALIASES = {key.lower(): key for key in AXIOMS} | {

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 from .algebra import (
@@ -368,10 +370,40 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
+class _Stdout:
+    """Standard output that sends the rest of the output to the null device
+    once its reader has gone, so that a command whose output is cut short
+    still runs to its end and exits with its own code, without a traceback."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def _discard(self) -> None:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, self.stream.fileno())
+        os.close(null)
+
+    def write(self, text: str) -> int:
+        try:
+            return self.stream.write(text)
+        except BrokenPipeError:
+            self._discard()
+            return len(text)
+
+    def flush(self) -> None:
+        try:
+            self.stream.flush()
+        except BrokenPipeError:
+            self._discard()
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        with redirect_stdout(_Stdout(sys.stdout)):
+            code = args.func(args)
+            sys.stdout.flush()
+        return code
     except ResourceLimitError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_CAP

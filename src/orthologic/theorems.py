@@ -7,19 +7,28 @@ declared element order, with item tags for multi-part laws.
 
 Most checks are one row of one of three shapes.  ``_items(id, pre, desc,
 arity, *items)`` is a multi-part law of (tag, predicate) items: each predicate
-takes the prefix of the roles x, y, z, u that it reads and is scanned at that
-arity, its first failing tuple padded with element 0 up to the check's arity,
-so the witness is that of one full-arity scan.  ``_pointwise(id, pre, desc,
-arity, *sides)`` has (label, predicate) sides that must agree on every tuple.
+reads a prefix of the roles x, y, z, u and is scanned at that arity, its first
+failing tuple padded with element 0 up to the check's arity, so the witness
+is that of one full-arity scan.  ``_pointwise(id, pre, desc, arity, *sides)``
+has (label, predicate) sides that must agree on every tuple.
 ``_characterisation(id, pre, desc, arity, *clauses)`` is an equivalence of
 whole-table clauses, so an algebra falsifying every clause at once passes; a
 clause is a tuple of axiom ids, which holds when all of them hold, or a
-predicate, scanned at the arity it takes, whose least failing tuple is its
-witness.  ``_first_failure`` is the one scan loop behind items and clauses.
-Checks that do not fit a row (class-dependent item lists, the space, family
-and Sasaki checks) are functions over the same evaluators.  The subset items
-of L7-DOWNSET share one incremental pass over the 2^n subsets, run up to
-``SUBSET_SCAN_CAP`` elements; above it the check skips.
+predicate, scanned at its arity, whose least failing tuple is its witness.
+``_first_failure`` is the one scan loop behind items and clauses.
+
+A predicate is a formula of the term language of ``algebra`` (equations
+between arrow terms, with not/and/or/iff and the macros for the orders,
+orthogonality, commutation and divisibility), compiled on first use into a
+row scan over its last role, as the 17 laws are.  Five predicates quantify
+over a bound element, which the term language has no binder for:
+``_identity_projections_meet``, ``_square_zero_kernel``,
+``_projections_compose``, ``_projections_stable`` and ``_pair_hull_boolean``.
+They stay callables on a tuple-by-tuple product loop.  Checks that do not fit
+a row (class-dependent item lists, the space, family and Sasaki checks) are
+functions over the same evaluators.  The subset items of L7-DOWNSET share one
+incremental pass over the 2^n subsets, run up to ``SUBSET_SCAN_CAP``
+elements; above it the check skips.
 """
 
 from __future__ import annotations
@@ -29,20 +38,37 @@ from itertools import product
 from typing import Callable, Optional
 
 from .algebra import (
+    AXIOMS,
     CheckResult,
     FiniteAlgebra,
     InputError,
+    ROLES,
+    _and,
+    _commutes,
+    _divides,
+    _eq,
+    _iff,
+    _imp,
+    _implies,
+    _le,
+    _leq,
+    _lel,
+    _neg,
+    _or,
+    _ortho,
+    _veeq,
+    _wedgep,
+    _wedgeq,
     axiom_holds,
     classify,
     down_set,
     big_meet,
+    first_failure,
+    holds_at,
     iter_bits,
-    le,
     le_l,
-    le_q,
     ortho,
     star,
-    vee_q,
     wedge_p,
     wedge_q,
 )
@@ -63,8 +89,6 @@ from .sasaki import (
     canonical_projection_family,
     center,
     check_sasaki_set,
-    commutes,
-    divides,
     has_full_sasaki_set,
     is_full,
     is_iboolean_subalgebra,
@@ -75,7 +99,8 @@ from .sasaki import (
 )
 
 SUBSET_SCAN_CAP = 14  # universe size above which L7-DOWNSET skips its subset items
-_ROLES = ("x", "y", "z", "u")
+X, Y, Z, U = ROLES
+ZERO, ONE = "0", "1"
 
 
 @dataclass(frozen=True)
@@ -88,6 +113,8 @@ class CheckSpec:
 
 _REGISTRY: dict[str, CheckSpec] = {}
 _EVAL: dict[str, Callable[[FiniteAlgebra], CheckResult]] = {}
+# Every formula of the registry by (check id, item tag or clause label).
+_FORMULAS: dict[tuple[str, str], tuple] = {}
 
 
 def _register(check_id: str, precondition: str, description: str, arity: int):
@@ -99,17 +126,30 @@ def _register(check_id: str, precondition: str, description: str, arity: int):
     return deco
 
 
+def _is_formula(pred) -> bool:
+    return not callable(pred) and pred[0] not in AXIOMS
+
+
+def _labelled(check_id, pairs):
+    """Record the formulas among (label, predicate) pairs; return the pairs."""
+    _FORMULAS.update(((check_id, label), pred) for label, pred in pairs if _is_formula(pred))
+    return pairs
+
+
 def _items(check_id, precondition, description, arity, *items):
+    _labelled(check_id, items)
     _register(check_id, precondition, description, arity)(
         lambda alg: _scan_items(alg, check_id, arity, items))
 
 
 def _pointwise(check_id, precondition, description, arity, *sides):
+    _labelled(check_id, sides)
     _register(check_id, precondition, description, arity)(
         lambda alg: _pointwise_equiv(alg, check_id, arity, sides))
 
 
 def _characterisation(check_id, precondition, description, arity, *clauses):
+    _labelled(check_id, clauses)
     _register(check_id, precondition, description, arity)(
         lambda alg: _equivalence(check_id, [_clause(alg, *clause) for clause in clauses]))
 
@@ -141,25 +181,32 @@ def run_all(alg: FiniteAlgebra) -> tuple[CheckResult, ...]:
 # -- scan helpers -----------------------------------------------------------
 
 def _names(alg, tup):
-    return tuple((r, alg.elements[v]) for r, v in zip(_ROLES, tup))
+    return tuple((r, alg.elements[v]) for r, v in zip(ROLES, tup))
 
 
 def _first_failure(alg, pred) -> Optional[tuple[int, ...]]:
     """The least tuple, in lexicographic order over the roles the predicate
-    takes after the algebra, at which it fails; None when it holds on all."""
+    reads (a formula) or takes after the algebra (a callable), at which it
+    fails; None when it holds on all."""
+    if not callable(pred):
+        return first_failure(alg, pred)
     for tup in product(range(alg.n), repeat=pred.__code__.co_argcount - 1):
         if not pred(alg, *tup):
             return tup
     return None
 
 
+def _holds(alg, pred, tup) -> bool:
+    return pred(alg, *tup) if callable(pred) else holds_at(alg, pred, tup)
+
+
 def _scan_items(alg, check_id, arity, items):
-    """items: sequence of (tag, predicate).  Each predicate takes the algebra
-    and the prefix of x, y, z, u that it reads, and is scanned over n^k
-    tuples of its own arity k <= arity.  The witness is the first violation
-    of a full-arity scan (tuples lexicographically, items in listed order):
-    the least (tuple, item index) over the items' first failing tuples,
-    each padded with element 0 up to the check's arity."""
+    """items: sequence of (tag, predicate).  Each predicate reads the prefix
+    of x, y, z, u of its own arity k <= arity and is scanned over n^k
+    tuples.  The witness is the first violation of a full-arity scan (tuples
+    lexicographically, items in listed order): the least (tuple, item index)
+    over the items' first failing tuples, each padded with element 0 up to
+    the check's arity."""
     failures = []
     for index, (_, pred) in enumerate(items):
         tup = _first_failure(alg, pred)
@@ -174,7 +221,7 @@ def _scan_items(alg, check_id, arity, items):
 def _clause(alg, label, clause):
     """(label, holds, witness-or-None) of one characterisation clause: a
     tuple of axiom ids, or a predicate carrying its least failing tuple."""
-    if isinstance(clause, tuple):
+    if not callable(clause) and clause[0] in AXIOMS:
         return label, all(axiom_holds(alg, a) for a in clause), None
     tup = _first_failure(alg, clause)
     return label, tup is None, None if tup is None else _names(alg, tup)
@@ -196,75 +243,83 @@ def _equivalence(check_id, clauses):
 
 
 def _pointwise_equiv(alg, check_id, arity, sides):
-    """sides: (label, pred) pairs that must agree on every tuple."""
-    for tup in product(range(alg.n), repeat=arity):
-        values = [(label, pred(alg, *tup)) for label, pred in sides]
-        if len({v for _, v in values}) > 1:
-            witness = _names(alg, tup) + tuple(
-                (label, "holds" if v else "fails") for label, v in values
-            )
-            return CheckResult(check_id, "fail", witness)
-    return CheckResult(check_id, "pass")
+    """sides: (label, predicate) pairs that must agree on every tuple.  When
+    all are formulas, one row scan of "the first agrees with each other"
+    finds the least tuple where they disagree; a callable side puts the
+    check on the product loop.  Each side's value at that tuple is its
+    label's holds/fails."""
+    preds = [pred for _, pred in sides]
+    if any(map(callable, preds)):
+        tup = next((tup for tup in product(range(alg.n), repeat=arity)
+                    if len({_holds(alg, pred, tup) for pred in preds}) > 1), None)
+    else:
+        tup = _first_failure(alg, _and(*(_iff(preds[0], pred) for pred in preds[1:])))
+    if tup is None:
+        return CheckResult(check_id, "pass")
+    tup += (0,) * (arity - len(tup))
+    return CheckResult(check_id, "fail", _names(alg, tup) + tuple(
+        (label, "holds" if _holds(alg, pred, tup) else "fails") for label, pred in sides))
 
 
 # -- basic consequences of the defining laws --------------------------------
 
+_BE_ITEMS = _labelled("L2-BE-PROPS", (
+    ("(1)", _eq(_imp(X, _imp(Y, X)), ONE)),
+    ("(2)", _le(X, _veeq(X, Y))),
+))
+_BOUNDED_BE_ITEMS = _labelled("L2-BE-PROPS", (
+    ("(3)", _eq(_imp(X, _neg(Y)), _imp(Y, _neg(X)))),
+    ("(4)", _le(X, _neg(_neg(X)))),
+))
+_INVOLUTIVE_BE_ITEMS = _labelled("L2-BE-PROPS", (
+    ("(5)", _eq(_imp(_neg(X), Y), _imp(_neg(Y), X))),
+    ("(6)", _eq(_imp(_neg(X), _neg(Y)), _imp(Y, X))),
+    ("(7)", _eq(_imp(_neg(_imp(X, Y)), Z), _imp(X, _imp(_neg(Y), Z)))),
+    ("(8)", _eq(_imp(X, _imp(Y, Z)), _imp(_neg(_imp(X, _neg(Y))), Z))),
+    ("(9)", _eq(_imp(_neg(_imp(_neg(X), Y)), _imp(_neg(X), Y)),
+                _imp(_neg(_imp(_neg(X), X)), _imp(_neg(Y), Y)))),
+))
+
+
 @_register("L2-BE-PROPS", "be", "arithmetic of the arrow on (involutive) BE algebras", 3)
 def _l2_be_props(alg):
     lab = classify(alg)
-    items = [
-        ("(1)", lambda a, x, y: a.arrow[x][a.arrow[y][x]] == a.one),
-        ("(2)", lambda a, x, y: le(a, x, vee_q(a, x, y))),
-    ]
+    items = _BE_ITEMS
     if lab.is_bounded:
-        items += [
-            ("(3)", lambda a, x, y: a.arrow[x][star(a, y)] == a.arrow[y][star(a, x)]),
-            ("(4)", lambda a, x: le(a, x, star(a, star(a, x)))),
-        ]
+        items += _BOUNDED_BE_ITEMS
     if lab.is_involutive:
-        items += [
-            ("(5)", lambda a, x, y: a.arrow[star(a, x)][y] == a.arrow[star(a, y)][x]),
-            ("(6)", lambda a, x, y: a.arrow[star(a, x)][star(a, y)] == a.arrow[y][x]),
-            ("(7)", lambda a, x, y, z: a.arrow[star(a, a.arrow[x][y])][z]
-             == a.arrow[x][a.arrow[star(a, y)][z]]),
-            ("(8)", lambda a, x, y, z: a.arrow[x][a.arrow[y][z]]
-             == a.arrow[star(a, a.arrow[x][star(a, y)])][z]),
-            ("(9)", lambda a, x, y: a.arrow[star(a, a.arrow[star(a, x)][y])][a.arrow[star(a, x)][y]]
-             == a.arrow[star(a, a.arrow[star(a, x)][x])][a.arrow[star(a, y)][y]]),
-        ]
+        items += _INVOLUTIVE_BE_ITEMS
     return _scan_items(alg, "L2-BE-PROPS", 3, items)
 
 
 _items(
     "P2-QBE-PROPS", "invbe", "order scaffolding on involutive BE algebras", 4,
-    ("(1)", lambda a, x, y: not le_q(a, x, y)
-     or (x == wedge_q(a, y, x) and y == vee_q(a, x, y))),
-    ("(2-refl)", lambda a, x: le_q(a, x, x)),
-    ("(2-antisym)", lambda a, x, y: not (le_q(a, x, y) and le_q(a, y, x)) or x == y),
-    ("(3)", lambda a, x, y: vee_q(a, x, y)
-     == star(a, wedge_q(a, star(a, x), star(a, y)))),
-    ("(4)", lambda a, x, y: not le_q(a, x, y) or le(a, x, y)),
-    ("(5)", lambda a, x, y, z: not (le_q(a, x, z) and le_q(a, y, z)
-     and a.arrow[z][x] == a.arrow[z][y]) or x == y),
-    ("(6)", lambda a, x, y: not le_l(a, x, y) or le(a, x, y)),
-    ("(7-antisym)", lambda a, x, y: not (le_l(a, x, y) and le_l(a, y, x)) or x == y),
-    ("(7-trans)", lambda a, x, y, z: not (le_l(a, x, y) and le_l(a, y, z))
-     or le_l(a, x, z)),
-    ("(8)", lambda a, x, y, z: not (le_l(a, z, x) and le_l(a, z, y))
-     or le_l(a, z, wedge_p(a, x, y))),
-    ("(9)", lambda a, x, y, z, u: a.arrow[wedge_p(a, x, y)][a.arrow[z][star(a, u)]]
-     == a.arrow[wedge_p(a, x, z)][a.arrow[y][star(a, u)]]),
+    ("(1)", _implies(_leq(X, Y), _and(_eq(X, _wedgeq(Y, X)), _eq(Y, _veeq(X, Y))))),
+    ("(2-refl)", _leq(X, X)),
+    ("(2-antisym)", _implies(_leq(X, Y), _leq(Y, X), _eq(X, Y))),
+    ("(3)", _eq(_veeq(X, Y), _neg(_wedgeq(_neg(X), _neg(Y))))),
+    ("(4)", _implies(_leq(X, Y), _le(X, Y))),
+    ("(5)", _implies(_leq(X, Z), _leq(Y, Z), _eq(_imp(Z, X), _imp(Z, Y)), _eq(X, Y))),
+    ("(6)", _implies(_lel(X, Y), _le(X, Y))),
+    ("(7-antisym)", _implies(_lel(X, Y), _lel(Y, X), _eq(X, Y))),
+    ("(7-trans)", _implies(_lel(X, Y), _lel(Y, Z), _lel(X, Z))),
+    ("(8)", _implies(_lel(Z, X), _lel(Z, Y), _lel(Z, _wedgep(X, Y)))),
+    ("(9)", _eq(_imp(_wedgep(X, Y), _imp(Z, _neg(U))), _imp(_wedgep(X, Z), _imp(Y, _neg(U))))),
 )
+
+_LEL_ORDER = _labelled("R2-LEL-ORDER-IFF-IG", (
+    ("reflexive", _lel(X, X)),
+    ("antisymmetric", _implies(_lel(X, Y), _lel(Y, X), _eq(X, Y))),
+    ("transitive", _implies(_lel(X, Y), _lel(Y, Z), _lel(X, Z))),
+))
 
 
 @_register("R2-LEL-ORDER-IFF-IG", "invbe", "le_l is an order exactly under the iG law", 3)
 def _r2_lel_order(alg):
     # The order clause carries the reflexivity witness only.
-    label, reflexive, witness = _clause(alg, "le_l-order", lambda a, x: le_l(a, x, x))
-    order = reflexive and all(_first_failure(alg, pred) is None for pred in (
-        lambda a, x, y: not (le_l(a, x, y) and le_l(a, y, x)) or x == y,
-        lambda a, x, y, z: not (le_l(a, x, y) and le_l(a, y, z)) or le_l(a, x, z),
-    ))
+    (_, reflexive), *rest = _LEL_ORDER
+    label, holds, witness = _clause(alg, "le_l-order", reflexive)
+    order = holds and all(_first_failure(alg, pred) is None for _, pred in rest)
     return _equivalence(
         "R2-LEL-ORDER-IFF-IG", ((label, order, witness), _clause(alg, "iG", ("iG",))))
 
@@ -278,29 +333,20 @@ _characterisation(
 
 _items(
     "L2-IOL-PROPS", "iol", "le_l arithmetic on implicative-ortholattices", 4,
-    ("(1)", lambda a, x, y: le_l(a, x, y) == le_l(a, star(a, y), star(a, x))),
-    ("(2)", lambda a, x, y: not le_q(a, x, y) or le_l(a, x, y)),
-    ("(3)", lambda a, x, y: le_l(a, x, a.arrow[y][x])
-     and le_l(a, x, a.arrow[star(a, x)][y])),
-    ("(4)", lambda a, x, y: le_l(a, wedge_p(a, x, y), x)
-     and le_l(a, wedge_p(a, x, y), y)),
-    ("(5)", lambda a, x, y: (star(a, x) == a.arrow[x][y])
-     == (star(a, y) == a.arrow[y][x])),
-    ("(6)", lambda a, x, y: wedge_q(a, x, y) != x
-     or wedge_q(a, x, star(a, y)) == a.zero),
-    ("(7)", lambda a, x, y: not le_l(a, x, y)
-     or wedge_q(a, x, star(a, y)) == a.zero),
-    ("(8)", lambda a, x, y, z: not le_l(a, x, y)
-     or (le_l(a, a.arrow[y][z], a.arrow[x][z]) and le_l(a, a.arrow[z][x], a.arrow[z][y]))),
-    ("(9)", lambda a, x, y, z: not le_l(a, x, y)
-     or (le_l(a, vee_q(a, x, z), vee_q(a, y, z))
-         and le_l(a, wedge_q(a, x, z), wedge_q(a, y, z)))),
-    ("(10)", lambda a, x, y, z: not (le_l(a, x, z) and le_l(a, y, z))
-     or le_l(a, a.arrow[star(a, x)][y], z)),
-    ("(11)", lambda a, x, y: le_l(
-        a, a.arrow[a.arrow[x][star(a, y)]][star(a, a.arrow[x][y])], x)),
-    ("(12)", lambda a, x, y, z, u: not (le_l(a, x, y) and le_l(a, z, u))
-     or le_l(a, a.arrow[star(a, x)][z], a.arrow[star(a, y)][u])),
+    ("(1)", _iff(_lel(X, Y), _lel(_neg(Y), _neg(X)))),
+    ("(2)", _implies(_leq(X, Y), _lel(X, Y))),
+    ("(3)", _and(_lel(X, _imp(Y, X)), _lel(X, _imp(_neg(X), Y)))),
+    ("(4)", _and(_lel(_wedgep(X, Y), X), _lel(_wedgep(X, Y), Y))),
+    ("(5)", _iff(_ortho(X, Y), _ortho(Y, X))),
+    ("(6)", _implies(_leq(X, Y), _eq(_wedgeq(X, _neg(Y)), ZERO))),
+    ("(7)", _implies(_lel(X, Y), _eq(_wedgeq(X, _neg(Y)), ZERO))),
+    ("(8)", _implies(_lel(X, Y), _and(_lel(_imp(Y, Z), _imp(X, Z)),
+                                      _lel(_imp(Z, X), _imp(Z, Y))))),
+    ("(9)", _implies(_lel(X, Y), _and(_lel(_veeq(X, Z), _veeq(Y, Z)),
+                                      _lel(_wedgeq(X, Z), _wedgeq(Y, Z))))),
+    ("(10)", _implies(_lel(X, Z), _lel(Y, Z), _lel(_imp(_neg(X), Y), Z))),
+    ("(11)", _lel(_imp(_imp(X, _neg(Y)), _neg(_imp(X, Y))), X)),
+    ("(12)", _implies(_lel(X, Y), _lel(Z, U), _lel(_imp(_neg(X), Z), _imp(_neg(Y), U)))),
 )
 
 _characterisation(
@@ -313,55 +359,46 @@ _characterisation(
 _characterisation(
     "T2-CHAR-IOML-LE", "iol", "orthomodularity via the order inclusion le_l into le_q", 2,
     ("(a)", ("IOM",)),
-    ("(b)", lambda a, x, y: not le_l(a, x, y) or le_q(a, x, y)),
-    ("(c)", lambda a, x, y: not le_l(a, x, y) or y == vee_q(a, y, x)),
+    ("(b)", _implies(_lel(X, Y), _leq(X, Y))),
+    ("(c)", _implies(_lel(X, Y), _eq(Y, _veeq(Y, X)))),
 )
 
 _pointwise(
     "C2-LEQ-EQ-LEL", "ioml", "le_q and le_l coincide on orthomodular algebras", 2,
-    ("le_q", le_q), ("le_l", le_l),
+    ("le_q", _leq(X, Y)), ("le_l", _lel(X, Y)),
 )
 
 _items(
     "P2-IOML-PROPS-A", "ioml", "meet/join arithmetic on orthomodular algebras", 3,
-    ("(1)", lambda a, x, y: a.arrow[x][wedge_q(a, y, x)] == a.arrow[x][y]),
-    ("(2)", lambda a, x, y: a.arrow[vee_q(a, x, y)][star(a, a.arrow[x][y])]
-     == star(a, y)),
-    ("(3)", lambda a, x, y, z: wedge_q(
-        a, x, wedge_q(a, a.arrow[y][x], a.arrow[z][x])) == x),
-    ("(4)", lambda a, x, y: a.arrow[a.arrow[x][y]][wedge_q(a, y, x)] == x),
-    ("(5)", lambda a, x, y: not (le(a, x, y) and le_l(a, y, x)) or x == y),
-    ("(6)", lambda a, x, y: le_l(a, wedge_q(a, x, y), y)
-     and le_l(a, y, vee_q(a, x, y))),
-    ("(7)", lambda a, x, y: a.arrow[wedge_q(a, x, y)][wedge_q(a, y, x)] == a.one),
-    ("(8)", lambda a, x, y: a.arrow[vee_q(a, x, y)][vee_q(a, y, x)] == a.one),
-    ("(9)", lambda a, x, y: a.arrow[vee_q(a, x, y)][y] == a.arrow[x][y]),
-    ("(10)", lambda a, x, y, z: wedge_q(a, wedge_q(a, x, y), wedge_q(a, y, z))
-     == wedge_q(a, wedge_q(a, x, y), z)),
+    ("(1)", _eq(_imp(X, _wedgeq(Y, X)), _imp(X, Y))),
+    ("(2)", _eq(_imp(_veeq(X, Y), _neg(_imp(X, Y))), _neg(Y))),
+    ("(3)", _eq(_wedgeq(X, _wedgeq(_imp(Y, X), _imp(Z, X))), X)),
+    ("(4)", _eq(_imp(_imp(X, Y), _wedgeq(Y, X)), X)),
+    ("(5)", _implies(_le(X, Y), _lel(Y, X), _eq(X, Y))),
+    ("(6)", _and(_lel(_wedgeq(X, Y), Y), _lel(Y, _veeq(X, Y)))),
+    ("(7)", _eq(_imp(_wedgeq(X, Y), _wedgeq(Y, X)), ONE)),
+    ("(8)", _eq(_imp(_veeq(X, Y), _veeq(Y, X)), ONE)),
+    ("(9)", _eq(_imp(_veeq(X, Y), Y), _imp(X, Y))),
+    ("(10)", _eq(_wedgeq(_wedgeq(X, Y), _wedgeq(Y, Z)), _wedgeq(_wedgeq(X, Y), Z))),
 )
 
 _items(
     "P2-IOML-PROPS-B", "ioml", "bound transfer on orthomodular algebras", 3,
-    ("(1)", lambda a, x, y, z: not (le_l(a, x, y) and le_l(a, x, z))
-     or le_l(a, x, wedge_q(a, y, z))),
-    ("(2)", lambda a, x, y, z: not le_l(a, x, y)
-     or wedge_q(a, wedge_q(a, z, y), x) == wedge_q(a, z, x)),
-    ("(3)", lambda a, x, y: not (le(a, x, y) and le_l(a, y, x)) or x == y),
-    ("(4)", lambda a, x, y, z: not (le_l(a, y, x) and le_l(a, z, x))
-     or le_l(a, vee_q(a, y, z), x)),
-    ("(5)", lambda a, x, y: a.arrow[x][wedge_q(a, x, y)] == a.arrow[x][y]),
-    ("(6)", lambda a, x, y: wedge_q(a, x, star(a, y)) != a.zero
-     or wedge_q(a, x, y) == x),
+    ("(1)", _implies(_lel(X, Y), _lel(X, Z), _lel(X, _wedgeq(Y, Z)))),
+    ("(2)", _implies(_lel(X, Y), _eq(_wedgeq(_wedgeq(Z, Y), X), _wedgeq(Z, X)))),
+    ("(3)", _implies(_le(X, Y), _lel(Y, X), _eq(X, Y))),
+    ("(4)", _implies(_lel(Y, X), _lel(Z, X), _lel(_veeq(Y, Z), X))),
+    ("(5)", _eq(_imp(X, _wedgeq(X, Y)), _imp(X, Y))),
+    ("(6)", _implies(_eq(_wedgeq(X, _neg(Y)), ZERO), _eq(_wedgeq(X, Y), X))),
 )
 
 _characterisation(
     "T2-CHAR-IOML-5WAY", "iol", "five equivalent forms of orthomodularity", 2,
     ("(a)", ("IOM",)),
-    ("(b)", lambda a, x, y: a.arrow[a.arrow[x][y]][wedge_q(a, y, x)] == x),
-    ("(c)", lambda a, x, y: not (le(a, x, y) and le_l(a, y, x)) or x == y),
-    ("(d)", lambda a, x, y: wedge_q(a, x, star(a, y)) != a.zero
-     or wedge_q(a, x, y) == x),
-    ("(e)", lambda a, x, y: a.arrow[x][wedge_q(a, x, y)] == a.arrow[x][y]),
+    ("(b)", _eq(_imp(_imp(X, Y), _wedgeq(Y, X)), X)),
+    ("(c)", _implies(_le(X, Y), _lel(Y, X), _eq(X, Y))),
+    ("(d)", _implies(_eq(_wedgeq(X, _neg(Y)), ZERO), _eq(_wedgeq(X, Y), X))),
+    ("(e)", _eq(_imp(X, _wedgeq(X, Y)), _imp(X, Y))),
 )
 
 _characterisation(
@@ -376,28 +413,26 @@ _characterisation(
     ("@", ("@",)),
 )
 
-
-def _m_pimpl(a, x, y):
-    t = star(a, wedge_p(a, x, star(a, y)))
-    return star(a, wedge_p(a, t, star(a, x))) == x
+_MBE_ITEMS = _labelled("MBE-EQ", (
+    ("PU", _eq(_wedgep(ONE, X), X)),
+    ("Pcomm", _eq(_wedgep(X, Y), _wedgep(Y, X))),
+    ("Pass", _eq(_wedgep(X, _wedgep(Y, Z)), _wedgep(_wedgep(X, Y), Z))),
+    ("m-La", _eq(_wedgep(X, ZERO), ZERO)),
+    ("m-Re", _eq(_wedgep(X, _neg(X)), ZERO)),
+))
+(_, _M_PIMPL), = _labelled("MBE-EQ", (
+    ("m-Pimpl", _eq(_neg(_wedgep(_neg(_wedgep(X, _neg(Y))), _neg(X))), X)),
+))
 
 
 @_register("MBE-EQ", "invbe", "product-signature cross-check via x*y := (x -> y*)*", 3)
 def _mbe_eq(alg):
-    items = [
-        ("PU", lambda a, x: wedge_p(a, a.one, x) == x),
-        ("Pcomm", lambda a, x, y: wedge_p(a, x, y) == wedge_p(a, y, x)),
-        ("Pass", lambda a, x, y, z: wedge_p(a, x, wedge_p(a, y, z))
-         == wedge_p(a, wedge_p(a, x, y), z)),
-        ("m-La", lambda a, x: wedge_p(a, x, a.zero) == a.zero),
-        ("m-Re", lambda a, x: wedge_p(a, x, star(a, x)) == a.zero),
-    ]
-    scan = _scan_items(alg, "MBE-EQ", 3, items)
+    scan = _scan_items(alg, "MBE-EQ", 3, _MBE_ITEMS)
     if scan.failed:
         return scan
     # The m-Pimpl clause is reported without a witness tuple.
     return _equivalence("MBE-EQ", (
-        ("m-Pimpl", _first_failure(alg, _m_pimpl) is None, None),
+        ("m-Pimpl", _first_failure(alg, _M_PIMPL) is None, None),
         _clause(alg, "impl", ("impl",)),
     ))
 
@@ -406,38 +441,34 @@ def _mbe_eq(alg):
 
 _items(
     "L3-ORTHO-BASICS", "iol", "elementary facts about the orthogonality relation", 2,
-    ("(1)", lambda a, x, y: ortho(a, x, y) == ortho(a, y, x)),
-    ("(2)", lambda a, x: ortho(a, x, x) == (x == a.zero)),
-    ("(3)", lambda a, x: ortho(a, a.zero, x)),
-    ("(4)", lambda a, x: ortho(a, a.one, x) == (x == a.zero)),
-    ("(5)", lambda a, x, y: not le_l(a, x, y) or ortho(a, x, star(a, y))),
-    ("(6)", lambda a, x, y: ortho(a, x, star(a, a.arrow[y][x]))),
-    ("(7)", lambda a, x, y: ortho(a, x, y) == le_l(a, x, star(a, y))),
+    ("(1)", _iff(_ortho(X, Y), _ortho(Y, X))),
+    ("(2)", _iff(_ortho(X, X), _eq(X, ZERO))),
+    ("(3)", _ortho(ZERO, X)),
+    ("(4)", _iff(_ortho(ONE, X), _eq(X, ZERO))),
+    ("(5)", _implies(_lel(X, Y), _ortho(X, _neg(Y)))),
+    ("(6)", _ortho(X, _neg(_imp(Y, X)))),
+    ("(7)", _iff(_ortho(X, Y), _lel(X, _neg(Y)))),
 )
 
 _items(
     "L3-ORTHO-CONSEQ", "iol", "arrow identities for orthogonal pairs", 2,
-    ("(1)", lambda a, x, y: not ortho(a, x, y)
-     or (a.arrow[star(a, x)][star(a, y)] == star(a, y)
-         and a.arrow[star(a, y)][star(a, x)] == star(a, x))),
-    ("(2)", lambda a, x, y: not ortho(a, x, y)
-     or a.arrow[a.arrow[star(a, x)][y]][x] == star(a, y)),
-    ("(3)", lambda a, x, y: not ortho(a, x, y)
-     or a.arrow[a.arrow[star(a, x)][y]][y] == star(a, x)),
-    ("(4)", lambda a, x, y: not ortho(a, x, y)
-     or a.arrow[star(a, x)][star(a, a.arrow[star(a, x)][y])] == star(a, y)),
+    ("(1)", _implies(_ortho(X, Y), _and(_eq(_imp(_neg(X), _neg(Y)), _neg(Y)),
+                                        _eq(_imp(_neg(Y), _neg(X)), _neg(X))))),
+    ("(2)", _implies(_ortho(X, Y), _eq(_imp(_imp(_neg(X), Y), X), _neg(Y)))),
+    ("(3)", _implies(_ortho(X, Y), _eq(_imp(_imp(_neg(X), Y), Y), _neg(X)))),
+    ("(4)", _implies(_ortho(X, Y), _eq(_imp(_neg(X), _neg(_imp(_neg(X), Y))), _neg(Y)))),
 )
 
 _pointwise(
     "P3-PERP-IFF-MEETZERO", "iol", "orthogonality equals vanishing meet (orthomodular law)", 2,
-    ("ortho", ortho),
-    ("meet-zero", lambda a, x, y: wedge_q(a, x, y) == a.zero),
+    ("ortho", _ortho(X, Y)),
+    ("meet-zero", _eq(_wedgeq(X, Y), ZERO)),
 )
 
 _characterisation(
     "P3-CHAR-IOML-ORTHO", "iol", "orthomodularity via meets of orthogonal pairs", 2,
     ("IOM", ("IOM",)),
-    ("ortho-meet", lambda a, x, y: not ortho(a, x, y) or wedge_q(a, x, star(a, y)) == x),
+    ("ortho-meet", _implies(_ortho(X, Y), _eq(_wedgeq(X, _neg(Y)), X))),
 )
 
 
@@ -455,16 +486,13 @@ def _p3_cl_is_iol(alg):
 
 _items(
     "P4-SP-BASIC", "iol", "first projection identities", 3,
-    ("(1)", lambda a, x: wedge_q(a, x, x) == x
-     and wedge_q(a, x, a.one) == x and wedge_q(a, a.one, x) == x
-     and wedge_q(a, x, a.zero) == a.zero and wedge_q(a, a.zero, x) == a.zero
-     and wedge_q(a, star(a, x), x) == a.zero
-     and wedge_q(a, x, star(a, x)) == a.zero),
-    ("(2)", lambda a, x, y: not le_l(a, x, y) or wedge_q(a, y, x) == x),
-    ("(3)", lambda a, x, y: wedge_q(a, y, wedge_q(a, y, x)) == wedge_q(a, y, x)),
-    ("(4)", lambda a, x, y: not le_q(a, x, y) or wedge_q(a, x, y) == x),
-    ("(5)", lambda a, x, y, z: not le_l(a, x, y)
-     or le_l(a, wedge_q(a, x, z), wedge_q(a, y, z))),
+    ("(1)", _and(_eq(_wedgeq(X, X), X), _eq(_wedgeq(X, ONE), X), _eq(_wedgeq(ONE, X), X),
+                 _eq(_wedgeq(X, ZERO), ZERO), _eq(_wedgeq(ZERO, X), ZERO),
+                 _eq(_wedgeq(_neg(X), X), ZERO), _eq(_wedgeq(X, _neg(X)), ZERO))),
+    ("(2)", _implies(_lel(X, Y), _eq(_wedgeq(Y, X), X))),
+    ("(3)", _eq(_wedgeq(Y, _wedgeq(Y, X)), _wedgeq(Y, X))),
+    ("(4)", _implies(_leq(X, Y), _eq(_wedgeq(X, Y), X))),
+    ("(5)", _implies(_lel(X, Y), _lel(_wedgeq(X, Z), _wedgeq(Y, Z)))),
 )
 
 
@@ -480,16 +508,12 @@ def _identity_projections_meet(a, x, y):
 _items(
     "P4-SP-IOML", "ioml", "projection composition identities", 3,
     ("(1)", _identity_projections_meet),
-    ("(2)", lambda a, x, y: wedge_q(a, wedge_q(a, x, y), y) == wedge_q(a, x, y)),
-    ("(3)", lambda a, x, y: wedge_q(a, star(a, wedge_q(a, x, y)), y)
-     == star(a, a.arrow[y][x])),
-    ("(4)", lambda a, x, y: le_l(
-        a, wedge_q(a, star(a, wedge_q(a, x, y)), y), star(a, x))),
-    ("(5)", lambda a, x, y, z: le_l(a, wedge_q(a, x, z), star(a, y))
-     == le_l(a, wedge_q(a, y, z), star(a, x))),
-    ("(6)", lambda a, x, y: wedge_q(a, wedge_q(a, x, y), x) == wedge_q(a, y, x)),
-    ("(7)", lambda a, x, y, z: x != wedge_q(a, x, y)
-     or wedge_q(a, z, x) == wedge_q(a, wedge_q(a, z, y), x)),
+    ("(2)", _eq(_wedgeq(_wedgeq(X, Y), Y), _wedgeq(X, Y))),
+    ("(3)", _eq(_wedgeq(_neg(_wedgeq(X, Y)), Y), _neg(_imp(Y, X)))),
+    ("(4)", _lel(_wedgeq(_neg(_wedgeq(X, Y)), Y), _neg(X))),
+    ("(5)", _iff(_lel(_wedgeq(X, Z), _neg(Y)), _lel(_wedgeq(Y, Z), _neg(X)))),
+    ("(6)", _eq(_wedgeq(_wedgeq(X, Y), X), _wedgeq(Y, X))),
+    ("(7)", _implies(_leq(X, Y), _eq(_wedgeq(Z, X), _wedgeq(_wedgeq(Z, Y), X)))),
 )
 
 
@@ -503,79 +527,67 @@ def _square_zero_kernel(a, x):
 
 _items(
     "P4-SP-IOML-B", "ioml", "projection fixed points, kernels and adjoint-style swaps", 3,
-    ("(1)", lambda a, x, y: (wedge_q(a, x, y) == x) == le_l(a, x, y)),
-    ("(2)", lambda a, x, y: (wedge_q(a, x, y) == a.zero) == le_l(a, x, star(a, y))),
-    ("(3)", lambda a, x, y, z: not le_l(a, x, y)
-     or wedge_q(a, wedge_q(a, z, y), x) == wedge_q(a, z, x)),
-    ("(4)", lambda a, x, y, z: (star(a, wedge_q(a, x, z))
-     == a.arrow[wedge_q(a, x, z)][y])
-     == (star(a, wedge_q(a, y, z)) == a.arrow[wedge_q(a, y, z)][x])),
+    ("(1)", _iff(_leq(X, Y), _lel(X, Y))),
+    ("(2)", _iff(_eq(_wedgeq(X, Y), ZERO), _lel(X, _neg(Y)))),
+    ("(3)", _implies(_lel(X, Y), _eq(_wedgeq(_wedgeq(Z, Y), X), _wedgeq(Z, X)))),
+    ("(4)", _iff(_ortho(_wedgeq(X, Z), Y), _ortho(_wedgeq(Y, Z), X))),
     ("(5)", _square_zero_kernel),
-    ("(6)", lambda a, x, y, z: ortho(a, wedge_q(a, x, z), y)
-     == ortho(a, x, wedge_q(a, y, z))),
-    ("(7)", lambda a, x, y: ortho(a, x, y) == (wedge_q(a, y, x) == a.zero)),
-    ("(8)", lambda a, x, y: not ortho(a, x, y)
-     or ortho(a, wedge_q(a, x, y), star(a, y))),
+    ("(6)", _iff(_ortho(_wedgeq(X, Z), Y), _ortho(X, _wedgeq(Y, Z)))),
+    ("(7)", _iff(_ortho(X, Y), _eq(_wedgeq(Y, X), ZERO))),
+    ("(8)", _implies(_ortho(X, Y), _ortho(_wedgeq(X, Y), _neg(Y)))),
 )
 
 _characterisation(
     "T4-SASAKI-PERP-CHAR", "iol", "orthomodularity via projections moving across the relation", 3,
     ("IOM", ("IOM",)),
-    ("swap", lambda a, x, y, z: not ortho(a, wedge_q(a, x, y), z)
-     or ortho(a, x, wedge_q(a, z, y))),
+    ("swap", _implies(_ortho(_wedgeq(X, Y), Z), _ortho(X, _wedgeq(Z, Y)))),
 )
 
 _items(
     "L4-C-BASICS", "iol", "easy commutation facts", 2,
-    ("(1)", lambda a, x: commutes(a, x, x) and commutes(a, x, a.zero)
-     and commutes(a, a.zero, x) and commutes(a, x, a.one)
-     and commutes(a, a.one, x) and commutes(a, x, star(a, x))
-     and commutes(a, star(a, x), x)),
-    ("(2)", lambda a, x, y: not (le_l(a, x, y) or le_l(a, x, star(a, y)))
-     or commutes(a, x, y)),
-    ("(3)", lambda a, x, y: commutes(a, x, a.arrow[y][x])
-     and commutes(a, x, a.arrow[star(a, x)][y])
-     and commutes(a, y, a.arrow[star(a, x)][y])),
+    ("(1)", _and(_commutes(X, X), _commutes(X, ZERO), _commutes(ZERO, X), _commutes(X, ONE),
+                 _commutes(ONE, X), _commutes(X, _neg(X)), _commutes(_neg(X), X))),
+    ("(2)", _implies(_or(_lel(X, Y), _lel(X, _neg(Y))), _commutes(X, Y))),
+    ("(3)", _and(_commutes(X, _imp(Y, X)), _commutes(X, _imp(_neg(X), Y)),
+                 _commutes(Y, _imp(_neg(X), Y)))),
 )
 
 _characterisation(
     "T4-C-SYMMETRIC", "iol", "orthomodularity equals symmetry of commutation", 2,
     ("IOM", ("IOM",)),
-    ("C-symmetric", lambda a, x, y: not commutes(a, x, y) or commutes(a, y, x)),
+    ("C-symmetric", _implies(_commutes(X, Y), _commutes(Y, X))),
 )
 
 _characterisation(
     "C4-C-MEET-COMM", "iol", "orthomodularity via commuting meets", 2,
     ("IOM", ("IOM",)),
-    ("C-meet", lambda a, x, y: not commutes(a, x, y)
-     or wedge_q(a, x, y) == wedge_q(a, y, x)),
+    ("C-meet", _implies(_commutes(X, Y), _eq(_wedgeq(X, Y), _wedgeq(Y, X)))),
 )
 
 _items(
     "L4-C-STAR-CLOSED", "ioml", "commutation is star-closed", 2,
-    ("", lambda a, x, y: not commutes(a, x, y)
-     or (commutes(a, x, star(a, y)) and commutes(a, star(a, x), y)
-         and commutes(a, star(a, x), star(a, y)))),
+    ("", _implies(_commutes(X, Y), _and(_commutes(X, _neg(Y)), _commutes(_neg(X), Y),
+                                        _commutes(_neg(X), _neg(Y))))),
 )
 
 _pointwise(
     "P4-C-FORMULA", "ioml", "commutation via a single equation", 2,
-    ("C", commutes),
-    ("equation", lambda a, x, y: a.arrow[a.arrow[x][star(a, y)]][star(a, a.arrow[x][y])] == x),
+    ("C", _commutes(X, Y)),
+    ("equation", _eq(_imp(_imp(X, _neg(Y)), _neg(_imp(X, Y))), X)),
 )
 
 _pointwise(
     "P4-C-MEET-FORMULA", "ioml", "commutation via the pointed meet", 2,
-    ("C", commutes),
-    ("meet-form", lambda a, x, y: wedge_q(a, x, y) == wedge_p(a, x, y)),
+    ("C", _commutes(X, Y)),
+    ("meet-form", _eq(_wedgeq(X, Y), _wedgep(X, Y))),
 )
 
 _pointwise(
     "C4-C-4WAY", "ioml", "four equivalent forms of commutation", 2,
-    ("(a)", commutes),
-    ("(b)", lambda a, x, y: wedge_q(a, x, y) == wedge_q(a, y, x)),
-    ("(c)", lambda a, x, y: vee_q(a, x, y) == vee_q(a, y, x)),
-    ("(d)", lambda a, x, y: wedge_q(a, y, x) == wedge_q(a, x, y)),
+    ("(a)", _commutes(X, Y)),
+    ("(b)", _eq(_wedgeq(X, Y), _wedgeq(Y, X))),
+    ("(c)", _eq(_veeq(X, Y), _veeq(Y, X))),
+    ("(d)", _eq(_wedgeq(Y, X), _wedgeq(X, Y))),
 )
 
 
@@ -599,7 +611,7 @@ def _projections_stable(a, x, y):
 
 _pointwise(
     "T4-SP-COMPOSE", "ioml", "commuting generators compose to the meet projection", 2,
-    ("(a)", commutes), ("(b)", _projections_compose), ("(c)", _projections_stable),
+    ("(a)", _commutes(X, Y)), ("(b)", _projections_compose), ("(c)", _projections_stable),
 )
 
 
@@ -607,33 +619,27 @@ _pointwise(
 
 _pointwise(
     "L5-C-IFF-D", "iol", "commutation and divisibility coincide", 2,
-    ("C", commutes), ("D", divides),
+    ("C", _commutes(X, Y)), ("D", _divides(X, Y)),
 )
+
+_IOL_D_ITEMS = _labelled("L5-D-BASICS", (
+    ("(1)", _and(_divides(X, X), _divides(X, ZERO), _divides(ZERO, X), _divides(X, ONE),
+                 _divides(ONE, X), _divides(X, _neg(X)), _divides(_neg(X), X))),
+    ("(2)", _implies(_or(_lel(X, Y), _lel(X, _neg(Y))), _divides(X, Y))),
+    ("(3)", _and(_divides(X, _imp(Y, X)), _divides(X, _imp(_neg(X), Y)),
+                 _divides(Y, _imp(_neg(X), Y)))),
+))
+_IOML_D_ITEMS = _labelled("L5-D-BASICS", (
+    ("(4)", _implies(_ortho(X, Y), _and(_divides(X, Y), _divides(Y, X),
+                                        _divides(X, _neg(Y)), _divides(_neg(Y), X)))),
+    ("(5)", _and(_divides(_neg(X), _imp(_neg(X), Y)), _divides(_neg(Y), _imp(_neg(X), Y)),
+                 _divides(X, _neg(_imp(_neg(X), Y))), _divides(Y, _neg(_imp(_neg(X), Y))))),
+))
 
 
 @_register("L5-D-BASICS", "iol", "easy divisibility facts", 2)
 def _l5_d_basics(alg):
-    items = [
-        ("(1)", lambda a, x: divides(a, x, x) and divides(a, x, a.zero)
-         and divides(a, a.zero, x) and divides(a, x, a.one)
-         and divides(a, a.one, x) and divides(a, x, star(a, x))
-         and divides(a, star(a, x), x)),
-        ("(2)", lambda a, x, y: not (le_l(a, x, y) or le_l(a, x, star(a, y)))
-         or divides(a, x, y)),
-        ("(3)", lambda a, x, y: divides(a, x, a.arrow[y][x])
-         and divides(a, x, a.arrow[star(a, x)][y])
-         and divides(a, y, a.arrow[star(a, x)][y])),
-    ]
-    if classify(alg).is_ioml:
-        items += [
-            ("(4)", lambda a, x, y: not ortho(a, x, y)
-             or (divides(a, x, y) and divides(a, y, x)
-                 and divides(a, x, star(a, y)) and divides(a, star(a, y), x))),
-            ("(5)", lambda a, x, y: divides(a, star(a, x), a.arrow[star(a, x)][y])
-             and divides(a, star(a, y), a.arrow[star(a, x)][y])
-             and divides(a, x, star(a, a.arrow[star(a, x)][y]))
-             and divides(a, y, star(a, a.arrow[star(a, x)][y]))),
-        ]
+    items = _IOL_D_ITEMS + (_IOML_D_ITEMS if classify(alg).is_ioml else ())
     return _scan_items(alg, "L5-D-BASICS", 2, items)
 
 
@@ -650,42 +656,35 @@ def _p5_boolean_is_ioml(alg):
 _characterisation(
     "T5-BOOLEAN-6WAY", "ioml", "six equivalent forms of the Boolean law", 2,
     ("(a)", ("@",)),
-    ("(b)", lambda a, x, y: wedge_q(a, x, y) == wedge_p(a, x, y)),
-    ("(c)", lambda a, x, y: wedge_q(a, x, y) == wedge_q(a, y, x)),
-    ("(d)", lambda a, x, y: vee_q(a, x, y) == vee_q(a, y, x)),
-    ("(e)", commutes),
-    ("(f)", divides),
+    ("(b)", _eq(_wedgeq(X, Y), _wedgep(X, Y))),
+    ("(c)", _eq(_wedgeq(X, Y), _wedgeq(Y, X))),
+    ("(d)", _eq(_veeq(X, Y), _veeq(Y, X))),
+    ("(e)", _commutes(X, Y)),
+    ("(f)", _divides(X, Y)),
 )
 
 _characterisation(
     "T5-BOOLEAN-MEETLE", "ioml", "the Boolean law via bounded meets and joins", 2,
     ("(a)", ("@",)),
-    ("(b)", lambda a, x, y: le_l(a, wedge_q(a, x, y), x)),
-    ("(c)", lambda a, x, y: le_l(a, x, vee_q(a, x, y))),
+    ("(b)", _lel(_wedgeq(X, Y), X)),
+    ("(c)", _lel(X, _veeq(X, Y))),
 )
 
 _characterisation(
     "T5-BOOLEAN-LE", "ioml", "the Boolean law via the inclusion le into le_l", 2,
     ("@", ("@",)),
-    ("le-in-le_l", lambda a, x, y: not le(a, x, y) or le_l(a, x, y)),
+    ("le-in-le_l", _implies(_le(X, Y), _lel(X, Y))),
 )
 
 _pointwise(
     "C5-ORDERS-COINCIDE", "iboolean", "all three orders coincide on Boolean algebras", 2,
-    ("le", le), ("le_l", le_l), ("le_q", le_q),
+    ("le", _le(X, Y)), ("le_l", _lel(X, Y)), ("le_q", _leq(X, Y)),
 )
-
-
-def _central_arrow(a, x, y, z):
-    if not (commutes(a, x, z) and commutes(a, y, z)):
-        return True
-    t = a.arrow[x][y]
-    return le_l(a, t, a.arrow[a.arrow[t][star(a, z)]][star(a, a.arrow[t][z])])
-
 
 _items(
     "L5-CENTER-ARROW", "ioml", "arrows of elements commuting with a third stay central", 3,
-    ("", _central_arrow),
+    ("", _implies(_commutes(X, Z), _commutes(Y, Z),
+                  _lel(_imp(X, Y), _imp(_imp(_imp(X, Y), _neg(Z)), _neg(_imp(_imp(X, Y), Z)))))),
 )
 
 
@@ -789,11 +788,9 @@ def _p6_ss_arrow(alg):
 
 _items(
     "P6-FULL-PROPS", "ioml", "identities of the full canonical family", 3,
-    ("(1)", lambda a, x, y, z: not (le_l(a, z, x) and le_l(a, z, y))
-     or le(a, z, wedge_q(a, star(a, wedge_q(a, star(a, y), x)), x))),
-    ("(2)", lambda a, x, y: wedge_q(a, star(a, wedge_q(a, star(a, y), x)), x)
-     == wedge_p(a, x, y)),
-    ("(3)", lambda a, x: wedge_q(a, star(a, x), x) == a.zero),
+    ("(1)", _implies(_lel(Z, X), _lel(Z, Y), _le(Z, _wedgeq(_neg(_wedgeq(_neg(Y), X)), X)))),
+    ("(2)", _eq(_wedgeq(_neg(_wedgeq(_neg(Y), X)), X), _wedgep(X, Y))),
+    ("(3)", _eq(_wedgeq(_neg(X), X), ZERO)),
 )
 
 

@@ -4,7 +4,7 @@ from functools import lru_cache
 import pytest
 
 from orthologic import FiniteAlgebra, associated_orthospace, classify, enumerate_models, fixture
-from orthologic.algebra import iter_bits
+from orthologic.algebra import iter_bits, le_l
 from orthologic.fixtures import FIXTURE_NAMES
 from orthologic.orthospace import OrthoSpace
 
@@ -129,6 +129,36 @@ def hexagons(k):
     below.append((1 << n) - 1)
     comp.append(0)
     return ortholattice_iol(f"hex{k}-", below, comp)
+
+
+def _order(alg):
+    """Down-set masks and complements of the ortholattice of an i-OL."""
+    below = [sum(1 << y for y in range(alg.n) if le_l(alg, y, x)) for x in range(alg.n)]
+    return below, [alg.arrow[x][alg.zero] for x in range(alg.n)]
+
+
+def direct_product(a, b):
+    """The i-OL of the product of the two ortholattices; (i, j) is i * b.n + j."""
+    (below_a, comp_a), (below_b, comp_b) = _order(a), _order(b)
+    below = [sum(1 << k * b.n + m for k in iter_bits(below_a[i]) for m in iter_bits(below_b[j]))
+             for i in range(a.n) for j in range(b.n)]
+    comp = [comp_a[i] * b.n + comp_b[j] for i in range(a.n) for j in range(b.n)]
+    return ortholattice_iol(f"{a.name}x{b.name}-", below, comp)
+
+
+def horizontal_sum(a, b):
+    """The i-OL of the horizontal sum of the two ortholattices: their 0s and
+    1s glued, every other element of one incomparable to those of the other."""
+    middle = [(k, x) for k, alg in enumerate((a, b))
+              for x in range(alg.n) if x not in (alg.zero, alg.one)]
+    n = len(middle) + 2
+    at = {m: i + 1 for i, m in enumerate(middle)}
+    for k, alg in enumerate((a, b)):
+        at[(k, alg.zero)], at[(k, alg.one)] = 0, n - 1
+    orders = [_order(a), _order(b)]
+    below = [1] + [sum(1 << at[(k, y)] for y in iter_bits(orders[k][0][x])) for k, x in middle]
+    comp = [n - 1] + [at[(k, orders[k][1][x])] for k, x in middle] + [0]
+    return ortholattice_iol(f"{a.name}+{b.name}-", below + [(1 << n) - 1], comp)
 
 
 def without_pair(space):

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -12,7 +15,15 @@ from orthologic.cli import main
 from orthologic.documents import algebra_to_document
 from orthologic.fixtures import FIXTURE_NAMES
 
-from conftest import relabel
+from conftest import (
+    boolean_iol,
+    direct_product,
+    hexagons,
+    horizontal_sum,
+    mo_iol,
+    relabel,
+    relabelled,
+)
 
 
 # -- documents -------------------------------------------------------------------
@@ -394,3 +405,81 @@ def test_cli_exit_codes_on_random_documents(text):
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 code = run_cli(*argv)
             assert code in (0, 1, 2, 3), argv
+
+
+# -- ortho and sasaki reports on combined i-OLs ---------------------------------------
+
+REPORT_COMMANDS = (
+    ("ortho", "--cl", "--dacey", "--blocks", "--normal", "--sasaki-space", "--json"),
+    ("sasaki", "--projections", "--commute", "--center", "--full-set", "--json"),
+)
+REPORT_BASES = (boolean_iol(2), boolean_iol(3), mo_iol(2), mo_iol(3), hexagons(1), hexagons(2))
+
+
+@st.composite
+def combined_iols(draw):
+    """A known i-OL, alone or combined with a second one by direct product
+    (at most 36 elements) or horizontal sum, and a seeded relabelling."""
+    alg = draw(st.sampled_from(REPORT_BASES))
+    how = draw(st.sampled_from(("alone", "product", "sum")))
+    small = [b for b in REPORT_BASES if alg.n * b.n <= 36]
+    if how == "product" and small:
+        alg = direct_product(alg, draw(st.sampled_from(small)))
+    elif how == "sum":
+        alg = horizontal_sum(alg, draw(st.sampled_from(REPORT_BASES)))
+    return alg, draw(st.integers(0, 1 << 16))
+
+
+def report_verdicts(path):
+    """Exit code and relabelling-invariant parts of both reports."""
+    verdicts = []
+    for cmd, *flags in REPORT_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run_cli(cmd, str(path), *flags)
+        assert code in (0, 1) and err.getvalue() == "", (cmd, code, err.getvalue())
+        doc = json.loads(out.getvalue())
+        verdicts.append((code, sorted(doc.get("center", ())), len(doc.get("orthoclosed", ())))
+                        + tuple(doc[key]["status"] for key in
+                                ("dacey", "normal", "sasaki_space", "full_set") if key in doc))
+    return verdicts
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=combined_iols())
+def test_reports_on_combined_iols_do_not_depend_on_labelling(case, tmp_path_factory):
+    alg, seed = case
+    tmp = tmp_path_factory.mktemp("reports")
+    verdicts = []
+    for k, copy in enumerate((alg, relabelled(alg, seed))):
+        path = tmp / f"copy{k}.json"
+        path.write_text(serialize_algebra(copy), encoding="utf-8")
+        verdicts.append(report_verdicts(path))
+    assert verdicts[0] == verdicts[1]
+    (_, _, _, dacey, _, _), (_, _, _, full_set) = verdicts[0]
+    ioml = classify(alg).is_ioml
+    assert (dacey == "pass", full_set == "pass") == (ioml, ioml)
+
+
+# -- a reader that closes standard output early ------------------------------------------
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.mark.parametrize("argv", [
+    ("theorems", "ioml10"),
+    ("theorems", "ioml10", "--json"),
+    ("classify", "ioml10"),
+    ("enumerate", "--size", "6", "--class", "iol"),
+    ("ortho", "benzene6", "--dacey"),
+], ids="-".join)
+def test_cli_exit_code_survives_a_closed_stdout(argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    cmd = [sys.executable, "-m", "orthologic.cli", *argv]
+    expected = subprocess.run(cmd, stdout=subprocess.DEVNULL, env=env).returncode
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (expected, b"")

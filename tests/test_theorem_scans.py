@@ -1,19 +1,23 @@
-"""The registry's two sized scans against the straightforward scans they
-replace.
+"""The registry's compiled formulas and sized scans against the
+straightforward scans they replace.
 
-``_scan_items`` runs each item at the arity of its own predicate; the
-reference runs every item over all tuples of the check's arity, in
-lexicographic order, items in listed order, and reports the first failure.
-``_subset_items`` makes one incremental pass over the subsets for items (4)
-and (5) of L7-DOWNSET; the reference rebuilds every intersection, meet and
-perp mask by mask.  Verdicts, witnesses and raised errors must agree.
+Every registry formula is compiled to a row scan; ``REFERENCE`` keeps the
+Python lambda each one replaced, and both must give the same least failing
+tuple on fixtures, small i-OLs, one-cell mutations, large relabelled i-OLs
+and random tables.  ``_scan_items`` runs each item at the arity of its own
+predicate; the reference runs every item over all tuples of the check's
+arity, in lexicographic order, items in listed order, and reports the first
+failure.  ``_subset_items`` makes one incremental pass over the subsets for
+items (4) and (5) of L7-DOWNSET; the reference rebuilds every intersection,
+meet and perp mask by mask.  Verdicts, witnesses and raised errors must
+agree.
 """
 
 import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from orthologic import (
     AlgebraError,
@@ -26,31 +30,333 @@ from orthologic import (
     run_check,
     theorems,
 )
-from orthologic.algebra import CheckResult, NonLatticeError, big_meet, down_set, iter_bits, star
+from orthologic import algebra
+from orthologic.algebra import (
+    CheckResult,
+    NonLatticeError,
+    big_meet,
+    down_set,
+    first_failure,
+    formula_roles,
+    iter_bits,
+    le,
+    le_l,
+    le_q,
+    ortho,
+    star,
+    vee_q,
+    wedge_p,
+    wedge_q,
+)
 from orthologic.enumeration import _search_tables
 from orthologic.fixtures import FIXTURE_NAMES
 from orthologic.orthospace import perp
+from orthologic.sasaki import commutes, divides
 from orthologic.theorems import _scan_items, _space_masks, _subset_items
 
-from conftest import hexagons, ortholattice_iol, relabelled, without_pair
+from conftest import (
+    boolean_iol,
+    hexagons,
+    iols_up_to,
+    mo_iol,
+    ortholattice_iol,
+    relabelled,
+    without_pair,
+)
 
 ROLES = ("x", "y", "z", "u")
 
 
+# -- the registry's predicates as Python callables ---------------------------
+#
+# The lambdas the registry ran before its items, clauses and pointwise sides
+# became formulas, keyed by (check id, item tag or clause label).  Each reads
+# the arrow table through the functions of ``algebra`` and ``sasaki``, so it is
+# an encoding independent of the term compiler.
+
+def _m_pimpl(a, x, y):
+    t = star(a, wedge_p(a, x, star(a, y)))
+    return star(a, wedge_p(a, t, star(a, x))) == x
+
+
+def _central_arrow(a, x, y, z):
+    if not (commutes(a, x, z) and commutes(a, y, z)):
+        return True
+    t = a.arrow[x][y]
+    return le_l(a, t, a.arrow[a.arrow[t][star(a, z)]][star(a, a.arrow[t][z])])
+
+
+REFERENCE = {
+    ("L2-BE-PROPS", "(1)"): lambda a, x, y: a.arrow[x][a.arrow[y][x]] == a.one,
+    ("L2-BE-PROPS", "(2)"): lambda a, x, y: le(a, x, vee_q(a, x, y)),
+    ("L2-BE-PROPS", "(3)"): lambda a, x, y: a.arrow[x][star(a, y)] == a.arrow[y][star(a, x)],
+    ("L2-BE-PROPS", "(4)"): lambda a, x: le(a, x, star(a, star(a, x))),
+    ("L2-BE-PROPS", "(5)"): lambda a, x, y: a.arrow[star(a, x)][y] == a.arrow[star(a, y)][x],
+    ("L2-BE-PROPS", "(6)"): lambda a, x, y: a.arrow[star(a, x)][star(a, y)] == a.arrow[y][x],
+    ("L2-BE-PROPS", "(7)"): lambda a, x, y, z: a.arrow[star(a, a.arrow[x][y])][z]
+    == a.arrow[x][a.arrow[star(a, y)][z]],
+    ("L2-BE-PROPS", "(8)"): lambda a, x, y, z: a.arrow[x][a.arrow[y][z]]
+    == a.arrow[star(a, a.arrow[x][star(a, y)])][z],
+    ("L2-BE-PROPS", "(9)"): lambda a, x, y: a.arrow[star(a, a.arrow[star(a, x)][y])][
+        a.arrow[star(a, x)][y]]
+    == a.arrow[star(a, a.arrow[star(a, x)][x])][a.arrow[star(a, y)][y]],
+    ("P2-QBE-PROPS", "(1)"): lambda a, x, y: not le_q(a, x, y)
+    or (x == wedge_q(a, y, x) and y == vee_q(a, x, y)),
+    ("P2-QBE-PROPS", "(2-refl)"): lambda a, x: le_q(a, x, x),
+    ("P2-QBE-PROPS", "(2-antisym)"): lambda a, x, y: not (le_q(a, x, y) and le_q(a, y, x))
+    or x == y,
+    ("P2-QBE-PROPS", "(3)"): lambda a, x, y: vee_q(a, x, y)
+    == star(a, wedge_q(a, star(a, x), star(a, y))),
+    ("P2-QBE-PROPS", "(4)"): lambda a, x, y: not le_q(a, x, y) or le(a, x, y),
+    ("P2-QBE-PROPS", "(5)"): lambda a, x, y, z: not (le_q(a, x, z) and le_q(a, y, z)
+                                                     and a.arrow[z][x] == a.arrow[z][y])
+    or x == y,
+    ("P2-QBE-PROPS", "(6)"): lambda a, x, y: not le_l(a, x, y) or le(a, x, y),
+    ("P2-QBE-PROPS", "(7-antisym)"): lambda a, x, y: not (le_l(a, x, y) and le_l(a, y, x))
+    or x == y,
+    ("P2-QBE-PROPS", "(7-trans)"): lambda a, x, y, z: not (le_l(a, x, y) and le_l(a, y, z))
+    or le_l(a, x, z),
+    ("P2-QBE-PROPS", "(8)"): lambda a, x, y, z: not (le_l(a, z, x) and le_l(a, z, y))
+    or le_l(a, z, wedge_p(a, x, y)),
+    ("P2-QBE-PROPS", "(9)"): lambda a, x, y, z, u: a.arrow[wedge_p(a, x, y)][
+        a.arrow[z][star(a, u)]]
+    == a.arrow[wedge_p(a, x, z)][a.arrow[y][star(a, u)]],
+    ("R2-LEL-ORDER-IFF-IG", "reflexive"): lambda a, x: le_l(a, x, x),
+    ("R2-LEL-ORDER-IFF-IG", "antisymmetric"): lambda a, x, y: not (le_l(a, x, y)
+                                                                   and le_l(a, y, x))
+    or x == y,
+    ("R2-LEL-ORDER-IFF-IG", "transitive"): lambda a, x, y, z: not (le_l(a, x, y)
+                                                                  and le_l(a, y, z))
+    or le_l(a, x, z),
+    ("L2-IOL-PROPS", "(1)"): lambda a, x, y: le_l(a, x, y) == le_l(a, star(a, y), star(a, x)),
+    ("L2-IOL-PROPS", "(2)"): lambda a, x, y: not le_q(a, x, y) or le_l(a, x, y),
+    ("L2-IOL-PROPS", "(3)"): lambda a, x, y: le_l(a, x, a.arrow[y][x])
+    and le_l(a, x, a.arrow[star(a, x)][y]),
+    ("L2-IOL-PROPS", "(4)"): lambda a, x, y: le_l(a, wedge_p(a, x, y), x)
+    and le_l(a, wedge_p(a, x, y), y),
+    ("L2-IOL-PROPS", "(5)"): lambda a, x, y: (star(a, x) == a.arrow[x][y])
+    == (star(a, y) == a.arrow[y][x]),
+    ("L2-IOL-PROPS", "(6)"): lambda a, x, y: wedge_q(a, x, y) != x
+    or wedge_q(a, x, star(a, y)) == a.zero,
+    ("L2-IOL-PROPS", "(7)"): lambda a, x, y: not le_l(a, x, y)
+    or wedge_q(a, x, star(a, y)) == a.zero,
+    ("L2-IOL-PROPS", "(8)"): lambda a, x, y, z: not le_l(a, x, y)
+    or (le_l(a, a.arrow[y][z], a.arrow[x][z]) and le_l(a, a.arrow[z][x], a.arrow[z][y])),
+    ("L2-IOL-PROPS", "(9)"): lambda a, x, y, z: not le_l(a, x, y)
+    or (le_l(a, vee_q(a, x, z), vee_q(a, y, z))
+        and le_l(a, wedge_q(a, x, z), wedge_q(a, y, z))),
+    ("L2-IOL-PROPS", "(10)"): lambda a, x, y, z: not (le_l(a, x, z) and le_l(a, y, z))
+    or le_l(a, a.arrow[star(a, x)][y], z),
+    ("L2-IOL-PROPS", "(11)"): lambda a, x, y: le_l(
+        a, a.arrow[a.arrow[x][star(a, y)]][star(a, a.arrow[x][y])], x),
+    ("L2-IOL-PROPS", "(12)"): lambda a, x, y, z, u: not (le_l(a, x, y) and le_l(a, z, u))
+    or le_l(a, a.arrow[star(a, x)][z], a.arrow[star(a, y)][u]),
+    ("T2-CHAR-IOML-LE", "(b)"): lambda a, x, y: not le_l(a, x, y) or le_q(a, x, y),
+    ("T2-CHAR-IOML-LE", "(c)"): lambda a, x, y: not le_l(a, x, y) or y == vee_q(a, y, x),
+    ("C2-LEQ-EQ-LEL", "le_q"): le_q,
+    ("C2-LEQ-EQ-LEL", "le_l"): le_l,
+    ("P2-IOML-PROPS-A", "(1)"): lambda a, x, y: a.arrow[x][wedge_q(a, y, x)] == a.arrow[x][y],
+    ("P2-IOML-PROPS-A", "(2)"): lambda a, x, y: a.arrow[vee_q(a, x, y)][
+        star(a, a.arrow[x][y])] == star(a, y),
+    ("P2-IOML-PROPS-A", "(3)"): lambda a, x, y, z: wedge_q(
+        a, x, wedge_q(a, a.arrow[y][x], a.arrow[z][x])) == x,
+    ("P2-IOML-PROPS-A", "(4)"): lambda a, x, y: a.arrow[a.arrow[x][y]][wedge_q(a, y, x)] == x,
+    ("P2-IOML-PROPS-A", "(5)"): lambda a, x, y: not (le(a, x, y) and le_l(a, y, x)) or x == y,
+    ("P2-IOML-PROPS-A", "(6)"): lambda a, x, y: le_l(a, wedge_q(a, x, y), y)
+    and le_l(a, y, vee_q(a, x, y)),
+    ("P2-IOML-PROPS-A", "(7)"): lambda a, x, y: a.arrow[wedge_q(a, x, y)][wedge_q(a, y, x)]
+    == a.one,
+    ("P2-IOML-PROPS-A", "(8)"): lambda a, x, y: a.arrow[vee_q(a, x, y)][vee_q(a, y, x)]
+    == a.one,
+    ("P2-IOML-PROPS-A", "(9)"): lambda a, x, y: a.arrow[vee_q(a, x, y)][y] == a.arrow[x][y],
+    ("P2-IOML-PROPS-A", "(10)"): lambda a, x, y, z: wedge_q(a, wedge_q(a, x, y),
+                                                           wedge_q(a, y, z))
+    == wedge_q(a, wedge_q(a, x, y), z),
+    ("P2-IOML-PROPS-B", "(1)"): lambda a, x, y, z: not (le_l(a, x, y) and le_l(a, x, z))
+    or le_l(a, x, wedge_q(a, y, z)),
+    ("P2-IOML-PROPS-B", "(2)"): lambda a, x, y, z: not le_l(a, x, y)
+    or wedge_q(a, wedge_q(a, z, y), x) == wedge_q(a, z, x),
+    ("P2-IOML-PROPS-B", "(3)"): lambda a, x, y: not (le(a, x, y) and le_l(a, y, x)) or x == y,
+    ("P2-IOML-PROPS-B", "(4)"): lambda a, x, y, z: not (le_l(a, y, x) and le_l(a, z, x))
+    or le_l(a, vee_q(a, y, z), x),
+    ("P2-IOML-PROPS-B", "(5)"): lambda a, x, y: a.arrow[x][wedge_q(a, x, y)] == a.arrow[x][y],
+    ("P2-IOML-PROPS-B", "(6)"): lambda a, x, y: wedge_q(a, x, star(a, y)) != a.zero
+    or wedge_q(a, x, y) == x,
+    ("T2-CHAR-IOML-5WAY", "(b)"): lambda a, x, y: a.arrow[a.arrow[x][y]][wedge_q(a, y, x)]
+    == x,
+    ("T2-CHAR-IOML-5WAY", "(c)"): lambda a, x, y: not (le(a, x, y) and le_l(a, y, x))
+    or x == y,
+    ("T2-CHAR-IOML-5WAY", "(d)"): lambda a, x, y: wedge_q(a, x, star(a, y)) != a.zero
+    or wedge_q(a, x, y) == x,
+    ("T2-CHAR-IOML-5WAY", "(e)"): lambda a, x, y: a.arrow[x][wedge_q(a, x, y)]
+    == a.arrow[x][y],
+    ("MBE-EQ", "PU"): lambda a, x: wedge_p(a, a.one, x) == x,
+    ("MBE-EQ", "Pcomm"): lambda a, x, y: wedge_p(a, x, y) == wedge_p(a, y, x),
+    ("MBE-EQ", "Pass"): lambda a, x, y, z: wedge_p(a, x, wedge_p(a, y, z))
+    == wedge_p(a, wedge_p(a, x, y), z),
+    ("MBE-EQ", "m-La"): lambda a, x: wedge_p(a, x, a.zero) == a.zero,
+    ("MBE-EQ", "m-Re"): lambda a, x: wedge_p(a, x, star(a, x)) == a.zero,
+    ("MBE-EQ", "m-Pimpl"): _m_pimpl,
+    ("L3-ORTHO-BASICS", "(1)"): lambda a, x, y: ortho(a, x, y) == ortho(a, y, x),
+    ("L3-ORTHO-BASICS", "(2)"): lambda a, x: ortho(a, x, x) == (x == a.zero),
+    ("L3-ORTHO-BASICS", "(3)"): lambda a, x: ortho(a, a.zero, x),
+    ("L3-ORTHO-BASICS", "(4)"): lambda a, x: ortho(a, a.one, x) == (x == a.zero),
+    ("L3-ORTHO-BASICS", "(5)"): lambda a, x, y: not le_l(a, x, y) or ortho(a, x, star(a, y)),
+    ("L3-ORTHO-BASICS", "(6)"): lambda a, x, y: ortho(a, x, star(a, a.arrow[y][x])),
+    ("L3-ORTHO-BASICS", "(7)"): lambda a, x, y: ortho(a, x, y) == le_l(a, x, star(a, y)),
+    ("L3-ORTHO-CONSEQ", "(1)"): lambda a, x, y: not ortho(a, x, y)
+    or (a.arrow[star(a, x)][star(a, y)] == star(a, y)
+        and a.arrow[star(a, y)][star(a, x)] == star(a, x)),
+    ("L3-ORTHO-CONSEQ", "(2)"): lambda a, x, y: not ortho(a, x, y)
+    or a.arrow[a.arrow[star(a, x)][y]][x] == star(a, y),
+    ("L3-ORTHO-CONSEQ", "(3)"): lambda a, x, y: not ortho(a, x, y)
+    or a.arrow[a.arrow[star(a, x)][y]][y] == star(a, x),
+    ("L3-ORTHO-CONSEQ", "(4)"): lambda a, x, y: not ortho(a, x, y)
+    or a.arrow[star(a, x)][star(a, a.arrow[star(a, x)][y])] == star(a, y),
+    ("P3-PERP-IFF-MEETZERO", "ortho"): ortho,
+    ("P3-PERP-IFF-MEETZERO", "meet-zero"): lambda a, x, y: wedge_q(a, x, y) == a.zero,
+    ("P3-CHAR-IOML-ORTHO", "ortho-meet"): lambda a, x, y: not ortho(a, x, y)
+    or wedge_q(a, x, star(a, y)) == x,
+    ("P4-SP-BASIC", "(1)"): lambda a, x: wedge_q(a, x, x) == x
+    and wedge_q(a, x, a.one) == x and wedge_q(a, a.one, x) == x
+    and wedge_q(a, x, a.zero) == a.zero and wedge_q(a, a.zero, x) == a.zero
+    and wedge_q(a, star(a, x), x) == a.zero
+    and wedge_q(a, x, star(a, x)) == a.zero,
+    ("P4-SP-BASIC", "(2)"): lambda a, x, y: not le_l(a, x, y) or wedge_q(a, y, x) == x,
+    ("P4-SP-BASIC", "(3)"): lambda a, x, y: wedge_q(a, y, wedge_q(a, y, x)) == wedge_q(a, y, x),
+    ("P4-SP-BASIC", "(4)"): lambda a, x, y: not le_q(a, x, y) or wedge_q(a, x, y) == x,
+    ("P4-SP-BASIC", "(5)"): lambda a, x, y, z: not le_l(a, x, y)
+    or le_l(a, wedge_q(a, x, z), wedge_q(a, y, z)),
+    ("P4-SP-IOML", "(2)"): lambda a, x, y: wedge_q(a, wedge_q(a, x, y), y) == wedge_q(a, x, y),
+    ("P4-SP-IOML", "(3)"): lambda a, x, y: wedge_q(a, star(a, wedge_q(a, x, y)), y)
+    == star(a, a.arrow[y][x]),
+    ("P4-SP-IOML", "(4)"): lambda a, x, y: le_l(
+        a, wedge_q(a, star(a, wedge_q(a, x, y)), y), star(a, x)),
+    ("P4-SP-IOML", "(5)"): lambda a, x, y, z: le_l(a, wedge_q(a, x, z), star(a, y))
+    == le_l(a, wedge_q(a, y, z), star(a, x)),
+    ("P4-SP-IOML", "(6)"): lambda a, x, y: wedge_q(a, wedge_q(a, x, y), x) == wedge_q(a, y, x),
+    ("P4-SP-IOML", "(7)"): lambda a, x, y, z: x != wedge_q(a, x, y)
+    or wedge_q(a, z, x) == wedge_q(a, wedge_q(a, z, y), x),
+    ("P4-SP-IOML-B", "(1)"): lambda a, x, y: (wedge_q(a, x, y) == x) == le_l(a, x, y),
+    ("P4-SP-IOML-B", "(2)"): lambda a, x, y: (wedge_q(a, x, y) == a.zero)
+    == le_l(a, x, star(a, y)),
+    ("P4-SP-IOML-B", "(3)"): lambda a, x, y, z: not le_l(a, x, y)
+    or wedge_q(a, wedge_q(a, z, y), x) == wedge_q(a, z, x),
+    ("P4-SP-IOML-B", "(4)"): lambda a, x, y, z: (star(a, wedge_q(a, x, z))
+                                                 == a.arrow[wedge_q(a, x, z)][y])
+    == (star(a, wedge_q(a, y, z)) == a.arrow[wedge_q(a, y, z)][x]),
+    ("P4-SP-IOML-B", "(6)"): lambda a, x, y, z: ortho(a, wedge_q(a, x, z), y)
+    == ortho(a, x, wedge_q(a, y, z)),
+    ("P4-SP-IOML-B", "(7)"): lambda a, x, y: ortho(a, x, y) == (wedge_q(a, y, x) == a.zero),
+    ("P4-SP-IOML-B", "(8)"): lambda a, x, y: not ortho(a, x, y)
+    or ortho(a, wedge_q(a, x, y), star(a, y)),
+    ("T4-SASAKI-PERP-CHAR", "swap"): lambda a, x, y, z: not ortho(a, wedge_q(a, x, y), z)
+    or ortho(a, x, wedge_q(a, z, y)),
+    ("L4-C-BASICS", "(1)"): lambda a, x: commutes(a, x, x) and commutes(a, x, a.zero)
+    and commutes(a, a.zero, x) and commutes(a, x, a.one)
+    and commutes(a, a.one, x) and commutes(a, x, star(a, x))
+    and commutes(a, star(a, x), x),
+    ("L4-C-BASICS", "(2)"): lambda a, x, y: not (le_l(a, x, y) or le_l(a, x, star(a, y)))
+    or commutes(a, x, y),
+    ("L4-C-BASICS", "(3)"): lambda a, x, y: commutes(a, x, a.arrow[y][x])
+    and commutes(a, x, a.arrow[star(a, x)][y])
+    and commutes(a, y, a.arrow[star(a, x)][y]),
+    ("T4-C-SYMMETRIC", "C-symmetric"): lambda a, x, y: not commutes(a, x, y)
+    or commutes(a, y, x),
+    ("C4-C-MEET-COMM", "C-meet"): lambda a, x, y: not commutes(a, x, y)
+    or wedge_q(a, x, y) == wedge_q(a, y, x),
+    ("L4-C-STAR-CLOSED", ""): lambda a, x, y: not commutes(a, x, y)
+    or (commutes(a, x, star(a, y)) and commutes(a, star(a, x), y)
+        and commutes(a, star(a, x), star(a, y))),
+    ("P4-C-FORMULA", "C"): commutes,
+    ("P4-C-FORMULA", "equation"): lambda a, x, y: a.arrow[a.arrow[x][star(a, y)]][
+        star(a, a.arrow[x][y])] == x,
+    ("P4-C-MEET-FORMULA", "C"): commutes,
+    ("P4-C-MEET-FORMULA", "meet-form"): lambda a, x, y: wedge_q(a, x, y) == wedge_p(a, x, y),
+    ("C4-C-4WAY", "(a)"): commutes,
+    ("C4-C-4WAY", "(b)"): lambda a, x, y: wedge_q(a, x, y) == wedge_q(a, y, x),
+    ("C4-C-4WAY", "(c)"): lambda a, x, y: vee_q(a, x, y) == vee_q(a, y, x),
+    ("C4-C-4WAY", "(d)"): lambda a, x, y: wedge_q(a, y, x) == wedge_q(a, x, y),
+    ("T4-SP-COMPOSE", "(a)"): commutes,
+    ("L5-C-IFF-D", "C"): commutes,
+    ("L5-C-IFF-D", "D"): divides,
+    ("L5-D-BASICS", "(1)"): lambda a, x: divides(a, x, x) and divides(a, x, a.zero)
+    and divides(a, a.zero, x) and divides(a, x, a.one)
+    and divides(a, a.one, x) and divides(a, x, star(a, x))
+    and divides(a, star(a, x), x),
+    ("L5-D-BASICS", "(2)"): lambda a, x, y: not (le_l(a, x, y) or le_l(a, x, star(a, y)))
+    or divides(a, x, y),
+    ("L5-D-BASICS", "(3)"): lambda a, x, y: divides(a, x, a.arrow[y][x])
+    and divides(a, x, a.arrow[star(a, x)][y])
+    and divides(a, y, a.arrow[star(a, x)][y]),
+    ("L5-D-BASICS", "(4)"): lambda a, x, y: not ortho(a, x, y)
+    or (divides(a, x, y) and divides(a, y, x)
+        and divides(a, x, star(a, y)) and divides(a, star(a, y), x)),
+    ("L5-D-BASICS", "(5)"): lambda a, x, y: divides(a, star(a, x), a.arrow[star(a, x)][y])
+    and divides(a, star(a, y), a.arrow[star(a, x)][y])
+    and divides(a, x, star(a, a.arrow[star(a, x)][y]))
+    and divides(a, y, star(a, a.arrow[star(a, x)][y])),
+    ("T5-BOOLEAN-6WAY", "(b)"): lambda a, x, y: wedge_q(a, x, y) == wedge_p(a, x, y),
+    ("T5-BOOLEAN-6WAY", "(c)"): lambda a, x, y: wedge_q(a, x, y) == wedge_q(a, y, x),
+    ("T5-BOOLEAN-6WAY", "(d)"): lambda a, x, y: vee_q(a, x, y) == vee_q(a, y, x),
+    ("T5-BOOLEAN-6WAY", "(e)"): commutes,
+    ("T5-BOOLEAN-6WAY", "(f)"): divides,
+    ("T5-BOOLEAN-MEETLE", "(b)"): lambda a, x, y: le_l(a, wedge_q(a, x, y), x),
+    ("T5-BOOLEAN-MEETLE", "(c)"): lambda a, x, y: le_l(a, x, vee_q(a, x, y)),
+    ("T5-BOOLEAN-LE", "le-in-le_l"): lambda a, x, y: not le(a, x, y) or le_l(a, x, y),
+    ("C5-ORDERS-COINCIDE", "le"): le,
+    ("C5-ORDERS-COINCIDE", "le_l"): le_l,
+    ("C5-ORDERS-COINCIDE", "le_q"): le_q,
+    ("L5-CENTER-ARROW", ""): _central_arrow,
+    ("P6-FULL-PROPS", "(1)"): lambda a, x, y, z: not (le_l(a, z, x) and le_l(a, z, y))
+    or le(a, z, wedge_q(a, star(a, wedge_q(a, star(a, y), x)), x)),
+    ("P6-FULL-PROPS", "(2)"): lambda a, x, y: wedge_q(a, star(a, wedge_q(a, star(a, y), x)), x)
+    == wedge_p(a, x, y),
+    ("P6-FULL-PROPS", "(3)"): lambda a, x: wedge_q(a, star(a, x), x) == a.zero,
+}
+
+
 def arity_of(pred):
-    return pred.__code__.co_argcount - 1
+    if callable(pred):
+        return pred.__code__.co_argcount - 1
+    return len(formula_roles(pred))
+
+
+def reference_first_failure(alg, pred):
+    for tup in product(range(alg.n), repeat=arity_of(pred)):
+        if not pred(alg, *tup):
+            return tup
+    return None
+
+
+def reference_of(check_id, label, pred):
+    """The callable a registry predicate stands for."""
+    return pred if callable(pred) else REFERENCE[(check_id, label)]
 
 
 def reference_scan_items(alg, check_id, arity, items):
     """The full-arity scan: every item sees every tuple of the check's
     arity, and reads the prefix its predicate takes."""
     roles = ROLES[:arity]
+    preds = [reference_of(check_id, tag, pred) for tag, pred in items]
     for tup in product(range(alg.n), repeat=arity):
-        for tag, pred in items:
+        for (tag, _), pred in zip(items, preds):
             if not pred(alg, *tup[:arity_of(pred)]):
                 witness = (("item", tag),) + tuple(
                     (r, alg.elements[v]) for r, v in zip(roles, tup))
                 return CheckResult(check_id, "fail", witness)
+    return CheckResult(check_id, "pass")
+
+
+def reference_pointwise(alg, check_id, arity, sides):
+    """The tuple-by-tuple scan of sides that must agree."""
+    preds = [reference_of(check_id, label, pred) for label, pred in sides]
+    for tup in product(range(alg.n), repeat=arity):
+        values = [pred(alg, *tup) for pred in preds]
+        if len(set(values)) > 1:
+            names = tuple((r, alg.elements[v]) for r, v in zip(ROLES, tup))
+            return CheckResult(check_id, "fail", names + tuple(
+                (label, "holds" if v else "fails") for (label, _), v in zip(sides, values)))
     return CheckResult(check_id, "pass")
 
 
@@ -153,18 +459,23 @@ def test_scan_items_matches_the_full_arity_scan(case):
 
 
 def registry_scans(monkeypatch, algebras, direct=False):
-    """Run the registry on the algebras with ``_scan_items`` checked against
-    the reference on every call; return (check id, check arity, item
-    arities, status) per call.  ``direct`` bypasses the class preconditions."""
+    """Run the registry on the algebras with ``_scan_items`` and
+    ``_pointwise_equiv`` checked against their references on every call;
+    return (check id, check arity, item or side arities, status) per call.
+    ``direct`` bypasses the class preconditions."""
     calls = []
 
-    def checked(alg, check_id, arity, items):
-        res = _scan_items(alg, check_id, arity, items)
-        assert res == reference_scan_items(alg, check_id, arity, items), alg.arrow
-        calls.append((check_id, arity, tuple(arity_of(pred) for _, pred in items), res.status))
-        return res
+    def checking(scan, reference):
+        def checked(alg, check_id, arity, items):
+            res = scan(alg, check_id, arity, items)
+            assert res == reference(alg, check_id, arity, items), (check_id, alg.arrow)
+            calls.append((check_id, arity, tuple(arity_of(p) for _, p in items), res.status))
+            return res
+        return checked
 
-    monkeypatch.setattr(theorems, "_scan_items", checked)
+    monkeypatch.setattr(theorems, "_scan_items", checking(_scan_items, reference_scan_items))
+    monkeypatch.setattr(theorems, "_pointwise_equiv",
+                        checking(theorems._pointwise_equiv, reference_pointwise))
     for alg in algebras:
         if not direct:
             run_all(alg)
@@ -180,7 +491,8 @@ def registry_scans(monkeypatch, algebras, direct=False):
 def test_no_item_takes_more_roles_than_its_check(monkeypatch):
     calls = registry_scans(monkeypatch, [fixture(name) for name in sorted(FIXTURE_NAMES)])
     declared = {spec.check_id: spec.arity for spec in list_checks()}
-    assert len({call[0] for call in calls}) == 16  # every scanning check
+    # every item check, and every pointwise one but the i-Boolean C5-ORDERS-COINCIDE
+    assert len({call[0] for call in calls}) == 16 + 7
     for check_id, arity, item_arities, _ in calls:
         assert arity == declared[check_id]
         assert all(1 <= k <= arity for k in item_arities), (check_id, item_arities)
@@ -198,6 +510,123 @@ def test_registry_items_agree_on_failing_tables(monkeypatch):
     calls = registry_scans(monkeypatch, tables, direct=True)
     failing = {check_id for check_id, _, _, status in calls if status == "fail"}
     assert len(failing) >= 10
+
+
+# -- compiled formulas ---------------------------------------------------------
+
+LONG_ROW_BUDGET = 5000  # tuples per reference scan on the large i-OLs
+
+
+def random_tables(count, seed):
+    """Tables with arbitrary entries and constants, n = 1..7: almost every
+    formula fails, most of them early."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = rng.randint(1, 7)
+        arrow = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
+        yield FiniteAlgebra(f"rand{k}", tuple(f"e{i}" for i in range(n)), arrow,
+                            rng.randrange(n), rng.randrange(n))
+
+
+def long_rows():
+    """Relabelled 2^4..2^6, MO_7 and MO_15 (16 to 64 elements), and seeded
+    one-cell mutations of the 16-element ones."""
+    rng = random.Random(17)
+    large = [relabelled(boolean_iol(k), k) for k in (4, 5, 6)]
+    large += [relabelled(mo_iol(m), m) for m in (7, 15)]
+    for alg in (large[0], large[3]) * 4:
+        free = [i for i in range(alg.n) if i not in (alg.one, alg.zero)]
+        arrow = [list(row) for row in alg.arrow]
+        arrow[rng.choice(free)][rng.choice(free)] = rng.randrange(alg.n)
+        large.append(FiniteAlgebra(f"{alg.name}-mut", alg.elements, tuple(map(tuple, arrow)),
+                                   alg.one, alg.zero))
+    return large
+
+
+CORPORA = {
+    "fixtures": lambda: [fixture(name) for name in sorted(FIXTURE_NAMES)],
+    "iols": lambda: list(iols_up_to(8)),
+    "mutations": lambda: [alg for _, alg in mutants(60, 11)],
+    "long-rows": long_rows,
+    "random": lambda: list(random_tables(200, 13)),
+}
+
+
+def test_every_formula_keeps_its_lambda():
+    assert set(theorems._FORMULAS) == set(REFERENCE)
+    for key, formula in theorems._FORMULAS.items():
+        assert arity_of(formula) == arity_of(REFERENCE[key]), key
+
+
+@pytest.mark.parametrize("corpus", CORPORA)
+def test_formulas_match_their_lambdas(corpus):
+    outcomes = set()
+    for alg in CORPORA[corpus]():
+        for key, formula in theorems._FORMULAS.items():
+            ref = REFERENCE[key]
+            if alg.n ** arity_of(ref) > LONG_ROW_BUDGET:
+                continue
+            tup = first_failure(alg, formula)
+            assert tup == reference_first_failure(alg, ref), (key, alg.name, alg.arrow)
+            outcomes.add(tup is None)
+    assert outcomes == {True, False}
+
+
+@st.composite
+def formulas(draw, depth=3):
+    """A random formula over the roles, 0 and 1, with every connective."""
+    def element(d):
+        if d == 0 or draw(st.integers(0, 2)) == 0:
+            return draw(st.sampled_from(ROLES + ("0", "1")))
+        return ("->", element(d - 1), element(d - 1))
+
+    def formula(d):
+        kind = draw(st.sampled_from(("=", "=", "not", "and", "or", "iff")))
+        if d == 0 or kind == "=":
+            return ("=", element(2), element(2))
+        if kind == "not":
+            return ("not", formula(d - 1))
+        if kind == "iff":
+            return ("iff", formula(d - 1), formula(d - 1))
+        return (kind, *(formula(d - 1) for _ in range(draw(st.integers(2, 3)))))
+
+    return formula(depth)
+
+
+@settings(max_examples=300, deadline=None)
+@given(formula=formulas(), table=st.integers(0, 10 ** 6))
+def test_compiled_formula_matches_its_rendering(formula, table):
+    # The row scan against the tuple-by-tuple evaluation of the rendered
+    # formula, on a random table with n = 1..7.
+    assume(formula_roles(formula))
+    alg = next(random_tables(1, table))
+    value = algebra._evaluator_of(formula)
+    expected = next((tup for tup in product(range(alg.n), repeat=len(formula_roles(formula)))
+                     if not value(alg.arrow, alg.zero, alg.one, *tup)), None)
+    assert first_failure(alg, formula) == expected
+
+
+X, Y = "x", "y"
+MACROS = [
+    (algebra._neg(X), star),
+    (algebra._veeq(X, Y), vee_q),
+    (algebra._wedgeq(X, Y), wedge_q),
+    (algebra._wedgep(X, Y), wedge_p),
+    (algebra._le(X, Y), le),
+    (algebra._lel(X, Y), le_l),
+    (algebra._leq(X, Y), le_q),
+    (algebra._ortho(X, Y), ortho),
+    (algebra._commutes(X, Y), commutes),
+    (algebra._divides(X, Y), divides),
+]
+
+
+@pytest.mark.parametrize("macro, fn", MACROS, ids=[fn.__name__ for _, fn in MACROS])
+def test_macro_tables_match_the_functions_of_their_names(macro, fn):
+    value = algebra._evaluator_of(macro)
+    for alg in CORPORA["fixtures"]() + CORPORA["random"]()[:50]:
+        for tup in product(range(alg.n), repeat=arity_of(fn)):
+            assert value(alg.arrow, alg.zero, alg.one, *tup) == fn(alg, *tup), (alg.name, tup)
 
 
 # -- L7-DOWNSET items (4) and (5) ------------------------------------------------
