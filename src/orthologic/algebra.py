@@ -8,7 +8,8 @@ and hashable, so results of the heavier classification scans are cached.
 
 ``AXIOMS`` is the single term table of the 17 laws.  Each law is compiled
 once, at import, into two forms: a row scan for ``check_axiom`` and an
-instance predicate for the enumeration pruner's scans of partial tables.  The
+instance predicate for the enumeration pruner, which on a partial table
+says whether an instance holds, fails, or waits on an unknown cell.  The
 row scan loops over every role but the last, in lexicographic order, and
 evaluates both sides as tuples indexed by the last role, each subterm in the
 outermost loop it can live in; the first outer tuple whose two rows differ,
@@ -416,15 +417,31 @@ def _render(term) -> str:
     return "(" + _SCALAR_OPS[head].format(*map(_render, args)) + ")"
 
 
-def _compile(roles, lhs, rhs) -> Callable[..., bool]:
-    """The law as one predicate ``(t, Z, O, U, *roles) -> bool`` over an
-    arrow table ``t`` with 0 = Z and 1 = O: true when the instance holds or
-    when either side evaluates to the marker U.  A partial table whose
-    unknown cells hold U, and whose row and column U hold U throughout,
-    thus rejects exactly the determined instances that fail.  Only the
-    enumeration pruner uses it; ``check_axiom`` runs the row scans below."""
-    body = f"(l := {_render(lhs)}) == (r := {_render(rhs)}) or l == U or r == U"
-    return eval(f"lambda t, Z, O, U, {', '.join(roles)}: {body}")
+def _compile(roles, lhs, rhs) -> Callable[..., tuple[int, int] | bool | None]:
+    """The law as one instance predicate ``(t, Z, O, U, *roles)`` over an
+    arrow table ``t`` with 0 = Z and 1 = O whose unknown cells hold U.  It
+    returns None when the instance holds, False when it fails, and the cell
+    (a, b) of the first unknown arrow it reads, in evaluation order (the
+    left side first, each arrow after its operands), while it is not yet
+    determined.  Only the enumeration pruner uses it; ``check_axiom`` runs
+    the row scans below."""
+    lines = [f"def holds(t, Z, O, U, {', '.join(roles)}):"]
+    names: dict = {}
+
+    def walk(term) -> str:
+        if not isinstance(term, tuple):
+            return {"0": "Z", "1": "O"}.get(term, term)
+        if term not in names:
+            s, u = walk(term[1]), walk(term[2])
+            names[term] = v = f"v{len(names)}"
+            lines.append(f"    {v} = t[{s}][{u}]")
+            lines.append(f"    if {v} == U: return {s}, {u}")
+        return names[term]
+
+    lines.append(f"    if {walk(lhs)} != {walk(rhs)}: return False")
+    scope: dict = {}
+    exec("\n".join(lines), scope)
+    return scope["holds"]
 
 
 def _first_diff(l: tuple, r: tuple) -> int:

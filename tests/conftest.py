@@ -1,10 +1,12 @@
 import random
 from functools import lru_cache
+from itertools import permutations
 
 import pytest
 
 from orthologic import FiniteAlgebra, associated_orthospace, classify, enumerate_models, fixture
 from orthologic.algebra import iter_bits, le_l
+from orthologic.enumeration import _from_key
 from orthologic.fixtures import FIXTURE_NAMES
 from orthologic.orthospace import OrthoSpace
 
@@ -46,10 +48,36 @@ def sasaki6_space(sasaki6):
     return associated_orthospace(sasaki6)
 
 
+def brute_force_key(alg):
+    """Min-lex flattened arrow table over all relabelings that keep 0 first
+    and 1 last: the all-permutation reference for ``canonical_key``."""
+    middles = [i for i in range(alg.n) if i not in (alg.zero, alg.one)]
+    best = None
+    for perm in permutations(range(1, alg.n - 1)):
+        pos = {alg.zero: 0, alg.one: alg.n - 1}
+        for old, new in zip(middles, perm):
+            pos[old] = new
+        flat = [0] * (alg.n * alg.n)
+        for x in range(alg.n):
+            for y in range(alg.n):
+                flat[pos[x] * alg.n + pos[y]] = pos[alg.arrow[x][y]]
+        key = tuple(flat)
+        if best is None or key < best:
+            best = key
+    return best
+
+
 @lru_cache(maxsize=None)
 def iols_up_to(n):
-    """The i-OLs with at most n elements, one per isomorphism class."""
-    return tuple(m for k in range(2, n + 1) for m in enumerate_models(k, "iol"))
+    """The i-OLs with at most n elements, one per isomorphism class, each
+    labelled by its ``brute_force_key`` and named by its rank among them:
+    the fixed corpus behind the golden digests, whatever labelling
+    ``enumerate_models`` prints."""
+    return tuple(
+        _from_key(f"iol-{k}-{i}", key)
+        for k in range(2, n + 1)
+        for i, key in enumerate(sorted(map(brute_force_key, enumerate_models(k, "iol"))))
+    )
 
 
 def el(alg, name):

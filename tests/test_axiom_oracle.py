@@ -129,11 +129,12 @@ def oracle_check(alg, axiom_id):
 
 def product_loop_check(alg, axiom_id):
     """Lexicographic scan with the compiled instance predicate, one call per
-    tuple; -1 is never a table value, so every instance is determined."""
+    tuple; -1 is never a table value, so every instance is determined, and
+    it holds exactly when the predicate returns None."""
     roles = AXIOMS[axiom_id][0]
     holds = partial(AXIOM_PREDICATES[axiom_id], alg.arrow, alg.zero, alg.one, -1)
     for tup in product(range(alg.n), repeat=len(roles)):
-        if not holds(*tup):
+        if holds(*tup) is not None:
             witness = tuple((role, alg.elements[v]) for role, v in zip(roles, tup))
             return CheckResult(axiom_id, "fail", witness)
     return CheckResult(axiom_id, "pass")

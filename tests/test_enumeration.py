@@ -1,4 +1,5 @@
-from itertools import permutations, product
+from functools import partial
+from itertools import count, permutations, product, starmap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,9 +14,20 @@ from orthologic import (
     fixture,
     is_isomorphic,
 )
-from orthologic.enumeration import SearchGoal, canonical_key, goal_from_names
+from orthologic.algebra import AXIOMS, _render, axiom_holds
+from orthologic.enumeration import (
+    _UNIVERSE_AXIOMS,
+    SearchGoal,
+    _fill_tables,
+    _from_key,
+    _search_tables,
+    _standard_names,
+    _star_maps,
+    canonical_key,
+    goal_from_names,
+)
 
-from conftest import relabel
+from conftest import brute_force_key, relabel
 
 # Census of models per size, frozen from the independent ortholattice-based
 # oracle below (posets -> bounded lattices -> orthocomplementations).
@@ -67,11 +79,9 @@ def bounded_lattices(n):
             yield le_tab, meet, join
 
 
-def oracle_census(n):
-    """Count implicative-ortholattices of each class on n elements up to
-    isomorphism by searching orthocomplementations of bounded lattices and
-    transforming x -> y := (x meet y')'."""
-    seen = {"iol": set(), "ioml": set(), "iboolean": set()}
+def oracle_algebras(n):
+    """The implicative-ortholattices x -> y := (x meet y')' of every
+    orthocomplementation of every labeled bounded lattice on n elements."""
     for le_tab, meet, join in bounded_lattices(n):
         for img in permutations(range(n)):
             if img[0] != n - 1 or img[n - 1] != 0:
@@ -89,15 +99,22 @@ def oracle_census(n):
             arrow = tuple(
                 tuple(img[meet[x][img[y]]] for y in range(n)) for x in range(n)
             )
-            alg = FiniteAlgebra("oracle", tuple(map(str, range(n))), arrow, n - 1, 0)
-            lab = classify(alg)
-            assert lab.is_iol
-            key = canonical_key(alg)
-            seen["iol"].add(key)
-            if lab.is_ioml:
-                seen["ioml"].add(key)
-            if lab.is_iboolean:
-                seen["iboolean"].add(key)
+            yield FiniteAlgebra("oracle", tuple(map(str, range(n))), arrow, n - 1, 0)
+
+
+def oracle_census(n):
+    """Count implicative-ortholattices of each class on n elements up to
+    isomorphism by searching orthocomplementations of bounded lattices."""
+    seen = {"iol": set(), "ioml": set(), "iboolean": set()}
+    for alg in oracle_algebras(n):
+        lab = classify(alg)
+        assert lab.is_iol
+        key = canonical_key(alg)
+        seen["iol"].add(key)
+        if lab.is_ioml:
+            seen["ioml"].add(key)
+        if lab.is_iboolean:
+            seen["iboolean"].add(key)
     return {cls: len(keys) for cls, keys in seen.items()}
 
 
@@ -106,6 +123,160 @@ def test_census_matches_frozen_counts_and_oracle(n):
     counts = {cls: len(enumerate_models(n, cls)) for cls in ("iol", "ioml", "iboolean")}
     assert counts == EXPECTED_COUNTS[n]
     assert oracle_census(n) == EXPECTED_COUNTS[n]
+
+
+# -- the pruner and the key against their full-scan references -------------------
+
+def _reference_predicate(roles, lhs, rhs):
+    """The law as a bool over a partial table: true when the instance holds
+    or either side evaluates to the marker U, which the unknown cells and
+    the extra row and column U hold."""
+    body = f"(l := {_render(lhs)}) == (r := {_render(rhs)}) or l == U or r == U"
+    return eval(f"lambda t, Z, O, U, {', '.join(roles)}: {body}")
+
+
+REFERENCE_PREDICATES = {key: _reference_predicate(*spec) for key, spec in AXIOMS.items()}
+
+
+def reference_fill_tables(n, star_of, required, prune_axioms, nodes, budget):
+    """``_fill_tables`` that re-scans every instance of every prune law at
+    every node."""
+    zero, one, unknown = 0, n - 1, n
+    names = _standard_names(n)
+    table = [[unknown] * (n + 1) for _ in range(n + 1)]
+    for x in range(n):
+        table[zero][x] = one
+        table[one][x] = x
+        table[x][one] = one
+        table[x][x] = one
+        table[x][zero] = star_of[x]
+    if "impl" in required or "iG" in required:
+        for x in range(1, n - 1):
+            table[star_of[x]][x] = x
+    cells = []
+    paired = set()
+    for i in range(1, n - 1):
+        for j in range(1, n - 1):
+            if table[i][j] == unknown and (i, j) not in paired:
+                cells.append((i, j))
+                paired.add((i, j))
+                paired.add((star_of[j], star_of[i]))
+    checks = tuple(
+        (partial(REFERENCE_PREDICATES[a], table, zero, one, unknown), len(AXIOMS[a][0]))
+        for a in prune_axioms
+    )
+
+    def assign(i, j, v):
+        table[i][j] = v
+        table[star_of[j]][star_of[i]] = v
+
+    def fill(k):
+        if k == len(cells):
+            yield FiniteAlgebra(
+                "model", names, tuple(tuple(r[:n]) for r in table[:n]), one, zero
+            )
+            return
+        i, j = cells[k]
+        for v in range(n):
+            if next(nodes) > budget:
+                raise AssertionError("reference search over budget")
+            assign(i, j, v)
+            if all(
+                all(starmap(holds, product(range(n), repeat=arity)))
+                for holds, arity in checks
+            ):
+                yield from fill(k + 1)
+        assign(i, j, unknown)
+
+    yield from fill(0)
+
+
+def leaves_and_nodes(fill_tables, n, required):
+    """Every leaf of the search at size n, in order, and the node count."""
+    prune = tuple(a for a in ("BE4", *sorted(required)) if a not in _UNIVERSE_AXIOMS)
+    nodes = count(1)
+    leaves = [
+        leaf.arrow
+        for star_of in _star_maps(n, required)
+        for leaf in fill_tables(n, star_of, required, prune, nodes, 10**9)
+    ]
+    return leaves, next(nodes) - 1
+
+
+PRUNER_CASES = (
+    [(n, req) for req in ((), ("pi",), ("IOM",), ("iG",), ("Idis1",)) for n in range(2, 6)]
+    + [(n, req) for req in (("impl",), ("impl", "IOM"), ("impl", "@")) for n in range(2, 9)]
+    + [(10, ("impl", "@"))]
+)
+
+
+@pytest.mark.parametrize(
+    "n, required", PRUNER_CASES, ids=[f"{n}-{'+'.join(r) or 'none'}" for n, r in PRUNER_CASES]
+)
+def test_watched_pruner_matches_full_rescan(n, required):
+    required = frozenset(required)
+    assert leaves_and_nodes(_fill_tables, n, required) == leaves_and_nodes(
+        reference_fill_tables, n, required
+    )
+
+
+def assert_same_partition(algebras):
+    """The star-restricted key and the all-permutation key split the
+    algebras into the same classes."""
+    pairs = {(canonical_key(a), brute_force_key(a)) for a in algebras}
+    assert len({k for k, _ in pairs}) == len({b for _, b in pairs}) == len(pairs)
+
+
+def test_key_partition_on_unconstrained_leaves():
+    leaves = [
+        c for n in range(2, 7) for c in _search_tables(n, frozenset()) if axiom_holds(c, "BE4")
+    ]
+    assert len(leaves) > 100
+    assert_same_partition(leaves)
+
+
+def test_key_partition_on_eight_element_leaves():
+    leaves = [c for c in _search_tables(8, frozenset({"impl"})) if axiom_holds(c, "BE4")]
+    assert len(leaves) == 69
+    assert_same_partition(leaves)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_key_partition_on_oracle_algebras(n):
+    assert_same_partition(list(oracle_algebras(n)))
+
+
+@st.composite
+def small_tables(draw):
+    """A table on 2..6 elements with distinct 0 and 1 and arbitrary cells,
+    whose star is arbitrary, an involution that swaps 0 and 1, or a map
+    that swaps 0 and 1 and sends the rest among themselves, which is rarely
+    an involution; so both paths of the key are reached."""
+    n = draw(st.integers(2, 6))
+    zero, one, *middles = draw(st.permutations(range(n)))
+    arrow = [[draw(st.integers(0, n - 1)) for _ in range(n)] for _ in range(n)]
+    star = draw(st.sampled_from(["any", "involution", "into the middle"]))
+    if star != "any":
+        star_of = {zero: one, one: zero} | {x: x for x in middles}
+        if star == "involution":
+            paired = middles[draw(st.integers(0, len(middles))):]
+            for a, b in zip(paired[::2], paired[1::2]):
+                star_of[a], star_of[b] = b, a
+        else:
+            star_of |= {x: draw(st.sampled_from(middles)) for x in middles}
+        for x in range(n):
+            arrow[x][zero] = star_of[x]
+    return FiniteAlgebra("t", tuple(map(str, range(n))), tuple(map(tuple, arrow)), one, zero)
+
+
+@settings(max_examples=150, deadline=None)
+@given(alg=small_tables(), data=st.data())
+def test_canonical_key_is_invariant_under_relabelling(alg, data):
+    perm = data.draw(st.permutations(range(alg.n)))
+    key = canonical_key(alg)
+    assert canonical_key(relabel(alg, list(perm))) == key
+    # The key is a relabelled copy of the input.
+    assert brute_force_key(_from_key("k", key)) == brute_force_key(alg)
 
 
 def test_forced_two_element_algebra():
@@ -227,6 +398,13 @@ def test_counterexample_search_finds_non_boolean_orthomodular():
 
 def test_counterexample_search_exhausted_range_returns_none():
     assert counterexample_search(goal_from_names(["impl", "DN"], ["IOM"], 2, 5)) is None
+
+
+def test_ten_element_absence_proofs():
+    # Every i-Boolean algebra is orthomodular, and none has 10 elements:
+    # both searches exhaust every size up to 10.
+    assert counterexample_search(goal_from_names(["impl", "@"], ["IOM"], 2, 10)) is None
+    assert enumerate_models(10, "iboolean") == []
 
 
 def test_counterexample_search_covers_star_fixed_points():

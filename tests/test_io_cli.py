@@ -254,6 +254,24 @@ def test_cli_iso(capsys):
     assert capsys.readouterr().out.strip() == "non-isomorphic"
 
 
+def test_cli_iso_respects_node_budget(capsys, monkeypatch, tmp_path):
+    # Colour refinement leaves B64 one class per rank, so the matcher
+    # backtracks far past this budget on a relabelled copy.
+    monkeypatch.setenv("ORTHO_NODE_BUDGET", "20000")
+    b64 = boolean_iol(6)
+    paths = []
+    for name, alg in (("b64", b64), ("b64-relabelled", relabelled(b64, 3))):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(serialize_algebra(alg), encoding="utf-8")
+    assert run_cli("iso", *map(str, paths)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "resource cap: isomorphism search at size 64 exceeded node budget 20000, deepest at "
+    )
+    assert captured.err.endswith(" of 62 elements mapped\n")
+
+
 def test_cli_fixture_round_trip(capsys):
     assert run_cli("fixture", "sasaki6") == 0
     assert parse_algebra(capsys.readouterr().out) == fixture("sasaki6")
