@@ -17,7 +17,7 @@ completed by the first index at which they differ, is the lexicographically
 least violating tuple, the same witness a tuple-by-tuple scan finds.
 
 The same compiler takes any formula of the term language (equations joined
-by not/and/or/iff), such as the registry's items in ``theorems``:
+by not/and/or/iff, and binders), such as the registry's items in ``theorems``:
 ``first_failure`` compiles each one on first use and returns its least
 failing tuple.
 """
@@ -54,9 +54,12 @@ class NonLatticeError(AlgebraError):
 def _env_int(var: str, default: str) -> int:
     raw = os.environ.get(var, default)
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
-        raise InputError(f"{var}={raw!r} is not an integer") from None
+        value = 0
+    if value < 1:
+        raise InputError(f"{var}={raw!r} is not a positive integer")
+    return value
 
 
 def max_elements() -> int:
@@ -286,8 +289,13 @@ def big_meet(alg: FiniteAlgebra, members: int) -> int:
 # Term language.  Element terms: the roles "x", "y", "z", "u", the constants
 # "0" and "1", and ("->", s, t), the arrow; star is arrow-to-0.  Formulas:
 # ("=", s, t) of two element terms, ("not", f), ("and", f, ...),
-# ("or", f, ...), and ("iff", f, g) of two formulas.
+# ("or", f, ...), ("iff", f, g) of two formulas, and ("all", "v", f), which
+# holds when f holds for every value of the bound element "v".  "v" is not a
+# role, and binders do not nest.  The row scan of a formula with a binder
+# loops over all of its roles and makes "v" the row, so each binder is the
+# scalar "no False in the row of f" in the loop of the innermost role f reads.
 ROLES = ("x", "y", "z", "u")
+BOUND = "v"
 
 
 def _imp(s, t):
@@ -328,6 +336,10 @@ def _or(*fs):
 
 def _iff(f, g):
     return ("iff", f, g)
+
+
+def _all(f):
+    return ("all", BOUND, f)
 
 
 def _implies(*fs):
@@ -403,6 +415,18 @@ def formula_roles(term) -> tuple[str, ...]:
     return ROLES[:max(read(term), default=0)]
 
 
+def _binds(term) -> bool:
+    """Whether the term contains a binder."""
+    return isinstance(term, tuple) and (term[0] == "all" or any(map(_binds, term[1:])))
+
+
+def _bound_body(term):
+    """The body of a binder, which must not contain another."""
+    if _binds(term[2]):
+        raise ValueError(f"nested binder in {term!r}")
+    return term[2]
+
+
 _SCALAR_OPS = {"->": "t[{}][{}]", "=": "{} == {}", "iff": "{} == {}", "!=": "{} != {}",
                "xor": "{} != {}", "not": "not {}"}
 
@@ -414,6 +438,8 @@ def _render(term) -> str:
     head, *args = term
     if head in ("and", "or"):
         return "(" + f" {head} ".join(map(_render, args)) + ")"
+    if head == "all":
+        return f"all({_render(_bound_body(term))} for {BOUND} in range(len(t)))"
     return "(" + _SCALAR_OPS[head].format(*map(_render, args)) + ")"
 
 
@@ -466,7 +492,9 @@ def _compile_scan(roles, formula) -> Callable[..., tuple[int, ...] | None]:
     a complete arrow table ``t`` with n >= 2 elements.
 
     The last role becomes a row: a term that reads it is a tuple indexed by
-    its value, every other term a scalar.  ``t[s][v]`` for a scalar s reads
+    its value, every other term a scalar.  In a formula with a binder the
+    bound element is the row instead, every role an outer loop, and each
+    binder the scalar ``False not in`` its body's row.  ``t[s][v]`` for a scalar s reads
     the row ``t[s]`` at the indices ``v``, ``t[v][s]`` the column ``c[s]`` of
     the transposed table, and two vectors, of elements or of truth values,
     combine elementwise.  A row of truth values is read from a table where
@@ -484,8 +512,9 @@ def _compile_scan(roles, formula) -> Callable[..., tuple[int, ...] | None]:
     scalar disjunct of a top-level "or" skips the rest of its loop when it
     holds, since every tuple below it holds.  An equation at the top
     compares its two sides as whole rows; any other formula is a row of
-    truth values, and its first false index completes the witness."""
-    *outer, last = roles
+    truth values, and its first false index completes the witness, or, with
+    a binder, a scalar whose first false outer tuple is the witness."""
+    *outer, last = (*roles, BOUND) if _binds(formula) else roles
     levels: list[list[str]] = [[] for _ in range(len(outer) + 1)]
     # term, or derived key -> (variable, kind, loop depths of the outer
     # roles it reads)
@@ -578,6 +607,9 @@ def _compile_scan(roles, formula) -> Callable[..., tuple[int, ...] | None]:
         head, *args = term
         if head == "->":
             return arrow(term, *walk(args[0]), *walk(args[1]))
+        if head == "all":
+            body = _bound_body(term)
+            return emit(term, f"False not in {row(body)}", "scalar", walk(body)[2])
         if head == "not" and args[0][0] in ("=", "iff"):
             negated = "!=" if args[0][0] == "=" else "xor"
             return combine(term, negated, [walk(args[0][1]), walk(args[0][2])])
@@ -595,10 +627,10 @@ def _compile_scan(roles, formula) -> Callable[..., tuple[int, ...] | None]:
             return name
         return emit(("row", term), f"({name},) * n", "vector", reads)[0]
 
-    pad = "    " * len(levels)
+    pad, found = "    " * len(levels), "".join(v + ", " for v in outer)
     if formula[0] == "=":
         l, r = row(formula[1]), row(formula[2])
-        test, index = f"if {l} != {r}:", f"_first_diff({l}, {r})"
+        tail = [f"if {l} != {r}:", f"    return {found}_first_diff({l}, {r}),"]
     else:
         vectors = []
         for disjunct in formula[1:] if formula[0] == "or" else (formula,):
@@ -608,10 +640,11 @@ def _compile_scan(roles, formula) -> Callable[..., tuple[int, ...] | None]:
                 levels[depth].append(f"if {name}: " + ("continue" if depth else "return None"))
             else:
                 vectors.append(disjunct)
-        if not vectors:
-            tables.add("T")
-        b = row(_or(*vectors)) if len(vectors) > 1 else row(vectors[0]) if vectors else "F"
-        test, index = f"if False in {b}:", f"{b}.index(False)"
+        if vectors:
+            b = row(_or(*vectors)) if len(vectors) > 1 else row(vectors[0])
+            tail = [f"if False in {b}:", f"    return {found}{b}.index(False),"]
+        else:  # a binder's scan: every disjunct failed at this outer tuple
+            tail = [f"return ({found})"]
     lines = ["def scan(t, Z, O, n):", "    I, c = tuple(range(n)), (*zip(*t),)"]
     if "EQ" in tables:
         lines.append("    EQ, NE = _one_hot(n)")
@@ -627,9 +660,7 @@ def _compile_scan(roles, formula) -> Callable[..., tuple[int, ...] | None]:
     for depth, stmts in enumerate(levels[1:], 1):
         lines.append("    " * depth + f"for {outer[depth - 1]} in I:")
         lines += ["    " * (depth + 1) + stmt for stmt in stmts]
-    lines += [pad + test,
-              pad + f"    return {''.join(v + ', ' for v in outer)}{index},",
-              "    return None"]
+    lines += [pad + line for line in tail] + ["    return None"]
     exec("\n".join(lines), _SCAN_GLOBALS)
     return _SCAN_GLOBALS.pop("scan")
 

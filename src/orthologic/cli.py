@@ -26,6 +26,8 @@ from .algebra import (
     le,
     le_l,
     le_q,
+    max_elements,
+    node_budget,
     require_iol,
     star,
     vee_p,
@@ -67,7 +69,11 @@ EXIT_RESOURCE_CAP = 3
 def _load(path_or_name: str) -> FiniteAlgebra:
     p = Path(path_or_name)
     if p.exists():
-        return parse_algebra(p.read_text(encoding="utf-8"), default_name=p.stem)
+        try:
+            text = p.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read {path_or_name!r}: {exc}") from None
+        return parse_algebra(text, default_name=p.stem)
     if path_or_name in FIXTURE_NAMES:
         return fixture(path_or_name)
     raise InputError(f"no such file or fixture: {path_or_name}")
@@ -400,6 +406,8 @@ class _Stdout:
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
+        # Every command rejects a malformed cap, whether or not it reaches it.
+        max_elements(), node_budget()
         with redirect_stdout(_Stdout(sys.stdout)):
             code = args.func(args)
             sys.stdout.flush()

@@ -4,10 +4,10 @@ projection-family machinery on top of them.
 Element-level operations are defined on any table; entry points that take a
 whole algebra check ``require_iol`` once.  Each verdict has one test:
 ``is_iboolean_subalgebra`` decides the center, orthogonal-pair
-(``pair_hull_check``, for the public ``orthogonal_pair_boolean_witness`` and
-the registry alike) and block-family (``block_boolean_family``) results, and
-``sasaki_map_search``, one pass over the domain points, decides every
-Sasaki-map question.
+(``pair_hull_check``, for ``orthogonal_pair_boolean_witness`` and the
+registry's ``non_boolean_pair`` alike) and block-family
+(``block_boolean_family``) results, and ``sasaki_map_search``, one pass over
+the domain points, decides every Sasaki-map question.
 
 A projection is stored as its full image vector.  The canonical family
 {phi_a : a in X} with phi_a(x) = x ^Q a decides the existence question for
@@ -156,6 +156,17 @@ def pair_hull_check(alg: FiniteAlgebra, x: int, y: int) -> tuple[CheckResult, in
         members |= 1 << v
     verdict = is_iboolean_subalgebra(alg, members)
     return CheckResult("orthogonal-pair-boolean", verdict.status, verdict.witness), members
+
+
+def non_boolean_pair(alg: FiniteAlgebra) -> Optional[tuple[int, int]]:
+    """The least orthogonal pair (x, y), in lexicographic order, whose
+    ``pair_hull_check`` fails; None when every orthogonal pair has an
+    i-Boolean hull.  Defined on any table."""
+    for x in range(alg.n):
+        for y in range(alg.n):
+            if ortho(alg, x, y) and not pair_hull_check(alg, x, y)[0].passed:
+                return x, y
+    return None
 
 
 def block_boolean_family(space: OrthoSpace, block: int) -> tuple[CheckResult, tuple[int, ...]]:

@@ -6,43 +6,40 @@ witness names the requirement.  Witnesses of failing scans are min-lex in the
 declared element order, with item tags for multi-part laws.
 
 Most checks are one row of one of three shapes.  ``_items(id, pre, desc,
-arity, *items)`` is a multi-part law of (tag, predicate) items: each predicate
+arity, *items)`` is a multi-part law of (tag, formula) items: each formula
 reads a prefix of the roles x, y, z, u and is scanned at that arity, its first
 failing tuple padded with element 0 up to the check's arity, so the witness
 is that of one full-arity scan.  ``_pointwise(id, pre, desc, arity, *sides)``
-has (label, predicate) sides that must agree on every tuple.
+has (label, formula) sides that must agree on every tuple.
 ``_characterisation(id, pre, desc, arity, *clauses)`` is an equivalence of
 whole-table clauses, so an algebra falsifying every clause at once passes; a
 clause is a tuple of axiom ids, which holds when all of them hold, or a
-predicate, scanned at its arity, whose least failing tuple is its witness.
-``_first_failure`` is the one scan loop behind items and clauses.
+formula, scanned at its arity, whose least failing tuple is its witness.
 
-A predicate is a formula of the term language of ``algebra`` (equations
-between arrow terms, with not/and/or/iff and the macros for the orders,
-orthogonality, commutation and divisibility), compiled on first use into a
-row scan over its last role, as the 17 laws are.  Five predicates quantify
-over a bound element, which the term language has no binder for:
-``_identity_projections_meet``, ``_square_zero_kernel``,
-``_projections_compose``, ``_projections_stable`` and ``_pair_hull_boolean``.
-They stay callables on a tuple-by-tuple product loop.  Checks that do not fit
-a row (class-dependent item lists, the space, family and Sasaki checks) are
-functions over the same evaluators.  The subset items of L7-DOWNSET share one
-incremental pass over the 2^n subsets, run up to ``SUBSET_SCAN_CAP``
-elements; above it the check skips.
+A formula is a term of the language of ``algebra`` (equations between arrow
+terms, with not/and/or/iff, the binder ``_all`` over a bound element V, and
+the macros for the orders, orthogonality, commutation and divisibility),
+compiled on first use into a row scan by ``first_failure``, as the 17 laws
+are.  Checks that do not fit a row (class-dependent item lists, the pair
+hulls, the space, family and Sasaki checks) are functions over the same
+evaluators.  The subset items of L7-DOWNSET share one incremental pass over
+the 2^n subsets, run up to ``SUBSET_SCAN_CAP`` elements; above it the check
+skips.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product
 from typing import Callable, Optional
 
 from .algebra import (
     AXIOMS,
+    BOUND as V,
     CheckResult,
     FiniteAlgebra,
     InputError,
     ROLES,
+    _all,
     _and,
     _commutes,
     _divides,
@@ -93,7 +90,7 @@ from .sasaki import (
     is_full,
     is_iboolean_subalgebra,
     is_sasaki_space,
-    pair_hull_check,
+    non_boolean_pair,
     sp_center_monoid_check,
     trivial_projection_family,
 )
@@ -126,13 +123,9 @@ def _register(check_id: str, precondition: str, description: str, arity: int):
     return deco
 
 
-def _is_formula(pred) -> bool:
-    return not callable(pred) and pred[0] not in AXIOMS
-
-
 def _labelled(check_id, pairs):
     """Record the formulas among (label, predicate) pairs; return the pairs."""
-    _FORMULAS.update(((check_id, label), pred) for label, pred in pairs if _is_formula(pred))
+    _FORMULAS.update(((check_id, label), pred) for label, pred in pairs if pred[0] not in AXIOMS)
     return pairs
 
 
@@ -184,22 +177,6 @@ def _names(alg, tup):
     return tuple((r, alg.elements[v]) for r, v in zip(ROLES, tup))
 
 
-def _first_failure(alg, pred) -> Optional[tuple[int, ...]]:
-    """The least tuple, in lexicographic order over the roles the predicate
-    reads (a formula) or takes after the algebra (a callable), at which it
-    fails; None when it holds on all."""
-    if not callable(pred):
-        return first_failure(alg, pred)
-    for tup in product(range(alg.n), repeat=pred.__code__.co_argcount - 1):
-        if not pred(alg, *tup):
-            return tup
-    return None
-
-
-def _holds(alg, pred, tup) -> bool:
-    return pred(alg, *tup) if callable(pred) else holds_at(alg, pred, tup)
-
-
 def _scan_items(alg, check_id, arity, items):
     """items: sequence of (tag, predicate).  Each predicate reads the prefix
     of x, y, z, u of its own arity k <= arity and is scanned over n^k
@@ -209,7 +186,7 @@ def _scan_items(alg, check_id, arity, items):
     the check's arity."""
     failures = []
     for index, (_, pred) in enumerate(items):
-        tup = _first_failure(alg, pred)
+        tup = first_failure(alg, pred)
         if tup is not None:
             failures.append((tup + (0,) * (arity - len(tup)), index))
     if not failures:
@@ -220,10 +197,10 @@ def _scan_items(alg, check_id, arity, items):
 
 def _clause(alg, label, clause):
     """(label, holds, witness-or-None) of one characterisation clause: a
-    tuple of axiom ids, or a predicate carrying its least failing tuple."""
-    if not callable(clause) and clause[0] in AXIOMS:
+    tuple of axiom ids, or a formula carrying its least failing tuple."""
+    if clause[0] in AXIOMS:
         return label, all(axiom_holds(alg, a) for a in clause), None
-    tup = _first_failure(alg, clause)
+    tup = first_failure(alg, clause)
     return label, tup is None, None if tup is None else _names(alg, tup)
 
 
@@ -243,22 +220,17 @@ def _equivalence(check_id, clauses):
 
 
 def _pointwise_equiv(alg, check_id, arity, sides):
-    """sides: (label, predicate) pairs that must agree on every tuple.  When
-    all are formulas, one row scan of "the first agrees with each other"
-    finds the least tuple where they disagree; a callable side puts the
-    check on the product loop.  Each side's value at that tuple is its
-    label's holds/fails."""
+    """sides: (label, formula) pairs that must agree on every tuple.  One row
+    scan of "the first agrees with each other" finds the least tuple where
+    they disagree; each side's value at that tuple is its label's
+    holds/fails."""
     preds = [pred for _, pred in sides]
-    if any(map(callable, preds)):
-        tup = next((tup for tup in product(range(alg.n), repeat=arity)
-                    if len({_holds(alg, pred, tup) for pred in preds}) > 1), None)
-    else:
-        tup = _first_failure(alg, _and(*(_iff(preds[0], pred) for pred in preds[1:])))
+    tup = first_failure(alg, _and(*(_iff(preds[0], pred) for pred in preds[1:])))
     if tup is None:
         return CheckResult(check_id, "pass")
     tup += (0,) * (arity - len(tup))
     return CheckResult(check_id, "fail", _names(alg, tup) + tuple(
-        (label, "holds" if _holds(alg, pred, tup) else "fails") for label, pred in sides))
+        (label, "holds" if holds_at(alg, pred, tup) else "fails") for label, pred in sides))
 
 
 # -- basic consequences of the defining laws --------------------------------
@@ -319,7 +291,7 @@ def _r2_lel_order(alg):
     # The order clause carries the reflexivity witness only.
     (_, reflexive), *rest = _LEL_ORDER
     label, holds, witness = _clause(alg, "le_l-order", reflexive)
-    order = holds and all(_first_failure(alg, pred) is None for _, pred in rest)
+    order = holds and all(first_failure(alg, pred) is None for _, pred in rest)
     return _equivalence(
         "R2-LEL-ORDER-IFF-IG", ((label, order, witness), _clause(alg, "iG", ("iG",))))
 
@@ -432,7 +404,7 @@ def _mbe_eq(alg):
         return scan
     # The m-Pimpl clause is reported without a witness tuple.
     return _equivalence("MBE-EQ", (
-        ("m-Pimpl", _first_failure(alg, _M_PIMPL) is None, None),
+        ("m-Pimpl", first_failure(alg, _M_PIMPL) is None, None),
         _clause(alg, "impl", ("impl",)),
     ))
 
@@ -496,18 +468,14 @@ _items(
 )
 
 
-def _identity_projections_meet(a, x, y):
-    if any(wedge_q(a, v, x) != v for v in range(a.n)):
-        return True
-    if any(wedge_q(a, v, y) != v for v in range(a.n)):
-        return True
-    m = wedge_q(a, x, y)
-    return all(wedge_q(a, v, m) == v for v in range(a.n))
+def _fixes_all(s):
+    """phi_s is the identity: v ^Q s = v for every v."""
+    return _all(_eq(_wedgeq(V, s), V))
 
 
 _items(
     "P4-SP-IOML", "ioml", "projection composition identities", 3,
-    ("(1)", _identity_projections_meet),
+    ("(1)", _implies(_fixes_all(X), _fixes_all(Y), _fixes_all(_wedgeq(X, Y)))),
     ("(2)", _eq(_wedgeq(_wedgeq(X, Y), Y), _wedgeq(X, Y))),
     ("(3)", _eq(_wedgeq(_neg(_wedgeq(X, Y)), Y), _neg(_imp(Y, X)))),
     ("(4)", _lel(_wedgeq(_neg(_wedgeq(X, Y)), Y), _neg(X))),
@@ -517,21 +485,14 @@ _items(
 )
 
 
-def _square_zero_kernel(a, x):
-    squared_zero = all(
-        wedge_q(a, wedge_q(a, v, x), x) == a.zero for v in range(a.n)
-    )
-    top = wedge_q(a, a.one, x)
-    return squared_zero == le_l(a, top, star(a, top))
-
-
 _items(
     "P4-SP-IOML-B", "ioml", "projection fixed points, kernels and adjoint-style swaps", 3,
     ("(1)", _iff(_leq(X, Y), _lel(X, Y))),
     ("(2)", _iff(_eq(_wedgeq(X, Y), ZERO), _lel(X, _neg(Y)))),
     ("(3)", _implies(_lel(X, Y), _eq(_wedgeq(_wedgeq(Z, Y), X), _wedgeq(Z, X)))),
     ("(4)", _iff(_ortho(_wedgeq(X, Z), Y), _ortho(_wedgeq(Y, Z), X))),
-    ("(5)", _square_zero_kernel),
+    ("(5)", _iff(_all(_eq(_wedgeq(_wedgeq(V, X), X), ZERO)),
+                 _lel(_wedgeq(ONE, X), _neg(_wedgeq(ONE, X))))),
     ("(6)", _iff(_ortho(_wedgeq(X, Z), Y), _ortho(X, _wedgeq(Y, Z)))),
     ("(7)", _iff(_ortho(X, Y), _eq(_wedgeq(Y, X), ZERO))),
     ("(8)", _implies(_ortho(X, Y), _ortho(_wedgeq(X, Y), _neg(Y)))),
@@ -591,27 +552,13 @@ _pointwise(
 )
 
 
-def _projections_compose(a, x, y):
-    m = wedge_q(a, x, y)
-    return all(
-        wedge_q(a, wedge_q(a, v, y), x) == wedge_q(a, wedge_q(a, v, x), y)
-        == wedge_q(a, v, m)
-        for v in range(a.n)
-    )
-
-
-def _projections_stable(a, x, y):
-    for v in range(a.n):
-        if le_l(a, v, x) and not le_l(a, wedge_q(a, v, y), x):
-            return False
-        if le_l(a, v, y) and not le_l(a, wedge_q(a, v, x), y):
-            return False
-    return True
-
-
 _pointwise(
     "T4-SP-COMPOSE", "ioml", "commuting generators compose to the meet projection", 2,
-    ("(a)", _commutes(X, Y)), ("(b)", _projections_compose), ("(c)", _projections_stable),
+    ("(a)", _commutes(X, Y)),
+    ("(b)", _all(_and(_eq(_wedgeq(_wedgeq(V, Y), X), _wedgeq(_wedgeq(V, X), Y)),
+                      _eq(_wedgeq(_wedgeq(V, X), Y), _wedgeq(V, _wedgeq(X, Y)))))),
+    ("(c)", _all(_and(_implies(_lel(V, X), _lel(_wedgeq(V, Y), X)),
+                      _implies(_lel(V, Y), _lel(_wedgeq(V, X), Y))))),
 )
 
 
@@ -693,15 +640,17 @@ def _t5_center_boolean(alg):
     return replace(is_iboolean_subalgebra(alg, center(alg)), check_id="T5-CENTER-BOOLEAN")
 
 
-def _pair_hull_boolean(a, x, y):
-    return not ortho(a, x, y) or pair_hull_check(a, x, y)[0].passed
+def _pairs_boolean(alg):
+    """The clause "the hull of every orthogonal pair is i-Boolean", with the
+    least pair whose hull is not as its witness."""
+    pair = non_boolean_pair(alg)
+    return "pairs-boolean", pair is None, None if pair is None else _names(alg, pair)
 
 
-_characterisation(
-    "T5-ORTHO-PAIR-BOOLEAN", "iol", "orthomodularity via Boolean hulls of orthogonal pairs", 2,
-    ("IOM", ("IOM",)),
-    ("pairs-boolean", _pair_hull_boolean),
-)
+@_register("T5-ORTHO-PAIR-BOOLEAN", "iol", "orthomodularity via Boolean hulls of orthogonal pairs", 2)
+def _t5_ortho_pair_boolean(alg):
+    return _equivalence(
+        "T5-ORTHO-PAIR-BOOLEAN", (_clause(alg, "IOM", ("IOM",)), _pairs_boolean(alg)))
 
 
 @_register("T5-SP-CENTER-MONOID", "ioml", "central projections form an Abelian monoid", 2)
@@ -833,9 +782,8 @@ def _space_masks(alg, space: OrthoSpace, element_mask: int) -> int:
 @_register("P7-DACEY-IFF-BOOLEAN-PAIRS", "iol", "the Dacey property via Boolean hulls inside the logic", 2)
 def _p7_dacey_pairs(alg):
     space = associated_orthospace(alg)
-    pairs = _clause(cl_algebra(space), "pairs-boolean", _pair_hull_boolean)
-    return _equivalence(
-        "P7-DACEY-IFF-BOOLEAN-PAIRS", (("dacey", is_dacey(space).passed, None), pairs))
+    return _equivalence("P7-DACEY-IFF-BOOLEAN-PAIRS", (
+        ("dacey", is_dacey(space).passed, None), _pairs_boolean(cl_algebra(space))))
 
 
 def _subset_items(alg, space: OrthoSpace, down, point_down) -> Optional[CheckResult]:

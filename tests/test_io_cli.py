@@ -138,6 +138,18 @@ def test_cli_missing_file_is_input_error(capsys):
     assert run_cli("classify", "/no/such/file") == 2
 
 
+@pytest.mark.parametrize("argv", [("classify", "{dir}"), ("iso", "{dir}", "ioml10"),
+                                  ("classify", "{bad}")])
+def test_cli_unreadable_file_is_input_error(capsys, tmp_path, argv):
+    # A directory, and a file that is not UTF-8.
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    assert run_cli(*(a.format(dir=tmp_path, bad=bad) for a in argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read")
+
+
 def test_cli_classify_json(capsys):
     assert run_cli("classify", "benzene6", "--json") == 0
     payload = json.loads(capsys.readouterr().out)
@@ -329,12 +341,19 @@ def test_cli_max_elements_cap(monkeypatch, capsys):
     [
         ("ORTHO_NODE_BUDGET", "lots", ("enumerate", "--size", "6", "--class", "iol")),
         ("ORTHO_MAX_ELEMENTS", "x", ("classify", "benzene6")),
+        ("ORTHO_NODE_BUDGET", "-1", ("enumerate", "--size", "6", "--class", "iol")),
+        ("ORTHO_NODE_BUDGET", "-1", ("iso", "ioml10", "ioml10")),
+        ("ORTHO_NODE_BUDGET", "0", ("classify", "benzene6")),
+        ("ORTHO_MAX_ELEMENTS", "-5", ("classify", "ioml10")),
+        ("ORTHO_MAX_ELEMENTS", "0", ("classify", "ioml10")),
     ],
 )
 def test_cli_malformed_cap_is_input_error(monkeypatch, capsys, var, value, argv):
     monkeypatch.setenv(var, value)
     assert run_cli(*argv) == 2
-    assert var in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert var in captured.err
 
 
 @pytest.mark.parametrize(

@@ -43,6 +43,7 @@ from orthologic.sasaki import (
     ProjectionMap,
     canonical_projection_family,
     compose,
+    non_boolean_pair,
     pair_hull_check,
     trivial_projection_family,
 )
@@ -277,8 +278,10 @@ def orthogonal_pairs(algebras):
 
 def test_pair_routes_agree(algebras):
     """The eight-element check behind orthogonal_pair_boolean_witness and the
-    registry gives the verdict of the generated hull."""
+    registry's non_boolean_pair gives the verdict of the generated hull, and
+    non_boolean_pair names the least orthogonal pair whose hull fails."""
     checked = failed = 0
+    first = {}
     for alg, x, y in orthogonal_pairs(algebras):
         res, _ = orthogonal_pair_boolean_witness(alg, x, y)
         assert res == pair_hull_check(alg, x, y)[0]
@@ -286,7 +289,10 @@ def test_pair_routes_agree(algebras):
         assert res.passed == is_iboolean_subalgebra(alg, hull).passed, (alg.name, x, y)
         checked += 1
         failed += res.failed
+        if first.setdefault(alg, None) is None and res.failed:
+            first[alg] = (x, y)
     assert 0 < failed < checked  # both verdicts are reached
+    assert all(non_boolean_pair(alg) == pair for alg, pair in first.items())
 
 
 # Arrow table of the Boolean algebra spanned by an orthogonal pair, in the

@@ -2,7 +2,7 @@
 straightforward scans they replace.
 
 Every registry formula is compiled to a row scan; ``REFERENCE`` keeps the
-Python lambda each one replaced, and both must give the same least failing
+Python callable each one replaced, and both must give the same least failing
 tuple on fixtures, small i-OLs, one-cell mutations, large relabelled i-OLs
 and random tables.  ``_scan_items`` runs each item at the arity of its own
 predicate; the reference runs every item over all tuples of the check's
@@ -32,6 +32,7 @@ from orthologic import (
 )
 from orthologic import algebra
 from orthologic.algebra import (
+    BOUND,
     CheckResult,
     NonLatticeError,
     big_meet,
@@ -69,10 +70,11 @@ ROLES = ("x", "y", "z", "u")
 
 # -- the registry's predicates as Python callables ---------------------------
 #
-# The lambdas the registry ran before its items, clauses and pointwise sides
-# became formulas, keyed by (check id, item tag or clause label).  Each reads
-# the arrow table through the functions of ``algebra`` and ``sasaki``, so it is
-# an encoding independent of the term compiler.
+# The lambdas and functions the registry ran before its items, clauses and
+# pointwise sides became formulas, keyed by (check id, item tag or clause
+# label).  Each reads the arrow table through the functions of ``algebra`` and
+# ``sasaki``, so it is an encoding independent of the term compiler.  The four
+# functions below quantify over a bound element v.
 
 def _m_pimpl(a, x, y):
     t = star(a, wedge_p(a, x, star(a, y)))
@@ -84,6 +86,41 @@ def _central_arrow(a, x, y, z):
         return True
     t = a.arrow[x][y]
     return le_l(a, t, a.arrow[a.arrow[t][star(a, z)]][star(a, a.arrow[t][z])])
+
+
+def _identity_projections_meet(a, x, y):
+    if any(wedge_q(a, v, x) != v for v in range(a.n)):
+        return True
+    if any(wedge_q(a, v, y) != v for v in range(a.n)):
+        return True
+    m = wedge_q(a, x, y)
+    return all(wedge_q(a, v, m) == v for v in range(a.n))
+
+
+def _square_zero_kernel(a, x):
+    squared_zero = all(
+        wedge_q(a, wedge_q(a, v, x), x) == a.zero for v in range(a.n)
+    )
+    top = wedge_q(a, a.one, x)
+    return squared_zero == le_l(a, top, star(a, top))
+
+
+def _projections_compose(a, x, y):
+    m = wedge_q(a, x, y)
+    return all(
+        wedge_q(a, wedge_q(a, v, y), x) == wedge_q(a, wedge_q(a, v, x), y)
+        == wedge_q(a, v, m)
+        for v in range(a.n)
+    )
+
+
+def _projections_stable(a, x, y):
+    for v in range(a.n):
+        if le_l(a, v, x) and not le_l(a, wedge_q(a, v, y), x):
+            return False
+        if le_l(a, v, y) and not le_l(a, wedge_q(a, v, x), y):
+            return False
+    return True
 
 
 REFERENCE = {
@@ -227,6 +264,7 @@ REFERENCE = {
     ("P4-SP-BASIC", "(4)"): lambda a, x, y: not le_q(a, x, y) or wedge_q(a, x, y) == x,
     ("P4-SP-BASIC", "(5)"): lambda a, x, y, z: not le_l(a, x, y)
     or le_l(a, wedge_q(a, x, z), wedge_q(a, y, z)),
+    ("P4-SP-IOML", "(1)"): _identity_projections_meet,
     ("P4-SP-IOML", "(2)"): lambda a, x, y: wedge_q(a, wedge_q(a, x, y), y) == wedge_q(a, x, y),
     ("P4-SP-IOML", "(3)"): lambda a, x, y: wedge_q(a, star(a, wedge_q(a, x, y)), y)
     == star(a, a.arrow[y][x]),
@@ -245,6 +283,7 @@ REFERENCE = {
     ("P4-SP-IOML-B", "(4)"): lambda a, x, y, z: (star(a, wedge_q(a, x, z))
                                                  == a.arrow[wedge_q(a, x, z)][y])
     == (star(a, wedge_q(a, y, z)) == a.arrow[wedge_q(a, y, z)][x]),
+    ("P4-SP-IOML-B", "(5)"): _square_zero_kernel,
     ("P4-SP-IOML-B", "(6)"): lambda a, x, y, z: ortho(a, wedge_q(a, x, z), y)
     == ortho(a, x, wedge_q(a, y, z)),
     ("P4-SP-IOML-B", "(7)"): lambda a, x, y: ortho(a, x, y) == (wedge_q(a, y, x) == a.zero),
@@ -278,6 +317,8 @@ REFERENCE = {
     ("C4-C-4WAY", "(c)"): lambda a, x, y: vee_q(a, x, y) == vee_q(a, y, x),
     ("C4-C-4WAY", "(d)"): lambda a, x, y: wedge_q(a, y, x) == wedge_q(a, x, y),
     ("T4-SP-COMPOSE", "(a)"): commutes,
+    ("T4-SP-COMPOSE", "(b)"): _projections_compose,
+    ("T4-SP-COMPOSE", "(c)"): _projections_stable,
     ("L5-C-IFF-D", "C"): commutes,
     ("L5-C-IFF-D", "D"): divides,
     ("L5-D-BASICS", "(1)"): lambda a, x: divides(a, x, x) and divides(a, x, a.zero)
@@ -329,19 +370,23 @@ def reference_first_failure(alg, pred):
     return None
 
 
-def reference_of(check_id, label, pred):
-    """The callable a registry predicate stands for."""
-    return pred if callable(pred) else REFERENCE[(check_id, label)]
+def reference_of(check_id, label, formula):
+    """The callable a registry formula stands for.  A formula of the
+    synthetic check "SYN" stands for its rendering, evaluated tuple by tuple."""
+    if check_id != "SYN":
+        return REFERENCE[(check_id, label)]
+    value = algebra._evaluator_of(formula)
+    return lambda a, *tup: value(a.arrow, a.zero, a.one, *tup)
 
 
 def reference_scan_items(alg, check_id, arity, items):
     """The full-arity scan: every item sees every tuple of the check's
-    arity, and reads the prefix its predicate takes."""
+    arity, and reads the prefix its formula reads."""
     roles = ROLES[:arity]
-    preds = [reference_of(check_id, tag, pred) for tag, pred in items]
+    preds = [(reference_of(check_id, tag, pred), arity_of(pred)) for tag, pred in items]
     for tup in product(range(alg.n), repeat=arity):
-        for (tag, _), pred in zip(items, preds):
-            if not pred(alg, *tup[:arity_of(pred)]):
+        for (tag, _), (pred, k) in zip(items, preds):
+            if not pred(alg, *tup[:k]):
                 witness = (("item", tag),) + tuple(
                     (r, alg.elements[v]) for r, v in zip(roles, tup))
                 return CheckResult(check_id, "fail", witness)
@@ -398,20 +443,24 @@ def outcome(fn, *args):
 
 # -- _scan_items ---------------------------------------------------------------
 
+# Terms for the elements e0..e3 of ``blank``.
+ELEMENTS = ("0", "1", ("->", "0", "0"), ("->", "0", "1"))
+
+
 def blank(n):
-    """An algebra whose only role here is to name n elements."""
+    """An algebra on n <= 4 elements whose only role here is to name them:
+    element i is the term ELEMENTS[i]."""
     return FiniteAlgebra("blank", tuple(f"e{i}" for i in range(n)),
-                         ((0,) * n,) * n, 1, 0)
+                         tuple(tuple((x + y + 2) % n for y in range(n)) for x in range(n)), 1, 0)
 
 
 def failing_at(k, bad):
-    bad = frozenset(bad)
-    return (
-        lambda a, x: (x,) not in bad,
-        lambda a, x, y: (x, y) not in bad,
-        lambda a, x, y, z: (x, y, z) not in bad,
-        lambda a, x, y, z, u: (x, y, z, u) not in bad,
-    )[k - 1]
+    """A formula that reads the first k roles and fails exactly at the tuples
+    of ``bad`` on ``blank``."""
+    roles = ROLES[:k]
+    return algebra._and(algebra._eq(roles[-1], roles[-1]), *(
+        algebra._not(algebra._and(*(algebra._eq(r, ELEMENTS[v]) for r, v in zip(roles, tup))))
+        for tup in sorted(bad)))
 
 
 @pytest.mark.parametrize("arity, items, expected", [
@@ -574,36 +623,48 @@ def test_formulas_match_their_lambdas(corpus):
 
 @st.composite
 def formulas(draw, depth=3):
-    """A random formula over the roles, 0 and 1, with every connective."""
-    def element(d):
+    """A random formula over the roles, 0 and 1, with every connective and
+    binders, whose bodies may also read the bound element."""
+    def element(d, atoms):
         if d == 0 or draw(st.integers(0, 2)) == 0:
-            return draw(st.sampled_from(ROLES + ("0", "1")))
-        return ("->", element(d - 1), element(d - 1))
+            return draw(st.sampled_from(atoms))
+        return ("->", element(d - 1, atoms), element(d - 1, atoms))
 
-    def formula(d):
-        kind = draw(st.sampled_from(("=", "=", "not", "and", "or", "iff")))
-        if d == 0 or kind == "=":
-            return ("=", element(2), element(2))
+    def formula(d, atoms):
+        kind = draw(st.sampled_from(("=", "=", "not", "and", "or", "iff", "all")))
+        if d == 0 or kind == "=" or kind == "all" and BOUND in atoms:
+            return ("=", element(2, atoms), element(2, atoms))
+        if kind == "all":
+            return ("all", BOUND, formula(d - 1, atoms + (BOUND,)))
         if kind == "not":
-            return ("not", formula(d - 1))
+            return ("not", formula(d - 1, atoms))
         if kind == "iff":
-            return ("iff", formula(d - 1), formula(d - 1))
-        return (kind, *(formula(d - 1) for _ in range(draw(st.integers(2, 3)))))
+            return ("iff", formula(d - 1, atoms), formula(d - 1, atoms))
+        return (kind, *(formula(d - 1, atoms) for _ in range(draw(st.integers(2, 3)))))
 
-    return formula(depth)
+    return formula(depth, ROLES + ("0", "1"))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(formula=formulas(), table=st.integers(0, 10 ** 6))
 def test_compiled_formula_matches_its_rendering(formula, table):
     # The row scan against the tuple-by-tuple evaluation of the rendered
-    # formula, on a random table with n = 1..7.
+    # formula, on a random table with n = 1..7; a formula with a binder is
+    # scanned over all of its roles, with the bound element as the row.
     assume(formula_roles(formula))
     alg = next(random_tables(1, table))
     value = algebra._evaluator_of(formula)
     expected = next((tup for tup in product(range(alg.n), repeat=len(formula_roles(formula)))
                      if not value(alg.arrow, alg.zero, alg.one, *tup)), None)
     assert first_failure(alg, formula) == expected
+
+
+def test_binders_do_not_nest():
+    inner = algebra._all(algebra._eq(BOUND, "0"))
+    nested = algebra._all(algebra._and(algebra._eq("x", BOUND), inner))
+    for fn in (algebra._compile_scan, lambda roles, f: algebra._render(f)):
+        with pytest.raises(ValueError, match="nested binder"):
+            fn(("x",), nested)
 
 
 X, Y = "x", "y"

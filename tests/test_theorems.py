@@ -1,6 +1,15 @@
 import pytest
 
-from orthologic import InputError, fixture, list_checks, run_all, run_check
+from orthologic import (
+    InputError,
+    associated_orthospace,
+    cl_algebra,
+    classify,
+    fixture,
+    list_checks,
+    run_all,
+    run_check,
+)
 from orthologic.enumeration import enumerate_models
 
 from theorem_expectations import BENZENE6, IOML_SKIPS
@@ -59,17 +68,22 @@ def test_run_all_is_deterministic(benzene6):
     assert run_all(benzene6) == run_all(benzene6)
 
 
-def test_no_check_errors_on_enumerated_iols():
-    # every check completes on every enumerated i-OL; the only failures are
-    # the two orthomodularity-sensitive pointwise checks on hexagon-type
-    # algebras, mirroring the fixture expectations
-    documented = {"L3-ORTHO-CONSEQ", "P3-PERP-IFF-MEETZERO"}
-    for n in (2, 4, 6):
-        for alg in enumerate_models(n, "iol"):
-            for res in run_all(alg):
-                assert res.status in {"pass", "fail", "skipped"}
-                if res.failed:
-                    assert res.check_id in documented, (alg.name, res)
+def test_registry_sweep_over_the_census():
+    # Every i-OL with n <= 8, the orthomodular and Boolean ones with n = 10,
+    # and the orthoclosed logic of each: all are i-OLs, and the registry
+    # passes or skips everywhere, except the two orthomodularity-sensitive
+    # checks, which fail on exactly the algebras that are not orthomodular.
+    sensitive = {"L3-ORTHO-CONSEQ", "P3-PERP-IFF-MEETZERO"}
+    models = [alg for n in (2, 4, 6, 8) for alg in enumerate_models(n, "iol")]
+    models += enumerate_models(10, "ioml") + enumerate_models(10, "iboolean")
+    census = models + [cl_algebra(associated_orthospace(alg)) for alg in models]
+    assert len(census) == 22
+    for alg in census:
+        label = classify(alg)
+        assert label.is_iol, alg.name
+        failed = {res.check_id for res in run_all(alg) if res.failed}
+        assert failed == (set() if label.is_ioml else sensitive), (alg.name, alg.arrow)
+    assert sum(not classify(alg).is_ioml for alg in census) == 8
 
 
 def test_skip_carries_the_unmet_precondition(benzene6):
