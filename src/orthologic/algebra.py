@@ -506,33 +506,30 @@ def _compile_scan(roles, formula) -> Callable[..., tuple[int, ...] | None]:
     on that list each time, up to the list's cap.
 
     Each subterm is evaluated once, in the loop of the innermost outer role
-    it reads.  A subterm that reads one outer role, not the first, is also
-    evaluated in a loop over that role before the others, and the rows
-    computed there (by a gather or a map) are read back from its table.  A
-    scalar disjunct of a top-level "or" skips the rest of its loop when it
-    holds, since every tuple below it holds.  An equation at the top
-    compares its two sides as whole rows; any other formula is a row of
-    truth values, and its first false index completes the witness, or, with
-    a binder, a scalar whose first false outer tuple is the witness."""
+    it reads; one that reads one outer role, not the first, is evaluated
+    instead in a loop over that role before the others, and read back from
+    the table that loop fills.  A scalar disjunct of a top-level "or" skips
+    the rest of its loop when it holds, since every tuple below it holds.
+    An equation at the top compares its two sides as whole rows; any other
+    formula is a row of truth values, and its first false index completes
+    the witness, or, with a binder, a scalar whose first false outer tuple
+    is the witness."""
     *outer, last = (*roles, BOUND) if _binds(formula) else roles
     levels: list[list[str]] = [[] for _ in range(len(outer) + 1)]
     # term, or derived key -> (variable, kind, loop depths of the outer
     # roles it reads)
     nodes: dict = {}
     tables: set[str] = set()  # of "EQ" and "T" that the scan reads
-    tabulated: dict[int, list[str]] = {}  # loop depth -> statements of its own loop
-    rows_of: dict[int, list[str]] = {}  # loop depth -> variables read back from it
+    tabulated: dict[int, list[tuple[str, str]]] = {}  # loop depth -> its (variable, expr)
 
     def emit(key, expr, kind, reads):
         if key not in nodes:
             depth, name = max(reads, default=0), f"v{len(nodes)}"
             nodes[key] = (name, kind, reads)
             if len(reads) == 1 and depth > 1:
-                tabulated.setdefault(depth, []).append(f"{name} = {expr}")
-                if "_get(" in expr or "map(" in expr:
-                    rows_of.setdefault(depth, []).append(name)
-                    return nodes[key]
-            levels[depth].append(f"{name} = {expr}")
+                tabulated.setdefault(depth, []).append((name, expr))
+            else:
+                levels[depth].append(f"{name} = {expr}")
         return nodes[key]
 
     def arrow(term, s, sk, sr, u, uk, ur):
@@ -651,10 +648,10 @@ def _compile_scan(roles, formula) -> Callable[..., tuple[int, ...] | None]:
     if "T" in tables:
         lines.append("    T, F = (True,) * n, (False,) * n")
     lines += ["    " + stmt for stmt in levels[0]]
-    for depth, names in rows_of.items():
-        role, names = outer[depth - 1], "".join(v + ", " for v in names)
+    for depth, assigned in tabulated.items():
+        role, names = outer[depth - 1], "".join(v + ", " for v, _ in assigned)
         lines += [f"    H{depth} = []", f"    for {role} in I:"]
-        lines += ["        " + stmt for stmt in tabulated[depth]]
+        lines += [f"        {v} = {expr}" for v, expr in assigned]
         lines.append(f"        H{depth}.append(({names}))")
         levels[depth].insert(0, f"{names}= H{depth}[{role}]")
     for depth, stmts in enumerate(levels[1:], 1):

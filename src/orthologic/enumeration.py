@@ -16,18 +16,19 @@ watched, as in SEM and Mace4: it is filed under the depth that assigns the
 cell it waits on, and only the instances filed under a depth are evaluated
 again there.  Each leaf is then verified in full.
 
-Leaves are deduplicated by ``canonical_key``, which only tries the
-relabelings that carry the leaf's star onto the standard one.
+Leaves are deduplicated by ``canonical_key``, the least table over the
+leaves of an individualisation-refinement tree; ``is_isomorphic`` matches
+two such trees.  Sizes above ``max_elements`` are refused before the search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import count, permutations, product
+from itertools import count, product
 from math import isqrt
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .algebra import (
     AXIOM_PREDICATES,
@@ -37,6 +38,7 @@ from .algebra import (
     ResourceLimitError,
     axiom_holds,
     classify,
+    max_elements,
     node_budget,
     resolve_axiom_id,
 )
@@ -62,9 +64,7 @@ class SearchGoal:
         if self.require & self.forbid:
             raise InputError("contradictory goal: require and forbid overlap")
         if self.forbid & (_UNIVERSE_AXIOMS | {"BE4"}):
-            raise InputError(
-                "goal lies outside the bounded involutive BE search universe"
-            )
+            raise InputError("goal lies outside the bounded involutive BE search universe")
         if self.min_size < 2:
             raise InputError("sizes below 2 are rejected (trivial algebra)")
         if self.max_size < self.min_size:
@@ -90,13 +90,14 @@ def _star_maps(n: int, required: frozenset[str]) -> Iterator[list[int]]:
         yield star_of
 
 
-def _search_tables(n: int, required: frozenset[str]) -> Iterator[FiniteAlgebra]:
-    """Yield completed candidate tables (unverified, undeduplicated)."""
-    prune_axioms = tuple(
-        a for a in (("BE4",) + tuple(sorted(required))) if a not in _UNIVERSE_AXIOMS
-    )
-    nodes = count(1)
-    budget = node_budget()
+def _search_tables(n: int, required: frozenset[str],
+                   nodes: Optional[Iterator[int]] = None) -> Iterator[FiniteAlgebra]:
+    """Yield completed candidate tables (unverified, undeduplicated); the
+    search nodes count on ``nodes`` against ``node_budget``."""
+    if n > max_elements():
+        raise ResourceLimitError(f"enumeration at size {n} exceeds cap {max_elements()}")
+    prune_axioms = tuple(a for a in ("BE4", *sorted(required)) if a not in _UNIVERSE_AXIOMS)
+    nodes, budget = nodes or count(1), node_budget()
     for star_of in _star_maps(n, required):
         yield from _fill_tables(n, star_of, required, prune_axioms, nodes, budget)
 
@@ -109,8 +110,9 @@ def _fill_tables(
     nodes: Iterator[int],
     budget: int,
 ) -> Iterator[FiniteAlgebra]:
-    """Backtrack over the free cells of one star map; ``nodes`` counts
-    search nodes across all star maps of one search."""
+    """Backtrack over the free cells of one star map in one loop over the
+    depths, as a thousand nested generators would overflow the stack;
+    ``nodes`` counts search nodes across all star maps of one search."""
     zero, one, unknown = 0, n - 1, n
     names = _standard_names(n)
     table = [[unknown] * n for _ in range(n)]
@@ -147,37 +149,40 @@ def _fill_tables(
         table[i][j] = v
         table[star_of[j]][star_of[i]] = v
 
-    def fill(k: int) -> Iterator[FiniteAlgebra]:
-        if k == len(cells):
+    # values[k] is the value tried last at depth k, -1 before the first;
+    # moved[k] the depths its watched instances moved to.
+    last, k = len(cells), 0
+    values, moved = [-1] * last, [[] for _ in cells]
+    while k >= 0:
+        if k == last:
             yield FiniteAlgebra("model", names, tuple(map(tuple, table)), one, zero)
-            return
-        i, j = cells[k]
-        for v in range(n):
+            k -= 1
+            continue
+        undo, (i, j) = moved[k], cells[k]
+        for v in range(values[k] + 1, n):
+            while undo:
+                watch[undo.pop()].pop()
             if next(nodes) > budget:
-                raise ResourceLimitError(
-                    f"enumeration at size {n} exceeded node budget {budget},"
-                    f" {k} of {len(cells)} free cells filled"
-                )
+                raise ResourceLimitError(f"enumeration at size {n} exceeded node budget"
+                                         f" {budget}, {k} of {last} free cells filled")
             assign(i, j, v)
-            # Only the instances waiting on this cell can change verdict;
-            # each one still undetermined moves to a deeper depth until the
-            # next value is tried.
-            moved = []
+            # Only the instances waiting on this cell can change verdict; each
+            # one still undetermined waits deeper until the next value.
             for holds, tup in watch[k]:
                 cell = holds(*tup)
                 if cell is False:
                     break
                 if cell is not None:
-                    depth = depth_of[cell]
-                    watch[depth].append((holds, tup))
-                    moved.append(depth)
+                    watch[depth_of[cell]].append((holds, tup))
+                    undo.append(depth_of[cell])
             else:
-                yield from fill(k + 1)
-            for depth in moved:
-                watch[depth].pop()
-        assign(i, j, unknown)
-
-    yield from fill(0)
+                values[k], k = v, k + 1
+                break
+        else:
+            while undo:
+                watch[undo.pop()].pop()
+            assign(i, j, unknown)
+            values[k], k = -1, k - 1
 
 
 _CLASS_AXIOMS = {
@@ -187,48 +192,130 @@ _CLASS_AXIOMS = {
 }
 
 
-def canonical_key(alg: FiniteAlgebra) -> tuple[int, ...]:
-    """Min-lex flattened arrow table over the relabelings that keep 0 first
-    and 1 last; equal keys mean isomorphic algebras.
+# ---------------------------------------------------------------------------
+# Isomorphism: one individualisation-refinement tree (McKay & Piperno,
+# "Practical graph isomorphism II", 2014) gives the key and the test.
+# ---------------------------------------------------------------------------
 
-    Every isomorphism commutes with star.  So when star swaps 0 and 1 and is
-    an involution of the other elements, only the relabelings that carry it
-    onto the standard star of ``_star_maps`` are tried: each way of putting
-    its p pairs, in either orientation, on the standard pairs and its k fixed
-    points on the standard fixed points, p!·2^p·k! in all (384 at n = 10,
-    against 8! = 40,320).  Isomorphic inputs have the same set of relabeled
-    tables, so they get the same least one.  Any other input tries all
-    (n - 2)! relabelings."""
-    n, zero, one = alg.n, alg.zero, alg.one
-    middles = [x for x in range(n) if x not in (zero, one)]
-    star_of = [row[zero] for row in alg.arrow]
-    if star_of[zero] == one and star_of[one] == zero and all(
-        star_of[x] not in (zero, one) and star_of[star_of[x]] == x for x in middles
-    ):
-        pairs = [(x, star_of[x]) for x in middles if x < star_of[x]]
-        fixed = [x for x in middles if star_of[x] == x]
-        orders: Iterable[tuple[int, ...]] = (
-            sum(oriented, ()) + rest
-            for placed in permutations(pairs)
-            for oriented in product(*((p, p[::-1]) for p in placed))
-            for rest in permutations(fixed)
-        )
-    else:
-        orders = permutations(middles)
+def _refine(rows, cols, colors: list[int], every_cell: bool) -> tuple[list[int], int]:
+    """Refine a colouring until it is stable; return it and a trace.
+
+    An element of a cell of two or more is signed by its colour and the
+    colours of its row and column at the elements read: all of them, as the
+    multiset of (y, x -> y, y -> x), when ``every_cell``, else the singleton
+    cells in colour order.  The new colours are the signatures' ranks, which
+    keep the order of the cells they split and do not depend on labelling.
+    No isomorphism matches nodes whose traces, hashes of each round's
+    signatures and counts, differ."""
+    n, trace, cells = len(colors), 0, len(set(colors))
+    while True:
+        sizes, get = [0] * (2 * n + 1), colors.__getitem__
+        for c in colors:
+            sizes[c] += 1
+        if every_cell:
+            sigs = [(c, (*sorted(zip(colors, map(get, row), map(get, col))),))
+                    if sizes[c] > 1 else (c,) for c, row, col in zip(colors, rows, cols)]
+        else:
+            reads = sorted((y for y, c in enumerate(colors) if sizes[c] == 1), key=get)
+            sigs = [(c, *map(get, map(row.__getitem__, reads)),
+                     *map(get, map(col.__getitem__, reads)))
+                    if sizes[c] > 1 else (c,) for c, row, col in zip(colors, rows, cols)]
+        ranked = sorted(set(sigs))
+        rank = {sig: i for i, sig in enumerate(ranked)}
+        colors = [rank[sig] for sig in sigs]
+        trace = hash((trace, tuple(ranked), tuple(sorted(colors))))
+        if len(ranked) in (cells, n):
+            return colors, trace
+        cells = len(ranked)
+
+
+def _children(rows, cols, colors: list[int]) -> Iterator[tuple[list[int], int]]:
+    """Per element x of the non-singleton cell of least colour (colours are
+    ranks), the colouring that puts x before its cellmates, refined."""
+    ordered = sorted(colors)
+    cell = next(c for c, d in zip(ordered, ordered[1:]) if c == d)
+    for x, c in enumerate(colors):
+        if c == cell:
+            yield _refine(rows, cols,
+                          [2 * k + (k == cell and y != x) for y, k in enumerate(colors)], False)
+
+
+def _leaves(
+    alg: FiniteAlgebra, task: str, nodes: Iterator[int], traces: Optional[tuple[int, ...]] = None
+) -> Iterator[tuple[list[int], tuple[int, ...]]]:
+    """The leaves of the tree of ``alg``, depth first, with the traces of
+    their paths; with ``traces``, only through nodes of the same trace at
+    their depth.  The root refines the cells {0}, the rest and {1}.  Nodes
+    count on ``nodes`` against ``node_budget``, and the error at the cap
+    names ``task``, the size and the elements fixed at the deepest node."""
+    n, budget, path, most = alg.n, node_budget(), [], -1
+    cols, colors = tuple(zip(*alg.arrow)), [1] * n
+    colors[alg.zero], colors[alg.one] = 0, 2
+    stack = [iter([_refine(alg.arrow, cols, colors, True)])]
+    while stack:
+        node, depth = next(stack[-1], None), len(stack) - 1
+        if node is None:
+            stack.pop()
+            continue
+        colors, trace = node
+        if traces is not None and (depth == len(traces) or trace != traces[depth]):
+            continue
+        if depth > most:
+            most, deepest = depth, colors
+        path[depth:] = [trace]
+        if next(nodes) > budget:
+            fixed = [deepest.count(c) for c in deepest].count(1)
+            raise ResourceLimitError(f"{task} at size {n} exceeded node budget {budget},"
+                                     f" {fixed} of {n} elements fixed at the deepest node")
+        if len(set(colors)) == n:
+            yield colors, tuple(path)
+        else:
+            stack.append(_children(alg.arrow, cols, colors))
+
+
+def canonical_key(alg: FiniteAlgebra, nodes: Optional[Iterator[int]] = None) -> tuple[int, ...]:
+    """Min-lex flattened arrow table over the leaves of the tree, which put
+    each element at its colour; equal keys mean isomorphic algebras.
+
+    The tree does not depend on the labelling, so isomorphic inputs have the
+    same leaf tables, and the same least one.  0 comes first and 1 last.
+    Leaves are not pruned by automorphisms: MO_m has m!·2^m of them.  The
+    nodes count on ``nodes``, a fresh count by default."""
     # relabeled_rows[x](pos) is row x with every value v relabeled pos[v].
     relabeled_rows = [itemgetter(*row) for row in alg.arrow]
-    pos = [0] * n
     best: Optional[list[tuple[int, ...]]] = None
-    for order in orders:
-        at = (zero, *order, one)  # at[i] is the element moved to position i
-        for i, x in enumerate(at):
-            pos[x] = i
+    for colors, _ in _leaves(alg, "canonical key", nodes or count(1)):
+        at = sorted(range(alg.n), key=colors.__getitem__)
         in_order = itemgetter(*at)
-        key = [in_order(relabeled_rows[x](pos)) for x in at]
+        key = [in_order(relabeled_rows[x](colors)) for x in at]
         if best is None or key < best:
             best = key
     assert best is not None
     return sum(best, ())
+
+
+def is_isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> Optional[tuple[int, ...]]:
+    """An arrow-preserving bijection that keeps 0 and 1, as an index map
+    (position i of ``a`` to position map[i] of ``b``), or None.
+
+    It takes the first leaf of a's tree and searches b's tree for the leaves
+    reached through the same traces, whose maps it checks on every arrow.
+    Any isomorphism carries a's path onto one of them, so the search is
+    complete.  The nodes of both trees count against ``node_budget``."""
+    if a.n != b.n:
+        return None
+    if a.arrow == b.arrow and a.one == b.one and a.zero == b.zero:
+        return tuple(range(a.n))
+    nodes = count(1)
+    leaf, traces = next(_leaves(a, "isomorphism search", nodes))
+    for colors, _ in _leaves(b, "isomorphism search", nodes, traces):
+        at = sorted(range(b.n), key=colors.__getitem__)
+        mapping = tuple(at[c] for c in leaf)
+        image = itemgetter(*mapping)
+        if all(image(b.arrow[fx]) == itemgetter(*row)(mapping)
+               for fx, row in zip(mapping, a.arrow)):
+            return mapping
+    return None
 
 
 def _from_key(name: str, key: tuple[int, ...]) -> FiniteAlgebra:
@@ -249,10 +336,12 @@ def _accepted_keys(
     n: int, required: frozenset[str], accept: Callable[[FiniteAlgebra], bool]
 ) -> list[tuple[int, ...]]:
     """Sorted canonical keys of the search leaves at size n that satisfy BE4
-    and every required law, and pass ``accept``."""
+    and every required law, and pass ``accept``.  The search and the keys
+    share one node budget."""
+    nodes = count(1)
     return sorted({
-        canonical_key(cand)
-        for cand in _search_tables(n, required)
+        canonical_key(cand, nodes)
+        for cand in _search_tables(n, required, nodes)
         if axiom_holds(cand, "BE4")
         and all(axiom_holds(cand, a) for a in sorted(required))
         and accept(cand)
@@ -295,93 +384,3 @@ def goal_from_names(require, forbid, min_size=2, max_size=6) -> SearchGoal:
         max_size,
     )
 
-
-# ---------------------------------------------------------------------------
-# Isomorphism testing.
-# ---------------------------------------------------------------------------
-
-def _refine_colors(alg: FiniteAlgebra) -> tuple[int, ...]:
-    colors = [0] * alg.n
-    colors[alg.zero] = 1
-    colors[alg.one] = 2
-    while True:
-        sigs = []
-        for x in range(alg.n):
-            profile = sorted(
-                (colors[y], colors[alg.arrow[x][y]], colors[alg.arrow[y][x]])
-                for y in range(alg.n)
-            )
-            sigs.append((colors[x], tuple(profile)))
-        relabel = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = tuple(relabel[s] for s in sigs)
-        if new == tuple(colors):
-            return new
-        colors = list(new)
-
-
-def is_isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> Optional[tuple[int, ...]]:
-    """An arrow-preserving bijection as an index map (position i of ``a`` to
-    position map[i] of ``b``), or None.  Such a bijection fixes 1, and 0 on
-    bounded algebras, so candidates are filtered by color refinement first.
-    The backtracking counts its nodes against ``node_budget`` and raises
-    ResourceLimitError at the cap."""
-    if a.n != b.n:
-        return None
-    if a.arrow == b.arrow and a.one == b.one and a.zero == b.zero:
-        return tuple(range(a.n))
-    ca, cb = _refine_colors(a), _refine_colors(b)
-    if sorted(ca) != sorted(cb):
-        return None
-    mapping: list[Optional[int]] = [None] * a.n
-    used = [False] * b.n
-    mapping[a.zero], used[b.zero] = b.zero, True
-    mapping[a.one] = b.one
-    used[b.one] = True
-    if ca[a.zero] != cb[b.zero] or ca[a.one] != cb[b.one]:
-        return None
-    order = sorted(
-        (x for x in range(a.n) if x not in (a.zero, a.one)), key=lambda x: ca[x]
-    )
-    nodes, budget, deepest = count(1), node_budget(), 0
-
-    def consistent(x: int) -> bool:
-        fx = mapping[x]
-        for y in range(a.n):
-            fy = mapping[y]
-            if fy is None:
-                continue
-            if mapping[a.arrow[x][y]] is not None and mapping[a.arrow[x][y]] != b.arrow[fx][fy]:
-                return False
-            if mapping[a.arrow[y][x]] is not None and mapping[a.arrow[y][x]] != b.arrow[fy][fx]:
-                return False
-        return True
-
-    def extend(k: int) -> bool:
-        nonlocal deepest
-        deepest = max(deepest, k)
-        if next(nodes) > budget:
-            raise ResourceLimitError(
-                f"isomorphism search at size {a.n} exceeded node budget {budget},"
-                f" deepest at {deepest} of {len(order)} elements mapped"
-            )
-        if k == len(order):
-            for x in range(a.n):
-                for y in range(a.n):
-                    if mapping[a.arrow[x][y]] != b.arrow[mapping[x]][mapping[y]]:
-                        return False
-            return True
-        x = order[k]
-        for t in range(b.n):
-            if used[t] or cb[t] != ca[x]:
-                continue
-            mapping[x] = t
-            used[t] = True
-            if consistent(x) and extend(k + 1):
-                return True
-            mapping[x] = None
-            used[t] = False
-        return False
-
-    if extend(0):
-        return tuple(mapping)  # type: ignore[arg-type]
-    return None

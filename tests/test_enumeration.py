@@ -1,4 +1,4 @@
-from functools import partial
+from functools import lru_cache, partial
 from itertools import count, permutations, product, starmap
 
 import pytest
@@ -14,7 +14,7 @@ from orthologic import (
     fixture,
     is_isomorphic,
 )
-from orthologic.algebra import AXIOMS, _render, axiom_holds
+from orthologic.algebra import AXIOMS, _render, axiom_holds, le_l
 from orthologic.enumeration import (
     _UNIVERSE_AXIOMS,
     SearchGoal,
@@ -27,7 +27,16 @@ from orthologic.enumeration import (
     goal_from_names,
 )
 
-from conftest import brute_force_key, relabel
+from conftest import (
+    boolean_iol,
+    brute_force_key,
+    direct_product,
+    hexagons,
+    horizontal_sum,
+    mo_iol,
+    relabel,
+    relabelled,
+)
 
 # Census of models per size, frozen from the independent ortholattice-based
 # oracle below (posets -> bounded lattices -> orthocomplementations).
@@ -221,8 +230,8 @@ def test_watched_pruner_matches_full_rescan(n, required):
 
 
 def assert_same_partition(algebras):
-    """The star-restricted key and the all-permutation key split the
-    algebras into the same classes."""
+    """The tree's key and the all-permutation key split the algebras into
+    the same classes."""
     pairs = {(canonical_key(a), brute_force_key(a)) for a in algebras}
     assert len({k for k, _ in pairs}) == len({b for _, b in pairs}) == len(pairs)
 
@@ -251,7 +260,8 @@ def small_tables(draw):
     """A table on 2..6 elements with distinct 0 and 1 and arbitrary cells,
     whose star is arbitrary, an involution that swaps 0 and 1, or a map
     that swaps 0 and 1 and sends the rest among themselves, which is rarely
-    an involution; so both paths of the key are reached."""
+    an involution.  The key takes one path on all of them: its tree reads
+    star only through the arrow table."""
     n = draw(st.integers(2, 6))
     zero, one, *middles = draw(st.permutations(range(n)))
     arrow = [[draw(st.integers(0, n - 1)) for _ in range(n)] for _ in range(n)]
@@ -376,6 +386,80 @@ def test_isomorphism_is_an_equivalence_on_a_batch():
             for c in batch:
                 if is_isomorphic(a, b) and is_isomorphic(b, c):
                     assert is_isomorphic(a, c) is not None
+
+
+# Constructions are cached: the larger ones are classified when built.
+_boolean, _mo, _hexagons, _product, _sum = map(
+    lru_cache(maxsize=None), (boolean_iol, mo_iol, hexagons, direct_product, horizontal_sum)
+)
+SMALL_IOLS = (boolean_iol(1), boolean_iol(2), boolean_iol(3), mo_iol(2), mo_iol(3),
+              hexagons(1), hexagons(2))
+
+
+@st.composite
+def known_iols(draw):
+    """A known i-OL of at most 64 elements: Boolean, MO_m, a horizontal sum
+    of hexagons, or a direct product or horizontal sum of two small ones."""
+    kind = draw(st.sampled_from(("boolean", "mo", "hexagons", "product", "sum")))
+    if kind == "boolean":
+        return _boolean(draw(st.integers(1, 6)))
+    if kind == "mo":
+        return _mo(draw(st.integers(0, 31)))
+    if kind == "hexagons":
+        return _hexagons(draw(st.integers(1, 15)))
+    a = draw(st.sampled_from(SMALL_IOLS))
+    if kind == "product":
+        return _product(a, draw(st.sampled_from([b for b in SMALL_IOLS if a.n * b.n <= 64])))
+    return _sum(a, draw(st.sampled_from(SMALL_IOLS)))
+
+
+def order_profile(alg):
+    """The sorted (down-set size, up-set size) of the elements under the
+    order: equal on isomorphic i-OLs, and all (2, 2) on the middle of MO_m."""
+    le = [[le_l(alg, x, y) for y in range(alg.n)] for x in range(alg.n)]
+    return sorted((sum(row[x] for row in le), sum(le[x])) for x in range(alg.n))
+
+
+def assert_isomorphism(a, b, mapping):
+    assert sorted(mapping) == list(range(b.n))
+    assert all(
+        mapping[a.arrow[x][y]] == b.arrow[mapping[x]][mapping[y]]
+        for x in range(a.n)
+        for y in range(a.n)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(alg=known_iols(), seed=st.integers(0, 1 << 16))
+def test_is_isomorphic_on_relabelled_known_iols(alg, seed):
+    copy = relabelled(alg, seed)
+    assert_isomorphism(alg, copy, is_isomorphic(alg, copy))
+    # Every construction has an even size n, as has MO_m for m = (n - 2) / 2,
+    # which is isomorphic to alg exactly when their orders have one profile.
+    mo = _mo((alg.n - 2) // 2)
+    mapping = is_isomorphic(alg, relabelled(mo, seed))
+    if order_profile(alg) == order_profile(mo):
+        assert_isomorphism(alg, relabelled(mo, seed), mapping)
+    else:
+        assert mapping is None
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (mo_iol(6), hexagons(3)),
+        (boolean_iol(4), mo_iol(7)),
+        (boolean_iol(6), mo_iol(31)),
+        (direct_product(hexagons(1), hexagons(1)), direct_product(mo_iol(2), mo_iol(2))),
+        (horizontal_sum(boolean_iol(3), hexagons(1)), horizontal_sum(mo_iol(2), mo_iol(3))),
+    ],
+    ids=["MO6-hex3", "B16-MO7", "B64-MO31", "hex1xhex1-MO2xMO2", "B8+hex1-MO2+MO3"],
+)
+def test_is_isomorphic_rejects_non_isomorphic_pairs_of_one_size(a, b):
+    assert a.n == b.n
+    for seed in range(3):
+        assert is_isomorphic(a, relabelled(b, seed)) is None
+        assert is_isomorphic(relabelled(b, seed), a) is None
 
 
 # -- goal-directed search --------------------------------------------------------

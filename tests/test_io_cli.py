@@ -266,22 +266,54 @@ def test_cli_iso(capsys):
     assert capsys.readouterr().out.strip() == "non-isomorphic"
 
 
-def test_cli_iso_respects_node_budget(capsys, monkeypatch, tmp_path):
-    # Colour refinement leaves B64 one class per rank, so the matcher
-    # backtracks far past this budget on a relabelled copy.
-    monkeypatch.setenv("ORTHO_NODE_BUDGET", "20000")
+def b64_pair(tmp_path):
+    """Documents of B64 and of a relabelled copy."""
     b64 = boolean_iol(6)
     paths = []
     for name, alg in (("b64", b64), ("b64-relabelled", relabelled(b64, 3))):
         paths.append(tmp_path / f"{name}.json")
         paths[-1].write_text(serialize_algebra(alg), encoding="utf-8")
-    assert run_cli("iso", *map(str, paths)) == 3
+    return paths
+
+
+def test_cli_iso_decides_b64_against_a_relabelled_copy(capsys, tmp_path):
+    paths = b64_pair(tmp_path)
+    assert run_cli("iso", *map(str, paths)) == 0
+    a, b = (parse_algebra(path.read_text(encoding="utf-8")) for path in paths)
+    image = dict(entry.split("->") for entry in capsys.readouterr().out.split())
+    f = [b.index(image[name]) for name in a.elements]
+    assert sorted(f) == list(range(b.n))
+    assert all(f[a.arrow[x][y]] == b.arrow[f[x]][f[y]] for x in range(a.n) for y in range(a.n))
+
+
+def test_cli_iso_respects_node_budget(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("ORTHO_NODE_BUDGET", "1")
+    assert run_cli("iso", *map(str, b64_pair(tmp_path))) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(
-        "resource cap: isomorphism search at size 64 exceeded node budget 20000, deepest at "
+        "resource cap: isomorphism search at size 64 exceeded node budget 1"
     )
-    assert captured.err.endswith(" of 62 elements mapped\n")
+
+
+def test_cli_enumerate_caps_large_sizes(capsys, monkeypatch):
+    # Size 48 has 1,012 free cells; the budget covers the search and the
+    # keys of the leaves it finds.
+    monkeypatch.setenv("ORTHO_NODE_BUDGET", "50000")
+    assert run_cli("enumerate", "--size", "48", "--class", "iol") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("resource cap: ")
+    assert " at size 48 exceeded node budget 50000, " in captured.err
+    assert run_cli("enumerate", "--size", "65", "--class", "iol", "--count-only") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "resource cap: enumeration at size 65 exceeds cap 64\n"
+
+
+def test_cli_search_keeps_a_witness_below_the_size_cap(capsys):
+    assert run_cli("search", "--require", "impl,DN", "--forbid", "IOM", "--max-size", "65") == 0
+    assert parse_algebra(capsys.readouterr().out).n == 6
 
 
 def test_cli_fixture_round_trip(capsys):
