@@ -444,6 +444,19 @@ def test_is_isomorphic_on_relabelled_known_iols(alg, seed):
         assert mapping is None
 
 
+def test_is_isomorphic_checks_the_map_at_the_leaf():
+    # Refinement reads no arrow between two elements that become singletons
+    # in the same round, so these tables, which differ only in p -> q and
+    # q -> p, reach leaves through equal traces.
+    def table(p_to_q, q_to_p):
+        arrow = ((3, 3, 3, 3), (0, 3, p_to_q, 3), (0, q_to_p, 3, 3), (0, 1, 2, 3))
+        return FiniteAlgebra("t", ("0", "p", "q", "1"), arrow, 3, 0)
+
+    a = table(1, 2)
+    assert is_isomorphic(a, table(2, 1)) is None
+    assert_isomorphism(a, relabel(a, [0, 2, 1, 3]), is_isomorphic(a, relabel(a, [0, 2, 1, 3])))
+
+
 @pytest.mark.parametrize(
     "a, b",
     [
