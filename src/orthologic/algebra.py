@@ -209,12 +209,24 @@ def validate_algebra(alg: FiniteAlgebra) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Derived operations and order relations.
+# Derived operations and order relations.  An operation that whole-row
+# callers read has its row form beside it: the same definition as gathers
+# over the arrow table.
 # ---------------------------------------------------------------------------
+
+def gather(seq, idx) -> tuple:
+    """(seq[i] for i in idx) as a tuple, in one itemgetter call."""
+    return itemgetter(*idx)(seq) if len(idx) > 1 else tuple(map(seq.__getitem__, idx))
+
 
 def star(alg: FiniteAlgebra, x: int) -> int:
     """x* = x -> 0."""
     return alg.arrow[x][alg.zero]
+
+
+def star_row(alg: FiniteAlgebra) -> tuple[int, ...]:
+    """(x* for every x): the 0 column of the arrow table."""
+    return (*map(itemgetter(alg.zero), alg.arrow),)
 
 
 def vee_q(alg: FiniteAlgebra, x: int, y: int) -> int:
@@ -227,9 +239,23 @@ def wedge_q(alg: FiniteAlgebra, x: int, y: int) -> int:
     return star(alg, vee_q(alg, star(alg, x), star(alg, y)))
 
 
+def wedge_q_column(alg: FiniteAlgebra, y: int) -> tuple[int, ...]:
+    """(x ^Q y for every x) = ((x* -> y*) -> y*)*: three gathers over the
+    y* column of the arrow table."""
+    stars = star_row(alg)
+    column = (*map(itemgetter(stars[y]), alg.arrow),)
+    return gather(stars, gather(column, gather(column, stars)))
+
+
 def wedge_p(alg: FiniteAlgebra, x: int, y: int) -> int:
     """x ^P y = (x -> y*)*; the lattice meet for the le_l order on i-OLs."""
     return star(alg, alg.arrow[x][star(alg, y)])
+
+
+def wedge_p_row(alg: FiniteAlgebra, x: int) -> tuple[int, ...]:
+    """(x ^P y for every y) = (x -> y*)*: two gathers over the row of x."""
+    stars = star_row(alg)
+    return gather(stars, gather(alg.arrow[x], stars))
 
 
 def vee_p(alg: FiniteAlgebra, x: int, y: int) -> int:
@@ -250,6 +276,11 @@ def le_q(alg: FiniteAlgebra, x: int, y: int) -> bool:
 def le_l(alg: FiniteAlgebra, x: int, y: int) -> bool:
     """x <=L y iff x = (x -> y*)*."""
     return x == star(alg, alg.arrow[x][star(alg, y)])
+
+
+def le_l_row(alg: FiniteAlgebra, x: int) -> tuple[bool, ...]:
+    """(x <=L y for every y), as x = x ^P y."""
+    return (*map(x.__eq__, wedge_p_row(alg, x)),)
 
 
 def ortho(alg: FiniteAlgebra, x: int, y: int) -> bool:
@@ -470,6 +501,13 @@ def _compile(roles, lhs, rhs) -> Callable[..., tuple[int, int] | bool | None]:
     return scope["holds"]
 
 
+def _swap_roles(term, a: str, b: str):
+    """The term with the roles a and b exchanged."""
+    if isinstance(term, tuple):
+        return (term[0], *(_swap_roles(arg, a, b) for arg in term[1:]))
+    return {a: b, b: a}.get(term, term)
+
+
 def _first_diff(l: tuple, r: tuple) -> int:
     return next(i for i, (a, b) in enumerate(zip(l, r)) if a != b)
 
@@ -513,8 +551,16 @@ def _compile_scan(roles, formula) -> Callable[..., tuple[int, ...] | None]:
     An equation at the top compares its two sides as whole rows; any other
     formula is a row of truth values, and its first false index completes
     the witness, or, with a binder, a scalar whose first false outer tuple
-    is the witness."""
+    is the witness.
+
+    When the right side of a top-level equation is its left side with the
+    first two roles exchanged, as in BE4, the second role runs only above
+    the first: the diagonal holds trivially, and a tuple fails iff the one
+    with those two roles exchanged does, so the least failing tuple has its
+    first role below its second."""
     *outer, last = (*roles, BOUND) if _binds(formula) else roles
+    symmetric = formula[0] == "=" and len(outer) > 1 and \
+        _swap_roles(formula[1], *outer[:2]) == formula[2]
     levels: list[list[str]] = [[] for _ in range(len(outer) + 1)]
     # term, or derived key -> (variable, kind, loop depths of the outer
     # roles it reads)
@@ -655,7 +701,8 @@ def _compile_scan(roles, formula) -> Callable[..., tuple[int, ...] | None]:
         lines.append(f"        H{depth}.append(({names}))")
         levels[depth].insert(0, f"{names}= H{depth}[{role}]")
     for depth, stmts in enumerate(levels[1:], 1):
-        lines.append("    " * depth + f"for {outer[depth - 1]} in I:")
+        span = f"I[{outer[0]} + 1:]" if symmetric and depth == 2 else "I"
+        lines.append("    " * depth + f"for {outer[depth - 1]} in {span}:")
         lines += ["    " * (depth + 1) + stmt for stmt in stmts]
     lines += [pad + line for line in tail] + ["    return None"]
     exec("\n".join(lines), _SCAN_GLOBALS)

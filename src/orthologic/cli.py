@@ -53,7 +53,7 @@ from .orthospace import (
 )
 from .sasaki import (
     center,
-    commutes,
+    commute_row,
     has_full_sasaki_set,
     is_sasaki_space,
     sasaki_projection,
@@ -210,8 +210,7 @@ def _cmd_sasaki(args) -> int:
         }
     if args.commute:
         out["commute"] = [
-            ["1" if commutes(alg, x, y) else "0" for y in range(alg.n)]
-            for x in range(alg.n)
+            ["1" if c else "0" for c in commute_row(alg, x)] for x in range(alg.n)
         ]
     if args.center:
         cen = center(alg)

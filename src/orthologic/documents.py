@@ -13,6 +13,17 @@ import json
 from .algebra import FiniteAlgebra, InputError, validate_algebra
 
 
+def check_element_names(name: str, elements: tuple) -> None:
+    """Element names must be distinct non-empty strings."""
+    # Type checks come before any hashing, so an unhashable entry is an
+    # input error rather than a TypeError.
+    if any(not isinstance(e, str) or not e for e in elements):
+        raise InputError(f"{name}: element names must be non-empty strings")
+    if len(set(elements)) != len(elements):
+        dupes = sorted({e for e in elements if elements.count(e) > 1})
+        raise InputError(f"{name}: duplicate element names {dupes}")
+
+
 def algebra_from_names(
     name: str,
     elements: list[str] | tuple[str, ...],
@@ -22,13 +33,7 @@ def algebra_from_names(
 ) -> FiniteAlgebra:
     """Build and validate an algebra from a name-valued table."""
     elements = tuple(elements)
-    # Type checks come before any hashing, so an unhashable entry is an
-    # input error rather than a TypeError.
-    if any(not isinstance(e, str) or not e for e in elements):
-        raise InputError(f"{name}: element names must be non-empty strings")
-    if len(set(elements)) != len(elements):
-        dupes = sorted({e for e in elements if elements.count(e) > 1})
-        raise InputError(f"{name}: duplicate element names {dupes}")
+    check_element_names(name, elements)
     index = {e: i for i, e in enumerate(elements)}
     for const, label in ((one, "one"), (zero, "zero")):
         if not isinstance(const, str) or const not in index:

@@ -8,11 +8,17 @@ turns unions into intersections.
 
 ``associated_orthospace`` checks ``require_iol``; the rest works on the space
 alone.  ``block_boolean_family`` lives in ``sasaki``, beside the test it uses.
+
+``perp``, ``orthoclosure`` and ``is_orthoclosed`` act on one subset.  The
+entry points that read a whole family do not call them once per pair:
+``cl_algebra`` computes each member's perp once and looks up the perp of
+each distinct A & B^perp once, and ``is_normal`` remembers every perp it
+takes across the partitions of all blocks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
@@ -23,12 +29,14 @@ from .algebra import (
     ResourceLimitError,
     check_axiom,
     classify,
+    gather,
     iter_bits,
     popcount,
     require_iol,
     star,
+    validate_algebra,
 )
-from .documents import algebra_from_names
+from .documents import check_element_names
 
 BLOCK_PARTITION_CAP = 20  # block size above which the 2^|E| partition scan aborts
 FAMILY_CAP = 100_000  # orthoclosed-family size cap
@@ -96,18 +104,22 @@ class ClosedFamily:
     """All orthoclosed subsets, sorted by (cardinality, mask value)."""
 
     members: tuple[int, ...]
+    positions: dict[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "positions", {m: i for i, m in enumerate(self.members)})
 
     def index(self, mask: int) -> int:
         try:
-            return self.members.index(mask)
-        except ValueError:
+            return self.positions[mask]
+        except KeyError:
             raise InputError(f"subset {mask:#x} is not orthoclosed") from None
 
     def __len__(self) -> int:
         return len(self.members)
 
     def __contains__(self, mask: int) -> bool:
-        return mask in self.members
+        return mask in self.positions
 
 
 @lru_cache(maxsize=None)
@@ -166,18 +178,24 @@ def enumerate_orthoclosed(space: OrthoSpace) -> ClosedFamily:
 @lru_cache(maxsize=None)
 def cl_algebra(space: OrthoSpace) -> FiniteAlgebra:
     """The orthoclosed-set logic as an algebra: A -> B = (A & B^perp)^perp,
-    with the empty set as 0 and the full point set as 1."""
+    with the empty set as 0 and the full point set as 1.
+
+    Row A is the perps of A & B^perp over the members B, gathered from one
+    lookup table of the distinct masks A & B^perp; the family is closed
+    under intersection, so there are at most as many as members."""
     family = enumerate_orthoclosed(space)
-    names = [space.subset_name(m) for m in family.members]
-    arrow = []
-    for a in family.members:
-        row = []
-        for b in family.members:
-            row.append(names[family.index(perp(space, a & perp(space, b)))])
-        arrow.append(row)
-    return algebra_from_names(
-        "CL", names, arrow, names[family.index(space.full())], names[family.index(0)]
+    names = tuple(space.subset_name(m) for m in family.members)
+    # Point names may contain commas and braces, so two subsets can share one.
+    check_element_names("CL", names)
+    perps = [perp(space, b) for b in family.members]
+    rows = [(*map(a.__and__, perps),) for a in family.members]
+    arrow_of = {m: family.index(perp(space, m)) for m in set().union(*rows)}
+    logic = FiniteAlgebra(
+        "CL", names, tuple(gather(arrow_of, row) for row in rows),
+        family.index(space.full()), family.index(0),
     )
+    validate_algebra(logic)
+    return logic
 
 
 def is_dacey(space: OrthoSpace) -> CheckResult:
@@ -236,7 +254,18 @@ def is_normal(space: OrthoSpace) -> CheckResult:
     perp(E1) = E2^perpperp and perp(E2) = E1^perpperp, both non-empty.
     Equivalently, it is the unique decomposition extending (E1, E2); the
     registry check L7-NORMAL-CRIT cross-checks the two readings.  The hexagon
-    space fails at the partition ({a},{d}) of the block {a,d}."""
+    space fails at the partition ({a},{d}) of the block {a,d}.
+
+    Cells and their perps recur across partitions and blocks, so each perp
+    is computed once per call."""
+    perps: dict[int, int] = {}
+
+    def perp_of(members: int) -> int:
+        p = perps.get(members)
+        if p is None:
+            p = perps[members] = perp(space, members)
+        return p
+
     for block in blocks(space):
         if popcount(block) > BLOCK_PARTITION_CAP:
             raise ResourceLimitError(
@@ -244,13 +273,8 @@ def is_normal(space: OrthoSpace) -> CheckResult:
                 f" {BLOCK_PARTITION_CAP}"
             )
         for e1, e2 in _two_cell_partitions(block):
-            p1, p2 = perp(space, e1), perp(space, e2)
-            ok = (
-                p1 != 0
-                and p2 != 0
-                and p1 == orthoclosure(space, e2)
-                and p2 == orthoclosure(space, e1)
-            )
+            p1, p2 = perp_of(e1), perp_of(e2)
+            ok = p1 != 0 and p2 != 0 and p1 == perp_of(p2) and p2 == perp_of(p1)
             if not ok:
                 return CheckResult(
                     "normal",

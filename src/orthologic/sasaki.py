@@ -2,12 +2,20 @@
 projection-family machinery on top of them.
 
 Element-level operations are defined on any table; entry points that take a
-whole algebra check ``require_iol`` once.  Each verdict has one test:
-``is_iboolean_subalgebra`` decides the center, orthogonal-pair
-(``pair_hull_check``, for ``orthogonal_pair_boolean_witness`` and the
-registry's ``non_boolean_pair`` alike) and block-family
-(``block_boolean_family``) results, and ``sasaki_map_search``, one pass over
-the domain points, decides every Sasaki-map question.
+whole algebra check ``require_iol`` once.  ``commutes`` and ``divides`` decide
+one pair; ``commute_row`` and ``divides_row`` are the same laws over a whole
+row, read as gathers over the arrow table, and the entry points read rows:
+``sasaki_projection`` is ``algebra.wedge_q_column``, ``center`` reads commute
+rows, ``is_subalgebra`` and ``is_iboolean_subalgebra`` read arrow and
+divisibility rows, and ``check_sasaki_set`` tests each law on whole rows and
+goes back to single pairs only to name the least failing one.
+
+Each verdict has one test: ``is_iboolean_subalgebra`` decides the center,
+orthogonal-pair (``pair_hull_check``, for ``orthogonal_pair_boolean_witness``
+and the registry's ``non_boolean_pair`` alike) and block-family
+(``block_family_check``, which ``block_boolean_family`` guards with its
+preconditions) results, and ``sasaki_map_search``, one pass over the domain
+points, decides every Sasaki-map question.
 
 A projection is stored as its full image vector.  The canonical family
 {phi_a : a in X} with phi_a(x) = x ^Q a decides the existence question for
@@ -19,20 +27,27 @@ one pointwise, so only the canonical candidate is ever searched.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import eq, getitem
 from typing import Optional
 
 from .algebra import (
     CheckResult,
     FiniteAlgebra,
     PreconditionError,
+    _first_diff,
     classify,
+    gather,
     iter_bits,
-    le_l,
+    le_l_row,
     ortho,
     popcount,
     require_iol,
     star,
+    star_row,
+    wedge_p_row,
     wedge_q,
+    wedge_q_column,
 )
 from .orthospace import (
     OrthoSpace,
@@ -72,9 +87,7 @@ def compose(f: ProjectionMap, g: ProjectionMap) -> ProjectionMap:
 def sasaki_projection(alg: FiniteAlgebra, a: int) -> ProjectionMap:
     """phi_a(x) = x ^Q a.  Defined on any table; callers check
     ``require_iol`` once."""
-    return ProjectionMap(
-        tuple(wedge_q(alg, x, a) for x in range(alg.n)), alg.elements[a]
-    )
+    return ProjectionMap(wedge_q_column(alg, a), alg.elements[a])
 
 
 def commutes(alg: FiniteAlgebra, x: int, y: int) -> bool:
@@ -84,11 +97,23 @@ def commutes(alg: FiniteAlgebra, x: int, y: int) -> bool:
     return wedge_q(alg, y, x) == star(alg, alg.arrow[x][star(alg, y)])
 
 
+def commute_row(alg: FiniteAlgebra, x: int) -> tuple[bool, ...]:
+    """(x C y for every y): phi_x's image against x's ^P row."""
+    return (*map(eq, wedge_q_column(alg, x), wedge_p_row(alg, x)),)
+
+
 def divides(alg: FiniteAlgebra, x: int, y: int) -> bool:
     """x D y iff the pair satisfies the divisibility law
     x -> (x -> y)* = x -> y*.  Defined on any table; callers check
     ``require_iol`` once."""
     return alg.arrow[x][star(alg, alg.arrow[x][y])] == alg.arrow[x][star(alg, y)]
+
+
+def divides_row(alg: FiniteAlgebra, x: int, ys: tuple[int, ...]) -> tuple[bool, ...]:
+    """(x D y for each y in ys), as gathers over the row of x."""
+    stars, row = star_row(alg), alg.arrow[x]
+    lhs = gather(row, gather(stars, gather(row, ys)))  # x -> (x -> y)*
+    return (*map(eq, lhs, gather(row, gather(stars, ys))),)  # against x -> y*
 
 
 def center(alg: FiniteAlgebra) -> int:
@@ -97,7 +122,7 @@ def center(alg: FiniteAlgebra) -> int:
     require_iol(alg)
     m = 0
     for x in range(alg.n):
-        if all(commutes(alg, x, y) for y in range(alg.n)):
+        if False not in commute_row(alg, x):
             m |= 1 << x
     return m
 
@@ -106,27 +131,25 @@ def is_subalgebra(alg: FiniteAlgebra, members: int) -> bool:
     """Contains 1 and is closed under arrow and star."""
     if not members & (1 << alg.one):
         return False
-    for x in iter_bits(members):
-        if not members & (1 << star(alg, x)):
-            return False
-        for y in iter_bits(members):
-            if not members & (1 << alg.arrow[x][y]):
-                return False
-    return True
+    ms = tuple(iter_bits(members))
+    inside = frozenset(ms)
+    return inside.issuperset(gather(star_row(alg), ms)) and all(
+        inside.issuperset(gather(alg.arrow[x], ms)) for x in ms)
 
 
 def is_iboolean_subalgebra(alg: FiniteAlgebra, members: int) -> CheckResult:
     """Pass iff the mask is a subalgebra whose members pairwise divide."""
     if not is_subalgebra(alg, members):
         return CheckResult("iboolean-subalgebra", "fail", (("subset", "not a subalgebra"),))
-    for x in iter_bits(members):
-        for y in iter_bits(members):
-            if not divides(alg, x, y):
-                return CheckResult(
-                    "iboolean-subalgebra",
-                    "fail",
-                    (("x", alg.elements[x]), ("y", alg.elements[y])),
-                )
+    ms = tuple(iter_bits(members))
+    for x in ms:
+        row = divides_row(alg, x, ms)
+        if False in row:
+            return CheckResult(
+                "iboolean-subalgebra",
+                "fail",
+                (("x", alg.elements[x]), ("y", alg.elements[ms[row.index(False)]])),
+            )
     return CheckResult("iboolean-subalgebra", "pass")
 
 
@@ -177,6 +200,13 @@ def block_boolean_family(space: OrthoSpace, block: int) -> tuple[CheckResult, tu
         raise PreconditionError(f"{space.subset_name(block)} is not a block")
     if not is_normal(space).passed:
         raise PreconditionError("space is not normal")
+    return block_family_check(space, block)
+
+
+def block_family_check(space: OrthoSpace, block: int) -> tuple[CheckResult, tuple[int, ...]]:
+    """The verdict and family of ``block_boolean_family``, defined on any
+    point mask; callers that test every block of one space check the
+    preconditions once."""
     subsets = [0]
     for i in iter_bits(block):
         subsets += [a | 1 << i for a in subsets]
@@ -194,55 +224,47 @@ def block_boolean_family(space: OrthoSpace, block: int) -> tuple[CheckResult, tu
 
 def check_sasaki_set(alg: FiniteAlgebra, maps: tuple[ProjectionMap, ...]) -> CheckResult:
     """The three projection-family laws: monotone for le_l; phi(1) <=L psi(1)
-    forces phi o psi = phi; and phi((phi x)*) <=L x* throughout."""
+    forces phi o psi = phi; and phi((phi x)*) <=L x* throughout.
+
+    Each law is tested on whole rows: phi is monotone at x iff the up-set of
+    phi(x) contains phi's image of the up-set of x; phi o psi is one gather;
+    and phi((phi x)*) <=L x* is one row of le_l values over x.  The first
+    failing row names the least failing tuple, in the order map, x, y."""
     require_iol(alg)
+
+    def fail(*witness: tuple[str, str]) -> CheckResult:
+        return CheckResult("sasaki-set", "fail", witness)
 
     def name(m: ProjectionMap, k: int) -> str:
         return m.label if m.label is not None else f"#{k}"
 
-    below = [[le_l(alg, x, y) for y in range(alg.n)] for x in range(alg.n)]
+    n, elements = alg.n, alg.elements
+    below = [le_l_row(alg, x) for x in range(n)]
+    above = [tuple(compress(range(n), row)) for row in below]
+    up = [frozenset(ys) for ys in above]
     for k, phi in enumerate(maps):
         img = phi.image
-        for x in range(alg.n):
-            for y in range(alg.n):
-                if below[x][y] and not below[img[x]][img[y]]:
-                    return CheckResult(
-                        "sasaki-set",
-                        "fail",
-                        (
-                            ("axiom", "SS1"),
-                            ("map", name(phi, k)),
-                            ("x", alg.elements[x]),
-                            ("y", alg.elements[y]),
-                        ),
-                    )
+        monotone = (*map(frozenset.issuperset, gather(up, img), map(gather, repeat(img), above)),)
+        if False in monotone:
+            x = monotone.index(False)
+            y = next(y for y in above[x] if img[y] not in up[img[x]])
+            return fail(("axiom", "SS1"), ("map", name(phi, k)),
+                        ("x", elements[x]), ("y", elements[y]))
+    tops = tuple(phi.image[alg.one] for phi in maps)
     for k, phi in enumerate(maps):
-        for m, psi in enumerate(maps):
-            if le_l(alg, phi.image[alg.one], psi.image[alg.one]):
-                for x in range(alg.n):
-                    if phi.image[psi.image[x]] != phi.image[x]:
-                        return CheckResult(
-                            "sasaki-set",
-                            "fail",
-                            (
-                                ("axiom", "SS2"),
-                                ("map", name(phi, k)),
-                                ("other", name(psi, m)),
-                                ("x", alg.elements[x]),
-                            ),
-                        )
+        for m in compress(range(len(maps)), gather(below[tops[k]], tops)):
+            composed = gather(phi.image, maps[m].image)
+            if composed != phi.image:
+                x = _first_diff(composed, phi.image)
+                return fail(("axiom", "SS2"), ("map", name(phi, k)),
+                            ("other", name(maps[m], m)), ("x", elements[x]))
+    stars = star_row(alg)
     for k, phi in enumerate(maps):
-        for x in range(alg.n):
-            if not le_l(alg, phi.image[star(alg, phi.image[x])], star(alg, x)):
-                return CheckResult(
-                    "sasaki-set",
-                    "fail",
-                    (
-                        ("axiom", "SS3"),
-                        ("map", name(phi, k)),
-                        ("x", alg.elements[x]),
-                    ),
-                )
+        img = phi.image
+        kept = (*map(getitem, gather(below, gather(img, gather(stars, img))), stars),)
+        if False in kept:
+            return fail(("axiom", "SS3"), ("map", name(phi, k)),
+                        ("x", elements[kept.index(False)]))
     return CheckResult("sasaki-set", "pass")
 
 

@@ -82,7 +82,7 @@ from .orthospace import (
 )
 from .sasaki import (
     ProjectionMap,
-    block_boolean_family,
+    block_family_check,
     canonical_projection_family,
     center,
     check_sasaki_set,
@@ -938,8 +938,10 @@ def _p7_block_boolean(alg):
     space = associated_orthospace(alg)
     if not is_normal(space).passed:
         return CheckResult("P7-BLOCK-BOOLEAN", "skipped", (("precondition", "normal space"),))
+    # The space is normal and each member of blocks(space) is a block, so
+    # block_boolean_family's preconditions hold; they are checked once here.
     for block in blocks(space):
-        verdict, _ = block_boolean_family(space, block)
+        verdict, _ = block_family_check(space, block)
         if not verdict.passed:
             return CheckResult(
                 "P7-BLOCK-BOOLEAN", "fail",

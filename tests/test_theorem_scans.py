@@ -659,6 +659,86 @@ def test_compiled_formula_matches_its_rendering(formula, table):
     assert first_failure(alg, formula) == expected
 
 
+# -- the symmetric-loop rule ---------------------------------------------------
+#
+# An equation whose right side is its left side with the first two roles
+# exchanged scans the second role above the first only.  The least failing
+# tuple must still be the one a tuple-by-tuple evaluation of the rendered
+# formula finds, on formulas that swap under x <-> y and on near misses.
+
+def rendered_first_failure(alg, formula):
+    value = algebra._evaluator_of(formula)
+    return next((tup for tup in product(range(alg.n), repeat=len(formula_roles(formula)))
+                 if not value(alg.arrow, alg.zero, alg.one, *tup)), None)
+
+
+@st.composite
+def element_terms(draw, atoms=("x", "y", "z", "0", "1"), depth=3):
+    if depth == 0 or draw(st.integers(0, 2)) == 0:
+        return draw(st.sampled_from(atoms))
+    return ("->", draw(element_terms(atoms, depth - 1)), draw(element_terms(atoms, depth - 1)))
+
+
+@st.composite
+def swap_equations(draw):
+    """lhs = rhs where lhs reads z, and rhs is lhs under x <-> y, under
+    another exchange of two roles, or under x <-> y with one leaf replaced."""
+    term = draw(element_terms())
+    lhs = ("->", term, "z") if draw(st.booleans()) else ("->", "z", term)
+    kind = draw(st.sampled_from(("xy", "xy", "xz", "yz", "xy-mutated")))
+    rhs = algebra._swap_roles(lhs, *(("x", "y") if kind.startswith("xy") else tuple(kind)))
+    if kind == "xy-mutated":
+        rhs = ("->", rhs[1], draw(st.sampled_from(("x", "y", "0", "1"))))
+    return ("=", lhs, rhs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(formula=swap_equations(), table=st.integers(0, 10 ** 6))
+def test_symmetric_scan_matches_its_rendering(formula, table):
+    alg = next(random_tables(1, table))
+    assert first_failure(alg, formula) == rendered_first_failure(alg, formula)
+
+
+def test_be4_witness_on_tables_with_forced_cells():
+    # Tables that keep BE1-BE3 and boundedness, so that BE4 fails past its
+    # first few tuples, at an x below y as well as at one above it.
+    be4 = algebra._eq(*algebra.AXIOMS["BE4"][1:])
+    assert algebra._swap_roles(be4[1], "x", "y") == be4[2]
+    rng = random.Random(29)
+    orders = set()
+    for k in range(300):
+        n = rng.randint(2, 6)
+        arrow = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        for x in range(n):
+            arrow[x][x] = arrow[x][n - 1] = arrow[0][x] = n - 1
+            arrow[n - 1][x] = x
+        alg = FiniteAlgebra(f"forced{k}", tuple(f"e{i}" for i in range(n)),
+                            tuple(map(tuple, arrow)), n - 1, 0)
+        tup = first_failure(alg, be4)
+        assert tup == rendered_first_failure(alg, be4), alg.arrow
+        if tup:
+            orders.add(tup[0] < tup[1])
+    assert orders == {True}
+
+
+@pytest.mark.parametrize("alg", [relabelled(boolean_iol(6), 6), relabelled(mo_iol(31), 31)],
+                         ids=lambda a: a.name)
+def test_symmetric_scan_on_one_cell_mutations(alg):
+    be4 = algebra._eq(*algebra.AXIOMS["BE4"][1:])
+    assert first_failure(alg, be4) is None
+    rng = random.Random(alg.n)
+    free = [i for i in range(alg.n) if i not in (alg.one, alg.zero)]
+    failing = 0
+    for _ in range(8):
+        arrow = [list(row) for row in alg.arrow]
+        arrow[rng.choice(free)][rng.choice(free)] = rng.randrange(alg.n)
+        mutant = FiniteAlgebra(alg.name, alg.elements, tuple(map(tuple, arrow)), alg.one, alg.zero)
+        tup = first_failure(mutant, be4)
+        assert tup == rendered_first_failure(mutant, be4)
+        failing += tup is not None
+    assert failing
+
+
 def test_binders_do_not_nest():
     inner = algebra._all(algebra._eq(BOUND, "0"))
     nested = algebra._all(algebra._and(algebra._eq("x", BOUND), inner))
