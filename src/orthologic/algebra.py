@@ -1,20 +1,23 @@
 """Finite algebras of signature (->, *, 1) over a named universe.
 
 The arrow table is the single source of truth: ``arrow[x][y]`` is x -> y with
-elements identified by their position in the declared element order.  All
-derived operations (star, the two meet/join families, the three order
-relations) and every named axiom are computed from it.  Values are immutable
-and hashable, so results of the heavier classification scans are cached.
+elements identified by their position in the declared element order.  Each
+row is a ``bytes`` object, one byte per element index, so a table has at most
+256 elements.  All derived operations (star, the two meet/join families, the
+three order relations) and every named axiom are computed from it.  Values
+are immutable and hashable, so results of the heavier classification scans
+are cached.
 
 ``AXIOMS`` is the single term table of the 17 laws.  Each law is compiled
 once, at import, into two forms: a row scan for ``check_axiom`` and an
 instance predicate for the enumeration pruner, which on a partial table
 says whether an instance holds, fails, or waits on an unknown cell.  The
 row scan loops over every role but the last, in lexicographic order, and
-evaluates both sides as tuples indexed by the last role, each subterm in the
-outermost loop it can live in; the first outer tuple whose two rows differ,
-completed by the first index at which they differ, is the lexicographically
-least violating tuple, the same witness a tuple-by-tuple scan finds.
+evaluates both sides as byte rows indexed by the last role, each subterm in
+the outermost loop it can live in; the first outer tuple whose two rows
+differ, completed by the first index at which they differ, is the
+lexicographically least violating tuple, the same witness a tuple-by-tuple
+scan finds.
 
 The same compiler takes any formula of the term language (equations joined
 by not/and/or/iff, and binders), such as the registry's items in ``theorems``:
@@ -51,7 +54,11 @@ class NonLatticeError(AlgebraError):
     """A meet/join fold produced a value that is not a bound of its input."""
 
 
-def _env_int(var: str, default: str) -> int:
+# A byte holds an element index, so no table has more elements.
+TABLE_CEILING = 256
+
+
+def _env_int(var: str, default: str, most: int | None = None) -> int:
     raw = os.environ.get(var, default)
     try:
         value = int(raw)
@@ -59,17 +66,25 @@ def _env_int(var: str, default: str) -> int:
         value = 0
     if value < 1:
         raise InputError(f"{var}={raw!r} is not a positive integer")
+    if most is not None and value > most:
+        raise InputError(f"{var}={raw!r} exceeds {most}, the largest table size")
     return value
 
 
 def max_elements() -> int:
-    """Universe-size cap; override with ORTHO_MAX_ELEMENTS."""
-    return _env_int("ORTHO_MAX_ELEMENTS", "64")
+    """Universe-size cap, from 1 to 256; override with ORTHO_MAX_ELEMENTS."""
+    return _env_int("ORTHO_MAX_ELEMENTS", "64", TABLE_CEILING)
 
 
 def node_budget() -> int:
     """Search-node cap for backtracking searches; override with ORTHO_NODE_BUDGET."""
     return _env_int("ORTHO_NODE_BUDGET", "5000000")
+
+
+def check_cap(name: str, n: int) -> None:
+    """Refuse a universe larger than ``max_elements``."""
+    if n > max_elements():
+        raise ResourceLimitError(f"{name}: {n} elements exceeds cap {max_elements()}")
 
 
 @dataclass(frozen=True)
@@ -122,27 +137,48 @@ class ClassLabel:
 
 @dataclass(frozen=True)
 class FiniteAlgebra:
-    """A finite algebra (X, ->, 1) with distinguished constants 1 and 0."""
+    """A finite algebra (X, ->, 1) with distinguished constants 1 and 0.
+
+    ``arrow`` holds one ``bytes`` row per element: ``arrow[x][y]`` is the
+    index of x -> y.  Rows of any integers are accepted and converted once,
+    so a table given as tuples equals, and hashes as, the same table given
+    as bytes.  A table has at most 256 elements."""
 
     name: str
     elements: tuple[str, ...]
-    arrow: tuple[tuple[int, ...], ...]
+    arrow: tuple[bytes, ...]
     one: int
     zero: int
 
     def __post_init__(self) -> None:
         n = len(self.elements)
+        if n > TABLE_CEILING:
+            raise InputError(f"{self.name}: {n} elements exceeds {TABLE_CEILING},"
+                             " the largest table size")
         if len(self.arrow) != n or any(len(row) != n for row in self.arrow):
             raise InputError(f"{self.name}: arrow table is not {n}x{n}")
-        if not (0 <= self.one < n and 0 <= self.zero < n):
+        if not all(isinstance(c, int) and 0 <= c < n for c in (self.one, self.zero)):
             raise InputError(f"{self.name}: constants outside the universe")
-        for i, row in enumerate(self.arrow):
-            for j, v in enumerate(row):
-                if not (0 <= v < n):
-                    raise InputError(
-                        f"{self.name}: arrow[{self.elements[i]}][{self.elements[j]}]"
-                        f" = {v} is not an element index"
-                    )
+        try:
+            rows = tuple(map(bytes, self.arrow))
+            # Deleting every element index leaves the cells that are not one.
+            valid = all(len(row) == n for row in rows) and \
+                not b"".join(rows).translate(None, bytes(range(n)))
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            rows = tuple(map(self._checked_row, range(n), self.arrow))
+        object.__setattr__(self, "arrow", rows)
+
+    def _checked_row(self, i: int, row) -> bytes:
+        """Row i as bytes; raises at its first cell that is not an element index."""
+        for j, v in enumerate(row):
+            if not (isinstance(v, int) and 0 <= v < self.n):
+                raise InputError(
+                    f"{self.name}: arrow[{self.elements[i]}][{self.elements[j]}]"
+                    f" = {v} is not an element index"
+                )
+        return bytes(list(row))  # bytes() of a buffer would copy its raw memory
 
     @property
     def n(self) -> int:
@@ -185,10 +221,7 @@ def validate_algebra(alg: FiniteAlgebra) -> None:
     defective tables can still be loaded and diagnosed."""
     if alg.n < 2:
         raise InputError(f"{alg.name}: trivial algebra (0 = 1) is rejected")
-    if alg.n > max_elements():
-        raise ResourceLimitError(
-            f"{alg.name}: {alg.n} elements exceeds cap {max_elements()}"
-        )
+    check_cap(alg.name, alg.n)
     if alg.one == alg.zero:
         raise InputError(f"{alg.name}: constants 1 and 0 coincide")
     for x in range(alg.n):
@@ -508,40 +541,44 @@ def _swap_roles(term, a: str, b: str):
     return {a: b, b: a}.get(term, term)
 
 
-def _first_diff(l: tuple, r: tuple) -> int:
+def _first_diff(l: bytes, r: bytes) -> int:
     return next(i for i, (a, b) in enumerate(zip(l, r)) if a != b)
 
 
 @lru_cache(maxsize=None)
-def _one_hot(n: int) -> tuple[tuple[tuple[bool, ...], ...], tuple[tuple[bool, ...], ...]]:
-    """The rows of the n x n identity matrix as truth values, and their negations."""
-    rows = tuple(tuple(i == j for j in range(n)) for i in range(n))
-    return rows, tuple(tuple(not v for v in row) for row in rows)
+def _one_hot(n: int) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+    """The rows of the n x n identity matrix as 0/1 bytes, and their
+    negations, each padded to a 256-byte translate table."""
+    pad = bytes(256 - n)
+    return (tuple(bytes(i == j for j in range(n)) + pad for i in range(n)),
+            tuple(bytes(i != j for j in range(n)) + pad for i in range(n)))
 
 
 # The globals every compiled scan shares.
 _SCAN_GLOBALS = {"_get": itemgetter, "_item": getitem, "_first_diff": _first_diff,
-                 "_one_hot": _one_hot, "NOT": (True, False),
-                 "_eq": eq, "_ne": ne, "_and": and_, "_or": or_}
+                 "_one_hot": _one_hot, "_eq": eq, "_ne": ne, "_and": and_, "_or": or_}
 
 
 def _compile_scan(roles, formula) -> Callable[..., tuple[int, ...] | None]:
     """The formula as one scan ``(t, Z, O, n) -> failing tuple | None`` over
-    a complete arrow table ``t`` with n >= 2 elements.
+    a complete arrow table ``t`` of n >= 2 bytes rows.
 
-    The last role becomes a row: a term that reads it is a tuple indexed by
-    its value, every other term a scalar.  In a formula with a binder the
-    bound element is the row instead, every role an outer loop, and each
-    binder the scalar ``False not in`` its body's row.  ``t[s][v]`` for a scalar s reads
-    the row ``t[s]`` at the indices ``v``, ``t[v][s]`` the column ``c[s]`` of
-    the transposed table, and two vectors, of elements or of truth values,
-    combine elementwise.  A row of truth values is read from a table where
-    one exists: v = s is row s of the identity matrix ``EQ`` at the indices
-    v, and "not" is (True, False) at the indices of its operand.  Other rows
-    are built as ``(*map(...),)``, which sizes the tuple exactly, so that it
-    comes from and returns to the interpreter's free list for its size;
-    ``tuple(map(...))`` allocates it afresh and leaves one more spare tuple
-    on that list each time, up to the list's cap.
+    The last role becomes a row: a term that reads it is a vector, a bytes
+    object indexed by its value, every other term a scalar.  In a formula
+    with a binder the bound element is the row instead, every role an outer
+    loop, and each binder the scalar ``0 not in`` its body's row.  Vectors
+    hold element indices or truth values, 0 and 1.
+
+    Every gather is one ``bytes.translate``: ``t[s][v]`` for a scalar s is
+    ``v.translate(t[s] + PAD)`` with ``PAD = bytes(256 - n)``, which makes
+    the row a translate table, and ``t[v][s]`` is v translated by column s,
+    a strided slice of the flattened table, padded alike.  A padded row or
+    column, and a column, is a scan node evaluated in the loop of its
+    index, so a scan pads and slices only what it reads.  v = s is v
+    translated by row s of the padded identity matrix of ``_one_hot``, and
+    "not" by its row 0, which swaps 0 and 1.  Two vectors combine
+    elementwise through ``bytes(map(...))``, and so does ``t[a][b]``, which
+    reads the rows of t at a, gathered once in the loop of a, at b.
 
     Each subterm is evaluated once, in the loop of the innermost outer role
     it reads; one that reads one outer role, not the first, is evaluated
@@ -549,9 +586,9 @@ def _compile_scan(roles, formula) -> Callable[..., tuple[int, ...] | None]:
     the table that loop fills.  A scalar disjunct of a top-level "or" skips
     the rest of its loop when it holds, since every tuple below it holds.
     An equation at the top compares its two sides as whole rows; any other
-    formula is a row of truth values, and its first false index completes
-    the witness, or, with a binder, a scalar whose first false outer tuple
-    is the witness.
+    formula is a row of truth values, and its first 0 completes the
+    witness, or, with a binder, a scalar whose first false outer tuple is
+    the witness.
 
     When the right side of a top-level equation is its left side with the
     first two roles exchanged, as in BE4, the second role runs only above
@@ -578,6 +615,15 @@ def _compile_scan(roles, formula) -> Callable[..., tuple[int, ...] | None]:
                 levels[depth].append(f"{name} = {expr}")
         return nodes[key]
 
+    def flat() -> str:
+        return emit("flat", 'b"".join(t)', "table", frozenset())[0]
+
+    def padded(term, reads) -> str:
+        """The row t[s] or the column t[v][s] as a translate table."""
+        s, u = term[1:]
+        expr = f"t[{walk(s)[0]}]" if u == last else walk(term)[0]
+        return emit(("padded", term), f"{expr} + PAD", "table", reads)[0]
+
     def arrow(term, s, sk, sr, u, uk, ur):
         sd, ud, reads = max(sr, default=0), max(ur, default=0), sr | ur
         if sk == uk == "scalar":
@@ -588,23 +634,24 @@ def _compile_scan(roles, formula) -> Callable[..., tuple[int, ...] | None]:
             if uk == "identity":
                 expr = f"t[{s}]"
             elif sd - ud > 1:
-                expr = emit(("rows at", term[2]), f"(*map(_get(*{u}), t),)", "rows", ur)[0] \
-                    + f"[{s}]"
+                expr = emit(("rows at", term[2]), f"[{u}.translate(r + PAD) for r in t]",
+                            "table", ur)[0] + f"[{s}]"
             else:
-                expr = f"_get(*{u})(t[{s}])"
+                expr = f"{u}.translate({padded(_imp(term[1], last), sr)})"
         elif uk == "scalar":
             if sk == "identity":
-                expr = f"c[{u}]"
+                expr = f"{flat()}[{u}::n]"
             elif ud - sd > 1:
-                expr = emit(("columns at", term[1]), f"(*map(_get(*{s}), c),)", "rows", sr)[0] \
+                expr = emit(("columns at", term[1]),
+                            f"[{s}.translate({flat()}[j::n] + PAD) for j in I]", "table", sr)[0] \
                     + f"[{u}]"
             else:
-                expr = f"_get(*{s})(c[{u}])"
-        elif sk == "identity":
-            expr = f"(*map(_item, t, {u}),)"
+                expr = f"{s}.translate({padded(_imp(last, term[2]), ur)})"
         else:
-            rows = emit(("rows", term[1]), f"_get(*{s})(t)", "rows", sr)[0]
-            expr = f"(*map(_item, {rows}, {u}),)"
+            rows = "t" if sk == "identity" else \
+                emit(("rows", term[1]), f"_get(*{s})(t)", "table", sr)[0]
+            # A range iterates faster than the bytes I.
+            expr = f"bytes(map(_item, {rows}, {'range(n)' if uk == 'identity' else u}))"
         return emit(term, expr, "vector", reads)
 
     def combine(key, head, parts):
@@ -617,25 +664,22 @@ def _compile_scan(roles, formula) -> Callable[..., tuple[int, ...] | None]:
                 _SCALAR_OPS[head].format(*names)
             return emit(key, expr, "scalar", reads)
         if head == "not":
-            return emit(key, f"_get(*{parts[0][0]})(NOT)", "vector", reads)
+            tables.add("EQ")
+            return emit(key, f"{parts[0][0]}.translate(EQ[0])", "vector", reads)
         (s, sk, _), (u, uk, _) = parts
         if sk == "scalar" or uk == "scalar":
             if uk == "scalar":
                 (s, sk), (u, uk) = (u, uk), (s, sk)
             # s is the scalar, u the vector
-            if head in ("=", "!="):
-                tables.add("EQ")
-                row_s = f"{'EQ' if head == '=' else 'NE'}[{s}]"
-                expr = row_s if uk == "identity" else f"_get(*{u})({row_s})"
-            else:
-                tables.add("T")
-                expr = {"iff": f"({u} if {s} else _get(*{u})(NOT))",
-                        "xor": f"(_get(*{u})(NOT) if {s} else {u})",
-                        "and": f"({u} if {s} else F)", "or": f"(T if {s} else {u})"}[head]
+            tables.add("T" if head in ("and", "or") else "EQ")
+            expr = {"=": f"{u}.translate(EQ[{s}])", "!=": f"{u}.translate(NE[{s}])",
+                    "iff": f"({u} if {s} else {u}.translate(EQ[0]))",
+                    "xor": f"({u}.translate(EQ[0]) if {s} else {u})",
+                    "and": f"({u} if {s} else F)", "or": f"(T if {s} else {u})"}[head]
         else:
             op = {"=": "_eq", "!=": "_ne", "iff": "_eq", "xor": "_ne",
                   "and": "_and", "or": "_or"}[head]
-            expr = f"(*map({op}, {s}, {u}),)"
+            expr = f"bytes(map({op}, {s}, {u}))"
         return emit(key, expr, "vector", reads)
 
     def walk(term):
@@ -652,7 +696,7 @@ def _compile_scan(roles, formula) -> Callable[..., tuple[int, ...] | None]:
             return arrow(term, *walk(args[0]), *walk(args[1]))
         if head == "all":
             body = _bound_body(term)
-            return emit(term, f"False not in {row(body)}", "scalar", walk(body)[2])
+            return emit(term, f"0 not in {row(body)}", "scalar", walk(body)[2])
         if head == "not" and args[0][0] in ("=", "iff"):
             negated = "!=" if args[0][0] == "=" else "xor"
             return combine(term, negated, [walk(args[0][1]), walk(args[0][2])])
@@ -668,7 +712,7 @@ def _compile_scan(roles, formula) -> Callable[..., tuple[int, ...] | None]:
         name, kind, reads = walk(term)
         if kind != "scalar":
             return name
-        return emit(("row", term), f"({name},) * n", "vector", reads)[0]
+        return emit(("row", term), f"bytes(({name},)) * n", "vector", reads)[0]
 
     pad, found = "    " * len(levels), "".join(v + ", " for v in outer)
     if formula[0] == "=":
@@ -685,14 +729,14 @@ def _compile_scan(roles, formula) -> Callable[..., tuple[int, ...] | None]:
                 vectors.append(disjunct)
         if vectors:
             b = row(_or(*vectors)) if len(vectors) > 1 else row(vectors[0])
-            tail = [f"if False in {b}:", f"    return {found}{b}.index(False),"]
+            tail = [f"if 0 in {b}:", f"    return {found}{b}.index(0),"]
         else:  # a binder's scan: every disjunct failed at this outer tuple
             tail = [f"return ({found})"]
-    lines = ["def scan(t, Z, O, n):", "    I, c = tuple(range(n)), (*zip(*t),)"]
+    lines = ["def scan(t, Z, O, n):", "    I, PAD = bytes(range(n)), bytes(256 - n)"]
     if "EQ" in tables:
         lines.append("    EQ, NE = _one_hot(n)")
     if "T" in tables:
-        lines.append("    T, F = (True,) * n, (False,) * n")
+        lines.append("    T, F = bytes((1,)) * n, bytes(n)")
     lines += ["    " + stmt for stmt in levels[0]]
     for depth, assigned in tabulated.items():
         role, names = outer[depth - 1], "".join(v + ", " for v, _ in assigned)

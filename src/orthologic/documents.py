@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .algebra import FiniteAlgebra, InputError, validate_algebra
+from .algebra import FiniteAlgebra, InputError, check_cap, validate_algebra
 
 
 def check_element_names(name: str, elements: tuple) -> None:
@@ -47,15 +47,21 @@ def algebra_from_names(
                 f"{name}: arrow row {i} ({elements[i]}) has {len(row)} entries,"
                 f" expected {len(elements)}"
             )
-        out = []
-        for j, entry in enumerate(row):
-            if not isinstance(entry, str) or entry not in index:
-                raise InputError(
-                    f"{name}: arrow[{elements[i]}][{elements[j]}] = {entry!r}"
-                    " is not an element"
-                )
-            out.append(index[entry])
-        table.append(tuple(out))
+        try:
+            table.append(bytes(map(index.__getitem__, row)))
+        except (KeyError, TypeError, ValueError):
+            # An entry that is not an element name, or an index above 255.
+            out = []
+            for j, entry in enumerate(row):
+                if not isinstance(entry, str) or entry not in index:
+                    raise InputError(
+                        f"{name}: arrow[{elements[i]}][{elements[j]}] = {entry!r}"
+                        " is not an element"
+                    )
+                out.append(index[entry])
+            table.append(out)
+    # The cap comes before the algebra, which refuses more than 256 elements.
+    check_cap(name, len(elements))
     alg = FiniteAlgebra(name, elements, tuple(table), index[one], index[zero])
     validate_algebra(alg)
     return alg

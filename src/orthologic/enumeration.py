@@ -155,7 +155,7 @@ def _fill_tables(
     values, moved = [-1] * last, [[] for _ in cells]
     while k >= 0:
         if k == last:
-            yield FiniteAlgebra("model", names, tuple(map(tuple, table)), one, zero)
+            yield FiniteAlgebra("model", names, tuple(map(bytes, table)), one, zero)
             k -= 1
             continue
         undo, (i, j) = moved[k], cells[k]
@@ -273,7 +273,7 @@ def _leaves(
             stack.append(_children(alg.arrow, cols, colors))
 
 
-def canonical_key(alg: FiniteAlgebra, nodes: Optional[Iterator[int]] = None) -> tuple[int, ...]:
+def canonical_key(alg: FiniteAlgebra, nodes: Optional[Iterator[int]] = None) -> bytes:
     """Min-lex flattened arrow table over the leaves of the tree, which put
     each element at its colour; equal keys mean isomorphic algebras.
 
@@ -281,17 +281,18 @@ def canonical_key(alg: FiniteAlgebra, nodes: Optional[Iterator[int]] = None) -> 
     same leaf tables, and the same least one.  0 comes first and 1 last.
     Leaves are not pruned by automorphisms: MO_m has m!·2^m of them.  The
     nodes count on ``nodes``, a fresh count by default."""
-    # relabeled_rows[x](pos) is row x with every value v relabeled pos[v].
-    relabeled_rows = [itemgetter(*row) for row in alg.arrow]
-    best: Optional[list[tuple[int, ...]]] = None
+    # Row x of a leaf table is row x read at the elements in colour order,
+    # then relabelled by colour: two translates.
+    pad = bytes(256 - alg.n)
+    padded = [row + pad for row in alg.arrow]
+    best: Optional[bytes] = None
     for colors, _ in _leaves(alg, "canonical key", nodes or count(1)):
-        at = sorted(range(alg.n), key=colors.__getitem__)
-        in_order = itemgetter(*at)
-        key = [in_order(relabeled_rows[x](colors)) for x in at]
+        at, relabel = bytes(sorted(range(alg.n), key=colors.__getitem__)), bytes(colors) + pad
+        key = b"".join([at.translate(padded[x]).translate(relabel) for x in at])
         if best is None or key < best:
             best = key
     assert best is not None
-    return sum(best, ())
+    return best
 
 
 def is_isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> Optional[tuple[int, ...]]:
@@ -318,7 +319,7 @@ def is_isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> Optional[tuple[int, ...
     return None
 
 
-def _from_key(name: str, key: tuple[int, ...]) -> FiniteAlgebra:
+def _from_key(name: str, key: bytes | tuple[int, ...]) -> FiniteAlgebra:
     """The algebra whose flattened arrow table is ``key``, with standard
     element names, 0 first and 1 last."""
     n = isqrt(len(key))
@@ -334,7 +335,7 @@ def canonical_form(alg: FiniteAlgebra) -> FiniteAlgebra:
 
 def _accepted_keys(
     n: int, required: frozenset[str], accept: Callable[[FiniteAlgebra], bool]
-) -> list[tuple[int, ...]]:
+) -> list[bytes]:
     """Sorted canonical keys of the search leaves at size n that satisfy BE4
     and every required law, and pass ``accept``.  The search and the keys
     share one node budget."""

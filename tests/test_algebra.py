@@ -22,7 +22,7 @@ from orthologic import (
     wedge_p,
     wedge_q,
 )
-from orthologic.algebra import AXIOMS, axiom_holds, ortho, resolve_axiom_id
+from orthologic.algebra import AXIOMS, TABLE_CEILING, axiom_holds, ortho, resolve_axiom_id
 from orthologic.enumeration import counterexample_search, goal_from_names
 from orthologic.fixtures import FIXTURE_NAMES
 
@@ -311,3 +311,41 @@ def test_ortho_iff_le_l_star(data):
     x = data.draw(st.integers(0, alg.n - 1))
     y = data.draw(st.integers(0, alg.n - 1))
     assert ortho(alg, x, y) == le_l(alg, x, star(alg, y))
+
+
+# -- the table: bytes rows ------------------------------------------------------
+
+def test_tuple_rows_and_bytes_rows_give_one_algebra():
+    bz = fixture("benzene6")
+    rows = tuple(map(tuple, bz.arrow))
+    assert all(type(row) is bytes for row in bz.arrow)
+    as_tuples = FiniteAlgebra("rows", bz.elements, rows, bz.one, bz.zero)
+    as_bytes = FiniteAlgebra("rows", bz.elements, tuple(map(bytes, rows)), bz.one, bz.zero)
+    assert as_tuples == as_bytes and hash(as_tuples) == hash(as_bytes)
+    assert as_tuples.arrow == as_bytes.arrow == bz.arrow
+    classify.cache_clear()
+    classify(as_tuples)
+    classify(as_bytes)
+    assert classify.cache_info().currsize == 1 and classify.cache_info().hits == 1
+
+
+def test_more_than_256_elements_is_an_input_error():
+    n = TABLE_CEILING + 1
+    with pytest.raises(InputError, match="257 elements exceeds 256"):
+        FiniteAlgebra("big", tuple(map(str, range(n))), ((0,) * n,) * n, 0, 1)
+
+
+@pytest.mark.parametrize("cell", [1.0, "1", None, -1, 6, 256])
+def test_a_cell_that_is_not_an_index_is_an_input_error(cell):
+    bz = fixture("benzene6")
+    arrow = [list(row) for row in bz.arrow]
+    arrow[2][3] = cell
+    with pytest.raises(InputError, match=rf"arrow\[b\]\[c\] = {cell} is not an element index"):
+        FiniteAlgebra("cells", bz.elements, tuple(map(tuple, arrow)), bz.one, bz.zero)
+
+
+@pytest.mark.parametrize("one, zero", [(5.0, 0), (5, 0.0), ("5", 0), (5, None)])
+def test_a_constant_that_is_not_an_index_is_an_input_error(one, zero):
+    bz = fixture("benzene6")
+    with pytest.raises(InputError, match="constants outside the universe"):
+        FiniteAlgebra("consts", bz.elements, bz.arrow, one, zero)

@@ -231,3 +231,29 @@ def test_large_mutations_agree(alg):
         assert_agrees(mutant, product_loop_check)
         failing += sum(check_axiom(mutant, a).failed for a in AXIOMS)
     assert failing
+
+
+# -- the largest table ----------------------------------------------------------
+#
+# A byte holds an element index, so 2^8 is the largest Boolean algebra a
+# table can hold.
+
+@pytest.fixture(scope="module")
+def b256():
+    return boolean_iol(8)
+
+
+def test_boolean_256_is_iboolean(b256):
+    assert b256.n == 256
+    assert classify(b256).is_iboolean
+
+
+def test_boolean_256_mutation_in_an_early_row(b256):
+    # The product loop stops at the first failing tuple, so a defect in an
+    # early row keeps the reference cheap at this size.
+    arrow = [bytearray(row) for row in b256.arrow]
+    arrow[2][5] = 7
+    mutant = FiniteAlgebra("B256-mut", b256.elements, tuple(arrow), b256.one, b256.zero)
+    result = check_axiom(mutant, "BE4")
+    assert result.failed
+    assert result == product_loop_check(mutant, "BE4")

@@ -291,7 +291,7 @@ def test_canonical_key_is_invariant_under_relabelling(alg, data):
 
 def test_forced_two_element_algebra():
     (two,) = enumerate_models(2, "iboolean")
-    assert two.arrow == ((1, 1), (0, 1))
+    assert two.arrow == (bytes((1, 1)), bytes((0, 1)))
     assert classify(two).is_iboolean
 
 

@@ -98,6 +98,28 @@ def test_parse_rejects_foreign_table_entry():
         parse_algebra(json.dumps(base))
 
 
+@pytest.mark.parametrize("entry", ["zz", 3, 1.5, None, ["a"], {"a": 1}])
+def test_parse_names_a_foreign_entry_of_any_type(entry):
+    base = algebra_to_document(fixture("benzene6"))
+    base["arrow"][2][3] = entry
+    with pytest.raises(InputError) as err:
+        parse_algebra(json.dumps(base))
+    assert str(err.value) == f"benzene6: arrow[b][c] = {entry!r} is not an element"
+
+
+def test_document_above_the_table_ceiling_meets_the_cap(monkeypatch, capsys, tmp_path):
+    # No table has more than 256 elements, so a larger document is refused
+    # by the element cap, which is at most 256.
+    monkeypatch.setenv("ORTHO_MAX_ELEMENTS", "256")
+    names = [f"e{i}" for i in range(300)]
+    text = json.dumps({"elements": names, "one": "e1", "zero": "e0",
+                       "arrow": [names] * len(names)})
+    path = tmp_path / "big.json"
+    path.write_text(text, encoding="utf-8")
+    assert run_cli("validate", str(path)) == 3
+    assert "300 elements exceeds cap 256" in capsys.readouterr().err
+
+
 def test_parse_rejects_bad_dimensions():
     base = algebra_to_document(fixture("benzene6"))
     base["arrow"] = base["arrow"][:5]
@@ -368,6 +390,11 @@ def test_cli_max_elements_cap(monkeypatch, capsys):
     assert run_cli("classify", "ioml10") == 3
 
 
+def test_cli_max_elements_accepts_the_table_ceiling(monkeypatch, capsys):
+    monkeypatch.setenv("ORTHO_MAX_ELEMENTS", "256")
+    assert run_cli("classify", "ioml10") == 0
+
+
 @pytest.mark.parametrize(
     "var, value, argv",
     [
@@ -378,6 +405,7 @@ def test_cli_max_elements_cap(monkeypatch, capsys):
         ("ORTHO_NODE_BUDGET", "0", ("classify", "benzene6")),
         ("ORTHO_MAX_ELEMENTS", "-5", ("classify", "ioml10")),
         ("ORTHO_MAX_ELEMENTS", "0", ("classify", "ioml10")),
+        ("ORTHO_MAX_ELEMENTS", "257", ("classify", "ioml10")),
     ],
 )
 def test_cli_malformed_cap_is_input_error(monkeypatch, capsys, var, value, argv):

@@ -1,0 +1,92 @@
+"""Golden digests of the report path.
+
+One short sha256 digest of stdout, with the exit code beside it, per report
+and input: ``ortho FILE --cl --dacey --blocks --normal --sasaki-space --json``
+and ``sasaki FILE --projections --commute --center --full-set --json`` on
+the four fixtures and on relabelled copies of B16, MO7 and the horizontal
+sum of two hexagons.
+
+After an intended output change,
+``PYTHONPATH=src:tests python tests/test_report_golden.py`` prints fresh
+digests in the form of ``DIGESTS`` below; paste the output over ``DIGESTS``
+and review the diff by input.
+"""
+
+import hashlib
+import io
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from orthologic import cli, fixture, serialize_algebra
+from orthologic.fixtures import FIXTURE_NAMES
+
+from conftest import boolean_iol, hexagons, mo_iol, relabelled
+
+REPORTS = {
+    "ortho": ["--cl", "--dacey", "--blocks", "--normal", "--sasaki-space", "--json"],
+    "sasaki": ["--projections", "--commute", "--center", "--full-set", "--json"],
+}
+
+DIGESTS = {
+    ("ortho", "benzene6"): (1, "b13c6130f716a3c7"),
+    ("sasaki", "benzene6"): (1, "8bd808b1360aedb9"),
+    ("ortho", "ioml10"): (0, "4fd565195af15dc9"),
+    ("sasaki", "ioml10"): (0, "18201e0c4f3b1c61"),
+    ("ortho", "ioml6-full"): (0, "70d90b9102538b25"),
+    ("sasaki", "ioml6-full"): (0, "2243abc088ac1a55"),
+    ("ortho", "sasaki6"): (0, "92c024793d82a0e4"),
+    ("sasaki", "sasaki6"): (0, "fcbbe7641f7a6912"),
+    ("ortho", "B16"): (0, "c68fa0aa6fe68a04"),
+    ("sasaki", "B16"): (0, "2e3773f40bce0334"),
+    ("ortho", "MO7"): (0, "5afb6eb7333a467e"),
+    ("sasaki", "MO7"): (0, "24432205309705d7"),
+    ("ortho", "hex2-"): (1, "35003c37c33d38de"),
+    ("sasaki", "hex2-"): (1, "235b041ba6d1f7ba"),
+}
+
+
+def inputs():
+    """Input name -> algebra, in a fixed order."""
+    algebras = {name: fixture(name) for name in sorted(FIXTURE_NAMES)}
+    for seed, alg in enumerate((boolean_iol(4), mo_iol(7), hexagons(2)), 1):
+        algebras[alg.name] = relabelled(alg, seed)
+    return algebras
+
+
+def run(report, alg, directory):
+    """The exit code and the digest of stdout of one report on one input."""
+    path = Path(directory) / f"{alg.name}.json"
+    path.write_text(serialize_algebra(alg))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main([report, str(path), *REPORTS[report]])
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
+
+
+def digests():
+    with tempfile.TemporaryDirectory() as directory:
+        return {(report, name): run(report, alg, directory)
+                for name, alg in inputs().items() for report in REPORTS}
+
+
+def test_digests_cover_every_report_and_input():
+    assert list(DIGESTS) == [(report, name) for name in inputs() for report in REPORTS]
+
+
+@pytest.mark.parametrize("report, name", list(DIGESTS))
+def test_report_matches_the_golden_digest(report, name, tmp_path):
+    assert run(report, inputs()[name], tmp_path) == DIGESTS[report, name]
+
+
+def main():
+    print("DIGESTS = {")
+    for (report, name), (code, digest) in digests().items():
+        print(f'    ("{report}", "{name}"): ({code}, "{digest}"),')
+    print("}")
+
+
+if __name__ == "__main__":
+    main()

@@ -14,6 +14,7 @@ agree.
 """
 
 import random
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -57,6 +58,7 @@ from orthologic.theorems import _scan_items, _space_masks, _subset_items
 
 from conftest import (
     boolean_iol,
+    direct_product,
     hexagons,
     iols_up_to,
     mo_iol,
@@ -670,6 +672,30 @@ def rendered_first_failure(alg, formula):
     value = algebra._evaluator_of(formula)
     return next((tup for tup in product(range(alg.n), repeat=len(formula_roles(formula)))
                  if not value(alg.arrow, alg.zero, alg.one, *tup)), None)
+
+
+@lru_cache(maxsize=None)
+def constructions():
+    """Relabelled i-OLs of 16 to 64 elements built by ``tests/conftest.py``."""
+    return (relabelled(boolean_iol(4), 4), relabelled(mo_iol(7), 7), relabelled(hexagons(4), 4),
+            relabelled(direct_product(mo_iol(2), boolean_iol(2)), 24),
+            relabelled(boolean_iol(5), 5), relabelled(mo_iol(15), 15),
+            relabelled(boolean_iol(6), 6), relabelled(mo_iol(31), 31))
+
+
+@settings(max_examples=150, deadline=None)
+@given(formula=formulas(), pick=st.integers(0, 7),
+       cell=st.none() | st.tuples(*[st.integers(0, 63)] * 3))
+def test_compiled_formula_matches_its_rendering_at_scale(formula, pick, cell):
+    # Long rows: the constructions, and one-cell mutations of them.
+    assume(0 < len(formula_roles(formula)) <= 2)
+    alg = constructions()[pick]
+    if cell is not None:
+        arrow = [bytearray(row) for row in alg.arrow]
+        i, j, v = (k % alg.n for k in cell)
+        arrow[i][j] = v
+        alg = FiniteAlgebra(alg.name, alg.elements, tuple(arrow), alg.one, alg.zero)
+    assert first_failure(alg, formula) == rendered_first_failure(alg, formula)
 
 
 @st.composite
