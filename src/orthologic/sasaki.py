@@ -11,11 +11,11 @@ divisibility rows, and ``check_sasaki_set`` tests each law on whole rows and
 goes back to single pairs only to name the least failing one.
 
 Each verdict has one test: ``is_iboolean_subalgebra`` decides the center,
-orthogonal-pair (``pair_hull_check``, for ``orthogonal_pair_boolean_witness``
-and the registry's ``non_boolean_pair`` alike) and block-family
-(``block_family_check``, which ``block_boolean_family`` guards with its
-preconditions) results, and ``sasaki_map_search``, one pass over the domain
-points, decides every Sasaki-map question.
+orthogonal-pair (``pair_hull_check`` for ``orthogonal_pair_boolean_witness``,
+and the registry's ``non_boolean_pair``, once per distinct ``pair_hull``) and
+block-family (``block_family_check``, which ``block_boolean_family`` guards
+with its preconditions) results, and ``sasaki_map_search``, one pass over the
+domain points, decides every Sasaki-map question.
 
 A projection is stored as its full image vector.  The canonical family
 {phi_a : a in X} with phi_a(x) = x ^Q a decides the existence question for
@@ -166,17 +166,23 @@ def orthogonal_pair_boolean_witness(
     return pair_hull_check(alg, x, y)
 
 
-def pair_hull_check(alg: FiniteAlgebra, x: int, y: int) -> tuple[CheckResult, int]:
-    """The verdict of ``is_iboolean_subalgebra`` on
-    Y = {0, x, y, x*->y, x*, y*, (x*->y)*, 1}, and the member mask.  On an
-    i-OL no second test is needed: when Y is an i-Boolean subalgebra, x, y
-    and (x*->y)* are disjoint atoms of it, so its arrow table is that of the
-    Boolean algebra they generate.  Defined on any table;
-    ``orthogonal_pair_boolean_witness`` adds the preconditions."""
+def pair_hull(alg: FiniteAlgebra, x: int, y: int) -> int:
+    """The mask of Y = {0, x, y, x*->y, x*, y*, (x*->y)*, 1}."""
     u = alg.arrow[star(alg, x)][y]
     members = 0
     for v in (alg.zero, x, y, u, star(alg, x), star(alg, y), star(alg, u), alg.one):
         members |= 1 << v
+    return members
+
+
+def pair_hull_check(alg: FiniteAlgebra, x: int, y: int) -> tuple[CheckResult, int]:
+    """The verdict of ``is_iboolean_subalgebra`` on the ``pair_hull`` of x
+    and y, and its mask.  On an i-OL no second test is needed: when the hull
+    is an i-Boolean subalgebra, x, y and (x*->y)* are disjoint atoms of it,
+    so its arrow table is that of the Boolean algebra they generate.
+    Defined on any table; ``orthogonal_pair_boolean_witness`` adds the
+    preconditions."""
+    members = pair_hull(alg, x, y)
     verdict = is_iboolean_subalgebra(alg, members)
     return CheckResult("orthogonal-pair-boolean", verdict.status, verdict.witness), members
 
@@ -184,11 +190,18 @@ def pair_hull_check(alg: FiniteAlgebra, x: int, y: int) -> tuple[CheckResult, in
 def non_boolean_pair(alg: FiniteAlgebra) -> Optional[tuple[int, int]]:
     """The least orthogonal pair (x, y), in lexicographic order, whose
     ``pair_hull_check`` fails; None when every orthogonal pair has an
-    i-Boolean hull.  Defined on any table."""
+    i-Boolean hull.  Many pairs share a hull, so each hull is tested once.
+    Defined on any table."""
+    boolean_hulls = set()
     for x in range(alg.n):
         for y in range(alg.n):
-            if ortho(alg, x, y) and not pair_hull_check(alg, x, y)[0].passed:
-                return x, y
+            if not ortho(alg, x, y):
+                continue
+            members = pair_hull(alg, x, y)
+            if members not in boolean_hulls:
+                if not is_iboolean_subalgebra(alg, members).passed:
+                    return x, y
+                boolean_hulls.add(members)
     return None
 
 

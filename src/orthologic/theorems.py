@@ -22,9 +22,8 @@ the macros for the orders, orthogonality, commutation and divisibility),
 compiled on first use into a row scan by ``first_failure``, as the 17 laws
 are.  Checks that do not fit a row (class-dependent item lists, the pair
 hulls, the space, family and Sasaki checks) are functions over the same
-evaluators.  The subset items of L7-DOWNSET share one incremental pass over
-the 2^n subsets, run up to ``SUBSET_SCAN_CAP`` elements; above it the check
-skips.
+evaluators.  L7-DOWNSET decides its items over all subsets from its element
+and pair items, without enumerating the subsets.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ from .algebra import (
     axiom_holds,
     classify,
     down_set,
-    big_meet,
     first_failure,
     holds_at,
     iter_bits,
@@ -95,7 +93,6 @@ from .sasaki import (
     trivial_projection_family,
 )
 
-SUBSET_SCAN_CAP = 14  # universe size above which L7-DOWNSET skips its subset items
 X, Y, Z, U = ROLES
 ZERO, ONE = "0", "1"
 
@@ -786,60 +783,41 @@ def _p7_dacey_pairs(alg):
         ("dacey", is_dacey(space).passed, None), _pairs_boolean(cl_algebra(space))))
 
 
-def _subset_items(alg, space: OrthoSpace, down, point_down) -> Optional[CheckResult]:
-    """Items (4) and (5) of L7-DOWNSET, given the down-set of every element
-    over the elements and over the points.  The verdict is that of scanning
-    the masks in increasing order for item (4), then again for item (5).
-
-    One depth-first pass visits each nonempty subset Y once, reached from
-    its parent by adding a member above the parent's largest, and carries
-    the intersection of the down-sets of Y, the ascending ^P fold of Y (the
-    fold ``big_meet`` computes), perp(Y) over the points and the
-    intersection of the point down-sets of the starred members.  It keeps
-    the least mask of three kinds: the fold is not a <=L lower bound of Y
-    (``big_meet`` raises NonLatticeError there); the down-set of the fold
-    differs from the intersection (item 4); Y avoids 0 and perp(Y) differs
-    from the starred intersection (item 5).  Item (5) is reported only when
-    item (4) holds for every Y; star being a bijection, that intersection is
-    then the point down-set of big_meet(Y*), as the item states."""
-    point_of = {alg.index(p): i for i, p in enumerate(space.points)}
-    least = [None, None, None]
-
-    def note(kind, mask):
-        if least[kind] is None or mask < least[kind]:
-            least[kind] = mask
-
-    def visit(mask, top, inter, fold, perp_y, down_star):
-        for y in range(top + 1, alg.n):
-            m = mask | 1 << y
-            i = inter & down[y]
-            f = wedge_p(alg, fold, y)
-            if not i >> f & 1:
-                note(0, m)
-            if i != down[f]:
-                note(1, m)
-            if down_star is None or y == alg.zero:
-                visit(m, y, i, f, None, None)
-                continue
-            p = perp_y & space.rel[point_of[y]]
-            s = down_star & point_down[star(alg, y)]
-            if p != s:
-                note(2, m)
-            visit(m, y, i, f, p, s)
-
-    visit(0, -1, alg.universe_mask(), alg.one, space.full(), space.full())
-    not_bound, item4, item5 = least
-    if not_bound is not None and (item4 is None or not_bound <= item4):
-        big_meet(alg, not_bound)  # raises NonLatticeError
-    for tag, mask in (("(4)", item4), ("(5)", item5)):
-        if mask is not None:
-            return CheckResult(
-                "L7-DOWNSET", "fail", (("item", tag), ("Y", ",".join(alg.names(mask)))))
+def _item5(alg, space: OrthoSpace, point_down) -> Optional[CheckResult]:
+    """Item (5) of L7-DOWNSET at the singletons: the least nonzero y, in
+    element order, whose perp over the points differs from the point
+    down-set of y*.  ``_l7_downset`` explains why this decides every Y."""
+    for i, p in enumerate(space.points):
+        if space.rel[i] != point_down[star(alg, alg.index(p))]:
+            return CheckResult("L7-DOWNSET", "fail", (("item", "(5)"), ("Y", p)))
     return None
 
 
 @_register("L7-DOWNSET", "iol", "down-set identities linking the algebra to its space", 2)
 def _l7_downset(alg):
+    """Items (1)-(3) scanned over the elements and pairs; items (4) and (5),
+    which quantify over every subset Y, are decided without visiting them.
+
+    Item (4), down(big_meet(Y)) = the intersection of down(y) over Y, holds
+    on every Y once item (2) holds, and ``big_meet`` cannot raise.  Fold Y
+    in ascending order from 1, as ``big_meet`` does.  At the start the
+    intersection is the universe and the fold is 1, and down(1) is the
+    universe: y ^P 1 = (y -> 0)* = y by BE3 and DN.  Each step meets the
+    intersection with down(y) and the fold f with y, and item (2) at (f, y)
+    says down(f) & down(y) = down(f ^P y); so the intersection is always
+    the down-set of the fold.  The fold lies in its own down-set, since
+    every x <=L x: impl at (x*, 0) with DN gives x -> x* = x*, so
+    x ^P x = x.  Hence the fold is a <=L lower bound of Y.  BE3, DN and
+    impl are laws that the ``iol`` precondition has verified.
+
+    Item (5), perp(Y) = the point down-set of big_meet(Y*) for Y avoiding
+    0, then compares two intersections over the members y of Y: of the
+    perps of the points y, and, by item (4), of the point down-sets of y*.
+    If the two masks agree at every member, the intersections agree; so a
+    failing Y has a member y at which they differ, and the singleton {y},
+    a mask no larger than Y, fails too.  The least failing Y is therefore
+    the least failing singleton, which ``_item5`` finds.
+    """
     space = associated_orthospace(alg)
     down = [down_set(alg, x) for x in range(alg.n)]
     point_down = [_space_masks(alg, space, d) for d in down]
@@ -863,10 +841,7 @@ def _l7_downset(alg):
                 return CheckResult(
                     "L7-DOWNSET", "fail",
                     (("item", "(3)"), ("x", alg.elements[x]), ("y", alg.elements[y])))
-    if alg.n > SUBSET_SCAN_CAP:
-        return CheckResult(
-            "L7-DOWNSET", "skipped", (("precondition", f"at most {SUBSET_SCAN_CAP} elements"),))
-    return _subset_items(alg, space, down, point_down) or CheckResult("L7-DOWNSET", "pass")
+    return _item5(alg, space, point_down) or CheckResult("L7-DOWNSET", "pass")
 
 
 @_register("P7-CL-ISO", "iol", "the down-set map is an isomorphism onto the logic", 2)

@@ -10,10 +10,18 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orthologic import InputError, classify, fixture, parse_algebra, serialize_algebra
+from orthologic import (
+    FiniteAlgebra,
+    InputError,
+    classify,
+    fixture,
+    parse_algebra,
+    serialize_algebra,
+)
 from orthologic.cli import main
 from orthologic.documents import algebra_to_document
 from orthologic.fixtures import FIXTURE_NAMES
+from orthologic.orthospace import OrthoSpace
 
 from conftest import (
     boolean_iol,
@@ -439,6 +447,61 @@ def test_cli_validate_flags_non_be_table(capsys, tmp_path):
     path.write_text(json.dumps(base), encoding="utf-8")
     assert run_cli("validate", str(path)) == 2
     assert "BE4" in capsys.readouterr().out
+
+
+def without(key):
+    base = algebra_to_document(fixture("benzene6"))
+    del base[key]
+    return json.dumps(base)
+
+
+def with_arrow(arrow):
+    return doc(arrow=arrow(algebra_to_document(fixture("benzene6"))["arrow"]))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "invalid JSON at line 1 column 2: Expecting property name enclosed in double quotes"),
+    ("[]", "document must be a JSON object"),
+    (doc(extra=1), "unknown keys ['extra']"),
+    (without("arrow"), "missing key 'arrow'"),
+    (without("one"), "missing key 'one'"),
+    (doc(name=6), "key 'name' must be a string"),
+    (doc(elements="0abcd1"), "key 'elements' must be an array of strings"),
+    (doc(arrow="table"), "key 'arrow' must be an array of arrays"),
+    (with_arrow(lambda a: a[:3] + ["c"] + a[4:]), "key 'arrow' must be an array of arrays"),
+    (with_arrow(lambda a: a[:5]), "benzene6: arrow has 5 rows, expected 6"),
+    (with_arrow(lambda a: a[:2] + [a[2][:5]] + a[3:]), "benzene6: arrow row 2 (b) has 5 entries, expected 6"),
+    (with_arrow(lambda a: a[:2] + [a[2] + ["1"]] + a[3:]), "benzene6: arrow row 2 (b) has 7 entries, expected 6"),
+    (doc(one="0"), "benzene6: constants 1 and 0 coincide"),
+], ids=["json", "not-object", "unknown-key", "no-arrow", "no-one", "name", "elements",
+        "arrow", "arrow-row", "rows", "short-row", "long-row", "constants"])
+def test_cli_input_error_exits_2_with_its_message(capsys, tmp_path, text, message):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    assert run_cli("validate", str(path)) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("arrow", [((1, 1), (0,)), ((1, 1), (0, 1), (0, 1)), ((1,), (0,))])
+def test_table_that_is_not_square_is_an_input_error(arrow):
+    with pytest.raises(InputError) as err:
+        FiniteAlgebra("t", ("0", "1"), arrow, 1, 0)
+    assert str(err.value) == "t: arrow table is not 2x2"
+
+
+@pytest.mark.parametrize("points, rel, message", [
+    (("a", "b"), (0b10,), "relation size does not match point count"),
+    (("a", "b"), (0b100, 0), "relation mask exceeds the point universe"),
+    (("a", "b"), (0b01, 0), "relation is not irreflexive at a"),
+    (("a", "b"), (0b10, 0), "relation is not symmetric at (a, b)"),
+], ids=["size", "universe", "irreflexive", "symmetric"])
+def test_cli_invalid_space_exits_2_with_its_message(monkeypatch, capsys, points, rel, message):
+    # No document yields an invalid space, so the space of the command is
+    # replaced by one; its validation error must take the input-error exit.
+    monkeypatch.setattr("orthologic.cli.associated_orthospace",
+                        lambda alg: OrthoSpace(points, rel))
+    assert run_cli("ortho", "benzene6") == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # -- exit-code contract under random documents -----------------------------------------

@@ -7,10 +7,13 @@ tuple on fixtures, small i-OLs, one-cell mutations, large relabelled i-OLs
 and random tables.  ``_scan_items`` runs each item at the arity of its own
 predicate; the reference runs every item over all tuples of the check's
 arity, in lexicographic order, items in listed order, and reports the first
-failure.  ``_subset_items`` makes one incremental pass over the subsets for
-items (4) and (5) of L7-DOWNSET; the reference rebuilds every intersection,
-meet and perp mask by mask.  Verdicts, witnesses and raised errors must
-agree.
+failure.  Verdicts and witnesses must agree.
+
+L7-DOWNSET decides its items (4) and (5), which quantify over every subset,
+from its element and pair items and the singleton rule of ``_item5``; the
+reference rebuilds every intersection, meet and perp mask by mask, and must
+give the same verdict on i-OLs, and on every table that meets the premises
+of that argument.
 """
 
 import random
@@ -54,7 +57,7 @@ from orthologic.enumeration import _search_tables
 from orthologic.fixtures import FIXTURE_NAMES
 from orthologic.orthospace import perp
 from orthologic.sasaki import commutes, divides
-from orthologic.theorems import _scan_items, _space_masks, _subset_items
+from orthologic.theorems import _item5, _scan_items, _space_masks
 
 from conftest import (
     boolean_iol,
@@ -431,16 +434,9 @@ def reference_subset_items(alg, space):
     return None
 
 
-def sized_subset_items(alg, space):
-    down = [down_set(alg, x) for x in range(alg.n)]
-    return _subset_items(alg, space, down, [_space_masks(alg, space, d) for d in down])
-
-
-def outcome(fn, *args):
-    try:
-        return fn(*args)
-    except NonLatticeError as exc:
-        return ("raised", str(exc))
+def singleton_rule(alg, space):
+    """``_item5`` over the point down-sets of the algebra."""
+    return _item5(alg, space, [_space_masks(alg, space, down_set(alg, x)) for x in range(alg.n)])
 
 
 # -- _scan_items ---------------------------------------------------------------
@@ -624,7 +620,7 @@ def test_formulas_match_their_lambdas(corpus):
 
 
 @st.composite
-def formulas(draw, depth=3):
+def formulas(draw, depth=3, roles=ROLES):
     """A random formula over the roles, 0 and 1, with every connective and
     binders, whose bodies may also read the bound element."""
     def element(d, atoms):
@@ -644,7 +640,7 @@ def formulas(draw, depth=3):
             return ("iff", formula(d - 1, atoms), formula(d - 1, atoms))
         return (kind, *(formula(d - 1, atoms) for _ in range(draw(st.integers(2, 3)))))
 
-    return formula(depth, ROLES + ("0", "1"))
+    return formula(depth, roles + ("0", "1"))
 
 
 @settings(max_examples=400, deadline=None)
@@ -683,18 +679,46 @@ def constructions():
             relabelled(boolean_iol(6), 6), relabelled(mo_iol(31), 31))
 
 
+def mutated(alg, cell):
+    """The algebra with arrow[i][j] = v for (i, j, v) = cell mod n, if any."""
+    if cell is None:
+        return alg
+    arrow = [bytearray(row) for row in alg.arrow]
+    i, j, v = (k % alg.n for k in cell)
+    arrow[i][j] = v
+    return FiniteAlgebra(alg.name, alg.elements, tuple(arrow), alg.one, alg.zero)
+
+
 @settings(max_examples=150, deadline=None)
 @given(formula=formulas(), pick=st.integers(0, 7),
        cell=st.none() | st.tuples(*[st.integers(0, 63)] * 3))
 def test_compiled_formula_matches_its_rendering_at_scale(formula, pick, cell):
     # Long rows: the constructions, and one-cell mutations of them.
     assume(0 < len(formula_roles(formula)) <= 2)
-    alg = constructions()[pick]
-    if cell is not None:
-        arrow = [bytearray(row) for row in alg.arrow]
-        i, j, v = (k % alg.n for k in cell)
-        arrow[i][j] = v
-        alg = FiniteAlgebra(alg.name, alg.elements, tuple(arrow), alg.one, alg.zero)
+    alg = mutated(constructions()[pick], cell)
+    assert first_failure(alg, formula) == rendered_first_failure(alg, formula)
+
+
+@st.composite
+def three_role_formulas(draw):
+    """A random formula that reads z, so that its scan can read a row or a
+    column at a vector two loops outer than its index.  One in three is
+    the negated equivalence of a formula over x and y with it, which
+    compiles to the xor of a scalar and a vector."""
+    formula = draw(formulas(roles=("x", "y", "z")))
+    if draw(st.integers(0, 2)) == 0:
+        formula = ("not", ("iff", draw(formulas(depth=1, roles=("x", "y"))), formula))
+    return formula
+
+
+@settings(max_examples=300, deadline=None)
+@given(formula=three_role_formulas(), pick=st.integers(0, 2),
+       cell=st.none() | st.tuples(*[st.integers(0, 17)] * 3))
+def test_compiled_three_role_formula_matches_its_rendering_at_scale(formula, pick, cell):
+    # Three roles reach a row or column read at a vector two loops outer
+    # than its index; on the constructions of 16 and 18 elements.
+    assume(len(formula_roles(formula)) == 3)
+    alg = mutated(constructions()[pick], cell)
     assert first_failure(alg, formula) == rendered_first_failure(alg, formula)
 
 
@@ -818,9 +842,15 @@ def boolean(k):
                          + [relabelled(hexagons(k), k) for k in (1, 2, 3)],
                          ids=lambda alg: f"{alg.name}{alg.n}")
 def test_subset_items_pass_on_iols(alg):
-    space = associated_orthospace(alg)
-    assert reference_subset_items(alg, space) is None
-    assert sized_subset_items(alg, space) is None
+    # Items (1)-(3) pass on an i-OL, so the check's verdict is the reference's.
+    assert reference_subset_items(alg, associated_orthospace(alg)) is None
+    assert run_check(alg, "L7-DOWNSET") == CheckResult("L7-DOWNSET", "pass")
+
+
+def test_subset_items_pass_on_the_census():
+    for alg in iols_up_to(8):
+        assert reference_subset_items(alg, associated_orthospace(alg)) is None, alg.name
+        assert run_check(alg, "L7-DOWNSET") == CheckResult("L7-DOWNSET", "pass"), alg.name
 
 
 @pytest.mark.parametrize("alg", [fixture("benzene6"), fixture("ioml10"),
@@ -828,7 +858,7 @@ def test_subset_items_pass_on_iols(alg):
                          ids=lambda alg: alg.name)
 def test_subset_items_item5_fails_alike(alg):
     space = without_pair(associated_orthospace(alg))
-    res = sized_subset_items(alg, space)
+    res = singleton_rule(alg, space)
     assert res == reference_subset_items(alg, space)
     assert res.witness[0] == ("item", "(5)")
 
@@ -848,22 +878,38 @@ def mutants(count, seed):
                                  alg.one, alg.zero)
 
 
+def downset_premises(alg):
+    """Item (2) on every pair, down(1) the universe and x <=L x for every x:
+    all that ``_l7_downset`` uses to decide items (4) and (5)."""
+    down = [down_set(alg, x) for x in range(alg.n)]
+    return (down[alg.one] == alg.universe_mask()
+            and all(le_l(alg, x, x) for x in range(alg.n))
+            and all(down[x] & down[y] == down[wedge_p(alg, x, y)]
+                    for x in range(alg.n) for y in range(alg.n)))
+
+
 def test_subset_items_agree_on_mutated_tables():
-    seen = set()
+    # Where the premises hold, the reference reports no item (4) and raises
+    # nothing, and its item (5) is the singleton rule's; where they do not,
+    # the sample reaches both failures the premises exclude.
+    kept, broken = 0, set()
     for parent, alg in mutants(300, 3):
         space = associated_orthospace(parent)
-        res = outcome(sized_subset_items, alg, space)
-        assert res == outcome(reference_subset_items, alg, space), alg.arrow
-        seen.add(res[0] if isinstance(res, tuple) else res and res.witness[0][1])
-    # both failing items and the non-lattice error are reached
-    assert {"raised", "(4)", "(5)"} <= seen
+        try:
+            res = reference_subset_items(alg, space)
+        except NonLatticeError:
+            res = "raised"
+        if downset_premises(alg):
+            kept += 1
+            assert res == singleton_rule(alg, space), alg.arrow
+        else:
+            broken.add(res if res in (None, "raised") else res.witness[0][1])
+    assert kept and {"raised", "(4)"} <= broken
 
 
 @pytest.mark.parametrize("alg", [boolean(4), relabelled(mo(7), 7), relabelled(hexagons(4), 4)],
                          ids=lambda alg: f"{alg.name}{alg.n}")
-def test_downset_skips_its_subset_items_above_the_cap(alg):
-    # Items (1)-(3) hold, and items (4)/(5) are not scanned above the cap.
-    assert alg.n > theorems.SUBSET_SCAN_CAP
-    skip = CheckResult("L7-DOWNSET", "skipped", (("precondition", "at most 14 elements"),))
-    assert theorems._EVAL["L7-DOWNSET"](alg) == skip
-    assert run_check(alg, "L7-DOWNSET") == skip
+def test_downset_passes_above_fourteen_elements(alg):
+    # The subset items are decided without a walk over the 2^n subsets.
+    assert alg.n > 14
+    assert run_check(alg, "L7-DOWNSET") == CheckResult("L7-DOWNSET", "pass")
