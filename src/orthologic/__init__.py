@@ -64,7 +64,6 @@ from .sasaki import (
     orthogonal_pair_boolean_witness,
     sasaki_map_search,
     sasaki_projection,
-    sp_center_monoid_check,
 )
 from .theorems import CheckSpec, list_checks, run_all, run_check
 

@@ -36,7 +36,6 @@ from .algebra import (
     FiniteAlgebra,
     PreconditionError,
     _first_diff,
-    classify,
     gather,
     iter_bits,
     le_l_row,
@@ -359,34 +358,3 @@ def is_sasaki_space(space: OrthoSpace) -> CheckResult:
                 "sasaki-space", "fail", (("closed-set", space.subset_name(m)),)
             )
     return CheckResult("sasaki-space", "pass")
-
-
-def sp_center_monoid_check(alg: FiniteAlgebra) -> CheckResult:
-    """Over S = {phi_a : a central}: composition stays in S, commutes, has
-    phi_1 as identity, and phi_a o phi_b = phi_(a ^Q b)."""
-    if not classify(alg).is_ioml:
-        return CheckResult("center-monoid", "skipped", (("precondition", "ioml"),))
-    cen = center(alg)
-    maps = {a: sasaki_projection(alg, a) for a in iter_bits(cen)}
-    for a, phi in maps.items():
-        for b, psi in maps.items():
-            ab = wedge_q(alg, a, b)
-            if not cen & (1 << ab):
-                return CheckResult(
-                    "center-monoid",
-                    "fail",
-                    (("x", alg.elements[a]), ("y", alg.elements[b]), ("meet", alg.elements[ab])),
-                )
-            left = compose(phi, psi)
-            right = compose(psi, phi)
-            target = maps[ab]
-            if left.image != right.image or left.image != target.image:
-                return CheckResult(
-                    "center-monoid",
-                    "fail",
-                    (("x", alg.elements[a]), ("y", alg.elements[b])),
-                )
-    identity = maps.get(alg.one)
-    if identity is None or identity.image != tuple(range(alg.n)):
-        return CheckResult("center-monoid", "fail", (("identity", "1"),))
-    return CheckResult("center-monoid", "pass")

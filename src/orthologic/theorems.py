@@ -20,10 +20,13 @@ A formula is a term of the language of ``algebra`` (equations between arrow
 terms, with not/and/or/iff, the binder ``_all`` over a bound element V, and
 the macros for the orders, orthogonality, commutation and divisibility),
 compiled on first use into a row scan by ``first_failure``, as the 17 laws
-are.  Checks that do not fit a row (class-dependent item lists, the pair
-hulls, the space, family and Sasaki checks) are functions over the same
-evaluators.  L7-DOWNSET decides its items over all subsets from its element
-and pair items, without enumerating the subsets.
+are.  The projection-family laws are formulas too: a map role a names the
+Sasaki projection phi_a(x) = x ^Q a, written ``_phi(a, x)``.  Checks that do
+not fit a single row (item lists that depend on the class, as the family
+laws' do, the pair hulls, and the checks that build the space or decide a
+full family) are functions over the same evaluators.  L7-DOWNSET decides
+its items over all subsets from its element and pair items, without
+enumerating the subsets.
 """
 
 from __future__ import annotations
@@ -61,11 +64,9 @@ from .algebra import (
     first_failure,
     holds_at,
     iter_bits,
-    le_l,
     ortho,
     star,
     wedge_p,
-    wedge_q,
 )
 from .orthospace import (
     OrthoSpace,
@@ -79,18 +80,12 @@ from .orthospace import (
     _two_cell_partitions,
 )
 from .sasaki import (
-    ProjectionMap,
     block_family_check,
-    canonical_projection_family,
     center,
-    check_sasaki_set,
     has_full_sasaki_set,
-    is_full,
     is_iboolean_subalgebra,
     is_sasaki_space,
     non_boolean_pair,
-    sp_center_monoid_check,
-    trivial_projection_family,
 )
 
 X, Y, Z, U = ROLES
@@ -465,6 +460,16 @@ _items(
 )
 
 
+def _phi(a, x):
+    """The Sasaki projection phi_a at x: x ^Q a."""
+    return _wedgeq(x, a)
+
+
+def _central(s):
+    """s commutes with every element."""
+    return _all(_commutes(s, V))
+
+
 def _fixes_all(s):
     """phi_s is the identity: v ^Q s = v for every v."""
     return _all(_eq(_wedgeq(V, s), V))
@@ -650,86 +655,56 @@ def _t5_ortho_pair_boolean(alg):
         "T5-ORTHO-PAIR-BOOLEAN", (_clause(alg, "IOM", ("IOM",)), _pairs_boolean(alg)))
 
 
-@_register("T5-SP-CENTER-MONOID", "ioml", "central projections form an Abelian monoid", 2)
-def _t5_sp_center_monoid(alg):
-    return replace(sp_center_monoid_check(alg), check_id="T5-SP-CENTER-MONOID")
+_items(
+    "T5-SP-CENTER-MONOID", "ioml", "central projections form an Abelian monoid", 2,
+    ("closed", _implies(_central(X), _central(Y), _central(_wedgeq(X, Y)))),
+    ("compose", _implies(_central(X), _central(Y),
+                         _all(_and(_eq(_phi(X, _phi(Y, V)), _phi(Y, _phi(X, V))),
+                                   _eq(_phi(X, _phi(Y, V)), _phi(_wedgeq(X, Y), V)))))),
+    ("identity", _and(_central(ONE), _eq(_phi(ONE, X), X))),
+)
 
 
 # -- projection families -----------------------------------------------------
+#
+# A map role a names the projection phi_a, and the roles after the map roles
+# are elements.  On an i-OML the family is the canonical {phi_a : a in X}.  On
+# any other i-OL it is the trivial {0, id}, which is {phi_0, phi_1} on every
+# i-OL (P4-SP-BASIC item (1)), so its items restrict each map role to 0 or 1.
 
-def _families(alg) -> list[tuple[str, tuple[ProjectionMap, ...]]]:
-    fams = [("trivial", trivial_projection_family(alg))]
-    if classify(alg).is_ioml:
-        fams.append(("canonical", canonical_projection_family(alg)))
-    return fams
+def _family_items(check_id, description, arity, *items):
+    """items: (tag, map roles, formula), scanned over the family of the
+    class.  The trivial family's copy of an item, tagged "<tag> trivial",
+    restricts each of its map roles to 0 or 1."""
+    canonical = _labelled(check_id, tuple((tag, pred) for tag, _, pred in items))
+    trivial = _labelled(check_id, tuple(
+        (f"{tag} trivial".lstrip(),
+         _implies(*(_or(_eq(a, ZERO), _eq(a, ONE)) for a in maps), pred))
+        for tag, maps, pred in items))
 
-
-@_register("P6-SS-PROPS", "iol", "consequences of the projection-family laws", 2)
-def _p6_ss_props(alg):
-    for fam_name, maps in _families(alg):
-        for k, phi in enumerate(maps):
-            lbl = phi.label or f"#{k}"
-            if any(phi.image[phi.image[x]] != phi.image[x] for x in range(alg.n)):
-                return CheckResult(
-                    "P6-SS-PROPS", "fail",
-                    (("item", "(3)"), ("family", fam_name), ("map", lbl)))
-            for x in range(alg.n):
-                lhs = phi.image[x] == alg.zero
-                rhs = le_l(alg, x, star(alg, phi.image[alg.one]))
-                if lhs != rhs:
-                    return CheckResult(
-                        "P6-SS-PROPS", "fail",
-                        (("item", "(5)"), ("family", fam_name), ("map", lbl),
-                         ("x", alg.elements[x])))
-                for y in range(alg.n):
-                    if ortho(alg, phi.image[x], phi.image[y]) and not ortho(alg, x, phi.image[y]):
-                        return CheckResult(
-                            "P6-SS-PROPS", "fail",
-                            (("item", "(6)"), ("family", fam_name), ("map", lbl),
-                             ("x", alg.elements[x]), ("y", alg.elements[y])))
-                    if ortho(alg, phi.image[x], y) != ortho(alg, x, phi.image[y]):
-                        return CheckResult(
-                            "P6-SS-PROPS", "fail",
-                            (("item", "(7)"), ("family", fam_name), ("map", lbl),
-                             ("x", alg.elements[x]), ("y", alg.elements[y])))
-            for m, psi in enumerate(maps):
-                plbl = psi.label or f"#{m}"
-                if phi.image[alg.one] == psi.image[alg.one] and phi.image != psi.image:
-                    return CheckResult(
-                        "P6-SS-PROPS", "fail",
-                        (("item", "(2)"), ("family", fam_name), ("map", lbl),
-                         ("other", plbl)))
-                if le_l(alg, phi.image[alg.one], psi.image[alg.one]):
-                    for x in range(alg.n):
-                        if phi.image[psi.image[x]] != phi.image[x] or \
-                                psi.image[phi.image[x]] != phi.image[x]:
-                            return CheckResult(
-                                "P6-SS-PROPS", "fail",
-                                (("item", "(1)"), ("family", fam_name),
-                                 ("map", lbl), ("other", plbl),
-                                 ("x", alg.elements[x])))
-                    if psi.image[phi.image[alg.one]] != phi.image[alg.one]:
-                        return CheckResult(
-                            "P6-SS-PROPS", "fail",
-                            (("item", "(4)"), ("family", fam_name),
-                             ("map", lbl), ("other", plbl)))
-    return CheckResult("P6-SS-PROPS", "pass")
+    @_register(check_id, "iol", description, arity)
+    def scan(alg):
+        return _scan_items(alg, check_id, arity, canonical if classify(alg).is_ioml else trivial)
 
 
-@_register("P6-SS-ARROW", "iol", "projection families preserve the arrow up to star", 2)
-def _p6_ss_arrow(alg):
-    for fam_name, maps in _families(alg):
-        for k, phi in enumerate(maps):
-            for x in range(alg.n):
-                for y in range(alg.n):
-                    lhs = phi.image[alg.arrow[x][y]]
-                    rhs = alg.arrow[star(alg, phi.image[star(alg, x)])][phi.image[y]]
-                    if lhs != rhs:
-                        return CheckResult(
-                            "P6-SS-ARROW", "fail",
-                            (("family", fam_name), ("map", phi.label or f"#{k}"),
-                             ("x", alg.elements[x]), ("y", alg.elements[y])))
-    return CheckResult("P6-SS-ARROW", "pass")
+_family_items(
+    "P6-SS-PROPS", "consequences of the projection-family laws", 3,
+    ("(1)", (X, Y), _implies(_lel(_phi(X, ONE), _phi(Y, ONE)),
+                             _and(_eq(_phi(X, _phi(Y, Z)), _phi(X, Z)),
+                                  _eq(_phi(Y, _phi(X, Z)), _phi(X, Z))))),
+    ("(2)", (X, Y), _implies(_eq(_phi(X, ONE), _phi(Y, ONE)), _all(_eq(_phi(X, V), _phi(Y, V))))),
+    ("(3)", (X,), _eq(_phi(X, _phi(X, Y)), _phi(X, Y))),
+    ("(4)", (X, Y), _implies(_lel(_phi(X, ONE), _phi(Y, ONE)),
+                             _eq(_phi(Y, _phi(X, ONE)), _phi(X, ONE)))),
+    ("(5)", (X,), _iff(_eq(_phi(X, Y), ZERO), _lel(Y, _neg(_phi(X, ONE))))),
+    ("(6)", (X,), _implies(_ortho(_phi(X, Y), _phi(X, Z)), _ortho(Y, _phi(X, Z)))),
+    ("(7)", (X,), _iff(_ortho(_phi(X, Y), Z), _ortho(Y, _phi(X, Z)))),
+)
+
+_family_items(
+    "P6-SS-ARROW", "projection families preserve the arrow up to star", 3,
+    ("", (X,), _eq(_phi(X, _imp(Y, Z)), _imp(_neg(_phi(X, _neg(Y))), _phi(X, Z)))),
+)
 
 
 _items(
@@ -740,20 +715,13 @@ _items(
 )
 
 
-@_register("P6-FULL-FORMULA", "ioml", "any full family computes the pointed meet", 2)
-def _p6_full_formula(alg):
-    maps = canonical_projection_family(alg)
-    if not check_sasaki_set(alg, maps).passed or not is_full(alg, maps):
-        return CheckResult("P6-FULL-FORMULA", "fail", (("family", "canonical"),))
-    by_top = {phi.image[alg.one]: phi for phi in maps}
-    for x in range(alg.n):
-        phi = by_top[x]
-        for y in range(alg.n):
-            if phi.image[y] != wedge_q(alg, y, x):
-                return CheckResult(
-                    "P6-FULL-FORMULA", "fail",
-                    (("x", alg.elements[x]), ("y", alg.elements[y])))
-    return CheckResult("P6-FULL-FORMULA", "pass")
+_items(
+    "P6-FULL-FORMULA", "ioml", "the Sasaki projections form a full projection family", 3,
+    ("SS1", _implies(_lel(Y, Z), _lel(_phi(X, Y), _phi(X, Z)))),
+    ("SS2", _implies(_lel(_phi(X, ONE), _phi(Y, ONE)), _eq(_phi(X, _phi(Y, Z)), _phi(X, Z)))),
+    ("SS3", _lel(_phi(X, _neg(_phi(X, Y))), _neg(Y))),
+    ("full", _eq(_phi(X, ONE), X)),
+)
 
 
 @_register("T6-FULLSET-IFF-IOML", "iol", "orthomodularity equals having a full projection family", 2)

@@ -18,7 +18,7 @@ from orthologic import (
     parse_algebra,
     serialize_algebra,
 )
-from orthologic.cli import main
+from orthologic.cli import _Stdout, main
 from orthologic.documents import algebra_to_document
 from orthologic.fixtures import FIXTURE_NAMES
 from orthologic.orthospace import OrthoSpace
@@ -504,6 +504,26 @@ def test_cli_invalid_space_exits_2_with_its_message(monkeypatch, capsys, points,
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+
+@pytest.mark.parametrize("cap, value, flag, message", [
+    ("FAMILY_CAP", 2, "--cl", "orthoclosed family exceeds cap 2"),
+    ("BLOCK_PARTITION_CAP", 1, "--normal", "exceeds partition cap 1"),
+])
+def test_cli_space_caps_exit_3(monkeypatch, capsys, tmp_path, cap, value, flag, message):
+    # The space and its family are cached per space, so the elements get
+    # names that no other test uses, and the lowered cap is reached afresh.
+    base = mo_iol(3)
+    names = tuple(f"{cap}{i}" for i in range(base.n))
+    path = tmp_path / "mo3.json"
+    path.write_text(serialize_algebra(FiniteAlgebra(cap, names, base.arrow, base.one, base.zero)),
+                    encoding="utf-8")
+    monkeypatch.setattr(f"orthologic.orthospace.{cap}", value)
+    assert run_cli("ortho", str(path), flag) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("resource cap: ") and err.endswith(f"{message}\n")
+    assert "Traceback" not in err
+
 # -- exit-code contract under random documents -----------------------------------------
 
 @st.composite
@@ -643,3 +663,23 @@ def test_cli_exit_code_survives_a_closed_stdout(argv):
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(), err) == (expected, b"")
+
+
+@pytest.mark.parametrize("first", ["write", "flush"])
+def test_stdout_turns_to_the_null_device_when_the_pipe_breaks(first):
+    # A pipe whose read end is closed: the first write that reaches it, from
+    # a write longer than the buffer or from a flush, breaks, and output
+    # goes to the null device from then on.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "w") as stream:
+        out = _Stdout(stream)
+        if first == "write":
+            text = "x" * (1 << 16)
+            assert out.write(text) == len(text)
+        else:
+            assert out.write("short\n") == 6
+            out.flush()
+        assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+        assert out.write("later\n") == 6
+        out.flush()

@@ -27,10 +27,10 @@ from orthologic import (
     le_l,
     orthoclosure,
     orthogonal_pair_boolean_witness,
+    run_check,
     sasaki_map_search,
     sasaki_projection,
     serialize_algebra,
-    sp_center_monoid_check,
     star,
     vee_q,
     wedge_q,
@@ -621,8 +621,8 @@ def test_cli_sasaki_space_fails_on_eight_hexagons(tmp_path, capsys):
 # -- the central projection monoid ------------------------------------------------
 
 def test_center_monoid(ioml10, benzene6):
-    assert sp_center_monoid_check(ioml10).passed
-    res = sp_center_monoid_check(benzene6)
+    assert run_check(ioml10, "T5-SP-CENTER-MONOID").passed
+    res = run_check(benzene6, "T5-SP-CENTER-MONOID")
     assert res.skipped
     assert res.witness == (("precondition", "ioml"),)
 
@@ -632,4 +632,4 @@ def test_center_monoid_covers_everything_on_boolean():
 
     (alg,) = enumerate_models(4, "iboolean")
     assert center(alg) == alg.universe_mask()
-    assert sp_center_monoid_check(alg).passed
+    assert run_check(alg, "T5-SP-CENTER-MONOID").passed

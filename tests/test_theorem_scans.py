@@ -14,6 +14,11 @@ from its element and pair items and the singleton rule of ``_item5``; the
 reference rebuilds every intersection, meet and perp mask by mask, and must
 give the same verdict on i-OLs, and on every table that meets the premises
 of that argument.
+
+The projection-family checks keep the loops over ``ProjectionMap`` families
+that they replaced as whole-check references, which must give the same
+verdicts on the census, on 16-64-element constructions and on mutated
+tables where phi_0 and phi_1 are the constant 0 and the identity.
 """
 
 import random
@@ -40,6 +45,7 @@ from orthologic.algebra import (
     CheckResult,
     NonLatticeError,
     big_meet,
+    classify,
     down_set,
     first_failure,
     formula_roles,
@@ -56,7 +62,16 @@ from orthologic.algebra import (
 from orthologic.enumeration import _search_tables
 from orthologic.fixtures import FIXTURE_NAMES
 from orthologic.orthospace import perp
-from orthologic.sasaki import commutes, divides
+from orthologic.sasaki import (
+    canonical_projection_family,
+    check_sasaki_set,
+    commutes,
+    compose,
+    divides,
+    is_full,
+    sasaki_projection,
+    trivial_projection_family,
+)
 from orthologic.theorems import _item5, _scan_items, _space_masks
 
 from conftest import (
@@ -78,8 +93,8 @@ ROLES = ("x", "y", "z", "u")
 # The lambdas and functions the registry ran before its items, clauses and
 # pointwise sides became formulas, keyed by (check id, item tag or clause
 # label).  Each reads the arrow table through the functions of ``algebra`` and
-# ``sasaki``, so it is an encoding independent of the term compiler.  The four
-# functions below quantify over a bound element v.
+# ``sasaki``, so it is an encoding independent of the term compiler.  The
+# functions that loop over range(a.n) quantify over a bound element v.
 
 def _m_pimpl(a, x, y):
     t = star(a, wedge_p(a, x, star(a, y)))
@@ -126,6 +141,58 @@ def _projections_stable(a, x, y):
         if le_l(a, v, y) and not le_l(a, wedge_q(a, v, x), y):
             return False
     return True
+
+
+# The projection-family laws: phi(a, p, x) is the Sasaki projection phi_p at
+# x, and the map roles p, q come before the element roles.  A law's copy over
+# the trivial family holds wherever a map role is neither 0 nor 1.
+
+def phi(a, p, x):
+    return wedge_q(a, x, p)
+
+
+def trivial(a, *maps):
+    return all(m in (a.zero, a.one) for m in maps)
+
+
+def central(a, p):
+    return all(commutes(a, p, v) for v in range(a.n))
+
+
+def _nested_projections(a, p, q, x):
+    if not le_l(a, phi(a, p, a.one), phi(a, q, a.one)):
+        return True
+    return phi(a, p, phi(a, q, x)) == phi(a, p, x) == phi(a, q, phi(a, p, x))
+
+
+def _same_top_same_map(a, p, q):
+    return phi(a, p, a.one) != phi(a, q, a.one) or all(
+        phi(a, p, v) == phi(a, q, v) for v in range(a.n))
+
+
+def _idempotent(a, p, x):
+    return phi(a, p, phi(a, p, x)) == phi(a, p, x)
+
+
+def _top_fixed(a, p, q):
+    return not le_l(a, phi(a, p, a.one), phi(a, q, a.one)) \
+        or phi(a, q, phi(a, p, a.one)) == phi(a, p, a.one)
+
+
+def _kernel(a, p, x):
+    return (phi(a, p, x) == a.zero) == le_l(a, x, star(a, phi(a, p, a.one)))
+
+
+def _ortho_images(a, p, x, y):
+    return not ortho(a, phi(a, p, x), phi(a, p, y)) or ortho(a, x, phi(a, p, y))
+
+
+def _ortho_swap(a, p, x, y):
+    return ortho(a, phi(a, p, x), y) == ortho(a, x, phi(a, p, y))
+
+
+def _arrow_transfer(a, p, x, y):
+    return phi(a, p, a.arrow[x][y]) == a.arrow[star(a, phi(a, p, star(a, x)))][phi(a, p, y)]
 
 
 REFERENCE = {
@@ -359,6 +426,39 @@ REFERENCE = {
     ("P6-FULL-PROPS", "(2)"): lambda a, x, y: wedge_q(a, star(a, wedge_q(a, star(a, y), x)), x)
     == wedge_p(a, x, y),
     ("P6-FULL-PROPS", "(3)"): lambda a, x: wedge_q(a, star(a, x), x) == a.zero,
+    ("T5-SP-CENTER-MONOID", "closed"): lambda a, p, q: not (central(a, p) and central(a, q))
+    or central(a, wedge_q(a, p, q)),
+    ("T5-SP-CENTER-MONOID", "compose"): lambda a, p, q: not (central(a, p) and central(a, q))
+    or _projections_compose(a, p, q),
+    ("T5-SP-CENTER-MONOID", "identity"): lambda a, x: central(a, a.one) and phi(a, a.one, x) == x,
+    ("P6-SS-PROPS", "(1)"): _nested_projections,
+    ("P6-SS-PROPS", "(2)"): _same_top_same_map,
+    ("P6-SS-PROPS", "(3)"): _idempotent,
+    ("P6-SS-PROPS", "(4)"): _top_fixed,
+    ("P6-SS-PROPS", "(5)"): _kernel,
+    ("P6-SS-PROPS", "(6)"): _ortho_images,
+    ("P6-SS-PROPS", "(7)"): _ortho_swap,
+    ("P6-SS-PROPS", "(1) trivial"): lambda a, p, q, x: not trivial(a, p, q)
+    or _nested_projections(a, p, q, x),
+    ("P6-SS-PROPS", "(2) trivial"): lambda a, p, q: not trivial(a, p, q)
+    or _same_top_same_map(a, p, q),
+    ("P6-SS-PROPS", "(3) trivial"): lambda a, p, x: not trivial(a, p) or _idempotent(a, p, x),
+    ("P6-SS-PROPS", "(4) trivial"): lambda a, p, q: not trivial(a, p, q) or _top_fixed(a, p, q),
+    ("P6-SS-PROPS", "(5) trivial"): lambda a, p, x: not trivial(a, p) or _kernel(a, p, x),
+    ("P6-SS-PROPS", "(6) trivial"): lambda a, p, x, y: not trivial(a, p)
+    or _ortho_images(a, p, x, y),
+    ("P6-SS-PROPS", "(7) trivial"): lambda a, p, x, y: not trivial(a, p)
+    or _ortho_swap(a, p, x, y),
+    ("P6-SS-ARROW", ""): _arrow_transfer,
+    ("P6-SS-ARROW", "trivial"): lambda a, p, x, y: not trivial(a, p)
+    or _arrow_transfer(a, p, x, y),
+    ("P6-FULL-FORMULA", "SS1"): lambda a, p, x, y: not le_l(a, x, y)
+    or le_l(a, phi(a, p, x), phi(a, p, y)),
+    ("P6-FULL-FORMULA", "SS2"): lambda a, p, q, x: not le_l(a, phi(a, p, a.one), phi(a, q, a.one))
+    or phi(a, p, phi(a, q, x)) == phi(a, p, x),
+    ("P6-FULL-FORMULA", "SS3"): lambda a, p, x: le_l(a, phi(a, p, star(a, phi(a, p, x))),
+                                                     star(a, x)),
+    ("P6-FULL-FORMULA", "full"): lambda a, x: phi(a, x, a.one) == x,
 }
 
 
@@ -539,7 +639,7 @@ def test_no_item_takes_more_roles_than_its_check(monkeypatch):
     calls = registry_scans(monkeypatch, [fixture(name) for name in sorted(FIXTURE_NAMES)])
     declared = {spec.check_id: spec.arity for spec in list_checks()}
     # every item check, and every pointwise one but the i-Boolean C5-ORDERS-COINCIDE
-    assert len({call[0] for call in calls}) == 16 + 7
+    assert len({call[0] for call in calls}) == 20 + 7
     for check_id, arity, item_arities, _ in calls:
         assert arity == declared[check_id]
         assert all(1 <= k <= arity for k in item_arities), (check_id, item_arities)
@@ -913,3 +1013,202 @@ def test_downset_passes_above_fourteen_elements(alg):
     # The subset items are decided without a walk over the 2^n subsets.
     assert alg.n > 14
     assert run_check(alg, "L7-DOWNSET") == CheckResult("L7-DOWNSET", "pass")
+
+
+# -- the projection-family checks against the bodies they replace -------------------
+#
+# P6-SS-PROPS, P6-SS-ARROW, P6-FULL-FORMULA and T5-SP-CENTER-MONOID were loops
+# over ProjectionMap families before they became formulas over map roles.  The
+# loops are kept below as whole-check references, and the verdicts must agree
+# wherever phi_0 is the constant 0 and phi_1 the identity, as on every i-OL:
+# there the trivial family {0, id} is {phi_0, phi_1}.
+
+def reference_families(alg):
+    fams = [("trivial", trivial_projection_family(alg))]
+    if classify(alg).is_ioml:
+        fams.append(("canonical", canonical_projection_family(alg)))
+    return fams
+
+
+def reference_ss_props(alg):
+    for fam_name, maps in reference_families(alg):
+        for k, phi in enumerate(maps):
+            lbl = phi.label or f"#{k}"
+            if any(phi.image[phi.image[x]] != phi.image[x] for x in range(alg.n)):
+                return CheckResult(
+                    "P6-SS-PROPS", "fail",
+                    (("item", "(3)"), ("family", fam_name), ("map", lbl)))
+            for x in range(alg.n):
+                lhs = phi.image[x] == alg.zero
+                rhs = le_l(alg, x, star(alg, phi.image[alg.one]))
+                if lhs != rhs:
+                    return CheckResult(
+                        "P6-SS-PROPS", "fail",
+                        (("item", "(5)"), ("family", fam_name), ("map", lbl),
+                         ("x", alg.elements[x])))
+                for y in range(alg.n):
+                    if ortho(alg, phi.image[x], phi.image[y]) and not ortho(alg, x, phi.image[y]):
+                        return CheckResult(
+                            "P6-SS-PROPS", "fail",
+                            (("item", "(6)"), ("family", fam_name), ("map", lbl),
+                             ("x", alg.elements[x]), ("y", alg.elements[y])))
+                    if ortho(alg, phi.image[x], y) != ortho(alg, x, phi.image[y]):
+                        return CheckResult(
+                            "P6-SS-PROPS", "fail",
+                            (("item", "(7)"), ("family", fam_name), ("map", lbl),
+                             ("x", alg.elements[x]), ("y", alg.elements[y])))
+            for m, psi in enumerate(maps):
+                plbl = psi.label or f"#{m}"
+                if phi.image[alg.one] == psi.image[alg.one] and phi.image != psi.image:
+                    return CheckResult(
+                        "P6-SS-PROPS", "fail",
+                        (("item", "(2)"), ("family", fam_name), ("map", lbl),
+                         ("other", plbl)))
+                if le_l(alg, phi.image[alg.one], psi.image[alg.one]):
+                    for x in range(alg.n):
+                        if phi.image[psi.image[x]] != phi.image[x] or \
+                                psi.image[phi.image[x]] != phi.image[x]:
+                            return CheckResult(
+                                "P6-SS-PROPS", "fail",
+                                (("item", "(1)"), ("family", fam_name),
+                                 ("map", lbl), ("other", plbl),
+                                 ("x", alg.elements[x])))
+                    if psi.image[phi.image[alg.one]] != phi.image[alg.one]:
+                        return CheckResult(
+                            "P6-SS-PROPS", "fail",
+                            (("item", "(4)"), ("family", fam_name),
+                             ("map", lbl), ("other", plbl)))
+    return CheckResult("P6-SS-PROPS", "pass")
+
+
+def reference_ss_arrow(alg):
+    for fam_name, maps in reference_families(alg):
+        for k, phi in enumerate(maps):
+            for x in range(alg.n):
+                for y in range(alg.n):
+                    lhs = phi.image[alg.arrow[x][y]]
+                    rhs = alg.arrow[star(alg, phi.image[star(alg, x)])][phi.image[y]]
+                    if lhs != rhs:
+                        return CheckResult(
+                            "P6-SS-ARROW", "fail",
+                            (("family", fam_name), ("map", phi.label or f"#{k}"),
+                             ("x", alg.elements[x]), ("y", alg.elements[y])))
+    return CheckResult("P6-SS-ARROW", "pass")
+
+
+def reference_full_formula(alg):
+    """Raises PreconditionError off an i-OL, through ``check_sasaki_set``."""
+    maps = canonical_projection_family(alg)
+    if not check_sasaki_set(alg, maps).passed or not is_full(alg, maps):
+        return CheckResult("P6-FULL-FORMULA", "fail", (("family", "canonical"),))
+    by_top = {phi.image[alg.one]: phi for phi in maps}
+    for x in range(alg.n):
+        phi = by_top[x]
+        for y in range(alg.n):
+            if phi.image[y] != wedge_q(alg, y, x):
+                return CheckResult(
+                    "P6-FULL-FORMULA", "fail",
+                    (("x", alg.elements[x]), ("y", alg.elements[y])))
+    return CheckResult("P6-FULL-FORMULA", "pass")
+
+
+def sp_center_monoid_check(alg):
+    """Over S = {phi_a : a central}: composition stays in S, commutes, has
+    phi_1 as identity, and phi_a o phi_b = phi_(a ^Q b).  The function of
+    ``sasaki`` that T5-SP-CENTER-MONOID called, less its i-OML guard and with
+    the center read pair by pair, so that it runs on any table."""
+    cen = sum(1 << a for a in range(alg.n) if central(alg, a))
+    maps = {a: sasaki_projection(alg, a) for a in iter_bits(cen)}
+    for a, phi in maps.items():
+        for b, psi in maps.items():
+            ab = wedge_q(alg, a, b)
+            if not cen & (1 << ab):
+                return CheckResult(
+                    "center-monoid",
+                    "fail",
+                    (("x", alg.elements[a]), ("y", alg.elements[b]), ("meet", alg.elements[ab])),
+                )
+            left = compose(phi, psi)
+            right = compose(psi, phi)
+            target = maps[ab]
+            if left.image != right.image or left.image != target.image:
+                return CheckResult(
+                    "center-monoid",
+                    "fail",
+                    (("x", alg.elements[a]), ("y", alg.elements[b])),
+                )
+    identity = maps.get(alg.one)
+    if identity is None or identity.image != tuple(range(alg.n)):
+        return CheckResult("center-monoid", "fail", (("identity", "1"),))
+    return CheckResult("center-monoid", "pass")
+
+
+WHOLE_CHECKS = {
+    "T5-SP-CENTER-MONOID": sp_center_monoid_check,
+    "P6-SS-PROPS": reference_ss_props,
+    "P6-SS-ARROW": reference_ss_arrow,
+    "P6-FULL-FORMULA": reference_full_formula,
+}
+
+
+def family_premise(alg):
+    """x ^Q 0 = 0 and x ^Q 1 = x for every x."""
+    return all(wedge_q(alg, x, alg.zero) == alg.zero and wedge_q(alg, x, alg.one) == x
+               for x in range(alg.n))
+
+
+def whole_check_verdicts(algebras):
+    """Assert that each check, called directly, gives its reference's
+    verdict on each algebra where the reference gives one; return the
+    (check id, status) pairs compared."""
+    compared = set()
+    for alg in algebras:
+        for check_id, reference in WHOLE_CHECKS.items():
+            try:
+                expected = reference(alg).status
+            except AlgebraError:
+                continue
+            assert theorems._EVAL[check_id](alg).status == expected, (check_id, alg.arrow)
+            compared.add((check_id, expected))
+    return compared
+
+
+def test_family_checks_match_their_references_on_the_census():
+    census = list(iols_up_to(8)) + enumerate_models(10, "iol")
+    assert len(census) == 24
+    compared = whole_check_verdicts(census)
+    # Only P6-FULL-FORMULA fails on an i-OL: the canonical family of one
+    # that is not orthomodular breaks the family laws.
+    assert compared == {(check_id, "pass") for check_id in WHOLE_CHECKS} | {
+        ("P6-FULL-FORMULA", "fail")}
+
+
+def test_family_checks_match_their_references_on_long_rows():
+    compared = whole_check_verdicts(long_rows())
+    assert {status for _, status in compared} == {"pass", "fail"}
+
+
+def any_cell_mutants(count, seed):
+    """One-cell mutations, at any cell, of the base algebras of ``mutants``."""
+    rng = random.Random(seed)
+    base = [m for n in (4, 6) for m in enumerate_models(n, "iol")]
+    base += [fixture(name) for name in sorted(FIXTURE_NAMES)] + [mo(3), hexagons(2)]
+    for k in range(count):
+        alg = rng.choice(base)
+        arrow = [list(row) for row in alg.arrow]
+        arrow[rng.randrange(alg.n)][rng.randrange(alg.n)] = rng.randrange(alg.n)
+        yield FiniteAlgebra(f"cell{k}", alg.elements, tuple(map(tuple, arrow)), alg.one, alg.zero)
+
+
+def test_family_checks_match_their_references_on_mutations():
+    # The verdicts must agree where the premise holds.  No one-cell mutation
+    # that keeps it breaks the trivial family's arrow law, but random tables
+    # that keep it do.  Some trivial items cannot fail under the premise at
+    # all ((2) would need 0 = 1), so every formula's failure is sought over
+    # the whole sample.
+    sample = list(any_cell_mutants(1000, 17)) + list(random_tables(1000, 3))
+    compared = whole_check_verdicts(alg for alg in sample if family_premise(alg))
+    assert {(check_id, "fail") for check_id in WHOLE_CHECKS} <= compared
+    for key, formula in theorems._FORMULAS.items():
+        if key[0] in WHOLE_CHECKS:
+            assert any(first_failure(alg, formula) is not None for alg in sample), key
