@@ -16,6 +16,14 @@ watched, as in SEM and Mace4: it is filed under the depth that assigns the
 cell it waits on, and only the instances filed under a depth are evaluated
 again there.  Each leaf is then verified in full.
 
+The search breaks the symmetry of the star map with lex-leader constraints
+(Crawford, Ginsberg, Luks & Roy, KR 1996), watched like the law instances:
+for each permutation that fixes 0 and 1 and commutes with the star, the free
+cells read in depth order must hold no more than in the relabelled table.
+The lex-least member of every orbit meets them all, and two tables with the
+same star are isomorphic only by a map that commutes with it, so every
+isomorphism class keeps at least one leaf.
+
 Leaves are deduplicated by ``canonical_key``, the least table over the
 leaves of an individualisation-refinement tree; ``is_isomorphic`` matches
 two such trees.  Sizes above ``max_elements`` are refused before the search.
@@ -25,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import count, product
+from itertools import combinations, count, product
 from math import isqrt
 from operator import itemgetter
 from typing import Callable, Iterator, Optional
@@ -102,6 +110,26 @@ def _search_tables(n: int, required: frozenset[str],
         yield from _fill_tables(n, star_of, required, prune_axioms, nodes, budget)
 
 
+def _star_symmetries(n: int, star_of: list[int]) -> list[bytes]:
+    """Permutations of 0..n-1 that fix 0 and 1 and commute with the star:
+    the flip of each star pair (a a*), the straight swap (a b)(a* b*) and the
+    crossed swap (a b*)(a* b) of every two pairs, and the swap of every two
+    fixed points.  Each is an involution, so it is its own inverse."""
+    pairs = [(a, star_of[a]) for a in range(1, n - 1) if a < star_of[a]]
+    fixed = [a for a in range(1, n - 1) if star_of[a] == a]
+    swaps = [[pair] for pair in pairs]
+    for (a, a_), (b, b_) in combinations(pairs, 2):
+        swaps += [[(a, b), (a_, b_)], [(a, b_), (a_, b)]]
+    swaps += [[pair] for pair in combinations(fixed, 2)]
+    perms = []
+    for swap in swaps:
+        g = list(range(n))
+        for a, b in swap:
+            g[a], g[b] = b, a
+        perms.append(bytes(g))
+    return perms
+
+
 def _fill_tables(
     n: int,
     star_of: list[int],
@@ -143,6 +171,33 @@ def _fill_tables(
             if cell is not None:
                 watch[0 if cell is False else depth_of[cell]].append((holds, tup))
 
+    # Lex-leader constraints: for each symmetry g, T <= g.T on the free cells
+    # in depth order, where (g.T)[i][j] = g[T[g i][g j]].  A check returns
+    # None once T < g.T shows, False once T > g.T, else the first unknown
+    # cell it reads.  agree[c] counts the leading free cells on which T and
+    # its image under symmetry c are known and equal, so no check re-reads
+    # them; rewind[k] holds the (c, agree[c]) that the checks at depth k
+    # moved, to restore when depth k takes its next value or is left.
+    syms, last = _star_symmetries(n, star_of), len(cells)
+    agree, rewind = [0] * len(syms), [[] for _ in cells]
+
+    def lex_leader(c: int) -> tuple[int, int] | bool | None:
+        g, start = syms[c], agree[c]
+        for p in range(start, last):
+            cell = i, j = cells[p]
+            a, b = table[i][j], table[g[i]][g[j]]
+            if a == unknown or b == unknown:
+                if p != start:
+                    rewind[k].append((c, start))
+                    agree[c] = p
+                return cell if a == unknown else (g[i], g[j])
+            if a != g[b]:
+                return None if a < g[b] else False
+        return None
+
+    # The first cell each constraint reads is assigned at depth 0.
+    watch[0] += [(lex_leader, (c,)) for c in range(len(syms))]
+
     def assign(i: int, j: int, v: int) -> None:
         # x -> y = y* -> x* on involutive candidates, so the partner cell
         # carries the same value; a cell (x, x*) is its own partner.
@@ -151,36 +206,44 @@ def _fill_tables(
 
     # values[k] is the value tried last at depth k, -1 before the first;
     # moved[k] the depths its watched instances moved to.
-    last, k = len(cells), 0
+    k = 0
     values, moved = [-1] * last, [[] for _ in cells]
     while k >= 0:
         if k == last:
             yield FiniteAlgebra("model", names, tuple(map(bytes, table)), one, zero)
             k -= 1
             continue
-        undo, (i, j) = moved[k], cells[k]
+        undo, back, (i, j) = moved[k], rewind[k], cells[k]
         for v in range(values[k] + 1, n):
             while undo:
                 watch[undo.pop()].pop()
+            while back:
+                c, p = back.pop()
+                agree[c] = p
             if next(nodes) > budget:
                 raise ResourceLimitError(f"enumeration at size {n} exceeded node budget"
                                          f" {budget}, {k} of {last} free cells filled")
             assign(i, j, v)
             # Only the instances waiting on this cell can change verdict; each
             # one still undetermined waits deeper until the next value.
-            for holds, tup in watch[k]:
+            for entry in watch[k]:
+                holds, tup = entry
                 cell = holds(*tup)
                 if cell is False:
                     break
                 if cell is not None:
-                    watch[depth_of[cell]].append((holds, tup))
-                    undo.append(depth_of[cell])
+                    d = depth_of[cell]
+                    watch[d].append(entry)
+                    undo.append(d)
             else:
                 values[k], k = v, k + 1
                 break
         else:
             while undo:
                 watch[undo.pop()].pop()
+            while back:
+                c, p = back.pop()
+                agree[c] = p
             assign(i, j, unknown)
             values[k], k = -1, k - 1
 

@@ -1,12 +1,12 @@
 import random
-from functools import lru_cache
-from itertools import permutations
+from functools import lru_cache, partial
+from itertools import count, permutations, product, starmap
 
 import pytest
 
 from orthologic import FiniteAlgebra, associated_orthospace, classify, enumerate_models, fixture
-from orthologic.algebra import iter_bits, le_l
-from orthologic.enumeration import _from_key
+from orthologic.algebra import AXIOMS, _render, iter_bits, le_l
+from orthologic.enumeration import _UNIVERSE_AXIOMS, _from_key, _standard_names, _star_maps
 from orthologic.fixtures import FIXTURE_NAMES
 from orthologic.orthospace import OrthoSpace
 
@@ -78,6 +78,89 @@ def iols_up_to(n):
         for k in range(2, n + 1)
         for i, key in enumerate(sorted(map(brute_force_key, enumerate_models(k, "iol"))))
     )
+
+
+# -- the search without symmetry breaking -----------------------------------------
+
+def _reference_predicate(roles, lhs, rhs):
+    """The law as a bool over a partial table: true when the instance holds
+    or either side evaluates to the marker U, which the unknown cells and
+    the extra row and column U hold."""
+    body = f"(l := {_render(lhs)}) == (r := {_render(rhs)}) or l == U or r == U"
+    return eval(f"lambda t, Z, O, U, {', '.join(roles)}: {body}")
+
+
+REFERENCE_PREDICATES = {key: _reference_predicate(*spec) for key, spec in AXIOMS.items()}
+
+
+def free_cells(n, star_of, required):
+    """The pre-filled table of one star map, with n marking unknown cells in
+    an extra row and column, and its free cells in the order the search
+    assigns them, one per contrapositive pair."""
+    zero, one, unknown = 0, n - 1, n
+    table = [[unknown] * (n + 1) for _ in range(n + 1)]
+    for x in range(n):
+        table[zero][x] = one
+        table[one][x] = x
+        table[x][one] = one
+        table[x][x] = one
+        table[x][zero] = star_of[x]
+    if "impl" in required or "iG" in required:
+        for x in range(1, n - 1):
+            table[star_of[x]][x] = x
+    cells, paired = [], set()
+    for i in range(1, n - 1):
+        for j in range(1, n - 1):
+            if table[i][j] == unknown and (i, j) not in paired:
+                cells.append((i, j))
+                paired.add((i, j))
+                paired.add((star_of[j], star_of[i]))
+    return table, cells
+
+
+def reference_fill_tables(n, star_of, required, prune_axioms, nodes):
+    """``_fill_tables`` without symmetry breaking, re-scanning every instance
+    of every prune law at every node; each node counts on ``nodes``."""
+    zero, one, unknown = 0, n - 1, n
+    names = _standard_names(n)
+    table, cells = free_cells(n, star_of, required)
+    checks = tuple(
+        (partial(REFERENCE_PREDICATES[a], table, zero, one, unknown), len(AXIOMS[a][0]))
+        for a in prune_axioms
+    )
+
+    def assign(i, j, v):
+        table[i][j] = v
+        table[star_of[j]][star_of[i]] = v
+
+    def fill(k):
+        if k == len(cells):
+            yield FiniteAlgebra(
+                "model", names, tuple(tuple(r[:n]) for r in table[:n]), one, zero
+            )
+            return
+        i, j = cells[k]
+        for v in range(n):
+            next(nodes)
+            assign(i, j, v)
+            if all(
+                all(starmap(holds, product(range(n), repeat=arity)))
+                for holds, arity in checks
+            ):
+                yield from fill(k + 1)
+        assign(i, j, unknown)
+
+    yield from fill(0)
+
+
+def reference_search_tables(n, required, nodes=None):
+    """Every completed candidate table at size n, over every standard star
+    map, with no symmetry breaking: each labelling that keeps the star."""
+    required = frozenset(required)
+    prune = tuple(a for a in ("BE4", *sorted(required)) if a not in _UNIVERSE_AXIOMS)
+    nodes = nodes or count(1)
+    for star_of in _star_maps(n, required):
+        yield from reference_fill_tables(n, star_of, required, prune, nodes)
 
 
 def el(alg, name):

@@ -1,5 +1,5 @@
-from functools import lru_cache, partial
-from itertools import count, permutations, product, starmap
+from functools import lru_cache
+from itertools import count, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,15 +14,13 @@ from orthologic import (
     fixture,
     is_isomorphic,
 )
-from orthologic.algebra import AXIOMS, _render, axiom_holds, le_l
+from orthologic.algebra import axiom_holds, le_l
 from orthologic.enumeration import (
-    _UNIVERSE_AXIOMS,
     SearchGoal,
-    _fill_tables,
     _from_key,
     _search_tables,
-    _standard_names,
     _star_maps,
+    _star_symmetries,
     canonical_key,
     goal_from_names,
 )
@@ -31,9 +29,11 @@ from conftest import (
     boolean_iol,
     brute_force_key,
     direct_product,
+    free_cells,
     hexagons,
     horizontal_sum,
     mo_iol,
+    reference_search_tables,
     relabel,
     relabelled,
 )
@@ -136,79 +136,36 @@ def test_census_matches_frozen_counts_and_oracle(n):
 
 # -- the pruner and the key against their full-scan references -------------------
 
-def _reference_predicate(roles, lhs, rhs):
-    """The law as a bool over a partial table: true when the instance holds
-    or either side evaluates to the marker U, which the unknown cells and
-    the extra row and column U hold."""
-    body = f"(l := {_render(lhs)}) == (r := {_render(rhs)}) or l == U or r == U"
-    return eval(f"lambda t, Z, O, U, {', '.join(roles)}: {body}")
+def image(arrow, g):
+    """The table relabelled by the permutation g."""
+    inv = sorted(range(len(g)), key=g.__getitem__)
+    return tuple(bytes(g[arrow[inv[x]][inv[y]]] for y in range(len(g))) for x in range(len(g)))
 
 
-REFERENCE_PREDICATES = {key: _reference_predicate(*spec) for key, spec in AXIOMS.items()}
+def star_of(arrow):
+    """The star map of a table, read off its 0-column."""
+    return [row[0] for row in arrow]
 
 
-def reference_fill_tables(n, star_of, required, prune_axioms, nodes, budget):
-    """``_fill_tables`` that re-scans every instance of every prune law at
-    every node."""
-    zero, one, unknown = 0, n - 1, n
-    names = _standard_names(n)
-    table = [[unknown] * (n + 1) for _ in range(n + 1)]
-    for x in range(n):
-        table[zero][x] = one
-        table[one][x] = x
-        table[x][one] = one
-        table[x][x] = one
-        table[x][zero] = star_of[x]
-    if "impl" in required or "iG" in required:
-        for x in range(1, n - 1):
-            table[star_of[x]][x] = x
-    cells = []
-    paired = set()
-    for i in range(1, n - 1):
-        for j in range(1, n - 1):
-            if table[i][j] == unknown and (i, j) not in paired:
-                cells.append((i, j))
-                paired.add((i, j))
-                paired.add((star_of[j], star_of[i]))
-    checks = tuple(
-        (partial(REFERENCE_PREDICATES[a], table, zero, one, unknown), len(AXIOMS[a][0]))
-        for a in prune_axioms
-    )
-
-    def assign(i, j, v):
-        table[i][j] = v
-        table[star_of[j]][star_of[i]] = v
-
-    def fill(k):
-        if k == len(cells):
-            yield FiniteAlgebra(
-                "model", names, tuple(tuple(r[:n]) for r in table[:n]), one, zero
-            )
-            return
-        i, j = cells[k]
-        for v in range(n):
-            if next(nodes) > budget:
-                raise AssertionError("reference search over budget")
-            assign(i, j, v)
-            if all(
-                all(starmap(holds, product(range(n), repeat=arity)))
-                for holds, arity in checks
-            ):
-                yield from fill(k + 1)
-        assign(i, j, unknown)
-
-    yield from fill(0)
+def is_lex_leader(arrow, required):
+    """Whether the complete table, read at the free cells in the search's
+    order, is no greater than its image under any symmetry of the star."""
+    n, star = len(arrow), star_of(arrow)
+    _, cells = free_cells(n, star, required)
+    own = [arrow[i][j] for i, j in cells]
+    for g in _star_symmetries(n, star):
+        relabelled = image(arrow, g)
+        if [relabelled[i][j] for i, j in cells] < own:
+            return False
+    return True
 
 
-def leaves_and_nodes(fill_tables, n, required):
-    """Every leaf of the search at size n, in order, and the node count."""
-    prune = tuple(a for a in ("BE4", *sorted(required)) if a not in _UNIVERSE_AXIOMS)
+@lru_cache(maxsize=None)
+def reference_leaves(n, required):
+    """Every leaf of the search without symmetry breaking, in order, and
+    the node count."""
     nodes = count(1)
-    leaves = [
-        leaf.arrow
-        for star_of in _star_maps(n, required)
-        for leaf in fill_tables(n, star_of, required, prune, nodes, 10**9)
-    ]
+    leaves = tuple(reference_search_tables(n, required, nodes))
     return leaves, next(nodes) - 1
 
 
@@ -217,16 +174,68 @@ PRUNER_CASES = (
     + [(n, req) for req in (("impl",), ("impl", "IOM"), ("impl", "@")) for n in range(2, 9)]
     + [(10, ("impl", "@"))]
 )
+CLASS_CASES = sorted(set(PRUNER_CASES) | {(6, ())})
 
 
-@pytest.mark.parametrize(
-    "n, required", PRUNER_CASES, ids=[f"{n}-{'+'.join(r) or 'none'}" for n, r in PRUNER_CASES]
-)
+def case_ids(cases):
+    return [f"{n}-{'+'.join(r) or 'none'}" for n, r in cases]
+
+
+@pytest.mark.parametrize("n, required", PRUNER_CASES, ids=case_ids(PRUNER_CASES))
 def test_watched_pruner_matches_full_rescan(n, required):
+    # A complete table survives the search exactly when it meets every law
+    # and every lex-leader constraint, so the leaves are the reference's
+    # lex leaders, in the same order; pruning only ever removes nodes.
     required = frozenset(required)
-    assert leaves_and_nodes(_fill_tables, n, required) == leaves_and_nodes(
-        reference_fill_tables, n, required
-    )
+    nodes = count(1)
+    leaves = [leaf.arrow for leaf in _search_tables(n, required, nodes)]
+    reference, reference_nodes = reference_leaves(n, required)
+    assert leaves == [leaf.arrow for leaf in reference if is_lex_leader(leaf.arrow, required)]
+    assert next(nodes) - 1 <= reference_nodes
+
+
+@pytest.mark.parametrize("n, required", CLASS_CASES, ids=case_ids(CLASS_CASES))
+def test_symmetry_breaking_keeps_every_class(n, required):
+    required = frozenset(required)
+    reference, _ = reference_leaves(n, required)
+    assert {canonical_key(leaf) for leaf in _search_tables(n, required)} == {
+        canonical_key(leaf) for leaf in reference
+    }
+
+
+@pytest.mark.parametrize("n, required", CLASS_CASES, ids=case_ids(CLASS_CASES))
+def test_star_symmetries_map_the_search_space_onto_itself(n, required):
+    # Each symmetry keeps the pre-filled cells, the contrapositive pairing and
+    # the laws, so the leaves of each star map are closed under it.
+    reference, _ = reference_leaves(n, frozenset(required))
+    for star in _star_maps(n, frozenset(required)):
+        leaves = {leaf.arrow for leaf in reference if star_of(leaf.arrow) == star}
+        for g in _star_symmetries(n, star):
+            assert {image(arrow, g) for arrow in leaves} == leaves
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_star_symmetries_fix_the_constants_and_commute_with_the_star(n):
+    for required in (frozenset(), frozenset({"impl"})):
+        for star_of in _star_maps(n, required):
+            pairs = sum(star_of[x] > x for x in range(1, n - 1))
+            fixed = sum(star_of[x] == x for x in range(1, n - 1))
+            syms = _star_symmetries(n, star_of)
+            assert len(syms) == pairs + pairs * (pairs - 1) + fixed * (fixed - 1) // 2
+            assert len(set(syms)) == len(syms)
+            for g in syms:
+                assert sorted(g) == list(range(n)) and g != bytes(range(n))
+                assert g[0] == 0 and g[n - 1] == n - 1
+                assert all(g[star_of[x]] == star_of[g[x]] for x in range(n))
+    assert len(_star_symmetries(10, next(_star_maps(10, frozenset({"impl"}))))) == 16
+    assert len(_star_symmetries(64, next(_star_maps(64, frozenset({"impl"}))))) == 961
+
+
+def test_ten_element_search_keeps_few_leaves():
+    # Without symmetry breaking the n=10 i-OL search has 1,993 leaves.
+    leaves = list(_search_tables(10, frozenset({"impl"})))
+    assert len(leaves) <= 20
+    assert len({canonical_key(c) for c in leaves if classify(c).is_iol}) == 15
 
 
 def assert_same_partition(algebras):
@@ -238,14 +247,14 @@ def assert_same_partition(algebras):
 
 def test_key_partition_on_unconstrained_leaves():
     leaves = [
-        c for n in range(2, 7) for c in _search_tables(n, frozenset()) if axiom_holds(c, "BE4")
+        c for n in range(2, 7) for c in reference_search_tables(n, ()) if axiom_holds(c, "BE4")
     ]
     assert len(leaves) > 100
     assert_same_partition(leaves)
 
 
 def test_key_partition_on_eight_element_leaves():
-    leaves = [c for c in _search_tables(8, frozenset({"impl"})) if axiom_holds(c, "BE4")]
+    leaves = [c for c in reference_search_tables(8, {"impl"}) if axiom_holds(c, "BE4")]
     assert len(leaves) == 69
     assert_same_partition(leaves)
 

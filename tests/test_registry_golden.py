@@ -4,9 +4,10 @@ One short sha256 digest per check id covers that check's outcome on a fixed
 corpus of tables, once through a direct call of its evaluator (the class
 precondition bypassed) and once through ``run_check``.  An outcome is the
 (status, witness) pair, or the type and text of the error raised.  The
-corpus: every candidate of the unconstrained search with n <= 5, the
-fixtures and the i-OLs with n <= 8 (the base algebras), and 120 seeded
-one-cell mutations of the base algebras.
+corpus: every candidate of the unconstrained search with n <= 5, in every
+labelling that keeps the standard star (``reference_search_tables``, which
+breaks no symmetry), the fixtures and the i-OLs with n <= 8 (the base
+algebras), and 120 seeded one-cell mutations of the base algebras.
 
 After an intended verdict change,
 ``PYTHONPATH=src python tests/test_registry_golden.py`` prints fresh digests
@@ -23,10 +24,9 @@ from functools import lru_cache
 import pytest
 
 from orthologic import FiniteAlgebra, fixture, list_checks, run_check, theorems
-from orthologic.enumeration import _search_tables
 from orthologic.fixtures import FIXTURE_NAMES
 
-from conftest import iols_up_to
+from conftest import iols_up_to, reference_search_tables
 
 DIGESTS = {
     "L2-BE-PROPS": "dd6c536213044813",
@@ -103,7 +103,7 @@ def mutations(base, count, seed):
 @lru_cache(maxsize=None)
 def corpus():
     base = base_algebras()
-    candidates = [c for n in range(2, 6) for c in _search_tables(n, frozenset())]
+    candidates = [c for n in range(2, 6) for c in reference_search_tables(n, ())]
     return tuple(candidates + base + list(mutations(base, 120, 1)))
 
 

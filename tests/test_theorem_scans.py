@@ -59,7 +59,6 @@ from orthologic.algebra import (
     wedge_p,
     wedge_q,
 )
-from orthologic.enumeration import _search_tables
 from orthologic.fixtures import FIXTURE_NAMES
 from orthologic.orthospace import perp
 from orthologic.sasaki import (
@@ -81,6 +80,7 @@ from conftest import (
     iols_up_to,
     mo_iol,
     ortholattice_iol,
+    reference_search_tables,
     relabelled,
     without_pair,
 )
@@ -653,7 +653,7 @@ def test_registry_items_agree_on_models(monkeypatch):
 def test_registry_items_agree_on_failing_tables(monkeypatch):
     # Every candidate of the unconstrained search, with each check run
     # whatever its precondition, so that most scans fail somewhere.
-    tables = [c for n in range(2, 6) for c in _search_tables(n, frozenset())]
+    tables = [c for n in range(2, 6) for c in reference_search_tables(n, ())]
     calls = registry_scans(monkeypatch, tables, direct=True)
     failing = {check_id for check_id, _, _, status in calls if status == "fail"}
     assert len(failing) >= 10

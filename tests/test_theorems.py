@@ -69,21 +69,20 @@ def test_run_all_is_deterministic(benzene6):
 
 
 def test_registry_sweep_over_the_census():
-    # Every i-OL with n <= 8, the orthomodular and Boolean ones with n = 10,
-    # and the orthoclosed logic of each: all are i-OLs, and the registry
-    # passes or skips everywhere, except the two orthomodularity-sensitive
-    # checks, which fail on exactly the algebras that are not orthomodular.
+    # Every i-OL with n <= 10, and the orthoclosed logic of each: all are
+    # i-OLs, and the registry passes or skips everywhere, except the two
+    # orthomodularity-sensitive checks, which fail on exactly the algebras
+    # that are not orthomodular.
     sensitive = {"L3-ORTHO-CONSEQ", "P3-PERP-IFF-MEETZERO"}
-    models = [alg for n in (2, 4, 6, 8) for alg in enumerate_models(n, "iol")]
-    models += enumerate_models(10, "ioml") + enumerate_models(10, "iboolean")
+    models = [alg for n in (2, 4, 6, 8, 10) for alg in enumerate_models(n, "iol")]
     census = models + [cl_algebra(associated_orthospace(alg)) for alg in models]
-    assert len(census) == 22
+    assert len(census) == 48
     for alg in census:
         label = classify(alg)
         assert label.is_iol, alg.name
         failed = {res.check_id for res in run_all(alg) if res.failed}
         assert failed == (set() if label.is_ioml else sensitive), (alg.name, alg.arrow)
-    assert sum(not classify(alg).is_ioml for alg in census) == 8
+    assert sum(not classify(alg).is_ioml for alg in census) == 34
 
 
 def test_skip_carries_the_unmet_precondition(benzene6):
