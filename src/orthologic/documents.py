@@ -73,6 +73,10 @@ def parse_algebra(text: str, default_name: str = "algebra") -> FiniteAlgebra:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except (RecursionError, ValueError) as exc:
+        # Nesting too deep for the decoder, or an integer beyond CPython's
+        # digit limit for str -> int conversion.
+        raise InputError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError("document must be a JSON object")
     unknown = set(doc) - {"name", "elements", "one", "zero", "arrow"}

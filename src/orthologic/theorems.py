@@ -9,7 +9,10 @@ Most checks are one row of one of three shapes.  ``_items(id, pre, desc,
 arity, *items)`` is a multi-part law of (tag, formula) items: each formula
 reads a prefix of the roles x, y, z, u and is scanned at that arity, its first
 failing tuple padded with element 0 up to the check's arity, so the witness
-is that of one full-arity scan.  ``_pointwise(id, pre, desc, arity, *sides)``
+is that of one full-arity scan.  An item (tag, formula, flag) holds only on
+part of the class: it is scanned where ``classify`` sets the flag, or, as
+"!flag", where it does not, so a law whose items grow with the class (BE,
+bounded, involutive, i-OML) is one row.  ``_pointwise(id, pre, desc, arity, *sides)``
 has (label, formula) sides that must agree on every tuple.
 ``_characterisation(id, pre, desc, arity, *clauses)`` is an equivalence of
 whole-table clauses, so an algebra falsifying every clause at once passes; a
@@ -21,18 +24,18 @@ terms, with not/and/or/iff, the binder ``_all`` over a bound element V, and
 the macros for the orders, orthogonality, commutation and divisibility),
 compiled on first use into a row scan by ``first_failure``, as the 17 laws
 are.  The projection-family laws are formulas too: a map role a names the
-Sasaki projection phi_a(x) = x ^Q a, written ``_phi(a, x)``.  Checks that do
-not fit a single row (item lists that depend on the class, as the family
-laws' do, the pair hulls, and the checks that build the space or decide a
-full family) are functions over the same evaluators.  L7-DOWNSET decides
-its items over all subsets from its element and pair items, without
+Sasaki projection phi_a(x) = x ^Q a, written ``_phi(a, x)``; their canonical
+items are gated "ioml" and their trivial copies "!ioml".  Checks that do not
+fit a single row (the pair hulls, and the checks that build the space or
+decide a full family) are functions over the same evaluators.  L7-DOWNSET
+decides its items over all subsets from its element and pair items, without
 enumerating the subsets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable
 
 from .algebra import (
     AXIOMS,
@@ -64,7 +67,6 @@ from .algebra import (
     first_failure,
     holds_at,
     iter_bits,
-    ortho,
     star,
     wedge_p,
 )
@@ -116,15 +118,28 @@ def _register(check_id: str, precondition: str, description: str, arity: int):
 
 
 def _labelled(check_id, pairs):
-    """Record the formulas among (label, predicate) pairs; return the pairs."""
-    _FORMULAS.update(((check_id, label), pred) for label, pred in pairs if pred[0] not in AXIOMS)
+    """Record the formulas among (label, predicate[, gate]) entries; return
+    the entries."""
+    _FORMULAS.update(
+        ((check_id, label), pred) for label, pred, *_ in pairs if pred[0] not in AXIOMS)
     return pairs
 
 
 def _items(check_id, precondition, description, arity, *items):
     _labelled(check_id, items)
     _register(check_id, precondition, description, arity)(
-        lambda alg: _scan_items(alg, check_id, arity, items))
+        lambda alg: _scan_items(alg, check_id, arity, _gated(alg, items)))
+
+
+def _gated(alg, items):
+    """The (tag, predicate) items that the algebra's class admits: an item
+    gated "flag" where ``classify`` sets that flag, one gated "!flag" where
+    it does not, and an ungated one everywhere."""
+    if all(len(item) == 2 for item in items):
+        return items
+    flags = classify(alg).as_dict()
+    return tuple((tag, pred) for tag, pred, *gate in items
+                 if not gate or flags[gate[0].lstrip("!")] != gate[0].startswith("!"))
 
 
 def _pointwise(check_id, precondition, description, arity, *sides):
@@ -227,34 +242,19 @@ def _pointwise_equiv(alg, check_id, arity, sides):
 
 # -- basic consequences of the defining laws --------------------------------
 
-_BE_ITEMS = _labelled("L2-BE-PROPS", (
+_items(
+    "L2-BE-PROPS", "be", "arithmetic of the arrow on (involutive) BE algebras", 3,
     ("(1)", _eq(_imp(X, _imp(Y, X)), ONE)),
     ("(2)", _le(X, _veeq(X, Y))),
-))
-_BOUNDED_BE_ITEMS = _labelled("L2-BE-PROPS", (
-    ("(3)", _eq(_imp(X, _neg(Y)), _imp(Y, _neg(X)))),
-    ("(4)", _le(X, _neg(_neg(X)))),
-))
-_INVOLUTIVE_BE_ITEMS = _labelled("L2-BE-PROPS", (
-    ("(5)", _eq(_imp(_neg(X), Y), _imp(_neg(Y), X))),
-    ("(6)", _eq(_imp(_neg(X), _neg(Y)), _imp(Y, X))),
-    ("(7)", _eq(_imp(_neg(_imp(X, Y)), Z), _imp(X, _imp(_neg(Y), Z)))),
-    ("(8)", _eq(_imp(X, _imp(Y, Z)), _imp(_neg(_imp(X, _neg(Y))), Z))),
+    ("(3)", _eq(_imp(X, _neg(Y)), _imp(Y, _neg(X))), "bounded"),
+    ("(4)", _le(X, _neg(_neg(X))), "bounded"),
+    ("(5)", _eq(_imp(_neg(X), Y), _imp(_neg(Y), X)), "involutive"),
+    ("(6)", _eq(_imp(_neg(X), _neg(Y)), _imp(Y, X)), "involutive"),
+    ("(7)", _eq(_imp(_neg(_imp(X, Y)), Z), _imp(X, _imp(_neg(Y), Z))), "involutive"),
+    ("(8)", _eq(_imp(X, _imp(Y, Z)), _imp(_neg(_imp(X, _neg(Y))), Z)), "involutive"),
     ("(9)", _eq(_imp(_neg(_imp(_neg(X), Y)), _imp(_neg(X), Y)),
-                _imp(_neg(_imp(_neg(X), X)), _imp(_neg(Y), Y)))),
-))
-
-
-@_register("L2-BE-PROPS", "be", "arithmetic of the arrow on (involutive) BE algebras", 3)
-def _l2_be_props(alg):
-    lab = classify(alg)
-    items = _BE_ITEMS
-    if lab.is_bounded:
-        items += _BOUNDED_BE_ITEMS
-    if lab.is_involutive:
-        items += _INVOLUTIVE_BE_ITEMS
-    return _scan_items(alg, "L2-BE-PROPS", 3, items)
-
+                _imp(_neg(_imp(_neg(X), X)), _imp(_neg(Y), Y))), "involutive"),
+)
 
 _items(
     "P2-QBE-PROPS", "invbe", "order scaffolding on involutive BE algebras", 4,
@@ -438,10 +438,7 @@ _characterisation(
 
 @_register("P3-CL-IS-IOL", "iol", "the orthoclosed-set logic is an implicative-ortholattice", 0)
 def _p3_cl_is_iol(alg):
-    logic = cl_algebra(associated_orthospace(alg))
-    lab = classify(logic)
-    ok = lab.is_iol and axiom_holds(logic, "impl") and axiom_holds(logic, "DN")
-    if ok:
+    if classify(cl_algebra(associated_orthospace(alg))).is_iol:
         return CheckResult("P3-CL-IS-IOL", "pass")
     return CheckResult("P3-CL-IS-IOL", "fail", (("logic", "not an i-OL"),))
 
@@ -571,32 +568,26 @@ _pointwise(
     ("C", _commutes(X, Y)), ("D", _divides(X, Y)),
 )
 
-_IOL_D_ITEMS = _labelled("L5-D-BASICS", (
+_items(
+    "L5-D-BASICS", "iol", "easy divisibility facts", 2,
     ("(1)", _and(_divides(X, X), _divides(X, ZERO), _divides(ZERO, X), _divides(X, ONE),
                  _divides(ONE, X), _divides(X, _neg(X)), _divides(_neg(X), X))),
     ("(2)", _implies(_or(_lel(X, Y), _lel(X, _neg(Y))), _divides(X, Y))),
     ("(3)", _and(_divides(X, _imp(Y, X)), _divides(X, _imp(_neg(X), Y)),
                  _divides(Y, _imp(_neg(X), Y)))),
-))
-_IOML_D_ITEMS = _labelled("L5-D-BASICS", (
     ("(4)", _implies(_ortho(X, Y), _and(_divides(X, Y), _divides(Y, X),
-                                        _divides(X, _neg(Y)), _divides(_neg(Y), X)))),
+                                        _divides(X, _neg(Y)), _divides(_neg(Y), X))), "ioml"),
     ("(5)", _and(_divides(_neg(X), _imp(_neg(X), Y)), _divides(_neg(Y), _imp(_neg(X), Y)),
-                 _divides(X, _neg(_imp(_neg(X), Y))), _divides(Y, _neg(_imp(_neg(X), Y))))),
-))
+                 _divides(X, _neg(_imp(_neg(X), Y))), _divides(Y, _neg(_imp(_neg(X), Y)))),
+     "ioml"),
+)
 
-
-@_register("L5-D-BASICS", "iol", "easy divisibility facts", 2)
-def _l5_d_basics(alg):
-    items = _IOL_D_ITEMS + (_IOML_D_ITEMS if classify(alg).is_ioml else ())
-    return _scan_items(alg, "L5-D-BASICS", 2, items)
-
-
-@_register("P5-BOOLEAN-IS-IOML", "iol", "the Boolean law implies orthomodularity", 2)
-def _p5_boolean_is_ioml(alg):
-    if axiom_holds(alg, "@") and not axiom_holds(alg, "IOM"):
-        return CheckResult("P5-BOOLEAN-IS-IOML", "fail", (("@", "holds"), ("IOM", "fails")))
-    return CheckResult("P5-BOOLEAN-IS-IOML", "pass")
+_characterisation(
+    "P5-BOOLEAN-IS-IOML", "iol", "the Boolean law implies orthomodularity", 2,
+    ("@", ("@",)),
+    # Where @ holds this clause is IOM, which names the law that fails.
+    ("IOM", ("@", "IOM")),
+)
 
 
 # (e)/(f) assert that every pair commutes/divides (the center is all of X);
@@ -676,15 +667,11 @@ def _family_items(check_id, description, arity, *items):
     """items: (tag, map roles, formula), scanned over the family of the
     class.  The trivial family's copy of an item, tagged "<tag> trivial",
     restricts each of its map roles to 0 or 1."""
-    canonical = _labelled(check_id, tuple((tag, pred) for tag, _, pred in items))
-    trivial = _labelled(check_id, tuple(
-        (f"{tag} trivial".lstrip(),
-         _implies(*(_or(_eq(a, ZERO), _eq(a, ONE)) for a in maps), pred))
-        for tag, maps, pred in items))
-
-    @_register(check_id, "iol", description, arity)
-    def scan(alg):
-        return _scan_items(alg, check_id, arity, canonical if classify(alg).is_ioml else trivial)
+    _items(check_id, "iol", description, arity,
+           *((tag, pred, "ioml") for tag, _, pred in items),
+           *((f"{tag} trivial".lstrip(),
+              _implies(*(_or(_eq(a, ZERO), _eq(a, ONE)) for a in maps), pred), "!ioml")
+             for tag, maps, pred in items))
 
 
 _family_items(
@@ -751,16 +738,6 @@ def _p7_dacey_pairs(alg):
         ("dacey", is_dacey(space).passed, None), _pairs_boolean(cl_algebra(space))))
 
 
-def _item5(alg, space: OrthoSpace, point_down) -> Optional[CheckResult]:
-    """Item (5) of L7-DOWNSET at the singletons: the least nonzero y, in
-    element order, whose perp over the points differs from the point
-    down-set of y*.  ``_l7_downset`` explains why this decides every Y."""
-    for i, p in enumerate(space.points):
-        if space.rel[i] != point_down[star(alg, alg.index(p))]:
-            return CheckResult("L7-DOWNSET", "fail", (("item", "(5)"), ("Y", p)))
-    return None
-
-
 @_register("L7-DOWNSET", "iol", "down-set identities linking the algebra to its space", 2)
 def _l7_downset(alg):
     """Items (1)-(3) scanned over the elements and pairs; items (4) and (5),
@@ -782,9 +759,11 @@ def _l7_downset(alg):
     0, then compares two intersections over the members y of Y: of the
     perps of the points y, and, by item (4), of the point down-sets of y*.
     If the two masks agree at every member, the intersections agree; so a
-    failing Y has a member y at which they differ, and the singleton {y},
-    a mask no larger than Y, fails too.  The least failing Y is therefore
-    the least failing singleton, which ``_item5`` finds.
+    failing Y has a member y at which they differ, and the singleton {y}
+    fails too.  The perp of {y} is y's row of the space, which is item
+    (1)'s third mask at x = y, and item (1) requires it to equal the point
+    down-set of y*.  So item (1) fails wherever item (5) would, and item
+    (5) needs no pass of its own.
     """
     space = associated_orthospace(alg)
     down = [down_set(alg, x) for x in range(alg.n)]
@@ -792,10 +771,9 @@ def _l7_downset(alg):
     for x in range(alg.n):
         lhs = perp(space, point_down[x])
         mid = point_down[star(alg, x)]
-        direct = 0
-        for i, p in enumerate(space.points):
-            if ortho(alg, x, alg.index(p)):
-                direct |= 1 << i
+        # x's orthogonal points: its row of the space, or all of them at 0.
+        direct = (space.full() if x == alg.zero
+                  else space.rel[space.index(alg.elements[x])])
         if not (lhs == mid == direct):
             return CheckResult("L7-DOWNSET", "fail", (("item", "(1)"), ("x", alg.elements[x])))
     for x in range(alg.n):
@@ -809,7 +787,7 @@ def _l7_downset(alg):
                 return CheckResult(
                     "L7-DOWNSET", "fail",
                     (("item", "(3)"), ("x", alg.elements[x]), ("y", alg.elements[y])))
-    return _item5(alg, space, point_down) or CheckResult("L7-DOWNSET", "pass")
+    return CheckResult("L7-DOWNSET", "pass")
 
 
 @_register("P7-CL-ISO", "iol", "the down-set map is an isomorphism onto the logic", 2)
@@ -839,10 +817,7 @@ def _t7_ioml_sasaki(alg):
 def _p7_fullset_sasaki(alg):
     if not has_full_sasaki_set(alg).passed:
         return CheckResult("P7-FULLSET-SASAKI", "pass")
-    inner = is_sasaki_space(associated_orthospace(alg))
-    if inner.passed:
-        return CheckResult("P7-FULLSET-SASAKI", "pass")
-    return CheckResult("P7-FULLSET-SASAKI", "fail", inner.witness)
+    return replace(is_sasaki_space(associated_orthospace(alg)), check_id="P7-FULLSET-SASAKI")
 
 
 @_register("L7-NORMAL-CRIT", "iol", "the decomposition criterion matches the unique-decomposition reading", 0)

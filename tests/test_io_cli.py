@@ -36,6 +36,8 @@ from conftest import (
     relabelled,
 )
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 
 # -- documents -------------------------------------------------------------------
 
@@ -70,6 +72,10 @@ def doc(**overrides):
 def test_parse_errors_are_specific():
     with pytest.raises(InputError, match="invalid JSON"):
         parse_algebra("{not json")
+    with pytest.raises(InputError, match="invalid JSON: maximum recursion depth"):
+        parse_algebra("[" * 200_000 + "]" * 200_000)
+    with pytest.raises(InputError, match="invalid JSON: Exceeds the limit"):
+        parse_algebra("9" * 5000)
     with pytest.raises(InputError, match="missing key"):
         parse_algebra('{"elements": ["0", "1"]}')
     with pytest.raises(InputError, match="duplicate element"):
@@ -520,7 +526,26 @@ def test_cli_input_error_exits_2_with_its_message(capsys, tmp_path, text, messag
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("arrow", [((1, 1), (0,)), ((1, 1), (0, 1), (0, 1)), ((1,), (0,))])
+@pytest.mark.parametrize("text, message", [
+    ("[" * 200_000 + "]" * 200_000, "invalid JSON: maximum recursion depth exceeded"),
+    ('{"elements": ["a"], "one": ' + "9" * 5000 + ', "zero": 1, "arrow": []}',
+     "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion"),
+], ids=["deep-nesting", "long-integer"])
+def test_cli_malformed_json_beyond_the_decoder_exits_2(tmp_path, text, message):
+    # The decoder raises RecursionError and ValueError here, not
+    # JSONDecodeError; a fresh process shows any traceback they escape with.
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "orthologic.cli", "validate", str(path)],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"error: {message}")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("arrow",[((1, 1), (0,)), ((1, 1), (0, 1), (0, 1)), ((1,), (0,))])
 def test_table_that_is_not_square_is_an_input_error(arrow):
     with pytest.raises(InputError) as err:
         FiniteAlgebra("t", ("0", "1"), arrow, 1, 0)
@@ -680,9 +705,6 @@ def test_reports_on_combined_iols_do_not_depend_on_labelling(case, tmp_path_fact
 
 
 # -- a reader that closes standard output early ------------------------------------------
-
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-
 
 @pytest.mark.parametrize("argv", [
     ("theorems", "ioml10"),

@@ -10,10 +10,12 @@ arity, in lexicographic order, items in listed order, and reports the first
 failure.  Verdicts and witnesses must agree.
 
 L7-DOWNSET decides its items (4) and (5), which quantify over every subset,
-from its element and pair items and the singleton rule of ``_item5``; the
-reference rebuilds every intersection, meet and perp mask by mask, and must
-give the same verdict on i-OLs, and on every table that meets the premises
-of that argument.
+from its element and pair items: item (5) fails only at a singleton {y},
+and there it is item (1) at y.  The reference rebuilds every intersection,
+meet and perp mask by mask, and must agree with ``singleton_rule``, item (5)
+stated at the singletons, on i-OLs, on every table that meets the premises
+of that argument, and on spaces with one orthogonal pair removed, where the
+check itself must fail at item (1) at the reference's element.
 
 The projection-family checks keep the loops over ``ProjectionMap`` families
 that they replaced as whole-check references, which must give the same
@@ -71,7 +73,7 @@ from orthologic.sasaki import (
     sasaki_projection,
     trivial_projection_family,
 )
-from orthologic.theorems import _item5, _scan_items, _space_masks
+from orthologic.theorems import _scan_items, _space_masks
 
 from conftest import (
     boolean_iol,
@@ -535,8 +537,13 @@ def reference_subset_items(alg, space):
 
 
 def singleton_rule(alg, space):
-    """``_item5`` over the point down-sets of the algebra."""
-    return _item5(alg, space, [_space_masks(alg, space, down_set(alg, x)) for x in range(alg.n)])
+    """Item (5) of L7-DOWNSET at the singletons: the least point y, in element
+    order, whose row of the space differs from the point down-set of y*."""
+    for i, p in enumerate(space.points):
+        y_star = star(alg, alg.index(p))
+        if space.rel[i] != _space_masks(alg, space, down_set(alg, y_star)):
+            return CheckResult("L7-DOWNSET", "fail", (("item", "(5)"), ("Y", p)))
+    return None
 
 
 # -- _scan_items ---------------------------------------------------------------
@@ -953,14 +960,19 @@ def test_subset_items_pass_on_the_census():
         assert run_check(alg, "L7-DOWNSET") == CheckResult("L7-DOWNSET", "pass"), alg.name
 
 
-@pytest.mark.parametrize("alg", [fixture("benzene6"), fixture("ioml10"),
-                                 relabelled(mo(3), 5), relabelled(hexagons(2), 6)],
-                         ids=lambda alg: alg.name)
-def test_subset_items_item5_fails_alike(alg):
+@pytest.mark.parametrize("alg, element", [
+    pytest.param(alg, element, id=alg.name) for alg, element in (
+        (fixture("benzene6"), "a"), (fixture("ioml10"), "a"),
+        (relabelled(mo(3), 5), "mo3-3"), (relabelled(hexagons(2), 6), "hex2-4"))])
+def test_subset_items_item5_fails_alike(monkeypatch, alg, element):
     space = without_pair(associated_orthospace(alg))
     res = singleton_rule(alg, space)
     assert res == reference_subset_items(alg, space)
-    assert res.witness[0] == ("item", "(5)")
+    assert res.witness == (("item", "(5)"), ("Y", element))
+    # The check itself reports the failing singleton as item (1) at y.
+    monkeypatch.setattr(theorems, "associated_orthospace", lambda alg: space)
+    assert run_check(alg, "L7-DOWNSET") == CheckResult(
+        "L7-DOWNSET", "fail", (("item", "(1)"), ("x", element)))
 
 
 def mutants(count, seed):

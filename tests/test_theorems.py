@@ -1,6 +1,7 @@
 import pytest
 
 from orthologic import (
+    FiniteAlgebra,
     InputError,
     associated_orthospace,
     cl_algebra,
@@ -10,7 +11,11 @@ from orthologic import (
     run_all,
     run_check,
 )
+from orthologic import theorems
+from orthologic.algebra import CheckResult
 from orthologic.enumeration import enumerate_models
+
+from conftest import without_pair
 
 from theorem_expectations import BENZENE6, IOML_SKIPS
 
@@ -89,3 +94,90 @@ def test_skip_carries_the_unmet_precondition(benzene6):
     res = run_check(benzene6, "C2-LEQ-EQ-LEL")
     assert res.skipped
     assert res.witness == (("precondition", "ioml"),)
+
+
+# -- fail branches of the checks that build the space -------------------------
+#
+# These checks hold on every i-OL, so each test below substitutes one name that
+# ``theorems`` reads and calls the check's evaluator, past its precondition.
+# The mutated benzene6 tables change one cell x -> y with y != 0 from a value
+# other than x* to another such value, so star (the column of 0) and every
+# <=L relation (x <=L y* compares x -> y with x*) stay those of benzene6, and
+# with them its down-sets and its space.
+
+def mutated(alg, x, y, value):
+    """alg with the cell x -> y set to value (all three by element name)."""
+    rows = [list(row) for row in alg.arrow]
+    rows[alg.index(x)][alg.index(y)] = alg.index(value)
+    return FiniteAlgebra(f"{alg.name}-mut", alg.elements, tuple(map(tuple, rows)),
+                         alg.one, alg.zero)
+
+
+def evaluate(check_id, alg):
+    return theorems._EVAL[check_id](alg)
+
+
+def test_cl_is_iol_fails_on_a_logic_that_is_no_iol(monkeypatch, benzene6):
+    logic = mutated(benzene6, "a", "a", "b")
+    assert not classify(logic).is_iol
+    monkeypatch.setattr(theorems, "cl_algebra", lambda space: logic)
+    assert evaluate("P3-CL-IS-IOL", benzene6) == CheckResult(
+        "P3-CL-IS-IOL", "fail", (("logic", "not an i-OL"),))
+
+
+@pytest.mark.parametrize("cell, expected", [
+    # b -> c is first read by item (2) at (b, c*) = (b, a), as b ^P a.
+    (("b", "c", "a"), (("item", "(2)"), ("x", "b"), ("y", "a"))),
+    # a -> a is first read by item (3) at (a, a); item (2) reads it at (a, c).
+    (("a", "a", "b"), (("item", "(3)"), ("x", "a"), ("y", "a"))),
+])
+def test_downset_items_2_and_3_fail_on_a_mutated_arrow(monkeypatch, benzene6, cell, expected):
+    space = associated_orthospace(benzene6)
+    monkeypatch.setattr(theorems, "associated_orthospace", lambda alg: space)
+    assert evaluate("L7-DOWNSET", mutated(benzene6, *cell)) == CheckResult(
+        "L7-DOWNSET", "fail", expected)
+
+
+def test_cl_iso_fails_where_the_family_is_not_the_down_sets(monkeypatch, benzene6):
+    space = without_pair(associated_orthospace(benzene6))
+    monkeypatch.setattr(theorems, "associated_orthospace", lambda alg: space)
+    assert evaluate("P7-CL-ISO", benzene6) == CheckResult(
+        "P7-CL-ISO", "fail", (("map", "not a bijection"),))
+
+
+def test_cl_iso_fails_where_perp_is_not_the_star(monkeypatch, benzene6):
+    # With the identity for star, perp of the empty down-set of 0 is every point.
+    monkeypatch.setattr(theorems, "star", lambda alg, x: x)
+    assert evaluate("P7-CL-ISO", benzene6) == CheckResult(
+        "P7-CL-ISO", "fail", (("star-at", "0"),))
+
+
+def test_cl_iso_fails_where_the_arrow_is_not_the_logic_arrow(monkeypatch, benzene6):
+    space = associated_orthospace(benzene6)
+    monkeypatch.setattr(theorems, "associated_orthospace", lambda alg: space)
+    assert evaluate("P7-CL-ISO", mutated(benzene6, "a", "a", "b")) == CheckResult(
+        "P7-CL-ISO", "fail", (("x", "a"), ("y", "a")))
+
+
+def test_fullset_sasaki_reports_the_failing_space_verdict(monkeypatch, ioml10):
+    verdict = CheckResult("sasaki-space", "fail", (("closed-set", "{a,b}"),))
+    monkeypatch.setattr(theorems, "is_sasaki_space", lambda space: verdict)
+    assert evaluate("P7-FULLSET-SASAKI", ioml10) == CheckResult(
+        "P7-FULLSET-SASAKI", "fail", (("closed-set", "{a,b}"),))
+
+
+def test_normal_crit_fails_where_is_normal_disagrees(monkeypatch, benzene6, ioml10):
+    # The hexagon space is not normal by the decomposition reading, at the
+    # partition ({a}, {d}); the ioml10 space is, and its failure has no cell.
+    monkeypatch.setattr(theorems, "is_normal", lambda space: CheckResult("normal", "pass"))
+    assert evaluate("L7-NORMAL-CRIT", benzene6) == CheckResult(
+        "L7-NORMAL-CRIT", "fail", (("block", "{a,d}"), ("cell", "{a}")))
+    monkeypatch.setattr(theorems, "is_normal", lambda space: CheckResult("normal", "fail"))
+    assert evaluate("L7-NORMAL-CRIT", ioml10) == CheckResult("L7-NORMAL-CRIT", "fail", ())
+
+
+def test_block_boolean_names_the_first_failing_block(monkeypatch, ioml10):
+    verdict = CheckResult("block-boolean", "fail", (("pair", "a,b"),))
+    monkeypatch.setattr(theorems, "block_family_check", lambda space, block: (verdict, ()))
+    assert evaluate("P7-BLOCK-BOOLEAN", ioml10) == CheckResult(
+        "P7-BLOCK-BOOLEAN", "fail", (("block", "{a,b}"), ("pair", "a,b")))
