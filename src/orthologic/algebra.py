@@ -9,20 +9,24 @@ are immutable and hashable, so results of the heavier classification scans
 are cached.
 
 ``AXIOMS`` is the single term table of the 17 laws.  Each law is compiled
-once, at import, into two forms: a row scan for ``check_axiom`` and an
-instance predicate for the enumeration pruner, which on a partial table
-says whether an instance holds, fails, or waits on an unknown cell.  The
-row scan loops over every role but the last, in lexicographic order, and
-evaluates both sides as byte rows indexed by the last role, each subterm in
-the outermost loop it can live in; the first outer tuple whose two rows
-differ, completed by the first index at which they differ, is the
+once, at import, into an instance predicate for the enumeration pruner,
+which on a partial table says whether an instance holds, fails, or waits on
+an unknown cell, and into a row scan for ``check_axiom`` in each of two row
+layouts.  A scan loops over the outer roles in lexicographic order and
+evaluates each subterm at once over a whole row of lanes, in the outermost
+loop it can live in.  On tables of at most ``PAIR_CEILING`` = 16 elements
+the row is the last two roles, n * n byte lanes, lane a * n + b holding the
+pair (a, b); a lane index then fits in a byte, so one ``bytes.translate``
+through the flattened table reads the table at two vectors.  On larger
+tables the row is the last role.  The first outer tuple at which the two
+sides differ, completed by the first lane at which they differ, is the
 lexicographically least violating tuple, the same witness a tuple-by-tuple
 scan finds.
 
 The same compiler takes any formula of the term language (equations joined
 by not/and/or/iff, and binders), such as the registry's items in ``theorems``:
-``first_failure`` compiles each one on first use and returns its least
-failing tuple.
+``first_failure`` compiles each one on first use, in the layout its table
+takes, and returns its least failing tuple.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import and_, eq, getitem, itemgetter, ne, or_
+from operator import getitem, itemgetter
 from typing import Callable, Iterator
 
 
@@ -542,7 +546,20 @@ def _swap_roles(term, a: str, b: str):
 
 
 def _first_diff(l: bytes, r: bytes) -> int:
-    return next(i for i, (a, b) in enumerate(zip(l, r)) if a != b)
+    """The first index at which two unequal byte strings of one length
+    differ: the lowest set bit of their XOR, in byte lanes."""
+    d = int.from_bytes(l, "little") ^ int.from_bytes(r, "little")
+    return ((d & -d).bit_length() - 1) >> 3
+
+
+def _mentions(term, name: str) -> bool:
+    """Whether the term reads the role or bound element ``name``."""
+    return term == name or isinstance(term, tuple) and any(_mentions(a, name) for a in term[1:])
+
+
+# The largest table whose scans make the last two roles the row: a lane
+# a * n + b of two element indices below 16 fits in a byte.
+PAIR_CEILING = 16
 
 
 @lru_cache(maxsize=None)
@@ -554,31 +571,79 @@ def _one_hot(n: int) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
             tuple(bytes(i != j for j in range(n)) + pad for i in range(n)))
 
 
+# The names of the constants that ``_lanes`` gives a scan of each layout.
+_LANE_NAMES = ("I, PAD, N, ALL1, ONES, L7F, H80",
+               "I, PAD, N, ALL1, ONES, L7F, H80, P, Q, MUL, FULL, CELLS, PN, PI, QI")
+
+
+@lru_cache(maxsize=None)
+def _lanes(n: int, pair: bool) -> tuple:
+    """The constants of a scan at n elements, named in ``_LANE_NAMES``.
+
+    I holds every element once, and PAD pads n bytes to a translate table.
+    N is the number of lanes, n, or n * n in the pair layout.  ALL1, L7F
+    and H80 are ints of N byte lanes of 0x01, 0x7f and 0x80.  ONES, of n
+    lanes of 0x01, times an int of 0/1 lanes holds each n-lane block's sum
+    in the block's last lane.  The pair layout adds P and Q, the vectors of
+    its two row roles, whose lane a * n + b holds a and b; MUL, the
+    translate table of a -> a * n; FULL, which maps a block sum of n to 1
+    and the rest to 0; CELLS, which pads N bytes to a translate table; and
+    P * n, P and Q as ints."""
+    lanes = n * n if pair else n
+
+    def spread(byte: int, count: int) -> int:
+        return int.from_bytes(bytes((byte,)) * count, "little")
+
+    common = (bytes(range(n)), bytes(256 - n), lanes, spread(1, lanes), spread(1, n),
+              spread(0x7F, lanes), spread(0x80, lanes))
+    if not pair:
+        return common
+    P, Q = bytes(i // n for i in range(lanes)), bytes(range(n)) * n
+    MUL = bytes(range(0, lanes, n)) + bytes(256 - n)
+    FULL = bytes(i == n for i in range(256))
+    return common + (P, Q, MUL, FULL, bytes(256 - lanes),
+                     *(int.from_bytes(v, "little") for v in (P.translate(MUL), P, Q)))
+
+
 # The globals every compiled scan shares.
 _SCAN_GLOBALS = {"_get": itemgetter, "_item": getitem, "_first_diff": _first_diff,
-                 "_one_hot": _one_hot, "_eq": eq, "_ne": ne, "_and": and_, "_or": or_}
+                 "_one_hot": _one_hot, "_lanes": _lanes, "_from": int.from_bytes}
 
 
-def _compile_scan(roles, formula) -> Callable[..., tuple[int, ...] | None]:
+def _compile_scan(roles, formula, pair: bool) -> Callable[..., tuple[int, ...] | None]:
     """The formula as one scan ``(t, Z, O, n) -> failing tuple | None`` over
-    a complete arrow table ``t`` of n >= 2 bytes rows.
+    a complete arrow table ``t`` of n >= 2 bytes rows, in one of two row
+    layouts.  ``first_failure`` and ``check_axiom`` take the pair layout
+    where n <= ``PAIR_CEILING`` and the one-role layout above it.
 
-    The last role becomes a row: a term that reads it is a vector, a bytes
-    object indexed by its value, every other term a scalar.  In a formula
-    with a binder the bound element is the row instead, every role an outer
-    loop, and each binder the scalar ``0 not in`` its body's row.  Vectors
-    hold element indices or truth values, 0 and 1.
+    In the one-role layout the last role is the row, of n lanes.  In the
+    pair layout the last two roles are the row, when the formula has two,
+    of n * n lanes: lane a * n + b holds the term at those two values, so a
+    two-role formula is straight-line code and a three-role formula loops
+    n times.  Every lane index is then below 256 as long as n <= 16.  A
+    term that reads a row role is a vector, every other term a scalar.  A
+    vector of elements is a bytes object, one byte per lane; a vector of
+    truth values is an int whose little-endian byte lanes hold 0 or 1.
+    With a binder the bound element is the last role and every role an
+    outer loop but, in the pair layout, the last.  A binder is the scalar
+    "every lane of its body holds", or, when its body reads the first role
+    of a pair row, the vector that holds where every lane of the n-lane
+    block of the body holds.
 
     Every gather is one ``bytes.translate``: ``t[s][v]`` for a scalar s is
     ``v.translate(t[s] + PAD)`` with ``PAD = bytes(256 - n)``, which makes
     the row a translate table, and ``t[v][s]`` is v translated by column s,
     a strided slice of the flattened table, padded alike.  A padded row or
     column, and a column, is a scan node evaluated in the loop of its
-    index, so a scan pads and slices only what it reads.  v = s is v
-    translated by row s of the padded identity matrix of ``_one_hot``, and
-    "not" by its row 0, which swaps 0 and 1.  Two vectors combine
-    elementwise through ``bytes(map(...))``, and so does ``t[a][b]``, which
-    reads the rows of t at a, gathered once in the loop of a, at b.
+    index, so a scan pads and slices only what it reads.  ``t[a][b]`` at
+    two vectors is, in the pair layout, a translated by the table
+    a -> a * n and added to b as one int, lane by lane with no carry, then
+    translated by the flattened table, padded alike; in the one-role layout
+    it reads the rows of t at a, gathered once in the loop of a, at b.
+    v = s is v translated by row s of the padded identity matrix of
+    ``_one_hot``; two vectors of elements are equal where the lanes of
+    their XOR are zero, found with the masks L7F and H80 with no carry
+    between lanes.  Truth vectors combine as ints, "not" as XOR with ALL1.
 
     Each subterm is evaluated once, in the loop of the innermost outer role
     it reads; one that reads one outer role, not the first, is evaluated
@@ -586,23 +651,31 @@ def _compile_scan(roles, formula) -> Callable[..., tuple[int, ...] | None]:
     the table that loop fills.  A scalar disjunct of a top-level "or" skips
     the rest of its loop when it holds, since every tuple below it holds.
     An equation at the top compares its two sides as whole rows; any other
-    formula is a row of truth values, and its first 0 completes the
-    witness, or, with a binder, a scalar whose first false outer tuple is
-    the witness.
+    formula is a truth vector, and its first 0 lane completes the witness
+    (lane i of a pair row is the pair ``divmod(i, n)``, or, with a binder,
+    the row role ``i // n``), or, with a binder in the one-role layout, a
+    scalar whose first false outer tuple is the witness.
 
     When the right side of a top-level equation is its left side with the
-    first two roles exchanged, as in BE4, the second role runs only above
-    the first: the diagonal holds trivially, and a tuple fails iff the one
-    with those two roles exchanged does, so the least failing tuple has its
-    first role below its second."""
-    *outer, last = (*roles, BOUND) if _binds(formula) else roles
+    first two roles exchanged, as in BE4, and both are outer loops, the
+    second runs only above the first: the diagonal holds trivially, and a
+    tuple fails iff the one with those two roles exchanged does, so the
+    least failing tuple has its first role below its second.  In the pair
+    layout BE4's second role is in the row, where the same argument keeps
+    every lane with the second role at or below the first from being the
+    first to fail, so its scan needs no such rule."""
+    binder = _binds(formula)
+    *outer, last = (*roles, BOUND) if binder else roles
+    pair = pair and bool(outer)
+    first = outer.pop() if pair else None
     symmetric = formula[0] == "=" and len(outer) > 1 and \
         _swap_roles(formula[1], *outer[:2]) == formula[2]
     levels: list[list[str]] = [[] for _ in range(len(outer) + 1)]
-    # term, or derived key -> (variable, kind, loop depths of the outer
-    # roles it reads)
+    # term, or derived key -> (variable, kind, loop depths of the outer roles
+    # it reads).  Kinds: "scalar"; "vector" of elements, of which "p" and
+    # "q" are the first and the last row role itself; and "truth".
     nodes: dict = {}
-    tables: set[str] = set()  # of "EQ" and "T" that the scan reads
+    tables: set[str] = set()  # of "EQ", when the scan reads EQ and NE
     tabulated: dict[int, list[tuple[str, str]]] = {}  # loop depth -> its (variable, expr)
 
     def emit(key, expr, kind, reads):
@@ -618,11 +691,19 @@ def _compile_scan(roles, formula) -> Callable[..., tuple[int, ...] | None]:
     def flat() -> str:
         return emit("flat", 'b"".join(t)', "table", frozenset())[0]
 
-    def padded(term, reads) -> str:
-        """The row t[s] or the column t[v][s] as a translate table."""
-        s, u = term[1:]
-        expr = f"t[{walk(s)[0]}]" if u == last else walk(term)[0]
-        return emit(("padded", term), f"{expr} + PAD", "table", reads)[0]
+    def column(term) -> str:
+        """The column t[.][term] of a scalar term."""
+        name, _, reads = walk(term)
+        return emit(("column", term), f"{flat()}[{name}::n]", "table", reads)[0]
+
+    def padded(key, expr, reads) -> str:
+        """A row or column as a translate table."""
+        return emit(("padded", key), f"{expr} + PAD", "table", reads)[0]
+
+    def as_int(name, reads) -> str:
+        if pair and name in ("P", "Q"):
+            return name + "I"
+        return emit(("int", name), f'_from({name}, "little")', "table", reads)[0]
 
     def arrow(term, s, sk, sr, u, uk, ur):
         sd, ud, reads = max(sr, default=0), max(ur, default=0), sr | ur
@@ -630,33 +711,62 @@ def _compile_scan(roles, formula) -> Callable[..., tuple[int, ...] | None]:
             return emit(term, f"t[{s}][{u}]", "scalar", reads)
         # A row (column) read at a vector two or more loops outer than its
         # index is gathered for every row (column) once, in the vector's loop.
+        repeat = " * n" if pair else ""
         if sk == "scalar":
-            if uk == "identity":
-                expr = f"t[{s}]"
+            if uk == "q":
+                expr = f"t[{s}]{repeat}"
             elif sd - ud > 1:
                 expr = emit(("rows at", term[2]), f"[{u}.translate(r + PAD) for r in t]",
                             "table", ur)[0] + f"[{s}]"
             else:
-                expr = f"{u}.translate({padded(_imp(term[1], last), sr)})"
+                expr = f"{u}.translate({padded(('row', term[1]), f't[{s}]', sr)})"
         elif uk == "scalar":
-            if sk == "identity":
-                expr = f"{flat()}[{u}::n]"
+            if sk == "q":
+                expr = column(term[2]) + repeat
             elif ud - sd > 1:
                 expr = emit(("columns at", term[1]),
                             f"[{s}.translate({flat()}[j::n] + PAD) for j in I]", "table", sr)[0] \
                     + f"[{u}]"
             else:
-                expr = f"{s}.translate({padded(_imp(last, term[2]), ur)})"
+                expr = f"{s}.translate({padded(('column', term[2]), column(term[2]), ur)})"
+        elif pair and (sk, uk) == ("p", "q"):
+            # t[p][q] at lane p * n + q is the flattened table itself.
+            nodes[term] = (flat(), "vector", reads)
+            return nodes[term]
+        elif pair:
+            rows = "PN" if sk == "p" else \
+                emit(("times n", s), f'_from({s}.translate(MUL), "little")', "table", sr)[0]
+            cells = emit("cells", f"{flat()} + CELLS", "table", frozenset())[0]
+            expr = f'({rows} + {as_int(u, ur)}).to_bytes(N, "little").translate({cells})'
         else:
-            rows = "t" if sk == "identity" else \
+            rows = "t" if sk == "q" else \
                 emit(("rows", term[1]), f"_get(*{s})(t)", "table", sr)[0]
             # A range iterates faster than the bytes I.
-            expr = f"bytes(map(_item, {rows}, {'range(n)' if uk == 'identity' else u}))"
+            expr = f"bytes(map(_item, {rows}, {'range(n)' if uk == 'q' else u}))"
         return emit(term, expr, "vector", reads)
 
+    def compare(key, head, parts):
+        """"=" of two element terms, or "!=", their negation."""
+        (s, sk, sr), (u, uk, ur) = parts
+        reads = sr | ur
+        if sk == uk == "scalar":
+            return emit(key, _SCALAR_OPS[head].format(s, u), "scalar", reads)
+        if "scalar" in (sk, uk):
+            if uk == "scalar":
+                s, u = u, s
+            # s is the scalar, u the vector
+            tables.add("EQ")
+            table = "EQ" if head == "=" else "NE"
+            return emit(key, f'_from({u}.translate({table}[{s}]), "little")', "truth", reads)
+        d = emit(("xor", key), f"{as_int(s, sr)} ^ {as_int(u, ur)}", "table", reads)[0]
+        # A lane of H80 & (d | (d & L7F) + L7F) has its top bit set iff that
+        # lane of d is not 0.
+        unequal = f"(H80 & ({d} | ({d} & L7F) + L7F)) >> 7"
+        return emit(key, unequal + (" ^ ALL1" if head == "=" else ""), "truth", reads)
+
     def combine(key, head, parts):
-        """A connective of two operands, or "not" of one; "!=" and "xor"
-        are the negated "=" and "iff"."""
+        """A connective of two truth values, or "not" of one; "xor" is the
+        negated "iff"."""
         reads = frozenset().union(*(r for _, _, r in parts))
         if all(k == "scalar" for _, k, _ in parts):
             names = [name for name, _, _ in parts]
@@ -664,29 +774,26 @@ def _compile_scan(roles, formula) -> Callable[..., tuple[int, ...] | None]:
                 _SCALAR_OPS[head].format(*names)
             return emit(key, expr, "scalar", reads)
         if head == "not":
-            tables.add("EQ")
-            return emit(key, f"{parts[0][0]}.translate(EQ[0])", "vector", reads)
+            return emit(key, f"{parts[0][0]} ^ ALL1", "truth", reads)
         (s, sk, _), (u, uk, _) = parts
         if sk == "scalar" or uk == "scalar":
             if uk == "scalar":
-                (s, sk), (u, uk) = (u, uk), (s, sk)
+                s, u = u, s
             # s is the scalar, u the vector
-            tables.add("T" if head in ("and", "or") else "EQ")
-            expr = {"=": f"{u}.translate(EQ[{s}])", "!=": f"{u}.translate(NE[{s}])",
-                    "iff": f"({u} if {s} else {u}.translate(EQ[0]))",
-                    "xor": f"({u}.translate(EQ[0]) if {s} else {u})",
-                    "and": f"({u} if {s} else F)", "or": f"(T if {s} else {u})"}[head]
+            expr = {"iff": f"{u} if {s} else {u} ^ ALL1", "xor": f"{u} ^ ALL1 if {s} else {u}",
+                    "and": f"{u} if {s} else 0", "or": f"ALL1 if {s} else {u}"}[head]
         else:
-            op = {"=": "_eq", "!=": "_ne", "iff": "_eq", "xor": "_ne",
-                  "and": "_and", "or": "_or"}[head]
-            expr = f"bytes(map({op}, {s}, {u}))"
-        return emit(key, expr, "vector", reads)
+            expr = {"iff": f"{s} ^ {u} ^ ALL1", "xor": f"{s} ^ {u}",
+                    "and": f"{s} & {u}", "or": f"{s} | {u}"}[head]
+        return emit(key, expr, "truth", reads)
 
     def walk(term):
         if term in nodes:
             return nodes[term]
         if term == last:
-            return ("I", "identity", frozenset())
+            return ("Q" if pair else "I", "q", frozenset())
+        if pair and term == first:
+            return ("P", "p", frozenset())
         if term in outer:
             return (term, "scalar", frozenset({outer.index(term) + 1}))
         if not isinstance(term, tuple):
@@ -696,10 +803,20 @@ def _compile_scan(roles, formula) -> Callable[..., tuple[int, ...] | None]:
             return arrow(term, *walk(args[0]), *walk(args[1]))
         if head == "all":
             body = _bound_body(term)
-            return emit(term, f"0 not in {row(body)}", "scalar", walk(body)[2])
+            b, kind, reads = walk(body)
+            if kind == "scalar":  # the body does not read the bound element
+                return b, kind, reads
+            if pair and _mentions(body, first):
+                # The product with ONES holds each block's sum in the
+                # block's last lane, which is n iff the whole block holds.
+                sums = f'({b} * ONES).to_bytes(N + n, "little")[n - 1:N:n].translate(FULL)'
+                return emit(term, f'_from(P.translate({sums} + PAD), "little")', "truth", reads)
+            # Otherwise the body repeats every n lanes.
+            return emit(term, f"{b} & ONES == ONES", "scalar", reads)
         if head == "not" and args[0][0] in ("=", "iff"):
-            negated = "!=" if args[0][0] == "=" else "xor"
-            return combine(term, negated, [walk(args[0][1]), walk(args[0][2])])
+            head, args = {"=": "!=", "iff": "xor"}[args[0][0]], args[0][1:]
+        if head in ("=", "!="):
+            return compare(term, head, [walk(args[0]), walk(args[1])])
         acc = walk(args[0])
         if head == "not":
             return combine(term, head, [acc])
@@ -708,16 +825,23 @@ def _compile_scan(roles, formula) -> Callable[..., tuple[int, ...] | None]:
                           head, [acc, walk(args[k])])
         return acc
 
-    def row(term):
+    def row(term) -> str:
+        """An element term as a vector."""
         name, kind, reads = walk(term)
         if kind != "scalar":
             return name
-        return emit(("row", term), f"bytes(({name},)) * n", "vector", reads)[0]
+        return emit(("row", term), f"bytes(({name},)) * N", "vector", reads)[0]
+
+    def lane(i: str) -> str:
+        """The row roles of the witness at lane i."""
+        if not pair:
+            return i
+        return f"{i} // n" if binder else f"*divmod({i}, n)"
 
     pad, found = "    " * len(levels), "".join(v + ", " for v in outer)
     if formula[0] == "=":
         l, r = row(formula[1]), row(formula[2])
-        tail = [f"if {l} != {r}:", f"    return {found}_first_diff({l}, {r}),"]
+        tail = [f"if {l} != {r}:", f"    return {found}{lane(f'_first_diff({l}, {r})')},"]
     else:
         vectors = []
         for disjunct in formula[1:] if formula[0] == "or" else (formula,):
@@ -728,15 +852,15 @@ def _compile_scan(roles, formula) -> Callable[..., tuple[int, ...] | None]:
             else:
                 vectors.append(disjunct)
         if vectors:
-            b = row(_or(*vectors)) if len(vectors) > 1 else row(vectors[0])
-            tail = [f"if 0 in {b}:", f"    return {found}{b}.index(0),"]
+            b = walk(_or(*vectors) if len(vectors) > 1 else vectors[0])[0]
+            index = f'{b}.to_bytes(N, "little").index(0)'
+            tail = [f"if {b} != ALL1:", f"    return {found}{lane(index)},"]
         else:  # a binder's scan: every disjunct failed at this outer tuple
             tail = [f"return ({found})"]
-    lines = ["def scan(t, Z, O, n):", "    I, PAD = bytes(range(n)), bytes(256 - n)"]
+    name = "pair_scan" if pair else "row_scan"
+    lines = [f"def {name}(t, Z, O, n):", f"    {_LANE_NAMES[pair]} = _lanes(n, {pair})"]
     if "EQ" in tables:
         lines.append("    EQ, NE = _one_hot(n)")
-    if "T" in tables:
-        lines.append("    T, F = bytes((1,)) * n, bytes(n)")
     lines += ["    " + stmt for stmt in levels[0]]
     for depth, assigned in tabulated.items():
         role, names = outer[depth - 1], "".join(v + ", " for v, _ in assigned)
@@ -750,12 +874,12 @@ def _compile_scan(roles, formula) -> Callable[..., tuple[int, ...] | None]:
         lines += ["    " * (depth + 1) + stmt for stmt in stmts]
     lines += [pad + line for line in tail] + ["    return None"]
     exec("\n".join(lines), _SCAN_GLOBALS)
-    return _SCAN_GLOBALS.pop("scan")
+    return _SCAN_GLOBALS.pop(name)
 
 
 @lru_cache(maxsize=None)
-def _scan_of(formula) -> Callable[..., tuple[int, ...] | None]:
-    return _compile_scan(formula_roles(formula), formula)
+def _scan_of(formula, pair: bool) -> Callable[..., tuple[int, ...] | None]:
+    return _compile_scan(formula_roles(formula), formula, pair)
 
 
 @lru_cache(maxsize=None)
@@ -775,16 +899,18 @@ def first_failure(alg: FiniteAlgebra, formula) -> tuple[int, ...] | None:
     compiled to row scans once each, on first use, and must be constants of
     this package, never input."""
     if alg.n > 1:
-        return _scan_of(formula)(alg.arrow, alg.zero, alg.one, alg.n)
+        return _scan_of(formula, alg.n <= PAIR_CEILING)(alg.arrow, alg.zero, alg.one, alg.n)
     # With one element every term is 0, so the one tuple decides.
     at = (0,) * len(formula_roles(formula))
     return None if holds_at(alg, formula, at) else at
 
 
 # Compiled once at import from the constant terms above, never from input:
-# each law is the formula lhs = rhs.
+# each law is the formula lhs = rhs, scanned in the one-role layout and in
+# the pair layout, in that order.
 AXIOM_PREDICATES = {key: _compile(*spec) for key, spec in AXIOMS.items()}
-AXIOM_SCANS = {key: _compile_scan(roles, _eq(lhs, rhs)) for key, (roles, lhs, rhs) in AXIOMS.items()}
+AXIOM_SCANS = {key: tuple(_compile_scan(roles, _eq(lhs, rhs), pair) for pair in (False, True))
+               for key, (roles, lhs, rhs) in AXIOMS.items()}
 
 # Case-insensitive lookup aliases for CLI use ("at" stands in for "@").
 AXIOM_ALIASES = {key.lower(): key for key in AXIOMS} | {
@@ -814,7 +940,8 @@ def check_axiom(alg: FiniteAlgebra, axiom_id: str) -> CheckResult:
         raise InputError(f"unknown axiom id {axiom_id!r}")
     # With one element every term is 0, so every law holds.
     failing = (
-        AXIOM_SCANS[axiom_id](alg.arrow, alg.zero, alg.one, alg.n) if alg.n > 1 else None
+        AXIOM_SCANS[axiom_id][alg.n <= PAIR_CEILING](alg.arrow, alg.zero, alg.one, alg.n)
+        if alg.n > 1 else None
     )
     if failing is None:
         return CheckResult(axiom_id, "pass")

@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theorems", help="run the check registry")
     p.add_argument("file")
-    p.add_argument("--filter", nargs="*", metavar="ID")
+    p.add_argument("--filter", nargs="+", metavar="ID")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_theorems)
 

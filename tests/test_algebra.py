@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -235,6 +240,34 @@ def test_classify_does_not_scan_the_distributive_laws(monkeypatch):
     assert {"BE4", "impl", "IOM", "@"} <= set(scanned)
     assert not {"Idis1", "Idis2"} & set(scanned)
     assert "distributive" not in lab.as_dict()
+
+
+IMPORT_STATE = """
+import json, sys
+import orthologic.cli
+from orthologic import algebra
+caches = {f"{name}.{attr}": getattr(module, attr).cache_info().currsize
+          for name, module in list(sys.modules.items()) if name.startswith("orthologic")
+          for attr in dir(module) if hasattr(getattr(module, attr), "cache_info")}
+layouts = {key: [scan.__name__ for scan in scans] for key, scans in algebra.AXIOM_SCANS.items()}
+print(json.dumps([caches, layouts]))
+"""
+
+
+def test_import_compiles_the_laws_in_both_layouts_and_nothing_else():
+    # Whatever import compiles, every process pays for, and the benchmark
+    # refuses a process whose caches hold entries before its first op: the
+    # registry formulas compile on first use, and only the 17 laws at import,
+    # once per row layout (a one-role law has the one-role layout twice).
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_STATE], capture_output=True, text=True,
+                          env=env, check=True)
+    caches, layouts = json.loads(proc.stdout)
+    assert "orthologic.algebra._scan_of" in caches
+    assert {name: size for name, size in caches.items() if size} == {}
+    assert layouts == {key: ["row_scan", "pair_scan" if len(roles) > 1 else "row_scan"]
+                       for key, (roles, _, _) in AXIOMS.items()}
 
 
 def test_implicative_involutive_gives_ig_pi_iabs(algebras):

@@ -258,6 +258,16 @@ def test_cli_theorems_filter_json(capsys):
         assert "unknown check id 'BOGUS'" in captured.err
 
 
+def test_cli_theorems_filter_without_ids_is_a_usage_error(capsys):
+    # A bare --filter must not fall back to running all 54 checks.
+    with pytest.raises(SystemExit) as exc:
+        run_cli("theorems", "benzene6", "--filter")
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--filter: expected at least one argument" in captured.err
+
+
 def test_cli_parser_is_built_once(monkeypatch, capsys):
     import orthologic.cli as cli
 

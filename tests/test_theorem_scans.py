@@ -24,7 +24,7 @@ tables where phi_0 and phi_1 are the constant 0 and the identity.
 """
 
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 
 import pytest
@@ -47,6 +47,7 @@ from orthologic.algebra import (
     CheckResult,
     NonLatticeError,
     big_meet,
+    check_axiom,
     classify,
     down_set,
     first_failure,
@@ -671,12 +672,13 @@ def test_registry_items_agree_on_failing_tables(monkeypatch):
 LONG_ROW_BUDGET = 5000  # tuples per reference scan on the large i-OLs
 
 
-def random_tables(count, seed):
-    """Tables with arbitrary entries and constants, n = 1..7: almost every
-    formula fails, most of them early."""
+def random_tables(count, seed, sizes=(1, 7)):
+    """Tables with arbitrary entries and constants, n in the closed range
+    ``sizes``, 1..7 by default: almost every formula fails, most of them
+    early."""
     rng = random.Random(seed)
     for k in range(count):
-        n = rng.randint(1, 7)
+        n = rng.randint(*sizes)
         arrow = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
         yield FiniteAlgebra(f"rand{k}", tuple(f"e{i}" for i in range(n)), arrow,
                             rng.randrange(n), rng.randrange(n))
@@ -896,10 +898,92 @@ def test_symmetric_scan_on_one_cell_mutations(alg):
     assert failing
 
 
+# -- the pair layout -------------------------------------------------------------
+#
+# Up to PAIR_CEILING = 16 elements a scan makes its last two roles one row of
+# n * n byte lanes; above it, one role.  At n = 16 the lane indices reach 255,
+# and the layout changes between 16 and 17.  The pair scans must give the
+# tuple-by-tuple evaluation's least failing tuple there, with binders, with
+# the symmetric BE4 rule, and on one-cell mutations of relabelled B16, and
+# must agree with the one-role scans of the same formulas.
+
+def both_layouts(alg, formula):
+    """The failing tuples of the one-role and the pair scan of the formula."""
+    return tuple(algebra._scan_of(formula, pair)(alg.arrow, alg.zero, alg.one, alg.n)
+                 for pair in (False, True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(formula=formulas(roles=("x", "y", "z")), n=st.integers(8, 17),
+       seed=st.integers(0, 10 ** 6))
+def test_pair_layout_matches_its_rendering_on_random_tables(formula, n, seed):
+    assume(formula_roles(formula))
+    alg = next(random_tables(1, seed, (n, n)))
+    assert first_failure(alg, formula) == rendered_first_failure(alg, formula)
+
+
+@settings(max_examples=150, deadline=None)
+@given(formula=formulas(roles=("x", "y", "z")), n=st.integers(8, 17),
+       seed=st.integers(0, 10 ** 6))
+def test_pair_layout_matches_its_rendering_with_binders(formula, n, seed):
+    assume(algebra._binds(formula))
+    alg = next(random_tables(1, seed, (n, n)))
+    assert first_failure(alg, formula) == rendered_first_failure(alg, formula)
+
+
+@settings(max_examples=200, deadline=None)
+@given(formula=formulas(roles=("x", "y", "z")), seed=st.integers(0, 10 ** 6),
+       cell=st.none() | st.tuples(*[st.integers(0, 15)] * 3))
+def test_pair_layout_matches_its_rendering_on_b16_mutations(formula, seed, cell):
+    # Near-passing tables: most formulas hold on most lanes of B16.
+    assume(formula_roles(formula))
+    alg = mutated(relabelled(boolean_iol(4), seed), cell)
+    assert alg.n == algebra.PAIR_CEILING
+    assert first_failure(alg, formula) == rendered_first_failure(alg, formula)
+    one_role, pair = both_layouts(alg, formula)
+    assert one_role == pair
+
+
+@settings(max_examples=200, deadline=None)
+@given(formula=formulas(), pick=st.integers(0, 1), cell=st.none() | st.tuples(*[st.integers(0, 15)] * 3))
+def test_pair_layout_matches_the_one_role_layout_at_four_roles(formula, pick, cell):
+    # Four roles are too many for the rendering at 16 elements; the two
+    # layouts of one scan check each other instead.
+    assume(formula_roles(formula))
+    alg = mutated(constructions()[pick], cell)
+    one_role, pair = both_layouts(alg, formula)
+    assert one_role == pair
+
+
+@settings(max_examples=200, deadline=None)
+@given(formula=swap_equations(), n=st.integers(8, 17), seed=st.integers(0, 10 ** 6))
+def test_symmetric_pair_scan_matches_its_rendering(formula, n, seed):
+    alg = next(random_tables(1, seed, (n, n)))
+    assert first_failure(alg, formula) == rendered_first_failure(alg, formula)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_be4_pair_scan_on_one_cell_mutations_of_b16(seed):
+    be4 = algebra._eq(*algebra.AXIOMS["BE4"][1:])
+    alg = relabelled(boolean_iol(4), seed)
+    rng = random.Random(seed)
+    free = [i for i in range(alg.n) if i not in (alg.one, alg.zero)]
+    failing = 0
+    for _ in range(12):
+        mutant = mutated(alg, (rng.choice(free), rng.choice(free), rng.randrange(alg.n)))
+        tup = first_failure(mutant, be4)
+        assert tup == rendered_first_failure(mutant, be4) == both_layouts(mutant, be4)[0]
+        assert check_axiom(mutant, "BE4").witness == tuple(
+            (role, mutant.elements[v]) for role, v in zip("xyz", tup or ()))
+        failing += tup is not None
+    assert failing
+
+
 def test_binders_do_not_nest():
     inner = algebra._all(algebra._eq(BOUND, "0"))
     nested = algebra._all(algebra._and(algebra._eq("x", BOUND), inner))
-    for fn in (algebra._compile_scan, lambda roles, f: algebra._render(f)):
+    for fn in (partial(algebra._compile_scan, pair=False), partial(algebra._compile_scan, pair=True),
+               lambda roles, f: algebra._render(f)):
         with pytest.raises(ValueError, match="nested binder"):
             fn(("x",), nested)
 
