@@ -53,11 +53,9 @@ from .sasaki import (
     ProjectionMap,
     block_boolean_family,
     center,
-    check_sasaki_set,
     commutes,
     divides,
     has_full_sasaki_set,
-    is_full,
     is_iboolean_subalgebra,
     is_sasaki_space,
     is_subalgebra,

@@ -23,6 +23,16 @@ sides differ, completed by the first lane at which they differ, is the
 lexicographically least violating tuple, the same witness a tuple-by-tuple
 scan finds.
 
+The derived operations and relations that the laws are stated in (the
+meets, the join vQ, the three orders, orthogonality, commutation and
+divisibility) are heads of the term language, each defined once in
+``DERIVED`` by a term over the arrow.  The pruner, the tuple-by-tuple
+rendering and the scans of the 17 laws expand a head into its definition,
+so that classifying an algebra builds no table.  Any other scan reads a
+head as a table, the way it reads the arrow: each algebra keeps, in
+``tables``, one flat table per head, built from its definition the first
+time a scan asks for it.
+
 The same compiler takes any formula of the term language (equations joined
 by not/and/or/iff, and binders), such as the registry's items in ``theorems``:
 ``first_failure`` compiles each one on first use, in the layout its table
@@ -32,9 +42,9 @@ takes, and returns its least failing tuple.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import getitem, itemgetter
+from operator import add, getitem, itemgetter
 from typing import Callable, Iterator
 
 
@@ -146,13 +156,16 @@ class FiniteAlgebra:
     ``arrow`` holds one ``bytes`` row per element: ``arrow[x][y]`` is the
     index of x -> y.  Rows of any integers are accepted and converted once,
     so a table given as tuples equals, and hashes as, the same table given
-    as bytes.  A table has at most 256 elements."""
+    as bytes.  A table has at most 256 elements.  ``tables`` holds the
+    tables of the derived heads, each built on first use (``DerivedTables``);
+    it takes no part in equality or hashing."""
 
     name: str
     elements: tuple[str, ...]
     arrow: tuple[bytes, ...]
     one: int
     zero: int
+    tables: DerivedTables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.elements)
@@ -173,6 +186,7 @@ class FiniteAlgebra:
         if not valid:
             rows = tuple(map(self._checked_row, range(n), self.arrow))
         object.__setattr__(self, "arrow", rows)
+        object.__setattr__(self, "tables", DerivedTables(rows, self.zero, self.one))
 
     def _checked_row(self, i: int, row) -> bytes:
         """Row i as bytes; raises at its first cell that is not an element index."""
@@ -276,23 +290,9 @@ def wedge_q(alg: FiniteAlgebra, x: int, y: int) -> int:
     return star(alg, vee_q(alg, star(alg, x), star(alg, y)))
 
 
-def wedge_q_column(alg: FiniteAlgebra, y: int) -> tuple[int, ...]:
-    """(x ^Q y for every x) = ((x* -> y*) -> y*)*: three gathers over the
-    y* column of the arrow table."""
-    stars = star_row(alg)
-    column = (*map(itemgetter(stars[y]), alg.arrow),)
-    return gather(stars, gather(column, gather(column, stars)))
-
-
 def wedge_p(alg: FiniteAlgebra, x: int, y: int) -> int:
     """x ^P y = (x -> y*)*; the lattice meet for the le_l order on i-OLs."""
     return star(alg, alg.arrow[x][star(alg, y)])
-
-
-def wedge_p_row(alg: FiniteAlgebra, x: int) -> tuple[int, ...]:
-    """(x ^P y for every y) = (x -> y*)*: two gathers over the row of x."""
-    stars = star_row(alg)
-    return gather(stars, gather(alg.arrow[x], stars))
 
 
 def vee_p(alg: FiniteAlgebra, x: int, y: int) -> int:
@@ -315,23 +315,19 @@ def le_l(alg: FiniteAlgebra, x: int, y: int) -> bool:
     return x == star(alg, alg.arrow[x][star(alg, y)])
 
 
-def le_l_row(alg: FiniteAlgebra, x: int) -> tuple[bool, ...]:
-    """(x <=L y for every y), as x = x ^P y."""
-    return (*map(x.__eq__, wedge_p_row(alg, x)),)
-
-
 def ortho(alg: FiniteAlgebra, x: int, y: int) -> bool:
     """Orthogonality on the full universe: x _|_ y iff x* = x -> y."""
     return star(alg, x) == alg.arrow[x][y]
 
 
+# Translates 0/1 lanes to the digits "0" and "1".
+_DIGITS = b"01" + bytes(254)
+
+
 def down_set(alg: FiniteAlgebra, x: int) -> int:
-    """Mask of all y with y <=L x (0 and x itself included on i-OLs)."""
-    m = 0
-    for y in range(alg.n):
-        if le_l(alg, y, x):
-            m |= 1 << y
-    return m
+    """Mask of all y with y <=L x (0 and x itself included on i-OLs): the
+    0/1 lanes of column x of the <=L table, read as binary digits."""
+    return int(alg.tables["<=L"][x::alg.n][::-1].translate(_DIGITS), 2)
 
 
 def big_meet(alg: FiniteAlgebra, members: int) -> int:
@@ -355,13 +351,15 @@ def big_meet(alg: FiniteAlgebra, members: int) -> int:
 # ---------------------------------------------------------------------------
 
 # Term language.  Element terms: the roles "x", "y", "z", "u", the constants
-# "0" and "1", and ("->", s, t), the arrow; star is arrow-to-0.  Formulas:
-# ("=", s, t) of two element terms, ("not", f), ("and", f, ...),
-# ("or", f, ...), ("iff", f, g) of two formulas, and ("all", "v", f), which
-# holds when f holds for every value of the bound element "v".  "v" is not a
-# role, and binders do not nest.  The row scan of a formula with a binder
-# loops over all of its roles and makes "v" the row, so each binder is the
-# scalar "no False in the row of f" in the loop of the innermost role f reads.
+# "0" and "1", ("->", s, t), the arrow, and (head, s, t) for the operation
+# heads of ``DERIVED``; star is arrow-to-0.  Formulas: ("=", s, t) of two
+# element terms, (head, s, t) for the relation heads of ``DERIVED``,
+# ("not", f), ("and", f, ...), ("or", f, ...), ("iff", f, g) of two formulas,
+# and ("all", "v", f), which holds when f holds for every value of the bound
+# element "v".  "v" is not a role, and binders do not nest.  The row scan of
+# a formula with a binder loops over all of its roles and makes "v" the row,
+# so each binder is the scalar "no False in the row of f" in the loop of the
+# innermost role f reads.
 ROLES = ("x", "y", "z", "u")
 BOUND = "v"
 
@@ -372,18 +370,6 @@ def _imp(s, t):
 
 def _neg(t):
     return _imp(t, "0")
-
-
-def _veeq(s, t):
-    return _imp(_imp(s, t), t)
-
-
-def _wedgeq(s, t):
-    return _neg(_veeq(_neg(s), _neg(t)))
-
-
-def _wedgep(s, t):
-    return _neg(_imp(s, _neg(t)))
 
 
 def _eq(s, t):
@@ -416,28 +402,50 @@ def _implies(*fs):
     return _or(*map(_not, fs[:-1]), fs[-1])
 
 
-def _le(s, t):
-    return _eq(_imp(s, t), "1")
+def _head(name: str) -> Callable[[object, object], tuple]:
+    """The builder of a derived head's terms."""
+    return lambda s, t: (name, s, t)
 
 
-def _lel(s, t):
-    return _eq(s, _wedgep(s, t))
+# The derived heads: the join vQ, the meets ^Q and ^P, the orders <=, <=L
+# and <=Q, orthogonality, commutation and divisibility.
+_veeq, _wedgeq, _wedgep, _le, _lel, _leq, _ortho, _commutes, _divides = map(
+    _head, ("vQ", "^Q", "^P", "<=", "<=L", "<=Q", "_|_", "C", "D"))
+
+# The single definition of every derived head: head -> its term over the
+# placeholders S and T, its two arguments.  A definition reads the arrow and
+# the heads above it.  A head whose definition is an equation is a relation,
+# a formula; the others are element operations.
+_S, _T = "S", "T"
+DERIVED: dict[str, tuple] = {
+    "vQ": _imp(_imp(_S, _T), _T),
+    "^Q": _neg(_veeq(_neg(_S), _neg(_T))),
+    "^P": _neg(_imp(_S, _neg(_T))),
+    "<=": _eq(_imp(_S, _T), "1"),
+    "<=L": _eq(_S, _wedgep(_S, _T)),
+    "<=Q": _eq(_S, _wedgeq(_S, _T)),
+    "_|_": _eq(_neg(_S), _imp(_S, _T)),
+    "C": _eq(_wedgeq(_T, _S), _wedgep(_S, _T)),
+    "D": _eq(_imp(_S, _neg(_imp(_S, _T))), _imp(_S, _neg(_T))),
+}
+RELATIONS = frozenset(head for head, body in DERIVED.items() if body[0] == "=")
 
 
-def _leq(s, t):
-    return _eq(s, _wedgeq(s, t))
+def expand(term):
+    """The term with every derived head replaced by its definition at the
+    head's arguments: a term over the arrow alone."""
+    if not isinstance(term, tuple):
+        return term
+    head, *args = map(expand, term)
+    if head not in DERIVED:
+        return (head, *args)
 
+    def put(body):
+        if isinstance(body, tuple):
+            return (body[0], *map(put, body[1:]))
+        return args[0] if body == _S else args[1] if body == _T else body
 
-def _ortho(s, t):
-    return _eq(_neg(s), _imp(s, t))
-
-
-def _commutes(s, t):
-    return _eq(_wedgeq(t, s), _wedgep(s, t))
-
-
-def _divides(s, t):
-    return _eq(_imp(s, _neg(_imp(s, t))), _imp(s, _neg(t)))
+    return expand(put(DERIVED[head]))
 
 
 # The single definition of every law: id -> (roles, lhs, rhs), read as the
@@ -500,7 +508,8 @@ _SCALAR_OPS = {"->": "t[{}][{}]", "=": "{} == {}", "iff": "{} == {}", "!=": "{} 
 
 
 def _render(term) -> str:
-    """The term as a Python expression over t, Z (0), O (1) and its roles."""
+    """A term over the arrow alone (see ``expand``) as a Python expression
+    over t, Z (0), O (1) and its roles."""
     if not isinstance(term, tuple):
         return {"0": "Z", "1": "O"}.get(term, term)
     head, *args = term
@@ -512,8 +521,9 @@ def _render(term) -> str:
 
 
 def _compile(roles, lhs, rhs) -> Callable[..., tuple[int, int] | bool | None]:
-    """The law as one instance predicate ``(t, Z, O, U, *roles)`` over an
-    arrow table ``t`` with 0 = Z and 1 = O whose unknown cells hold U.  It
+    """The law, with sides over the arrow alone (see ``expand``), as one
+    instance predicate ``(t, Z, O, U, *roles)`` over an arrow table ``t``
+    with 0 = Z and 1 = O whose unknown cells hold U.  It
     returns None when the instance holds, False when it fails, and the cell
     (a, b) of the first unknown arrow it reads, in evaluation order (the
     left side first, each arrow after its operands), while it is not yet
@@ -588,7 +598,9 @@ def _lanes(n: int, pair: bool) -> tuple:
     its two row roles, whose lane a * n + b holds a and b; MUL, the
     translate table of a -> a * n; FULL, which maps a block sum of n to 1
     and the rest to 0; CELLS, which pads N bytes to a translate table; and
-    P * n, P and Q as ints."""
+    P * n, P and Q as ints.  Above ``PAIR_CEILING``, where no pair scan
+    runs and only the derived tables read n * n lanes, the pair layout
+    stops at P and Q."""
     lanes = n * n if pair else n
 
     def spread(byte: int, count: int) -> int:
@@ -598,11 +610,86 @@ def _lanes(n: int, pair: bool) -> tuple:
               spread(0x7F, lanes), spread(0x80, lanes))
     if not pair:
         return common
-    P, Q = bytes(i // n for i in range(lanes)), bytes(range(n)) * n
+    P, Q = b"".join(bytes((i,)) * n for i in range(n)), bytes(range(n)) * n
+    if n > PAIR_CEILING:
+        return common + (P, Q)
     MUL = bytes(range(0, lanes, n)) + bytes(256 - n)
     FULL = bytes(i == n for i in range(256))
     return common + (P, Q, MUL, FULL, bytes(256 - lanes),
                      *(int.from_bytes(v, "little") for v in (P.translate(MUL), P, Q)))
+
+
+class DerivedTables(dict):
+    """The tables of the derived heads of one arrow table, each built on
+    first use and released with its algebra.
+
+    ``tables[head]`` is one flat ``bytes`` of n * n lanes, lane a * n + b
+    holding head(a, b): an element index, or, for a relation, 1 where it
+    holds and 0 where it does not.  It is the head's definition evaluated
+    at the argument vectors P and Q of ``_lanes``, a gather per arrow or
+    head it reads, so a definition that reads another head reads that
+    head's table.  ``rows(head)`` is the table as n rows; only above
+    ``PAIR_CEILING``, where the one-role scans read rows, are they kept."""
+
+    __slots__ = ("arrow", "zero", "one")
+
+    def __init__(self, arrow: tuple[bytes, ...], zero: int, one: int) -> None:
+        super().__init__()
+        self.arrow, self.zero, self.one = arrow, zero, one
+
+    def __missing__(self, head: str) -> bytes:
+        n = len(self.arrow)
+        lanes = n * n
+        _, pad, _, ALL1, _, L7F, H80, P, Q, *pair = _lanes(n, True)
+
+        def value(term) -> tuple[bytes, frozenset]:
+            """The term's lanes, and which of the arguments S and T it reads."""
+            if term in (_S, _T):
+                return (P if term == _S else Q), frozenset(term)
+            if not isinstance(term, tuple):
+                return bytes((self.one if term == "1" else self.zero,)) * lanes, frozenset()
+            op, (a, ar), (b, br) = term[0], value(term[1]), value(term[2])
+            if op == "=":
+                d = int.from_bytes(a, "little") ^ int.from_bytes(b, "little")
+                unequal = (H80 & (d | (d & L7F) + L7F)) >> 7
+                return (unequal ^ ALL1).to_bytes(lanes, "little"), ar | br
+            table = b"".join(self.arrow) if op == "->" else self[op]
+            if a is P and b is Q:
+                return table, ar | br
+            if not br:  # a column
+                return a.translate(table[b[0]::n] + pad), ar
+            if pair:  # a lane index fits in a byte
+                MUL, _, CELLS = pair[:3]
+                index = int.from_bytes(a.translate(MUL), "little") + int.from_bytes(b, "little")
+                return index.to_bytes(lanes, "little").translate(table + CELLS), ar | br
+            # Above it, a block of n lanes, or a column, at a time where one
+            # argument is one value per block, or the same in every block.
+            if _T not in ar:  # a row per block
+                gathered = b"".join(b[i:i + n].translate(table[a[i] * n:a[i] * n + n] + pad)
+                                    for i in range(0, lanes, n))
+            elif _T not in br:  # a column per block
+                gathered = b"".join(a[i:i + n].translate(table[b[i]::n] + pad)
+                                    for i in range(0, lanes, n))
+            elif _S not in br:  # a column per column, then transposed
+                columns = b"".join(a[j::n].translate(table[b[j]::n] + pad) for j in range(n))
+                gathered = b"".join(columns[i::n] for i in range(n))
+            else:
+                gathered = bytes(map(table.__getitem__, map(add, map(n.__mul__, a), b)))
+            return gathered, ar | br
+
+        table = self[head] = value(DERIVED[head])[0]
+        return table
+
+    def rows(self, head: str) -> tuple[bytes, ...]:
+        """The head's table as n rows of n lanes."""
+        key = (head,)
+        rows = self.get(key)
+        if rows is None:
+            table, n = self[head], len(self.arrow)
+            rows = tuple(table[i:i + n] for i in range(0, n * n, n))
+            if n > PAIR_CEILING:
+                self[key] = rows
+        return rows
 
 
 # The globals every compiled scan shares.
@@ -611,10 +698,11 @@ _SCAN_GLOBALS = {"_get": itemgetter, "_item": getitem, "_first_diff": _first_dif
 
 
 def _compile_scan(roles, formula, pair: bool) -> Callable[..., tuple[int, ...] | None]:
-    """The formula as one scan ``(t, Z, O, n) -> failing tuple | None`` over
-    a complete arrow table ``t`` of n >= 2 bytes rows, in one of two row
-    layouts.  ``first_failure`` and ``check_axiom`` take the pair layout
-    where n <= ``PAIR_CEILING`` and the one-role layout above it.
+    """The formula as one scan ``(t, Z, O, n, D) -> failing tuple | None``
+    over a complete arrow table ``t`` of n >= 2 bytes rows and the store
+    ``D`` of its derived tables, the algebra's ``tables``, in one of two
+    row layouts.  ``first_failure`` and ``check_axiom`` take the pair
+    layout where n <= ``PAIR_CEILING`` and the one-role layout above it.
 
     In the one-role layout the last role is the row, of n lanes.  In the
     pair layout the last two roles are the row, when the formula has two,
@@ -644,6 +732,13 @@ def _compile_scan(roles, formula, pair: bool) -> Callable[..., tuple[int, ...] |
     ``_one_hot``; two vectors of elements are equal where the lanes of
     their XOR are zero, found with the masks L7F and H80 with no carry
     between lanes.  Truth vectors combine as ints, "not" as XOR with ALL1.
+
+    A derived head is read the way the arrow is, in every one of these
+    forms, from its table in ``D``: the flattened table is ``D[head]``,
+    from which the pair layout slices a row, and the one-role layout reads
+    the rows of ``D.rows(head)``.  A relation's table holds 0/1 lanes, so
+    a relation read at a vector is its truth vector, and at two scalars a
+    scalar truth value.
 
     Each subterm is evaluated once, in the loop of the innermost outer role
     it reads; one that reads one outer role, not the first, is evaluated
@@ -688,13 +783,29 @@ def _compile_scan(roles, formula, pair: bool) -> Callable[..., tuple[int, ...] |
                 levels[depth].append(f"{name} = {expr}")
         return nodes[key]
 
-    def flat() -> str:
-        return emit("flat", 'b"".join(t)', "table", frozenset())[0]
+    def flat(head) -> str:
+        """The flattened table of the arrow or a derived head."""
+        if head == "->":
+            return emit("flat", 'b"".join(t)', "table", frozenset())[0]
+        return emit(("flat", head), f"D[{head!r}]", "table", frozenset())[0]
 
-    def column(term) -> str:
+    def table_rows(head) -> str:
+        """The rows of the arrow or a derived head."""
+        if head == "->":
+            return "t"
+        return emit(("rows", head), f"D.rows({head!r})", "table", frozenset())[0]
+
+    def row_of(head, s) -> str:
+        """Row s of a table, as an expression; the pair layout slices it
+        from the flattened table, which is the one it keeps."""
+        if head == "->":
+            return f"t[{s}]"
+        return f"{flat(head)}[{s} * n:{s} * n + n]" if pair else f"{table_rows(head)}[{s}]"
+
+    def column(head, term) -> str:
         """The column t[.][term] of a scalar term."""
         name, _, reads = walk(term)
-        return emit(("column", term), f"{flat()}[{name}::n]", "table", reads)[0]
+        return emit(("column", head, term), f"{flat(head)}[{name}::n]", "table", reads)[0]
 
     def padded(key, expr, reads) -> str:
         """A row or column as a translate table."""
@@ -705,44 +816,55 @@ def _compile_scan(roles, formula, pair: bool) -> Callable[..., tuple[int, ...] |
             return name + "I"
         return emit(("int", name), f'_from({name}, "little")', "table", reads)[0]
 
-    def arrow(term, s, sk, sr, u, uk, ur):
+    def read(term, s, sk, sr, u, uk, ur):
+        """The arrow, or a derived head, at two terms: a read of its table.
+        A relation's 0/1 lanes are its truth vector."""
+        head = term[0]
         sd, ud, reads = max(sr, default=0), max(ur, default=0), sr | ur
         if sk == uk == "scalar":
-            return emit(term, f"t[{s}][{u}]", "scalar", reads)
+            expr = f"t[{s}][{u}]" if head == "->" else f"{flat(head)}[{s} * n + {u}]"
+            return emit(term, expr, "scalar", reads)
         # A row (column) read at a vector two or more loops outer than its
         # index is gathered for every row (column) once, in the vector's loop.
         repeat = " * n" if pair else ""
         if sk == "scalar":
             if uk == "q":
-                expr = f"t[{s}]{repeat}"
+                expr = row_of(head, s) + repeat
             elif sd - ud > 1:
-                expr = emit(("rows at", term[2]), f"[{u}.translate(r + PAD) for r in t]",
+                expr = emit(("rows at", head, term[2]),
+                            f"[{u}.translate(r + PAD) for r in {table_rows(head)}]",
                             "table", ur)[0] + f"[{s}]"
             else:
-                expr = f"{u}.translate({padded(('row', term[1]), f't[{s}]', sr)})"
+                expr = f"{u}.translate({padded(('row', head, term[1]), row_of(head, s), sr)})"
         elif uk == "scalar":
             if sk == "q":
-                expr = column(term[2]) + repeat
+                expr = column(head, term[2]) + repeat
             elif ud - sd > 1:
-                expr = emit(("columns at", term[1]),
-                            f"[{s}.translate({flat()}[j::n] + PAD) for j in I]", "table", sr)[0] \
-                    + f"[{u}]"
+                expr = emit(("columns at", head, term[1]),
+                            f"[{s}.translate({flat(head)}[j::n] + PAD) for j in I]",
+                            "table", sr)[0] + f"[{u}]"
             else:
-                expr = f"{s}.translate({padded(('column', term[2]), column(term[2]), ur)})"
+                column_u = padded(("column", head, term[2]), column(head, term[2]), ur)
+                expr = f"{s}.translate({column_u})"
         elif pair and (sk, uk) == ("p", "q"):
-            # t[p][q] at lane p * n + q is the flattened table itself.
-            nodes[term] = (flat(), "vector", reads)
-            return nodes[term]
+            # The table at lane p * n + q is the flattened table itself.
+            expr = flat(head)
+            if head not in RELATIONS:
+                nodes[term] = (expr, "vector", reads)
+                return nodes[term]
         elif pair:
             rows = "PN" if sk == "p" else \
                 emit(("times n", s), f'_from({s}.translate(MUL), "little")', "table", sr)[0]
-            cells = emit("cells", f"{flat()} + CELLS", "table", frozenset())[0]
+            cells = emit(("cells", head), f"{flat(head)} + CELLS", "table", frozenset())[0]
             expr = f'({rows} + {as_int(u, ur)}).to_bytes(N, "little").translate({cells})'
         else:
-            rows = "t" if sk == "q" else \
-                emit(("rows", term[1]), f"_get(*{s})(t)", "table", sr)[0]
+            rows = table_rows(head) if sk == "q" else \
+                emit(("gathered rows", head, term[1]), f"_get(*{s})({table_rows(head)})",
+                     "table", sr)[0]
             # A range iterates faster than the bytes I.
             expr = f"bytes(map(_item, {rows}, {'range(n)' if uk == 'q' else u}))"
+        if head in RELATIONS:
+            return emit(term, f'_from({expr}, "little")', "truth", reads)
         return emit(term, expr, "vector", reads)
 
     def compare(key, head, parts):
@@ -799,8 +921,8 @@ def _compile_scan(roles, formula, pair: bool) -> Callable[..., tuple[int, ...] |
         if not isinstance(term, tuple):
             return ({"0": "Z", "1": "O"}[term], "scalar", frozenset())
         head, *args = term
-        if head == "->":
-            return arrow(term, *walk(args[0]), *walk(args[1]))
+        if head == "->" or head in DERIVED:
+            return read(term, *walk(args[0]), *walk(args[1]))
         if head == "all":
             body = _bound_body(term)
             b, kind, reads = walk(body)
@@ -858,7 +980,7 @@ def _compile_scan(roles, formula, pair: bool) -> Callable[..., tuple[int, ...] |
         else:  # a binder's scan: every disjunct failed at this outer tuple
             tail = [f"return ({found})"]
     name = "pair_scan" if pair else "row_scan"
-    lines = [f"def {name}(t, Z, O, n):", f"    {_LANE_NAMES[pair]} = _lanes(n, {pair})"]
+    lines = [f"def {name}(t, Z, O, n, D):", f"    {_LANE_NAMES[pair]} = _lanes(n, {pair})"]
     if "EQ" in tables:
         lines.append("    EQ, NE = _one_hot(n)")
     lines += ["    " + stmt for stmt in levels[0]]
@@ -885,7 +1007,7 @@ def _scan_of(formula, pair: bool) -> Callable[..., tuple[int, ...] | None]:
 @lru_cache(maxsize=None)
 def _evaluator_of(formula) -> Callable[..., bool]:
     roles = "".join(role + ", " for role in formula_roles(formula))
-    return eval(f"lambda t, Z, O, {roles}*_: {_render(formula)}")
+    return eval(f"lambda t, Z, O, {roles}*_: {_render(expand(formula))}")
 
 
 def holds_at(alg: FiniteAlgebra, formula, tup: tuple[int, ...]) -> bool:
@@ -899,17 +1021,22 @@ def first_failure(alg: FiniteAlgebra, formula) -> tuple[int, ...] | None:
     compiled to row scans once each, on first use, and must be constants of
     this package, never input."""
     if alg.n > 1:
-        return _scan_of(formula, alg.n <= PAIR_CEILING)(alg.arrow, alg.zero, alg.one, alg.n)
+        return _scan_of(formula, alg.n <= PAIR_CEILING)(
+            alg.arrow, alg.zero, alg.one, alg.n, alg.tables)
     # With one element every term is 0, so the one tuple decides.
     at = (0,) * len(formula_roles(formula))
     return None if holds_at(alg, formula, at) else at
 
 
 # Compiled once at import from the constant terms above, never from input:
-# each law is the formula lhs = rhs, scanned in the one-role layout and in
-# the pair layout, in that order.
-AXIOM_PREDICATES = {key: _compile(*spec) for key, spec in AXIOMS.items()}
-AXIOM_SCANS = {key: tuple(_compile_scan(roles, _eq(lhs, rhs), pair) for pair in (False, True))
+# each law, expanded, is an instance predicate and the formula lhs = rhs,
+# scanned in the one-role layout and in the pair layout, in that order.  The
+# law scans read no derived table, so that classifying an algebra, as the
+# model search does at every leaf, builds none.
+AXIOM_PREDICATES = {key: _compile(roles, expand(lhs), expand(rhs))
+                    for key, (roles, lhs, rhs) in AXIOMS.items()}
+AXIOM_SCANS = {key: tuple(_compile_scan(roles, expand(_eq(lhs, rhs)), pair)
+                          for pair in (False, True))
                for key, (roles, lhs, rhs) in AXIOMS.items()}
 
 # Case-insensitive lookup aliases for CLI use ("at" stands in for "@").
@@ -940,7 +1067,8 @@ def check_axiom(alg: FiniteAlgebra, axiom_id: str) -> CheckResult:
         raise InputError(f"unknown axiom id {axiom_id!r}")
     # With one element every term is 0, so every law holds.
     failing = (
-        AXIOM_SCANS[axiom_id][alg.n <= PAIR_CEILING](alg.arrow, alg.zero, alg.one, alg.n)
+        AXIOM_SCANS[axiom_id][alg.n <= PAIR_CEILING](
+            alg.arrow, alg.zero, alg.one, alg.n, alg.tables)
         if alg.n > 1 else None
     )
     if failing is None:

@@ -13,7 +13,7 @@ alone.  ``block_boolean_family`` lives in ``sasaki``, beside the test it uses.
 entry points that read a whole family do not call them once per pair:
 ``cl_algebra`` computes each member's perp once and looks up the perp of
 each distinct A & B^perp once, and ``is_normal`` remembers every perp it
-takes across the partitions of all blocks.
+takes across the partitions of all blocks, through ``perp_memo``.
 """
 
 from __future__ import annotations
@@ -146,6 +146,19 @@ def perp(space: OrthoSpace, members: int) -> int:
     return acc
 
 
+def perp_memo(space: OrthoSpace):
+    """``perp`` over one space, each distinct subset's perp taken once."""
+    perps: dict[int, int] = {}
+
+    def perp_of(members: int) -> int:
+        p = perps.get(members)
+        if p is None:
+            p = perps[members] = perp(space, members)
+        return p
+
+    return perp_of
+
+
 def orthoclosure(space: OrthoSpace, members: int) -> int:
     return perp(space, perp(space, members))
 
@@ -258,14 +271,7 @@ def is_normal(space: OrthoSpace) -> CheckResult:
 
     Cells and their perps recur across partitions and blocks, so each perp
     is computed once per call."""
-    perps: dict[int, int] = {}
-
-    def perp_of(members: int) -> int:
-        p = perps.get(members)
-        if p is None:
-            p = perps[members] = perp(space, members)
-        return p
-
+    perp_of = perp_memo(space)
     for block in blocks(space):
         if popcount(block) > BLOCK_PARTITION_CAP:
             raise ResourceLimitError(

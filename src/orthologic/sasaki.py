@@ -1,15 +1,13 @@
 """Sasaki projections, commutation and divisibility, centers, and the
-projection-family machinery on top of them.
+full projection family on top of them.
 
 Element-level operations are defined on any table; entry points that take a
 whole algebra check ``require_iol`` once.  ``commutes`` and ``divides`` decide
-one pair; ``commute_row`` and ``divides_row`` are the same laws over a whole
-row, read as gathers over the arrow table, and the entry points read rows:
-``sasaki_projection`` is ``algebra.wedge_q_column``, ``center`` compares the
-two sides of the commute law as bytes rows, the ``--commute`` table reads
-commute rows, ``is_subalgebra`` and ``is_iboolean_subalgebra`` read arrow and
-divisibility rows, and ``check_sasaki_set`` tests each law on whole rows and
-goes back to single pairs only to name the least failing one.
+one pair from the arrow table.  The entry points read the algebra's derived
+tables instead (``algebra.DerivedTables``): ``sasaki_projection`` is a column
+of the ^Q table, ``center`` and the ``--commute`` table read rows of the C
+table, ``is_iboolean_subalgebra`` rows of the D table, and
+``non_boolean_pair`` the orthogonality table.
 
 Each verdict has one test: ``is_iboolean_subalgebra`` decides the center,
 orthogonal-pair (``pair_hull_check`` for ``orthogonal_pair_boolean_witness``,
@@ -22,32 +20,36 @@ A projection is stored as its full image vector.  The canonical family
 {phi_a : a in X} with phi_a(x) = x ^Q a decides the existence question for
 full projection families: on any algebra where some full family satisfies
 the three projection-family laws, that family must agree with the canonical
-one pointwise, so only the canonical candidate is ever searched.
+one pointwise, so only the canonical candidate is ever searched.  The laws
+are ``SASAKI_SET_LAWS``, formulas over a map role a that names phi_a, which
+the registry's P6-FULL-FORMULA check scans too; ``has_full_sasaki_set`` runs
+their scans, which read the algebra's ^Q and <=L tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import eq, getitem
 from typing import Optional
 
 from .algebra import (
     CheckResult,
     FiniteAlgebra,
     PreconditionError,
-    _first_diff,
+    ROLES,
+    _eq,
+    _implies,
+    _lel,
+    _neg,
+    _wedgeq,
+    first_failure,
     gather,
     iter_bits,
-    le_l_row,
     ortho,
     popcount,
     require_iol,
     star,
     star_row,
-    wedge_p_row,
     wedge_q,
-    wedge_q_column,
 )
 from .orthospace import (
     OrthoSpace,
@@ -79,15 +81,10 @@ class PartialMap:
     image: tuple[Optional[int], ...]
 
 
-def compose(f: ProjectionMap, g: ProjectionMap) -> ProjectionMap:
-    """f after g."""
-    return ProjectionMap(tuple(f.image[v] for v in g.image))
-
-
 def sasaki_projection(alg: FiniteAlgebra, a: int) -> ProjectionMap:
     """phi_a(x) = x ^Q a.  Defined on any table; callers check
     ``require_iol`` once."""
-    return ProjectionMap(wedge_q_column(alg, a), alg.elements[a])
+    return ProjectionMap(tuple(alg.tables["^Q"][a::alg.n]), alg.elements[a])
 
 
 def commutes(alg: FiniteAlgebra, x: int, y: int) -> bool:
@@ -98,8 +95,8 @@ def commutes(alg: FiniteAlgebra, x: int, y: int) -> bool:
 
 
 def commute_row(alg: FiniteAlgebra, x: int) -> tuple[bool, ...]:
-    """(x C y for every y): phi_x's image against x's ^P row."""
-    return (*map(eq, wedge_q_column(alg, x), wedge_p_row(alg, x)),)
+    """(x C y for every y): row x of the C table."""
+    return (*map(bool, alg.tables["C"][x * alg.n:(x + 1) * alg.n]),)
 
 
 def divides(alg: FiniteAlgebra, x: int, y: int) -> bool:
@@ -109,29 +106,14 @@ def divides(alg: FiniteAlgebra, x: int, y: int) -> bool:
     return alg.arrow[x][star(alg, alg.arrow[x][y])] == alg.arrow[x][star(alg, y)]
 
 
-def divides_row(alg: FiniteAlgebra, x: int, ys: tuple[int, ...]) -> tuple[bool, ...]:
-    """(x D y for each y in ys), as gathers over the row of x."""
-    stars, row = star_row(alg), alg.arrow[x]
-    lhs = gather(row, gather(stars, gather(row, ys)))  # x -> (x -> y)*
-    return (*map(eq, lhs, gather(row, gather(stars, ys))),)  # against x -> y*
-
-
 def center(alg: FiniteAlgebra) -> int:
-    """Mask of all elements commuting with everything.  Computed on any
-    i-OL; outside orthomodularity the result need not be star-closed."""
+    """Mask of all elements commuting with everything: the rows of the C
+    table that hold throughout.  Computed on any i-OL; outside
+    orthomodularity the result need not be star-closed."""
     require_iol(alg)
-    n, pad = alg.n, bytes(256 - alg.n)
-    flat = b"".join(alg.arrow)
-    stars = flat[alg.zero::n]
-    m = 0
-    for x in range(n):
-        # x C y iff ((y* -> x*) -> x*)* = (x -> y*)*, for every y at once:
-        # y* gathered twice through the x* column, against once through the
-        # row of x.  Star is injective on an i-OL, so both sides drop it.
-        column = flat[stars[x]::n] + pad
-        if stars.translate(column).translate(column) == stars.translate(alg.arrow[x] + pad):
-            m |= 1 << x
-    return m
+    n, table = alg.n, alg.tables["C"]
+    everywhere = bytes((1,)) * n
+    return sum(1 << x for x in range(n) if table[x * n:x * n + n] == everywhere)
 
 
 def is_subalgebra(alg: FiniteAlgebra, members: int) -> bool:
@@ -148,14 +130,14 @@ def is_iboolean_subalgebra(alg: FiniteAlgebra, members: int) -> CheckResult:
     """Pass iff the mask is a subalgebra whose members pairwise divide."""
     if not is_subalgebra(alg, members):
         return CheckResult("iboolean-subalgebra", "fail", (("subset", "not a subalgebra"),))
-    ms = tuple(iter_bits(members))
+    ms, n, table = tuple(iter_bits(members)), alg.n, alg.tables["D"]
     for x in ms:
-        row = divides_row(alg, x, ms)
-        if False in row:
+        row = gather(table[x * n:x * n + n], ms)  # 1 where x D y
+        if 0 in row:
             return CheckResult(
                 "iboolean-subalgebra",
                 "fail",
-                (("x", alg.elements[x]), ("y", alg.elements[ms[row.index(False)]])),
+                (("x", alg.elements[x]), ("y", alg.elements[ms[row.index(0)]])),
             )
     return CheckResult("iboolean-subalgebra", "pass")
 
@@ -199,10 +181,10 @@ def non_boolean_pair(alg: FiniteAlgebra) -> Optional[tuple[int, int]]:
     ``pair_hull_check`` fails; None when every orthogonal pair has an
     i-Boolean hull.  Many pairs share a hull, so each hull is tested once.
     Defined on any table."""
-    boolean_hulls = set()
-    for x in range(alg.n):
-        for y in range(alg.n):
-            if not ortho(alg, x, y):
+    boolean_hulls, n, orthogonal = set(), alg.n, alg.tables["_|_"]
+    for x in range(n):
+        for y in range(n):
+            if not orthogonal[x * n + y]:
                 continue
             members = pair_hull(alg, x, y)
             if members not in boolean_hulls:
@@ -242,59 +224,22 @@ def block_family_check(space: OrthoSpace, block: int) -> tuple[CheckResult, tupl
 # Families of projections.
 # ---------------------------------------------------------------------------
 
-def check_sasaki_set(alg: FiniteAlgebra, maps: tuple[ProjectionMap, ...]) -> CheckResult:
-    """The three projection-family laws: monotone for le_l; phi(1) <=L psi(1)
-    forces phi o psi = phi; and phi((phi x)*) <=L x* throughout.
-
-    Each law is tested on whole rows: phi is monotone at x iff the up-set of
-    phi(x) contains phi's image of the up-set of x; phi o psi is one gather;
-    and phi((phi x)*) <=L x* is one row of le_l values over x.  The first
-    failing row names the least failing tuple, in the order map, x, y."""
-    require_iol(alg)
-
-    def fail(*witness: tuple[str, str]) -> CheckResult:
-        return CheckResult("sasaki-set", "fail", witness)
-
-    def name(m: ProjectionMap, k: int) -> str:
-        return m.label if m.label is not None else f"#{k}"
-
-    n, elements = alg.n, alg.elements
-    below = [le_l_row(alg, x) for x in range(n)]
-    above = [tuple(compress(range(n), row)) for row in below]
-    up = [frozenset(ys) for ys in above]
-    for k, phi in enumerate(maps):
-        img = phi.image
-        monotone = (*map(frozenset.issuperset, gather(up, img), map(gather, repeat(img), above)),)
-        if False in monotone:
-            x = monotone.index(False)
-            y = next(y for y in above[x] if img[y] not in up[img[x]])
-            return fail(("axiom", "SS1"), ("map", name(phi, k)),
-                        ("x", elements[x]), ("y", elements[y]))
-    tops = tuple(phi.image[alg.one] for phi in maps)
-    for k, phi in enumerate(maps):
-        for m in compress(range(len(maps)), gather(below[tops[k]], tops)):
-            composed = gather(phi.image, maps[m].image)
-            if composed != phi.image:
-                x = _first_diff(bytes(composed), bytes(phi.image))
-                return fail(("axiom", "SS2"), ("map", name(phi, k)),
-                            ("other", name(maps[m], m)), ("x", elements[x]))
-    stars = star_row(alg)
-    for k, phi in enumerate(maps):
-        img = phi.image
-        kept = (*map(getitem, gather(below, gather(img, gather(stars, img))), stars),)
-        if False in kept:
-            return fail(("axiom", "SS3"), ("map", name(phi, k)),
-                        ("x", elements[kept.index(False)]))
-    return CheckResult("sasaki-set", "pass")
+def _phi(a, x):
+    """The Sasaki projection phi_a at x: x ^Q a."""
+    return _wedgeq(x, a)
 
 
-def is_full(alg: FiniteAlgebra, maps: tuple[ProjectionMap, ...]) -> bool:
-    """phi |-> phi(1) is onto the universe."""
-    return {phi.image[alg.one] for phi in maps} == set(range(alg.n))
+_X, _Y, _Z = ROLES[:3]
 
-
-def canonical_projection_family(alg: FiniteAlgebra) -> tuple[ProjectionMap, ...]:
-    return tuple(sasaki_projection(alg, a) for a in range(alg.n))
+# The three projection-family laws over the canonical family, in law order,
+# with the names of their roles: monotone for le_l; phi(1) <=L psi(1) forces
+# phi o psi = phi; and phi((phi x)*) <=L x*.  A map role a names phi_a.
+SASAKI_SET_LAWS = (
+    ("SS1", ("map", "x", "y"), _implies(_lel(_Y, _Z), _lel(_phi(_X, _Y), _phi(_X, _Z)))),
+    ("SS2", ("map", "other", "x"),
+     _implies(_lel(_phi(_X, "1"), _phi(_Y, "1")), _eq(_phi(_X, _phi(_Y, _Z)), _phi(_X, _Z)))),
+    ("SS3", ("map", "x"), _lel(_phi(_X, _neg(_phi(_X, _Y))), _neg(_Y))),
+)
 
 
 def has_full_sasaki_set(alg: FiniteAlgebra) -> CheckResult:
@@ -302,20 +247,17 @@ def has_full_sasaki_set(alg: FiniteAlgebra) -> CheckResult:
     candidate {phi_a}: any full family satisfying the three laws computes
     phi^x(y) = y ^Q x pointwise, so the candidate is decisive and a failure
     here proves no full family exists.  The candidate is full on every
-    i-OL, since phi_a(1) = 1 ^Q a = a."""
+    i-OL, since phi_a(1) = 1 ^Q a = a.
+
+    The witness is the least failing tuple of the first failing law in
+    ``SASAKI_SET_LAWS``, its map roles named by their generators."""
     require_iol(alg)
-    verdict = check_sasaki_set(alg, canonical_projection_family(alg))
-    if not verdict.passed:
-        return CheckResult("full-sasaki-set", "fail", verdict.witness)
+    for law, roles, formula in SASAKI_SET_LAWS:
+        tup = first_failure(alg, formula)
+        if tup is not None:
+            return CheckResult("full-sasaki-set", "fail", (("axiom", law),) + tuple(
+                (role, alg.elements[v]) for role, v in zip(roles, tup)))
     return CheckResult("full-sasaki-set", "pass")
-
-
-def trivial_projection_family(alg: FiniteAlgebra) -> tuple[ProjectionMap, ...]:
-    """{constant 0, identity}; a projection family on every i-OL."""
-    return (
-        ProjectionMap(tuple(alg.zero for _ in range(alg.n)), alg.elements[alg.zero]),
-        ProjectionMap(tuple(range(alg.n)), alg.elements[alg.one]),
-    )
 
 
 # ---------------------------------------------------------------------------

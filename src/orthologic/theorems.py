@@ -21,15 +21,20 @@ formula, scanned at its arity, whose least failing tuple is its witness.
 
 A formula is a term of the language of ``algebra`` (equations between arrow
 terms, with not/and/or/iff, the binder ``_all`` over a bound element V, and
-the macros for the orders, orthogonality, commutation and divisibility),
-compiled on first use into a row scan by ``first_failure``, as the 17 laws
-are.  The projection-family laws are formulas too: a map role a names the
-Sasaki projection phi_a(x) = x ^Q a, written ``_phi(a, x)``; their canonical
-items are gated "ioml" and their trivial copies "!ioml".  Checks that do not
-fit a single row (the pair hulls, and the checks that build the space or
-decide a full family) are functions over the same evaluators.  L7-DOWNSET
-decides its items over all subsets from its element and pair items, without
-enumerating the subsets.
+the derived heads for the meets, the join vQ, the orders, orthogonality,
+commutation and divisibility), compiled on first use into a row scan by
+``first_failure``, as the 17 laws are.  A scan reads each derived head from
+its table on the algebra, built once per algebra from the head's definition
+in ``algebra.DERIVED``.  The projection-family laws are formulas too: a map
+role a names the Sasaki projection phi_a(x) = x ^Q a, written
+``_phi(a, x)``; their canonical items are gated "ioml" and their trivial
+copies "!ioml", and P6-FULL-FORMULA's items SS1-SS3 are the laws that
+``has_full_sasaki_set`` scans.  Checks that do not fit a single row (the pair
+hulls, and the checks that build the space or decide a full family) are
+functions over the same evaluators.  L7-DOWNSET decides its items over all
+subsets from its element and pair items, without enumerating the subsets;
+it and P7-CL-ISO read their down-sets from the <=L table and take each
+distinct perp once.
 """
 
 from __future__ import annotations
@@ -66,22 +71,21 @@ from .algebra import (
     down_set,
     first_failure,
     holds_at,
-    iter_bits,
     star,
-    wedge_p,
 )
 from .orthospace import (
-    OrthoSpace,
     associated_orthospace,
     blocks,
     cl_algebra,
     enumerate_orthoclosed,
     is_dacey,
     is_normal,
-    perp,
+    perp_memo,
     _two_cell_partitions,
 )
 from .sasaki import (
+    SASAKI_SET_LAWS,
+    _phi,
     block_family_check,
     center,
     has_full_sasaki_set,
@@ -457,11 +461,6 @@ _items(
 )
 
 
-def _phi(a, x):
-    """The Sasaki projection phi_a at x: x ^Q a."""
-    return _wedgeq(x, a)
-
-
 def _central(s):
     """s commutes with every element."""
     return _all(_commutes(s, V))
@@ -704,9 +703,7 @@ _items(
 
 _items(
     "P6-FULL-FORMULA", "ioml", "the Sasaki projections form a full projection family", 3,
-    ("SS1", _implies(_lel(Y, Z), _lel(_phi(X, Y), _phi(X, Z)))),
-    ("SS2", _implies(_lel(_phi(X, ONE), _phi(Y, ONE)), _eq(_phi(X, _phi(Y, Z)), _phi(X, Z)))),
-    ("SS3", _lel(_phi(X, _neg(_phi(X, Y))), _neg(Y))),
+    *((law, formula) for law, _, formula in SASAKI_SET_LAWS),
     ("full", _eq(_phi(X, ONE), X)),
 )
 
@@ -722,13 +719,12 @@ def _t6_fullset(alg):
 
 # -- spaces -------------------------------------------------------------------
 
-def _space_masks(alg, space: OrthoSpace, element_mask: int) -> int:
-    """Convert a mask over the algebra universe to one over the points."""
-    m = 0
-    for i in iter_bits(element_mask):
-        if i != alg.zero:
-            m |= 1 << space.index(alg.elements[i])
-    return m
+def _points(alg, element_mask: int) -> int:
+    """A mask over the algebra's universe as one over the points of its
+    space, which are the elements but 0: point i is element i, less one
+    above 0."""
+    below = (1 << alg.zero) - 1
+    return (element_mask & below) | (element_mask >> (alg.zero + 1) << alg.zero)
 
 
 @_register("P7-DACEY-IFF-BOOLEAN-PAIRS", "iol", "the Dacey property via Boolean hulls inside the logic", 2)
@@ -765,24 +761,25 @@ def _l7_downset(alg):
     down-set of y*.  So item (1) fails wherever item (5) would, and item
     (5) needs no pass of its own.
     """
-    space = associated_orthospace(alg)
-    down = [down_set(alg, x) for x in range(alg.n)]
-    point_down = [_space_masks(alg, space, d) for d in down]
-    for x in range(alg.n):
-        lhs = perp(space, point_down[x])
+    space, n, zero = associated_orthospace(alg), alg.n, alg.zero
+    down = [down_set(alg, x) for x in range(n)]
+    point_down = [_points(alg, d) for d in down]
+    perp_of = perp_memo(space)
+    for x in range(n):
+        lhs = perp_of(point_down[x])
         mid = point_down[star(alg, x)]
         # x's orthogonal points: its row of the space, or all of them at 0.
-        direct = (space.full() if x == alg.zero
-                  else space.rel[space.index(alg.elements[x])])
+        direct = space.full() if x == zero else space.rel[x - (x > zero)]
         if not (lhs == mid == direct):
             return CheckResult("L7-DOWNSET", "fail", (("item", "(1)"), ("x", alg.elements[x])))
-    for x in range(alg.n):
-        for y in range(alg.n):
-            if down[x] & down[y] != down[wedge_p(alg, x, y)]:
+    meet = alg.tables["^P"]
+    for x in range(n):
+        for y in range(n):
+            if down[x] & down[y] != down[meet[x * n + y]]:
                 return CheckResult(
                     "L7-DOWNSET", "fail",
                     (("item", "(2)"), ("x", alg.elements[x]), ("y", alg.elements[y])))
-            cl_arrow = perp(space, point_down[x] & perp(space, point_down[y]))
+            cl_arrow = perp_of(point_down[x] & perp_of(point_down[y]))
             if point_down[alg.arrow[x][y]] != cl_arrow:
                 return CheckResult(
                     "L7-DOWNSET", "fail",
@@ -794,14 +791,15 @@ def _l7_downset(alg):
 def _p7_cl_iso(alg):
     space = associated_orthospace(alg)
     family = enumerate_orthoclosed(space)
-    h = {x: _space_masks(alg, space, down_set(alg, x)) for x in range(alg.n)}
-    if sorted(h.values()) != sorted(family.members) or len(set(h.values())) != alg.n:
+    h = [_points(alg, down_set(alg, x)) for x in range(alg.n)]
+    if sorted(h) != sorted(family.members) or len(set(h)) != alg.n:
         return CheckResult("P7-CL-ISO", "fail", (("map", "not a bijection"),))
+    perp_of = perp_memo(space)
     for x in range(alg.n):
-        if perp(space, h[x]) != h[star(alg, x)]:
+        if perp_of(h[x]) != h[star(alg, x)]:
             return CheckResult("P7-CL-ISO", "fail", (("star-at", alg.elements[x]),))
         for y in range(alg.n):
-            if perp(space, h[x] & perp(space, h[y])) != h[alg.arrow[x][y]]:
+            if perp_of(h[x] & perp_of(h[y])) != h[alg.arrow[x][y]]:
                 return CheckResult(
                     "P7-CL-ISO", "fail",
                     (("x", alg.elements[x]), ("y", alg.elements[y])))
@@ -823,13 +821,11 @@ def _p7_fullset_sasaki(alg):
 @_register("L7-NORMAL-CRIT", "iol", "the decomposition criterion matches the unique-decomposition reading", 0)
 def _l7_normal_crit(alg):
     space = associated_orthospace(alg)
-    family = enumerate_orthoclosed(space)
-    decomps = [
-        (a, b)
-        for a in family.members
-        for b in family.members
-        if a and b and perp(space, a) == b and perp(space, b) == a
-    ]
+    perp_of = perp_memo(space)
+    # A member's only possible partner is its perp, which is orthoclosed.
+    members = enumerate_orthoclosed(space).members
+    decomps = [(a, b) for a, b in zip(members, map(perp_of, members))
+               if a and b and perp_of(b) == a]
     by_definition = True
     witness = ()
     for block in blocks(space):

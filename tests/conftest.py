@@ -5,7 +5,7 @@ from itertools import count, permutations, product, starmap
 import pytest
 
 from orthologic import FiniteAlgebra, associated_orthospace, classify, enumerate_models, fixture
-from orthologic.algebra import AXIOMS, _render, iter_bits, le_l
+from orthologic.algebra import AXIOMS, _render, expand, iter_bits, le_l
 from orthologic.enumeration import _UNIVERSE_AXIOMS, _from_key, _standard_names, _star_maps
 from orthologic.fixtures import FIXTURE_NAMES
 from orthologic.orthospace import OrthoSpace
@@ -86,7 +86,7 @@ def _reference_predicate(roles, lhs, rhs):
     """The law as a bool over a partial table: true when the instance holds
     or either side evaluates to the marker U, which the unknown cells and
     the extra row and column U hold."""
-    body = f"(l := {_render(lhs)}) == (r := {_render(rhs)}) or l == U or r == U"
+    body = f"(l := {_render(expand(lhs))}) == (r := {_render(expand(rhs))}) or l == U or r == U"
     return eval(f"lambda t, Z, O, U, {', '.join(roles)}: {body}")
 
 

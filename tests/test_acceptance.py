@@ -15,7 +15,6 @@ from orthologic import (
     associated_orthospace,
     blocks,
     check_axiom,
-    check_sasaki_set,
     cl_algebra,
     classify,
     commutes,
@@ -25,7 +24,6 @@ from orthologic import (
     fixture,
     has_full_sasaki_set,
     is_dacey,
-    is_full,
     is_iboolean_subalgebra,
     is_normal,
     is_sasaki_space,
@@ -41,9 +39,10 @@ from orthologic import (
 )
 from orthologic.algebra import axiom_holds, ortho
 from orthologic.enumeration import goal_from_names
-from orthologic.sasaki import ProjectionMap, center, compose, sasaki_projection
+from orthologic.sasaki import ProjectionMap, center, sasaki_projection
 from orthologic.theorems import list_checks
 
+from projection_families import check_sasaki_set, compose, is_full
 from published_tables import (
     CL_ARROW_BENZENE6,
     CL_KEY,

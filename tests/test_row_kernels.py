@@ -5,7 +5,8 @@ Each reference below is the body the row form replaced, kept as it was: one
 call of ``star``, ``wedge_q``, ``commutes``, ``divides``, ``le_l`` or ``perp``
 per pair.  Verdicts, witnesses and payloads must agree on the fixtures, on
 every i-OL with at most 8 elements, and on relabelled constructions of 16
-to 64 elements.
+to 64 elements.  ``check_sasaki_set``, now the tests' own reference for
+``has_full_sasaki_set`` (``projection_families``), is checked here too.
 """
 
 import json
@@ -46,16 +47,13 @@ from orthologic.orthospace import (
 from orthologic.sasaki import (
     ProjectionMap,
     block_boolean_family,
-    canonical_projection_family,
     center,
-    check_sasaki_set,
     commutes,
     divides,
     is_iboolean_subalgebra,
     is_subalgebra,
     pair_hull_check,
     sasaki_projection,
-    trivial_projection_family,
 )
 
 from conftest import (
@@ -67,6 +65,11 @@ from conftest import (
     mo_iol,
     relabelled,
     without_pair,
+)
+from projection_families import (
+    canonical_projection_family,
+    check_sasaki_set,
+    trivial_projection_family,
 )
 
 

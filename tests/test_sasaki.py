@@ -10,7 +10,6 @@ from orthologic import (
     block_boolean_family,
     blocks,
     center,
-    check_sasaki_set,
     cl_algebra,
     classify,
     commutes,
@@ -19,7 +18,6 @@ from orthologic import (
     enumerate_orthoclosed,
     fixture,
     has_full_sasaki_set,
-    is_full,
     is_iboolean_subalgebra,
     is_normal,
     is_sasaki_space,
@@ -39,16 +37,16 @@ from orthologic.algebra import iter_bits, ortho
 from orthologic.cli import main
 from orthologic.fixtures import FIXTURE_NAMES
 from orthologic.orthospace import OrthoSpace, perp
-from orthologic.sasaki import (
-    ProjectionMap,
-    canonical_projection_family,
-    compose,
-    non_boolean_pair,
-    pair_hull_check,
-    trivial_projection_family,
-)
+from orthologic.sasaki import ProjectionMap, non_boolean_pair, pair_hull_check
 
 from conftest import boolean_iol, hexagons, iols_up_to, mo_iol, relabelled, without_pair
+from projection_families import (
+    canonical_projection_family,
+    check_sasaki_set,
+    compose,
+    is_full,
+    trivial_projection_family,
+)
 from published_tables import COMPOSED_ROW_IOML10, PROJECTIONS_IOML6
 
 IOML_NAMES = ("ioml10", "ioml6-full", "sasaki6")

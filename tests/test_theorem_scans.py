@@ -64,17 +64,8 @@ from orthologic.algebra import (
 )
 from orthologic.fixtures import FIXTURE_NAMES
 from orthologic.orthospace import perp
-from orthologic.sasaki import (
-    canonical_projection_family,
-    check_sasaki_set,
-    commutes,
-    compose,
-    divides,
-    is_full,
-    sasaki_projection,
-    trivial_projection_family,
-)
-from orthologic.theorems import _scan_items, _space_masks
+from orthologic.sasaki import commutes, divides, sasaki_projection
+from orthologic.theorems import _scan_items
 
 from conftest import (
     boolean_iol,
@@ -86,6 +77,13 @@ from conftest import (
     reference_search_tables,
     relabelled,
     without_pair,
+)
+from projection_families import (
+    canonical_projection_family,
+    check_sasaki_set,
+    compose,
+    is_full,
+    trivial_projection_family,
 )
 
 ROLES = ("x", "y", "z", "u")
@@ -513,11 +511,18 @@ def reference_pointwise(alg, check_id, arity, sides):
     return CheckResult(check_id, "pass")
 
 
+def space_mask(alg, space, element_mask):
+    """The mask over the points of the space of the nonzero elements of an
+    element mask, each point found by its name."""
+    return sum(1 << space.index(alg.elements[i]) for i in iter_bits(element_mask)
+               if i != alg.zero)
+
+
 def reference_subset_items(alg, space):
     """Items (4) and (5) of L7-DOWNSET, mask by mask."""
 
     def pts(mask):
-        return _space_masks(alg, space, mask)
+        return space_mask(alg, space, mask)
 
     for mask in range(1, 1 << alg.n):
         inter = alg.universe_mask()
@@ -542,7 +547,7 @@ def singleton_rule(alg, space):
     order, whose row of the space differs from the point down-set of y*."""
     for i, p in enumerate(space.points):
         y_star = star(alg, alg.index(p))
-        if space.rel[i] != _space_masks(alg, space, down_set(alg, y_star)):
+        if space.rel[i] != space_mask(alg, space, down_set(alg, y_star)):
             return CheckResult("L7-DOWNSET", "fail", (("item", "(5)"), ("Y", p)))
     return None
 
@@ -728,17 +733,24 @@ def test_formulas_match_their_lambdas(corpus):
     assert outcomes == {True, False}
 
 
+OPERATIONS = ("->", "->", "->", *sorted(set(algebra.DERIVED) - algebra.RELATIONS))
+
+
 @st.composite
 def formulas(draw, depth=3, roles=ROLES):
     """A random formula over the roles, 0 and 1, with every connective and
-    binders, whose bodies may also read the bound element."""
+    binders, whose bodies may also read the bound element, and with every
+    derived head, nested and under binders."""
     def element(d, atoms):
         if d == 0 or draw(st.integers(0, 2)) == 0:
             return draw(st.sampled_from(atoms))
-        return ("->", element(d - 1, atoms), element(d - 1, atoms))
+        return (draw(st.sampled_from(OPERATIONS)), element(d - 1, atoms), element(d - 1, atoms))
 
     def formula(d, atoms):
-        kind = draw(st.sampled_from(("=", "=", "not", "and", "or", "iff", "all")))
+        kind = draw(st.sampled_from(("=", "=", "rel", "not", "and", "or", "iff", "all")))
+        if kind == "rel":
+            return (draw(st.sampled_from(sorted(algebra.RELATIONS))),
+                    element(1, atoms), element(1, atoms))
         if d == 0 or kind == "=" or kind == "all" and BOUND in atoms:
             return ("=", element(2, atoms), element(2, atoms))
         if kind == "all":
@@ -908,8 +920,9 @@ def test_symmetric_scan_on_one_cell_mutations(alg):
 # must agree with the one-role scans of the same formulas.
 
 def both_layouts(alg, formula):
-    """The failing tuples of the one-role and the pair scan of the formula."""
-    return tuple(algebra._scan_of(formula, pair)(alg.arrow, alg.zero, alg.one, alg.n)
+    """The failing tuples of the one-role and the pair scan of the formula,
+    each called with the algebra's derived tables."""
+    return tuple(algebra._scan_of(formula, pair)(alg.arrow, alg.zero, alg.one, alg.n, alg.tables)
                  for pair in (False, True))
 
 
