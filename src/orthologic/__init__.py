@@ -50,7 +50,6 @@ from .orthospace import (
 )
 from .sasaki import (
     PartialMap,
-    ProjectionMap,
     block_boolean_family,
     center,
     commutes,

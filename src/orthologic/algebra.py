@@ -23,15 +23,15 @@ sides differ, completed by the first lane at which they differ, is the
 lexicographically least violating tuple, the same witness a tuple-by-tuple
 scan finds.
 
-The derived operations and relations that the laws are stated in (the
-meets, the join vQ, the three orders, orthogonality, commutation and
-divisibility) are heads of the term language, each defined once in
-``DERIVED`` by a term over the arrow.  The pruner, the tuple-by-tuple
-rendering and the scans of the 17 laws expand a head into its definition,
-so that classifying an algebra builds no table.  Any other scan reads a
-head as a table, the way it reads the arrow: each algebra keeps, in
-``tables``, one flat table per head, built from its definition the first
-time a scan asks for it.
+The derived operations and relations (the meets ^Q and ^P, the joins vQ
+and vP, the three orders, orthogonality, commutation and divisibility) are
+heads of the term language, each defined once in ``DERIVED`` by a term over
+the arrow.  The pruner, the tuple-by-tuple rendering and the scans of the
+17 laws expand a head into its definition, so that classifying an algebra
+builds no table.  Any other scan reads a head as a table, the way it reads
+the arrow: each algebra keeps, in ``tables``, one flat table per head, built
+from its definition the first time it is asked for.  The pair functions
+(``wedge_q``, ``le_l``, ``ortho`` ...) read one lane of that table.
 
 The same compiler takes any formula of the term language (equations joined
 by not/and/or/iff, and binders), such as the registry's items in ``theorems``:
@@ -260,9 +260,9 @@ def validate_algebra(alg: FiniteAlgebra) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Derived operations and order relations.  An operation that whole-row
-# callers read has its row form beside it: the same definition as gathers
-# over the arrow table.
+# Derived operations and order relations.  Each pair function reads lane
+# x * n + y of its head's table, so its one definition is the head's term in
+# ``DERIVED``; the star is the 0 column of the arrow table.
 # ---------------------------------------------------------------------------
 
 def gather(seq, idx) -> tuple:
@@ -282,52 +282,57 @@ def star_row(alg: FiniteAlgebra) -> tuple[int, ...]:
 
 def vee_q(alg: FiniteAlgebra, x: int, y: int) -> int:
     """x vQ y = (x -> y) -> y."""
-    return alg.arrow[alg.arrow[x][y]][y]
+    return alg.tables["vQ"][x * alg.n + y]
 
 
 def wedge_q(alg: FiniteAlgebra, x: int, y: int) -> int:
     """x ^Q y = (x* vQ y*)*."""
-    return star(alg, vee_q(alg, star(alg, x), star(alg, y)))
+    return alg.tables["^Q"][x * alg.n + y]
 
 
 def wedge_p(alg: FiniteAlgebra, x: int, y: int) -> int:
     """x ^P y = (x -> y*)*; the lattice meet for the le_l order on i-OLs."""
-    return star(alg, alg.arrow[x][star(alg, y)])
+    return alg.tables["^P"][x * alg.n + y]
 
 
 def vee_p(alg: FiniteAlgebra, x: int, y: int) -> int:
     """x vP y = x* -> y; the lattice join for the le_l order on i-OLs."""
-    return alg.arrow[star(alg, x)][y]
+    return alg.tables["vP"][x * alg.n + y]
 
 
 def le(alg: FiniteAlgebra, x: int, y: int) -> bool:
     """x <= y iff x -> y = 1."""
-    return alg.arrow[x][y] == alg.one
+    return alg.tables["<="][x * alg.n + y] == 1
 
 
 def le_q(alg: FiniteAlgebra, x: int, y: int) -> bool:
     """x <=Q y iff x = x ^Q y."""
-    return x == wedge_q(alg, x, y)
+    return alg.tables["<=Q"][x * alg.n + y] == 1
 
 
 def le_l(alg: FiniteAlgebra, x: int, y: int) -> bool:
-    """x <=L y iff x = (x -> y*)*."""
-    return x == star(alg, alg.arrow[x][star(alg, y)])
+    """x <=L y iff x = x ^P y."""
+    return alg.tables["<=L"][x * alg.n + y] == 1
 
 
 def ortho(alg: FiniteAlgebra, x: int, y: int) -> bool:
     """Orthogonality on the full universe: x _|_ y iff x* = x -> y."""
-    return star(alg, x) == alg.arrow[x][y]
+    return alg.tables["_|_"][x * alg.n + y] == 1
 
 
 # Translates 0/1 lanes to the digits "0" and "1".
 _DIGITS = b"01" + bytes(254)
 
 
+def lane_mask(lanes: bytes) -> int:
+    """The mask of the lanes that hold 1 among 0/1 lanes, read as binary digits."""
+    return int(lanes[::-1].translate(_DIGITS), 2)
+
+
 def down_set(alg: FiniteAlgebra, x: int) -> int:
     """Mask of all y with y <=L x (0 and x itself included on i-OLs): the
-    0/1 lanes of column x of the <=L table, read as binary digits."""
-    return int(alg.tables["<=L"][x::alg.n][::-1].translate(_DIGITS), 2)
+    1 lanes of column x of the <=L table."""
+    return lane_mask(alg.tables["<=L"][x::alg.n])
 
 
 def big_meet(alg: FiniteAlgebra, members: int) -> int:
@@ -407,8 +412,9 @@ def _head(name: str) -> Callable[[object, object], tuple]:
     return lambda s, t: (name, s, t)
 
 
-# The derived heads: the join vQ, the meets ^Q and ^P, the orders <=, <=L
-# and <=Q, orthogonality, commutation and divisibility.
+# Term builders of the derived heads that other terms read: the join vQ,
+# the meets ^Q and ^P, the orders <=, <=L and <=Q, orthogonality,
+# commutation and divisibility.
 _veeq, _wedgeq, _wedgep, _le, _lel, _leq, _ortho, _commutes, _divides = map(
     _head, ("vQ", "^Q", "^P", "<=", "<=L", "<=Q", "_|_", "C", "D"))
 
@@ -421,6 +427,7 @@ DERIVED: dict[str, tuple] = {
     "vQ": _imp(_imp(_S, _T), _T),
     "^Q": _neg(_veeq(_neg(_S), _neg(_T))),
     "^P": _neg(_imp(_S, _neg(_T))),
+    "vP": _imp(_neg(_S), _T),
     "<=": _eq(_imp(_S, _T), "1"),
     "<=L": _eq(_S, _wedgep(_S, _T)),
     "<=Q": _eq(_S, _wedgeq(_S, _T)),

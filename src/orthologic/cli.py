@@ -19,21 +19,15 @@ from .algebra import (
     CheckResult,
     FiniteAlgebra,
     InputError,
+    RELATIONS,
     ResourceLimitError,
     check_axiom,
     classify,
     is_distributive,
-    le,
-    le_l,
-    le_q,
     max_elements,
     node_budget,
     require_iol,
     star,
-    vee_p,
-    vee_q,
-    wedge_p,
-    wedge_q,
 )
 from .documents import parse_algebra, serialize_algebra
 from .enumeration import (
@@ -53,7 +47,6 @@ from .orthospace import (
 )
 from .sasaki import (
     center,
-    commute_row,
     has_full_sasaki_set,
     is_sasaki_space,
     sasaki_projection,
@@ -129,14 +122,9 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-_DERIVED_BINARY = {
-    "arrow": lambda a, x, y: a.arrow[x][y],
-    "wedge_q": wedge_q,
-    "vee_q": vee_q,
-    "wedge_p": wedge_p,
-    "vee_p": vee_p,
-}
-_DERIVED_RELATION = {"le": le, "le_l": le_l, "le_q": le_q}
+# The tables ``derive`` prints, by option name: the arrow, or a derived head.
+_DERIVE_HEADS = {"arrow": "->", "wedge_q": "^Q", "vee_q": "vQ", "wedge_p": "^P",
+                 "vee_p": "vP", "le": "<=", "le_l": "<=L", "le_q": "<=Q"}
 
 
 def _cmd_derive(args) -> int:
@@ -145,17 +133,12 @@ def _cmd_derive(args) -> int:
         rows = [[alg.elements[x], alg.elements[star(alg, x)]] for x in range(alg.n)]
         print(_table(["x", "x*"], rows))
         return EXIT_OK
-    header = [args.op] + list(alg.elements)
-    rows = []
-    for x in range(alg.n):
-        row = [alg.elements[x]]
-        for y in range(alg.n):
-            if args.op in _DERIVED_BINARY:
-                row.append(alg.elements[_DERIVED_BINARY[args.op](alg, x, y)])
-            else:
-                row.append("1" if _DERIVED_RELATION[args.op](alg, x, y) else "0")
-        rows.append(row)
-    print(_table(header, rows))
+    head = _DERIVE_HEADS[args.op]
+    table = alg.arrow if head == "->" else alg.tables.rows(head)
+    # A relation's lanes hold 0 and 1, an operation's an element index.
+    names = ("0", "1") if head in RELATIONS else alg.elements
+    rows = [[alg.elements[x], *(names[v] for v in row)] for x, row in enumerate(table)]
+    print(_table([args.op, *alg.elements], rows))
     return EXIT_OK
 
 
@@ -205,13 +188,11 @@ def _cmd_sasaki(args) -> int:
     results: list[CheckResult] = []
     if args.projections:
         out["projections"] = {
-            alg.elements[a]: [alg.elements[v] for v in sasaki_projection(alg, a).image]
+            alg.elements[a]: [alg.elements[v] for v in sasaki_projection(alg, a)]
             for a in range(alg.n)
         }
     if args.commute:
-        out["commute"] = [
-            ["1" if c else "0" for c in commute_row(alg, x)] for x in range(alg.n)
-        ]
+        out["commute"] = [[str(c) for c in row] for row in alg.tables.rows("C")]
     if args.center:
         cen = center(alg)
         out["center"] = list(alg.names(cen))
@@ -313,11 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("derive", help="print a derived table")
     p.add_argument("file")
-    p.add_argument(
-        "--op",
-        required=True,
-        choices=["star", "arrow", "wedge_q", "vee_q", "wedge_p", "vee_p", "le", "le_l", "le_q"],
-    )
+    p.add_argument("--op", required=True, choices=["star", *_DERIVE_HEADS])
     p.set_defaults(func=_cmd_derive)
 
     p = sub.add_parser("ortho", help="orthogonality-space reports")

@@ -31,9 +31,9 @@ from .algebra import (
     classify,
     gather,
     iter_bits,
+    lane_mask,
     popcount,
     require_iol,
-    star,
     validate_algebra,
 )
 from .documents import check_element_names
@@ -124,17 +124,14 @@ class ClosedFamily:
 
 @lru_cache(maxsize=None)
 def associated_orthospace(alg: FiniteAlgebra) -> OrthoSpace:
-    """The orthogonality space on X \\ {0} with x _|_ y iff x* = x -> y."""
+    """The orthogonality space on X \\ {0} with x _|_ y iff x* = x -> y: the
+    perp of a point is its row of the _|_ table less the 0 lane, as a mask.
+    On an i-OL only 0 is orthogonal to itself (x -> x = 1 = x* only at 0),
+    so the relation is irreflexive."""
     require_iol(alg)
-    live = [i for i in range(alg.n) if i != alg.zero]
-    pos = {e: k for k, e in enumerate(live)}
-    rel = [0] * len(live)
-    for x in live:
-        sx = star(alg, x)
-        for y in live:
-            if x != y and alg.arrow[x][y] == sx:
-                rel[pos[x]] |= 1 << pos[y]
-    return OrthoSpace(tuple(alg.elements[i] for i in live), tuple(rel))
+    z = alg.zero
+    rows = (row[:z] + row[z + 1:] for x, row in enumerate(alg.tables.rows("_|_")) if x != z)
+    return OrthoSpace(alg.elements[:z] + alg.elements[z + 1:], tuple(map(lane_mask, rows)))
 
 
 def perp(space: OrthoSpace, members: int) -> int:

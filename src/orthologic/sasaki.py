@@ -2,12 +2,11 @@
 full projection family on top of them.
 
 Element-level operations are defined on any table; entry points that take a
-whole algebra check ``require_iol`` once.  ``commutes`` and ``divides`` decide
-one pair from the arrow table.  The entry points read the algebra's derived
-tables instead (``algebra.DerivedTables``): ``sasaki_projection`` is a column
-of the ^Q table, ``center`` and the ``--commute`` table read rows of the C
-table, ``is_iboolean_subalgebra`` rows of the D table, and
-``non_boolean_pair`` the orthogonality table.
+whole algebra check ``require_iol`` once.  All of them read the algebra's
+derived tables (``algebra.DerivedTables``): ``commutes`` and ``divides`` one
+lane of the C and D tables, ``sasaki_projection`` a column of the ^Q table,
+``center`` rows of the C table, ``is_iboolean_subalgebra`` rows of the D
+table, and ``non_boolean_pair`` the orthogonality table.
 
 Each verdict has one test: ``is_iboolean_subalgebra`` decides the center,
 orthogonal-pair (``pair_hull_check`` for ``orthogonal_pair_boolean_witness``,
@@ -16,7 +15,7 @@ block-family (``block_family_check``, which ``block_boolean_family`` guards
 with its preconditions) results, and ``sasaki_map_search``, one pass over the
 domain points, decides every Sasaki-map question.
 
-A projection is stored as its full image vector.  The canonical family
+A projection is its image vector.  The canonical family
 {phi_a : a in X} with phi_a(x) = x ^Q a decides the existence question for
 full projection families: on any algebra where some full family satisfies
 the three projection-family laws, that family must agree with the canonical
@@ -49,7 +48,7 @@ from .algebra import (
     require_iol,
     star,
     star_row,
-    wedge_q,
+    vee_p,
 )
 from .orthospace import (
     OrthoSpace,
@@ -64,15 +63,6 @@ from .orthospace import (
 
 
 @dataclass(frozen=True)
-class ProjectionMap:
-    """Total self-map on the universe; ``label`` names the generator when the
-    map is a Sasaki projection phi_a."""
-
-    image: tuple[int, ...]
-    label: Optional[str] = None
-
-
-@dataclass(frozen=True)
 class PartialMap:
     """Result of ``sasaki_map_search``: a map defined on ``domain`` (a point
     mask), with image entries None outside it."""
@@ -81,29 +71,24 @@ class PartialMap:
     image: tuple[Optional[int], ...]
 
 
-def sasaki_projection(alg: FiniteAlgebra, a: int) -> ProjectionMap:
-    """phi_a(x) = x ^Q a.  Defined on any table; callers check
-    ``require_iol`` once."""
-    return ProjectionMap(tuple(alg.tables["^Q"][a::alg.n]), alg.elements[a])
+def sasaki_projection(alg: FiniteAlgebra, a: int) -> tuple[int, ...]:
+    """The image of phi_a(x) = x ^Q a: column a of the ^Q table.  Defined on
+    any table; callers check ``require_iol`` once."""
+    return tuple(alg.tables["^Q"][a::alg.n])
 
 
 def commutes(alg: FiniteAlgebra, x: int, y: int) -> bool:
     """x C y iff phi_x(y) = (x -> y*)*.  The orientation matters: phi_x is
     applied to y, so the relation is not symmetric outside orthomodularity.
     Defined on any table; callers check ``require_iol`` once."""
-    return wedge_q(alg, y, x) == star(alg, alg.arrow[x][star(alg, y)])
-
-
-def commute_row(alg: FiniteAlgebra, x: int) -> tuple[bool, ...]:
-    """(x C y for every y): row x of the C table."""
-    return (*map(bool, alg.tables["C"][x * alg.n:(x + 1) * alg.n]),)
+    return alg.tables["C"][x * alg.n + y] == 1
 
 
 def divides(alg: FiniteAlgebra, x: int, y: int) -> bool:
     """x D y iff the pair satisfies the divisibility law
     x -> (x -> y)* = x -> y*.  Defined on any table; callers check
     ``require_iol`` once."""
-    return alg.arrow[x][star(alg, alg.arrow[x][y])] == alg.arrow[x][star(alg, y)]
+    return alg.tables["D"][x * alg.n + y] == 1
 
 
 def center(alg: FiniteAlgebra) -> int:
@@ -157,7 +142,7 @@ def orthogonal_pair_boolean_witness(
 
 def pair_hull(alg: FiniteAlgebra, x: int, y: int) -> int:
     """The mask of Y = {0, x, y, x*->y, x*, y*, (x*->y)*, 1}."""
-    u = alg.arrow[star(alg, x)][y]
+    u = vee_p(alg, x, y)
     members = 0
     for v in (alg.zero, x, y, u, star(alg, x), star(alg, y), star(alg, u), alg.one):
         members |= 1 << v

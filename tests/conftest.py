@@ -5,10 +5,12 @@ from itertools import count, permutations, product, starmap
 import pytest
 
 from orthologic import FiniteAlgebra, associated_orthospace, classify, enumerate_models, fixture
-from orthologic.algebra import AXIOMS, _render, expand, iter_bits, le_l
+from orthologic.algebra import AXIOMS, _render, expand, iter_bits
 from orthologic.enumeration import _UNIVERSE_AXIOMS, _from_key, _standard_names, _star_maps
 from orthologic.fixtures import FIXTURE_NAMES
 from orthologic.orthospace import OrthoSpace
+
+from derived_reference import le_l
 
 IOML_FIXTURES = ("ioml10", "ioml6-full", "sasaki6")
 

@@ -8,8 +8,10 @@ same verdict and witness on it.  ``tests/test_row_kernels.py`` checks
 ``check_sasaki_set`` itself against a pair-by-pair reference.
 """
 
+from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import getitem
+from typing import Optional
 
 from orthologic.algebra import (
     CheckResult,
@@ -20,7 +22,16 @@ from orthologic.algebra import (
     require_iol,
     star_row,
 )
-from orthologic.sasaki import ProjectionMap, sasaki_projection
+from orthologic.sasaki import sasaki_projection
+
+
+@dataclass(frozen=True)
+class ProjectionMap:
+    """Total self-map on the universe; ``label`` names the generator when the
+    map is a Sasaki projection phi_a."""
+
+    image: tuple[int, ...]
+    label: Optional[str] = None
 
 
 def compose(f: ProjectionMap, g: ProjectionMap) -> ProjectionMap:
@@ -80,7 +91,7 @@ def is_full(alg: FiniteAlgebra, maps: tuple[ProjectionMap, ...]) -> bool:
 
 
 def canonical_projection_family(alg: FiniteAlgebra) -> tuple[ProjectionMap, ...]:
-    return tuple(sasaki_projection(alg, a) for a in range(alg.n))
+    return tuple(ProjectionMap(sasaki_projection(alg, a), alg.elements[a]) for a in range(alg.n))
 
 
 def trivial_projection_family(alg: FiniteAlgebra) -> tuple[ProjectionMap, ...]:

@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import boolean_iol, mo_iol, reference_search_tables, relabelled
+from derived_reference import vee_q, wedge_q
 from orthologic import FiniteAlgebra, check_axiom, classify, enumerate_models, fixture
-from orthologic.algebra import AXIOM_PREDICATES, AXIOMS, CheckResult, star, vee_q, wedge_q
+from orthologic.algebra import AXIOM_PREDICATES, AXIOMS, CheckResult, star
 from orthologic.fixtures import FIXTURE_NAMES
 
 

@@ -2,10 +2,12 @@
 
 Each head of ``algebra.DERIVED`` is read by the scans from a table that the
 algebra builds once, and is expanded into its definition by the rendering
-and by the enumeration pruner.  The tables must agree with the pair
-functions of the heads' names and with the expanded definitions, through
-every gather of the builder, on both sides of ``PAIR_CEILING``.  A scan that
-reads a head, in either row layout and in each form of read, must find the
+and by the enumeration pruner.  The tables must agree with the hand-written
+definitions of ``derived_reference`` and with the expanded definitions,
+through every gather of the builder, on both sides of ``PAIR_CEILING``; so
+must what reads them: the package's pair functions, the ``derive`` tables
+and the perps of ``associated_orthospace`` (``tests/test_row_kernels.py``
+checks the ``sasaki --commute`` table).  A scan that reads a head, in either row layout and in each form of read, must find the
 least failing tuple of the expanded formula; so must every registry formula,
 and ``has_full_sasaki_set`` must give the verdict and witness of the
 ``check_sasaki_set`` reference on the canonical family.
@@ -22,13 +24,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from orthologic import (
     FiniteAlgebra,
+    OrthoSpace,
     PreconditionError,
+    associated_orthospace,
     classify,
     fixture,
     has_full_sasaki_set,
+    serialize_algebra,
     theorems,
 )
-from orthologic import algebra
+from orthologic import algebra, cli, sasaki
 from orthologic.algebra import (
     DERIVED,
     PAIR_CEILING,
@@ -37,23 +42,19 @@ from orthologic.algebra import (
     expand,
     first_failure,
     formula_roles,
-    le,
-    le_l,
-    le_q,
-    ortho,
-    vee_q,
-    wedge_p,
-    wedge_q,
 )
 from orthologic.fixtures import FIXTURE_NAMES
-from orthologic.sasaki import commutes, divides
 
-from conftest import boolean_iol, hexagons, iols_up_to, mo_iol, relabelled
+from conftest import boolean_iol, hexagons, iols_up_to, mo_iol, relabel, relabelled
+import derived_reference as ref
+from derived_reference import REFERENCE
 from projection_families import canonical_projection_family, check_sasaki_set
 from test_theorem_scans import both_layouts, rendered_first_failure
 
-FUNCTIONS = {"vQ": vee_q, "^Q": wedge_q, "^P": wedge_p, "<=": le, "<=L": le_l, "<=Q": le_q,
-             "_|_": ortho, "C": commutes, "D": divides}
+# The package's pair function of each head.
+FUNCTIONS = {"vQ": algebra.vee_q, "^Q": algebra.wedge_q, "^P": algebra.wedge_p,
+             "vP": algebra.vee_p, "<=": algebra.le, "<=L": algebra.le_l, "<=Q": algebra.le_q,
+             "_|_": algebra.ortho, "C": sasaki.commutes, "D": sasaki.divides}
 
 
 def random_table(n, seed):
@@ -85,17 +86,21 @@ def large():
 
 @pytest.mark.parametrize("head", sorted(DERIVED))
 def test_tables_match_the_functions_of_their_names(head):
-    fn = FUNCTIONS[head]
+    reference, fn = REFERENCE[head], FUNCTIONS[head]
     corpus = [fixture(name) for name in sorted(FIXTURE_NAMES)]
     corpus += [random_table(n, seed) for n in (1, 2, 5, 7, 16, 17, 20) for seed in range(3)]
     for alg in corpus + list(large()):
         n, table = alg.n, alg.tables[head]
+        expected = [reference(alg, a, b) for a in range(n) for b in range(n)]
         assert len(table) == n * n
-        assert list(table) == [fn(alg, a, b) for a in range(n) for b in range(n)], alg.name
+        assert list(table) == expected, alg.name
+        assert [fn(alg, a, b) for a in range(n) for b in range(n)] == expected, alg.name
+        if head in RELATIONS:
+            assert {type(fn(alg, a, b)) for a in range(n) for b in range(n)} == {bool}
 
 
 def test_every_head_has_a_function():
-    assert set(FUNCTIONS) == set(DERIVED)
+    assert set(REFERENCE) == set(FUNCTIONS) == set(DERIVED)
     assert RELATIONS == {"<=", "<=L", "<=Q", "_|_", "C", "D"}
 
 
@@ -264,3 +269,66 @@ def test_full_sasaki_set_matches_the_family_reference():
         assert verdict == CheckResult("full-sasaki-set", reference.status, reference.witness)
         laws.add(dict(verdict.witness).get("axiom"))
     assert {None, "SS2", "SS3"} <= laws
+
+
+# -- the tables the CLI prints and the orthogonality space --------------------------
+
+# Each ``derive --op`` table but the star's, cell by cell from the reference.
+DERIVE_OPS = {"arrow": lambda alg, x, y: alg.arrow[x][y], "wedge_q": ref.wedge_q,
+              "vee_q": ref.vee_q, "wedge_p": ref.wedge_p, "vee_p": ref.vee_p, "le": ref.le,
+              "le_l": ref.le_l, "le_q": ref.le_q}
+
+
+def printed(capsys, argv):
+    """The whitespace-separated cells of each line a command prints."""
+    assert cli.main(argv) == 0
+    return [line.split() for line in capsys.readouterr().out.splitlines()]
+
+
+def test_derive_prints_every_table_of_the_reference(tmp_path, capsys):
+    big = relabelled(hexagons(4), 4)  # above PAIR_CEILING
+    assert big.n > PAIR_CEILING
+    for alg in [fixture(name) for name in sorted(FIXTURE_NAMES)] + [big]:
+        path = tmp_path / f"{alg.name}.json"
+        path.write_text(serialize_algebra(alg))
+        star = printed(capsys, ["derive", str(path), "--op", "star"])
+        assert star == [["x", "x*"]] + [[e, alg.elements[ref.star(alg, x)]]
+                                        for x, e in enumerate(alg.elements)]
+        for op, fn in DERIVE_OPS.items():
+            relation = op.startswith("le")
+            expected = [[op, *alg.elements]] + [
+                [e] + [str(int(fn(alg, x, y))) if relation else alg.elements[fn(alg, x, y)]
+                       for y in range(alg.n)]
+                for x, e in enumerate(alg.elements)]
+            assert printed(capsys, ["derive", str(path), "--op", op]) == expected, (op, alg.name)
+
+
+def reference_space(alg):
+    """The space on the nonzero elements, one reference ``ortho`` per pair."""
+    live = [x for x in range(alg.n) if x != alg.zero]
+    rel = [sum(1 << k for k, y in enumerate(live) if y != x and ref.ortho(alg, x, y))
+           for x in live]
+    return OrthoSpace(tuple(alg.elements[x] for x in live), tuple(rel))
+
+
+def with_zero_at(alg, pos):
+    """The algebra relabelled so that 0 is element ``pos`` and the others keep
+    their order."""
+    order = [x for x in range(alg.n) if x != alg.zero]
+    order.insert(pos, alg.zero)
+    perm = [0] * alg.n
+    for new, old in enumerate(order):
+        perm[old] = new
+    return relabel(alg, perm)
+
+
+def test_orthospace_matches_the_pairwise_reference():
+    corpus = [fixture(name) for name in sorted(FIXTURE_NAMES)] + list(iols_up_to(8))
+    corpus += [alg for alg in large() if classify(alg).is_iol]
+    assert {alg.n for alg in corpus} >= {2, 16, 18, 32, 64}
+    places = set()
+    for alg in corpus:
+        for variant in (alg, *(with_zero_at(alg, pos) for pos in (0, alg.n // 2, alg.n - 1))):
+            places.add(variant.zero * 2 // (variant.n - 1))  # 0 first, in the middle, last
+            assert associated_orthospace(variant) == reference_space(variant), variant.name
+    assert places == {0, 1, 2}

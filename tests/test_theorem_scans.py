@@ -53,18 +53,10 @@ from orthologic.algebra import (
     first_failure,
     formula_roles,
     iter_bits,
-    le,
-    le_l,
-    le_q,
-    ortho,
     star,
-    vee_q,
-    wedge_p,
-    wedge_q,
 )
 from orthologic.fixtures import FIXTURE_NAMES
 from orthologic.orthospace import perp
-from orthologic.sasaki import commutes, divides, sasaki_projection
 from orthologic.theorems import _scan_items
 
 from conftest import (
@@ -78,7 +70,9 @@ from conftest import (
     relabelled,
     without_pair,
 )
+from derived_reference import commutes, divides, le, le_l, le_q, ortho, vee_q, wedge_p, wedge_q
 from projection_families import (
+    ProjectionMap,
     canonical_projection_family,
     check_sasaki_set,
     compose,
@@ -1227,7 +1221,8 @@ def sp_center_monoid_check(alg):
     ``sasaki`` that T5-SP-CENTER-MONOID called, less its i-OML guard and with
     the center read pair by pair, so that it runs on any table."""
     cen = sum(1 << a for a in range(alg.n) if central(alg, a))
-    maps = {a: sasaki_projection(alg, a) for a in iter_bits(cen)}
+    maps = {a: ProjectionMap(tuple(wedge_q(alg, x, a) for x in range(alg.n)))
+            for a in iter_bits(cen)}
     for a, phi in maps.items():
         for b, psi in maps.items():
             ab = wedge_q(alg, a, b)
