@@ -12,6 +12,8 @@ import json
 import os
 import sys
 from contextlib import redirect_stdout
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .algebra import (
@@ -23,6 +25,7 @@ from .algebra import (
     ResourceLimitError,
     check_axiom,
     classify,
+    gather,
     is_distributive,
     max_elements,
     node_budget,
@@ -41,7 +44,6 @@ from .orthospace import (
     associated_orthospace,
     blocks,
     cl_algebra,
-    enumerate_orthoclosed,
     is_dacey,
     is_normal,
 )
@@ -70,6 +72,59 @@ def _load(path_or_name: str) -> FiniteAlgebra:
     if path_or_name in FIXTURE_NAMES:
         return fixture(path_or_name)
     raise InputError(f"no such file or fixture: {path_or_name}")
+
+
+class _Quoted(dict):
+    """Each string's JSON text, escaped on first use."""
+
+    def __missing__(self, text: str) -> str:
+        quoted = self[text] = encode_basestring_ascii(text)
+        return quoted
+
+
+def _dumps(obj) -> str:
+    """``json.dumps(obj, indent=2)``, with each distinct string escaped once.
+
+    The ``--json`` reports repeat a few names many times (a 64-element
+    ``ortho`` report holds a 64 x 64 table of 64 names), and ``indent`` makes
+    ``json`` fall back to its pure-Python encoder, which escapes every
+    occurrence again.  Dict keys must be strings."""
+    parts: list[str] = []
+    _emit(obj, "\n", parts, _Quoted())
+    return "".join(parts)
+
+
+def _emit(obj, nl: str, parts: list[str], quoted: _Quoted) -> None:
+    """Append obj's text to parts; nl is a newline and obj's indent."""
+    if isinstance(obj, str):
+        parts.append(quoted[obj])
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = nl + "  "
+        if all(map(isinstance, obj, repeat(str))):
+            parts += ("[", inner, ("," + inner).join(map(quoted.__getitem__, obj)), nl, "]")
+            return
+        opener = "[" + inner
+        for item in obj:
+            parts.append(opener)
+            _emit(item, inner, parts, quoted)
+            opener = "," + inner
+        parts.append(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner = nl + "  "
+        opener = "{" + inner
+        for key, value in obj.items():
+            parts.append(opener + quoted[key] + ": ")
+            _emit(value, inner, parts, quoted)
+            opener = "," + inner
+        parts.append(nl + "}")
+    else:
+        parts.append(json.dumps(obj))
 
 
 def _result_dict(res: CheckResult) -> dict:
@@ -115,7 +170,7 @@ def _cmd_classify(args) -> int:
     alg = _load(args.file)
     flags = classify(alg).as_dict() | {"distributive": is_distributive(alg)}
     if args.json:
-        print(json.dumps({"name": alg.name, "classification": flags}, indent=2))
+        print(_dumps({"name": alg.name, "classification": flags}))
     else:
         for key, value in flags.items():
             print(f"{key}: {'yes' if value else 'no'}")
@@ -149,10 +204,9 @@ def _cmd_ortho(args) -> int:
     results: list[CheckResult] = []
     out["perp"] = {p: list(space.names(space.rel[i])) for i, p in enumerate(space.points)}
     if args.cl:
-        family = enumerate_orthoclosed(space)
-        out["orthoclosed"] = [space.subset_name(m) for m in family.members]
-        logic = cl_algebra(space)
-        out["cl_arrow"] = [[logic.elements[v] for v in row] for row in logic.arrow]
+        logic = cl_algebra(space)  # its elements name the orthoclosed sets in family order
+        out["orthoclosed"] = list(logic.elements)
+        out["cl_arrow"] = [gather(logic.elements, row) for row in logic.arrow]
     if args.dacey:
         res = is_dacey(space)
         results.append(res)
@@ -168,7 +222,7 @@ def _cmd_ortho(args) -> int:
         results.append(res)
         out["sasaki_space"] = _result_dict(res)
     if args.json:
-        print(json.dumps(out, indent=2))
+        print(_dumps(out))
     else:
         for point in space.points:
             print(f"{point}^perp = {{{','.join(out['perp'][point])}}}")
@@ -181,6 +235,10 @@ def _cmd_ortho(args) -> int:
     return EXIT_PROPERTY_FAILS if any(r.failed for r in results) else EXIT_OK
 
 
+# A relation's lanes 0 and 1 as the characters "0" and "1".
+_BITS = bytes.maketrans(b"\0\1", b"01")
+
+
 def _cmd_sasaki(args) -> int:
     alg = _load(args.file)
     require_iol(alg)
@@ -188,11 +246,11 @@ def _cmd_sasaki(args) -> int:
     results: list[CheckResult] = []
     if args.projections:
         out["projections"] = {
-            alg.elements[a]: [alg.elements[v] for v in sasaki_projection(alg, a)]
+            alg.elements[a]: gather(alg.elements, sasaki_projection(alg, a))
             for a in range(alg.n)
         }
     if args.commute:
-        out["commute"] = [[str(c) for c in row] for row in alg.tables.rows("C")]
+        out["commute"] = [list(row.translate(_BITS).decode()) for row in alg.tables.rows("C")]
     if args.center:
         cen = center(alg)
         out["center"] = list(alg.names(cen))
@@ -203,10 +261,10 @@ def _cmd_sasaki(args) -> int:
         results.append(res)
         out["full_set"] = _result_dict(res)
     if args.json:
-        print(json.dumps(out, indent=2))
+        print(_dumps(out))
     else:
         if args.projections:
-            rows = [[f"phi_{a}"] + out["projections"][a] for a in out["projections"]]
+            rows = [[f"phi_{a}", *out["projections"][a]] for a in out["projections"]]
             print(_table(["map"] + list(alg.elements), rows))
         if args.commute:
             rows = [[alg.elements[x]] + out["commute"][x] for x in range(alg.n)]
@@ -225,7 +283,7 @@ def _cmd_theorems(args) -> int:
     wanted = args.filter or [spec.check_id for spec in list_checks()]
     results = [run_check(alg, check_id) for check_id in wanted]
     if args.json:
-        print(json.dumps([_result_dict(r) for r in results], indent=2))
+        print(_dumps([_result_dict(r) for r in results]))
     else:
         for res in results:
             _print_result(res)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from orthologic import (
     parse_algebra,
     serialize_algebra,
 )
-from orthologic.cli import _Stdout, main
+from orthologic.cli import _Stdout, _dumps, main
 from orthologic.documents import algebra_to_document
 from orthologic.fixtures import FIXTURE_NAMES
 from orthologic.orthospace import OrthoSpace
@@ -232,6 +233,67 @@ def test_cli_sasaki_reports(capsys):
     assert payload["projections"]["a"] == ["0", "a", "0", "a", "a", "a"]
     assert payload["center"] == ["0", "1"]
     assert payload["full_set"]["status"] == "pass"
+
+
+# -- the --json writer -------------------------------------------------------------
+
+# Any code point, lone surrogates included, with the ones JSON escapes drawn
+# often.
+_STRINGS = st.text(st.one_of(
+    st.characters(exclude_categories=()),
+    st.sampled_from('"\\/\x00\b\t\n\x1f\x7f\xe9\u2028\ud800\udfff\U0001f600'),
+), max_size=6)
+_SCALARS = st.one_of(_STRINGS, st.integers(), st.sampled_from([2 ** 70, -2 ** 70]),
+                     st.floats(), st.booleans(), st.none())
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=12),
+        st.lists(children, max_size=12).map(tuple),
+        st.lists(_STRINGS, max_size=12),
+        st.dictionaries(_STRINGS, children, max_size=10),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(value=st.recursive(_SCALARS, _containers, max_leaves=25))
+def test_json_writer_matches_the_indent_2_encoder(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_peaks_no_higher_than_the_indent_2_encoder(capsys, tmp_path):
+    path = tmp_path / "B64.json"
+    path.write_text(serialize_algebra(relabelled(boolean_iol(6), 4)), encoding="utf-8")
+    run_cli("ortho", str(path), "--cl", "--dacey", "--blocks", "--normal", "--sasaki-space",
+            "--json")
+    report = json.loads(capsys.readouterr().out)
+
+    def peak(dumps):
+        tracemalloc.start()
+        try:
+            dumps(report)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(_dumps) <= peak(lambda obj: json.dumps(obj, indent=2))
+
+
+JSON_REPORTS = {
+    "classify": [],
+    "ortho": ["--cl", "--dacey", "--blocks", "--normal", "--sasaki-space"],
+    "sasaki": ["--projections", "--commute", "--center", "--full-set"],
+    "theorems": [],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_NAMES))
+@pytest.mark.parametrize("command", JSON_REPORTS)
+def test_cli_json_reports_print_one_value_in_the_indent_2_layout(capsys, command, name):
+    run_cli(command, name, *JSON_REPORTS[command], "--json")
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_cli_sasaki_full_set_failure_exit(capsys):

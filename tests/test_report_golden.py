@@ -5,7 +5,9 @@ and input: ``ortho FILE --cl --dacey --blocks --normal --sasaki-space --json``
 and ``sasaki FILE --projections --commute --center --full-set --json``, and
 the text forms ``ortho FILE --cl --blocks`` and
 ``sasaki FILE --projections --commute --center``, on the four fixtures and
-on relabelled copies of B16, MO7 and the horizontal sum of two hexagons.
+on relabelled copies of B16, MO7, the horizontal sum of two hexagons, B64
+and MO31.  The B64 and MO31 digests were recorded before the ``--json``
+writer replaced ``json.dumps(..., indent=2)``.
 
 After an intended output change,
 ``PYTHONPATH=src:tests python tests/test_report_golden.py`` prints fresh
@@ -62,13 +64,22 @@ DIGESTS = {
     ("sasaki", "hex2-"): (1, "235b041ba6d1f7ba"),
     ("ortho-text", "hex2-"): (0, "1a95c2163fc96a75"),
     ("sasaki-text", "hex2-"): (0, "b0005fac3f993869"),
+    ("ortho", "B64"): (0, "3e1044b1d0af6d7c"),
+    ("sasaki", "B64"): (0, "a24d6bbb9c003fe7"),
+    ("ortho-text", "B64"): (0, "115af9d25c377016"),
+    ("sasaki-text", "B64"): (0, "c5a690048ded7dc1"),
+    ("ortho", "MO31"): (0, "c2187dd3c103006d"),
+    ("sasaki", "MO31"): (0, "b8381ffcc93f0c07"),
+    ("ortho-text", "MO31"): (0, "a50d930c05fd4eb7"),
+    ("sasaki-text", "MO31"): (0, "cf8f22ca8c66e412"),
 }
 
 
 def inputs():
     """Input name -> algebra, in a fixed order."""
     algebras = {name: fixture(name) for name in sorted(FIXTURE_NAMES)}
-    for seed, alg in enumerate((boolean_iol(4), mo_iol(7), hexagons(2)), 1):
+    constructions = (boolean_iol(4), mo_iol(7), hexagons(2), boolean_iol(6), mo_iol(31))
+    for seed, alg in enumerate(constructions, 1):
         algebras[alg.name] = relabelled(alg, seed)
     return algebras
 
