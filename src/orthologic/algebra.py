@@ -30,8 +30,10 @@ the arrow.  The pruner, the tuple-by-tuple rendering and the scans of the
 17 laws expand a head into its definition, so that classifying an algebra
 builds no table.  Any other scan reads a head as a table, the way it reads
 the arrow: each algebra keeps, in ``tables``, one flat table per head, built
-from its definition the first time it is asked for.  The pair functions
-(``wedge_q``, ``le_l``, ``ortho`` ...) read one lane of that table.
+the first time it is asked for by the head's definition compiled at import
+by the same scan compiler, in its table form, which returns the term's
+lanes instead of a failing tuple.  The pair functions (``wedge_q``,
+``le_l``, ``ortho`` ...) read one lane of that table.
 
 The same compiler takes any formula of the term language (equations joined
 by not/and/or/iff, and binders), such as the registry's items in ``theorems``:
@@ -44,7 +46,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import add, getitem, itemgetter
+from operator import getitem, itemgetter
 from typing import Callable, Iterator
 
 
@@ -419,21 +421,20 @@ _veeq, _wedgeq, _wedgep, _le, _lel, _leq, _ortho, _commutes, _divides = map(
     _head, ("vQ", "^Q", "^P", "<=", "<=L", "<=Q", "_|_", "C", "D"))
 
 # The single definition of every derived head: head -> its term over the
-# placeholders S and T, its two arguments.  A definition reads the arrow and
-# the heads above it.  A head whose definition is an equation is a relation,
-# a formula; the others are element operations.
-_S, _T = "S", "T"
+# roles x and y, its two arguments.  A definition reads the arrow and the
+# heads above it.  A head whose definition is an equation is a relation, a
+# formula; the others are element operations.
 DERIVED: dict[str, tuple] = {
-    "vQ": _imp(_imp(_S, _T), _T),
-    "^Q": _neg(_veeq(_neg(_S), _neg(_T))),
-    "^P": _neg(_imp(_S, _neg(_T))),
-    "vP": _imp(_neg(_S), _T),
-    "<=": _eq(_imp(_S, _T), "1"),
-    "<=L": _eq(_S, _wedgep(_S, _T)),
-    "<=Q": _eq(_S, _wedgeq(_S, _T)),
-    "_|_": _eq(_neg(_S), _imp(_S, _T)),
-    "C": _eq(_wedgeq(_T, _S), _wedgep(_S, _T)),
-    "D": _eq(_imp(_S, _neg(_imp(_S, _T))), _imp(_S, _neg(_T))),
+    "vQ": _imp(_imp("x", "y"), "y"),
+    "^Q": _neg(_veeq(_neg("x"), _neg("y"))),
+    "^P": _neg(_imp("x", _neg("y"))),
+    "vP": _imp(_neg("x"), "y"),
+    "<=": _eq(_imp("x", "y"), "1"),
+    "<=L": _eq("x", _wedgep("x", "y")),
+    "<=Q": _eq("x", _wedgeq("x", "y")),
+    "_|_": _eq(_neg("x"), _imp("x", "y")),
+    "C": _eq(_wedgeq("y", "x"), _wedgep("x", "y")),
+    "D": _eq(_imp("x", _neg(_imp("x", "y"))), _imp("x", _neg("y"))),
 }
 RELATIONS = frozenset(head for head, body in DERIVED.items() if body[0] == "=")
 
@@ -450,7 +451,7 @@ def expand(term):
     def put(body):
         if isinstance(body, tuple):
             return (body[0], *map(put, body[1:]))
-        return args[0] if body == _S else args[1] if body == _T else body
+        return {"x": args[0], "y": args[1]}.get(body, body)
 
     return expand(put(DERIVED[head]))
 
@@ -601,13 +602,11 @@ def _lanes(n: int, pair: bool) -> tuple:
     N is the number of lanes, n, or n * n in the pair layout.  ALL1, L7F
     and H80 are ints of N byte lanes of 0x01, 0x7f and 0x80.  ONES, of n
     lanes of 0x01, times an int of 0/1 lanes holds each n-lane block's sum
-    in the block's last lane.  The pair layout adds P and Q, the vectors of
-    its two row roles, whose lane a * n + b holds a and b; MUL, the
-    translate table of a -> a * n; FULL, which maps a block sum of n to 1
-    and the rest to 0; CELLS, which pads N bytes to a translate table; and
-    P * n, P and Q as ints.  Above ``PAIR_CEILING``, where no pair scan
-    runs and only the derived tables read n * n lanes, the pair layout
-    stops at P and Q."""
+    in the block's last lane.  The pair layout, for n <= ``PAIR_CEILING``,
+    adds P and Q, the vectors of its two row roles, whose lane a * n + b
+    holds a and b; MUL, the translate table of a -> a * n; FULL, which maps
+    a block sum of n to 1 and the rest to 0; CELLS, which pads N bytes to a
+    translate table; and P * n, P and Q as ints."""
     lanes = n * n if pair else n
 
     def spread(byte: int, count: int) -> int:
@@ -618,8 +617,6 @@ def _lanes(n: int, pair: bool) -> tuple:
     if not pair:
         return common
     P, Q = b"".join(bytes((i,)) * n for i in range(n)), bytes(range(n)) * n
-    if n > PAIR_CEILING:
-        return common + (P, Q)
     MUL = bytes(range(0, lanes, n)) + bytes(256 - n)
     FULL = bytes(i == n for i in range(256))
     return common + (P, Q, MUL, FULL, bytes(256 - lanes),
@@ -632,11 +629,12 @@ class DerivedTables(dict):
 
     ``tables[head]`` is one flat ``bytes`` of n * n lanes, lane a * n + b
     holding head(a, b): an element index, or, for a relation, 1 where it
-    holds and 0 where it does not.  It is the head's definition evaluated
-    at the argument vectors P and Q of ``_lanes``, a gather per arrow or
-    head it reads, so a definition that reads another head reads that
-    head's table.  ``rows(head)`` is the table as n rows; only above
-    ``PAIR_CEILING``, where the one-role scans read rows, are they kept."""
+    holds and 0 where it does not.  It is built by the head's builder in
+    ``TABLE_BUILDERS``, its definition compiled by ``_compile_scan`` in the
+    table form of the layout the scans take at n, so a definition that
+    reads another head reads that head's table from this store.
+    ``rows(head)`` is the table as n rows; only above ``PAIR_CEILING``,
+    where the one-role scans read rows, are they kept."""
 
     __slots__ = ("arrow", "zero", "one")
 
@@ -646,45 +644,8 @@ class DerivedTables(dict):
 
     def __missing__(self, head: str) -> bytes:
         n = len(self.arrow)
-        lanes = n * n
-        _, pad, _, ALL1, _, L7F, H80, P, Q, *pair = _lanes(n, True)
-
-        def value(term) -> tuple[bytes, frozenset]:
-            """The term's lanes, and which of the arguments S and T it reads."""
-            if term in (_S, _T):
-                return (P if term == _S else Q), frozenset(term)
-            if not isinstance(term, tuple):
-                return bytes((self.one if term == "1" else self.zero,)) * lanes, frozenset()
-            op, (a, ar), (b, br) = term[0], value(term[1]), value(term[2])
-            if op == "=":
-                d = int.from_bytes(a, "little") ^ int.from_bytes(b, "little")
-                unequal = (H80 & (d | (d & L7F) + L7F)) >> 7
-                return (unequal ^ ALL1).to_bytes(lanes, "little"), ar | br
-            table = b"".join(self.arrow) if op == "->" else self[op]
-            if a is P and b is Q:
-                return table, ar | br
-            if not br:  # a column
-                return a.translate(table[b[0]::n] + pad), ar
-            if pair:  # a lane index fits in a byte
-                MUL, _, CELLS = pair[:3]
-                index = int.from_bytes(a.translate(MUL), "little") + int.from_bytes(b, "little")
-                return index.to_bytes(lanes, "little").translate(table + CELLS), ar | br
-            # Above it, a block of n lanes, or a column, at a time where one
-            # argument is one value per block, or the same in every block.
-            if _T not in ar:  # a row per block
-                gathered = b"".join(b[i:i + n].translate(table[a[i] * n:a[i] * n + n] + pad)
-                                    for i in range(0, lanes, n))
-            elif _T not in br:  # a column per block
-                gathered = b"".join(a[i:i + n].translate(table[b[i]::n] + pad)
-                                    for i in range(0, lanes, n))
-            elif _S not in br:  # a column per column, then transposed
-                columns = b"".join(a[j::n].translate(table[b[j]::n] + pad) for j in range(n))
-                gathered = b"".join(columns[i::n] for i in range(n))
-            else:
-                gathered = bytes(map(table.__getitem__, map(add, map(n.__mul__, a), b)))
-            return gathered, ar | br
-
-        table = self[head] = value(DERIVED[head])[0]
+        build = TABLE_BUILDERS[head][n <= PAIR_CEILING]
+        table = self[head] = build(self.arrow, self.zero, self.one, n, self)
         return table
 
     def rows(self, head: str) -> tuple[bytes, ...]:
@@ -704,12 +665,23 @@ _SCAN_GLOBALS = {"_get": itemgetter, "_item": getitem, "_first_diff": _first_dif
                  "_one_hot": _one_hot, "_lanes": _lanes, "_from": int.from_bytes}
 
 
-def _compile_scan(roles, formula, pair: bool) -> Callable[..., tuple[int, ...] | None]:
+def _compile_scan(roles, formula, pair: bool,
+                  table: bool = False) -> Callable[..., tuple[int, ...] | bytes | None]:
     """The formula as one scan ``(t, Z, O, n, D) -> failing tuple | None``
     over a complete arrow table ``t`` of n >= 2 bytes rows and the store
     ``D`` of its derived tables, the algebra's ``tables``, in one of two
     row layouts.  ``first_failure`` and ``check_axiom`` take the pair
     layout where n <= ``PAIR_CEILING`` and the one-role layout above it.
+
+    With ``table`` the formula is a term over the roles x and y, an element
+    term or a formula, and the scan is its table form ``(t, Z, O, n, D) ->
+    lanes``, in the pair layout also at n = 1: the term's n * n lanes, lane
+    a * n + b holding its value at x = a and y = b, a formula's truth value
+    as a 0/1 byte.  In the pair layout that is the one row, at (P, Q); in
+    the one-role layout it is the rows of the loop over ``roles[0]``
+    joined.  ``roles`` is ("x", "y"), or ("y", "x") to loop over y, whose
+    rows are the term's columns: the code then transposes them, n slices
+    of the joined rows.
 
     In the one-role layout the last role is the row, of n lanes.  In the
     pair layout the last two roles are the row, when the formula has two,
@@ -967,8 +939,18 @@ def _compile_scan(roles, formula, pair: bool) -> Callable[..., tuple[int, ...] |
             return i
         return f"{i} // n" if binder else f"*divmod({i}, n)"
 
-    pad, found = "    " * len(levels), "".join(v + ", " for v in outer)
-    if formula[0] == "=":
+    pad, found, end = "    " * len(levels), "".join(v + ", " for v in outer), ["return None"]
+    if table:
+        name, kind, _ = walk(formula)
+        lanes = f'{name}.to_bytes(N, "little")' if kind == "truth" else row(formula)
+        tail = []
+        if outer:  # the one-role layout joins the rows of its loop
+            levels[0].insert(0, "rows = []")
+            tail, lanes = [f"rows.append({lanes})"], 'b"".join(rows)'
+        # Looping over y, the rows are the term's columns.
+        end = [f"lanes = {lanes}",
+               "return lanes" if roles[0] == "x" else 'return b"".join([lanes[i::n] for i in I])']
+    elif formula[0] == "=":
         l, r = row(formula[1]), row(formula[2])
         tail = [f"if {l} != {r}:", f"    return {found}{lane(f'_first_diff({l}, {r})')},"]
     else:
@@ -986,7 +968,7 @@ def _compile_scan(roles, formula, pair: bool) -> Callable[..., tuple[int, ...] |
             tail = [f"if {b} != ALL1:", f"    return {found}{lane(index)},"]
         else:  # a binder's scan: every disjunct failed at this outer tuple
             tail = [f"return ({found})"]
-    name = "pair_scan" if pair else "row_scan"
+    name = ("pair_" if pair else "row_") + ("table" if table else "scan")
     lines = [f"def {name}(t, Z, O, n, D):", f"    {_LANE_NAMES[pair]} = _lanes(n, {pair})"]
     if "EQ" in tables:
         lines.append("    EQ, NE = _one_hot(n)")
@@ -1001,9 +983,21 @@ def _compile_scan(roles, formula, pair: bool) -> Callable[..., tuple[int, ...] |
         span = f"I[{outer[0]} + 1:]" if symmetric and depth == 2 else "I"
         lines.append("    " * depth + f"for {outer[depth - 1]} in {span}:")
         lines += ["    " * (depth + 1) + stmt for stmt in stmts]
-    lines += [pad + line for line in tail] + ["    return None"]
+    lines += [pad + line for line in tail] + ["    " + line for line in end]
     exec("\n".join(lines), _SCAN_GLOBALS)
     return _SCAN_GLOBALS.pop(name)
+
+
+def _table_builder(term, pair: bool) -> Callable[..., bytes]:
+    """The table form of a term over x and y in one layout.  In the
+    one-role layout the loop runs over x, unless that code reads a table
+    lane by lane (``_item``); it then runs over y.  Of the ``DERIVED``
+    definitions only vQ = (x -> y) -> y does, at (x -> y, y), where looping
+    over y reads the column at y instead."""
+    build = _compile_scan(("x", "y"), term, pair, table=True)
+    if "_item" in build.__code__.co_names:
+        build = _compile_scan(("y", "x"), term, pair, table=True)
+    return build
 
 
 @lru_cache(maxsize=None)
@@ -1045,6 +1039,10 @@ AXIOM_PREDICATES = {key: _compile(roles, expand(lhs), expand(rhs))
 AXIOM_SCANS = {key: tuple(_compile_scan(roles, expand(_eq(lhs, rhs)), pair)
                           for pair in (False, True))
                for key, (roles, lhs, rhs) in AXIOMS.items()}
+# The table builder of each derived head, in the one-role layout and in the
+# pair layout, compiled at import like the law scans.
+TABLE_BUILDERS = {head: tuple(_table_builder(body, pair) for pair in (False, True))
+                  for head, body in DERIVED.items()}
 
 # Case-insensitive lookup aliases for CLI use ("at" stands in for "@").
 AXIOM_ALIASES = {key.lower(): key for key in AXIOMS} | {

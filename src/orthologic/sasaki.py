@@ -9,8 +9,8 @@ lane of the C and D tables, ``sasaki_projection`` a column of the ^Q table,
 table, and ``non_boolean_pair`` the orthogonality table.
 
 Each verdict has one test: ``is_iboolean_subalgebra`` decides the center,
-orthogonal-pair (``pair_hull_check`` for ``orthogonal_pair_boolean_witness``,
-and the registry's ``non_boolean_pair``, once per distinct ``pair_hull``) and
+orthogonal-pair (``orthogonal_pair_boolean_witness``, and the registry's
+``non_boolean_pair``, once per distinct ``pair_hull``) and
 block-family (``block_family_check``, which ``block_boolean_family`` guards
 with its preconditions) results, and ``sasaki_map_search``, one pass over the
 domain points, decides every Sasaki-map question.
@@ -130,14 +130,19 @@ def is_iboolean_subalgebra(alg: FiniteAlgebra, members: int) -> CheckResult:
 def orthogonal_pair_boolean_witness(
     alg: FiniteAlgebra, x: int, y: int
 ) -> tuple[CheckResult, int]:
-    """For orthogonal x, y of an i-OL: the verdict of ``pair_hull_check``
-    and the member mask."""
+    """For orthogonal x, y of an i-OL: the verdict of
+    ``is_iboolean_subalgebra`` on the ``pair_hull`` of x and y, and its
+    mask.  No second test is needed: when the hull is an i-Boolean
+    subalgebra, x, y and (x*->y)* are disjoint atoms of it, so its arrow
+    table is that of the Boolean algebra they generate."""
     require_iol(alg)
     if not ortho(alg, x, y):
         raise PreconditionError(
             f"{alg.elements[x]} and {alg.elements[y]} are not orthogonal"
         )
-    return pair_hull_check(alg, x, y)
+    members = pair_hull(alg, x, y)
+    verdict = is_iboolean_subalgebra(alg, members)
+    return CheckResult("orthogonal-pair-boolean", verdict.status, verdict.witness), members
 
 
 def pair_hull(alg: FiniteAlgebra, x: int, y: int) -> int:
@@ -149,23 +154,11 @@ def pair_hull(alg: FiniteAlgebra, x: int, y: int) -> int:
     return members
 
 
-def pair_hull_check(alg: FiniteAlgebra, x: int, y: int) -> tuple[CheckResult, int]:
-    """The verdict of ``is_iboolean_subalgebra`` on the ``pair_hull`` of x
-    and y, and its mask.  On an i-OL no second test is needed: when the hull
-    is an i-Boolean subalgebra, x, y and (x*->y)* are disjoint atoms of it,
-    so its arrow table is that of the Boolean algebra they generate.
-    Defined on any table; ``orthogonal_pair_boolean_witness`` adds the
-    preconditions."""
-    members = pair_hull(alg, x, y)
-    verdict = is_iboolean_subalgebra(alg, members)
-    return CheckResult("orthogonal-pair-boolean", verdict.status, verdict.witness), members
-
-
 def non_boolean_pair(alg: FiniteAlgebra) -> Optional[tuple[int, int]]:
     """The least orthogonal pair (x, y), in lexicographic order, whose
-    ``pair_hull_check`` fails; None when every orthogonal pair has an
-    i-Boolean hull.  Many pairs share a hull, so each hull is tested once.
-    Defined on any table."""
+    ``pair_hull`` is not an i-Boolean subalgebra; None when every
+    orthogonal pair has an i-Boolean hull.  Many pairs share a hull, so
+    each hull is tested once.  Defined on any table."""
     boolean_hulls, n, orthogonal = set(), alg.n, alg.tables["_|_"]
     for x in range(n):
         for y in range(n):

@@ -4,7 +4,7 @@ Each head of ``algebra.DERIVED`` is read by the scans from a table that the
 algebra builds once, and is expanded into its definition by the rendering
 and by the enumeration pruner.  The tables must agree with the hand-written
 definitions of ``derived_reference`` and with the expanded definitions,
-through every gather of the builder, on both sides of ``PAIR_CEILING``; so
+in both layouts of the compiled builders, on both sides of ``PAIR_CEILING``; so
 must what reads them: the package's pair functions, the ``derive`` tables
 and the perps of ``associated_orthospace`` (``tests/test_row_kernels.py``
 checks the ``sasaki --commute`` table).  A scan that reads a head, in either row layout and in each form of read, must find the
@@ -110,26 +110,44 @@ def test_relation_tables_hold_zeros_and_ones():
             assert set(alg.tables[head]) <= {0, 1}
 
 
-# Definitions that reach the builder's gathers that the heads of DERIVED do
-# not: at two arguments that both read S and T, and at a constant first
-# argument.
+# Definitions beside those of DERIVED: an arrow at two arguments that both
+# read x and y, which a one-role table form reads lane by lane with either
+# loop role, and an arrow at a constant first argument.
 SYNTHETIC = {
-    "G": ("->", ("->", "S", "T"), ("->", "T", "S")),
-    "K": ("->", ("->", "1", "0"), ("^Q", "T", "S")),
+    "G": ("->", ("->", "x", "y"), ("->", "y", "x")),
+    "K": ("->", ("->", "1", "0"), ("^Q", "y", "x")),
 }
 
 
-@pytest.mark.parametrize("n", (2, 5, 16, 17, 23))
-def test_tables_match_their_definitions_through_every_gather(monkeypatch, n):
-    for head, body in SYNTHETIC.items():
-        monkeypatch.setitem(DERIVED, head, body)
-    for seed in range(3):
-        for alg in (random_table(n, seed), *(a for a in large() if a.n == n)):
-            for head in (*SYNTHETIC, *DERIVED):
-                value = algebra._evaluator_of(expand((head, "x", "y")))
-                expected = [value(alg.arrow, alg.zero, alg.one, a, b)
-                            for a in range(n) for b in range(n)]
-                assert list(alg.tables[head]) == expected, (head, alg.name)
+@pytest.mark.parametrize("n", (1, 2, 5, 16, 17, 23, 64))
+def test_tables_match_their_definitions_through_every_gather(n):
+    # The table form of each definition, in each layout defined at n (the
+    # pair layout up to the ceiling, the one-role layout from 2 elements)
+    # and with either loop role, against its expansion evaluated pair by
+    # pair; and each DERIVED head's table, which its compiled builder gives.
+    algs = [random_table(n, seed) for seed in range(3)] + [a for a in large() if a.n == n]
+    layouts = [pair for pair in (False, True) if (n <= PAIR_CEILING if pair else n > 1)]
+    for head, term in {**SYNTHETIC, **DERIVED}.items():
+        value = algebra._evaluator_of(expand(term))
+        builders = [algebra._compile_scan(roles, term, pair, table=True)
+                    for pair in layouts for roles in (("x", "y"), ("y", "x"))]
+        for alg in algs:
+            expected = bytes(value(alg.arrow, alg.zero, alg.one, a, b)
+                             for a in range(n) for b in range(n))
+            for build in builders:
+                assert build(alg.arrow, alg.zero, alg.one, n, alg.tables) == expected, \
+                    (head, alg.name, build.__name__)
+            if head in DERIVED:
+                assert alg.tables[head] == expected, (head, alg.name)
+
+
+def test_no_derived_table_reads_a_table_lane_by_lane():
+    # A one-role table form that reads a table at two vectors gathers it
+    # element by element (``_item``); vQ does so when its loop runs over x.
+    for head, (rows, _) in algebra.TABLE_BUILDERS.items():
+        assert "_item" not in rows.__code__.co_names, head
+    by_x = algebra._compile_scan(("x", "y"), DERIVED["vQ"], False, table=True)
+    assert "_item" in by_x.__code__.co_names
 
 
 def test_rows_are_kept_only_above_the_pair_ceiling():

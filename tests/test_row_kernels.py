@@ -47,7 +47,7 @@ from orthologic.sasaki import (
     center,
     is_iboolean_subalgebra,
     is_subalgebra,
-    pair_hull_check,
+    pair_hull,
     sasaki_projection,
 )
 
@@ -203,7 +203,7 @@ def member_masks(alg, rng, count=20):
     the universe, and seeded random masks with and without 1."""
     masks = [reference_center(alg), (1 << alg.n) - 1]
     pairs = [(x, y) for x in range(alg.n) for y in range(alg.n) if ortho(alg, x, y)]
-    masks += [pair_hull_check(alg, x, y)[1] for x, y in pairs[:40]]
+    masks += [pair_hull(alg, x, y) for x, y in pairs[:40]]
     for _ in range(count):
         m = rng.getrandbits(alg.n)
         masks += [m, m | 1 << alg.one, m & ~(1 << alg.one)]

@@ -37,7 +37,7 @@ from orthologic.algebra import iter_bits, ortho
 from orthologic.cli import main
 from orthologic.fixtures import FIXTURE_NAMES
 from orthologic.orthospace import OrthoSpace, perp
-from orthologic.sasaki import non_boolean_pair, pair_hull_check
+from orthologic.sasaki import non_boolean_pair, pair_hull
 
 from conftest import boolean_iol, hexagons, iols_up_to, mo_iol, relabelled, without_pair
 from projection_families import (
@@ -281,8 +281,10 @@ def test_pair_routes_agree(algebras):
     checked = failed = 0
     first = {}
     for alg, x, y in orthogonal_pairs(algebras):
-        res, _ = orthogonal_pair_boolean_witness(alg, x, y)
-        assert res == pair_hull_check(alg, x, y)[0]
+        res, members = orthogonal_pair_boolean_witness(alg, x, y)
+        verdict = is_iboolean_subalgebra(alg, members)
+        assert members == pair_hull(alg, x, y)
+        assert (res.status, res.witness) == (verdict.status, verdict.witness)
         hull = generated_subalgebra(alg, 1 << x | 1 << y)
         assert res.passed == is_iboolean_subalgebra(alg, hull).passed, (alg.name, x, y)
         checked += 1
@@ -313,7 +315,7 @@ def test_passing_pair_hulls_have_the_boolean_arrow_table(algebras):
     passing hull carries the eight-by-eight table, duplicates collapsing."""
     passed = 0
     for alg, x, y in orthogonal_pairs(algebras):
-        res, members = pair_hull_check(alg, x, y)
+        res, members = orthogonal_pair_boolean_witness(alg, x, y)
         if not res.passed:
             continue
         u = alg.arrow[star(alg, x)][y]
