@@ -36,11 +36,11 @@ from .enumeration import (
 )
 from .fixtures import FIXTURE_NAMES, fixture
 from .orthospace import (
-    ClosedFamily,
     OrthoSpace,
     associated_orthospace,
     blocks,
     cl_algebra,
+    closed_index,
     enumerate_orthoclosed,
     is_dacey,
     is_normal,

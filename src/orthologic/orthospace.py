@@ -9,18 +9,24 @@ turns unions into intersections.
 ``associated_orthospace`` checks ``require_iol``; the rest works on the space
 alone.  ``block_boolean_family`` lives in ``sasaki``, beside the test it uses.
 
+Each ``recorded`` function of a whole space fills one entry of the space's
+``record`` on first use: the orthoclosed family and its positions, which
+``closed_index`` reads, its logic, the blocks, and the normality and
+Sasaki-space verdicts.  The record is released with its space.
+
 ``perp``, ``orthoclosure`` and ``is_orthoclosed`` act on one subset.  The
 entry points that read a whole family do not call them once per pair:
 ``cl_algebra`` computes each member's perp once and looks up the perp of
 each distinct A & B^perp once, and ``is_normal`` remembers every perp it
-takes across the partitions of all blocks, through ``perp_memo``.
+takes across the partitions of all blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache, partial, wraps
 from itertools import combinations
+from typing import Callable
 
 from .algebra import (
     CheckResult,
@@ -44,10 +50,12 @@ FAMILY_CAP = 100_000  # orthoclosed-family size cap
 
 @dataclass(frozen=True)
 class OrthoSpace:
-    """Point names plus a symmetric irreflexive relation as per-point masks."""
+    """Point names plus a symmetric irreflexive relation as per-point masks.
+    ``record`` takes no part in equality, hashing or repr."""
 
     points: tuple[str, ...]
     rel: tuple[int, ...]
+    record: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.points)
@@ -99,27 +107,23 @@ class OrthoSpace:
         return OrthoSpace(points, tuple(rel))
 
 
-@dataclass(frozen=True)
-class ClosedFamily:
-    """All orthoclosed subsets, sorted by (cardinality, mask value)."""
+# The function that computes each entry of a space's record, by entry name.
+RECORDED: dict[str, Callable[[OrthoSpace], object]] = {}
 
-    members: tuple[int, ...]
-    positions: dict[int, int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "positions", {m: i for i, m in enumerate(self.members)})
+def recorded(build):
+    """``build(space)`` as the space's record entry under the function's name,
+    built on first use; an error is not recorded, so a next call raises it."""
+    name = build.__name__
+    RECORDED[name] = build
 
-    def index(self, mask: int) -> int:
-        try:
-            return self.positions[mask]
-        except KeyError:
-            raise InputError(f"subset {mask:#x} is not orthoclosed") from None
+    @wraps(build)
+    def entry(space: OrthoSpace):
+        if name not in space.record:
+            space.record[name] = RECORDED[name](space)
+        return space.record[name]
 
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, mask: int) -> bool:
-        return mask in self.positions
+    return entry
 
 
 @lru_cache(maxsize=None)
@@ -143,19 +147,6 @@ def perp(space: OrthoSpace, members: int) -> int:
     return acc
 
 
-def perp_memo(space: OrthoSpace):
-    """``perp`` over one space, each distinct subset's perp taken once."""
-    perps: dict[int, int] = {}
-
-    def perp_of(members: int) -> int:
-        p = perps.get(members)
-        if p is None:
-            p = perps[members] = perp(space, members)
-        return p
-
-    return perp_of
-
-
 def orthoclosure(space: OrthoSpace, members: int) -> int:
     return perp(space, perp(space, members))
 
@@ -164,9 +155,11 @@ def is_orthoclosed(space: OrthoSpace, members: int) -> bool:
     return orthoclosure(space, members) == members
 
 
-@lru_cache(maxsize=None)
-def enumerate_orthoclosed(space: OrthoSpace) -> ClosedFamily:
-    """Close {X'} under intersection with point-perps; every perp is such an
+@recorded
+def enumerate_orthoclosed(space: OrthoSpace) -> tuple[int, ...]:
+    """All orthoclosed subsets, sorted by (cardinality, mask value).
+
+    Close {X'} under intersection with point-perps; every perp is such an
     intersection and every orthoclosed set is a perp."""
     family = {space.full()}
     frontier = [space.full()]
@@ -181,11 +174,23 @@ def enumerate_orthoclosed(space: OrthoSpace) -> ClosedFamily:
                     )
                 family.add(refined)
                 frontier.append(refined)
-    members = sorted(family, key=lambda m: (popcount(m), m))
-    return ClosedFamily(tuple(members))
+    return tuple(sorted(family, key=lambda m: (popcount(m), m)))
 
 
-@lru_cache(maxsize=None)
+@recorded
+def _closed_positions(space: OrthoSpace) -> dict[int, int]:
+    return {m: i for i, m in enumerate(enumerate_orthoclosed(space))}
+
+
+def closed_index(space: OrthoSpace, mask: int) -> int:
+    """The position of an orthoclosed set in ``enumerate_orthoclosed``."""
+    try:
+        return _closed_positions(space)[mask]
+    except KeyError:
+        raise InputError(f"subset {mask:#x} is not orthoclosed") from None
+
+
+@recorded
 def cl_algebra(space: OrthoSpace) -> FiniteAlgebra:
     """The orthoclosed-set logic as an algebra: A -> B = (A & B^perp)^perp,
     with the empty set as 0 and the full point set as 1.
@@ -193,16 +198,16 @@ def cl_algebra(space: OrthoSpace) -> FiniteAlgebra:
     Row A is the perps of A & B^perp over the members B, gathered from one
     lookup table of the distinct masks A & B^perp; the family is closed
     under intersection, so there are at most as many as members."""
-    family = enumerate_orthoclosed(space)
-    names = tuple(space.subset_name(m) for m in family.members)
+    members = enumerate_orthoclosed(space)
+    names = tuple(map(space.subset_name, members))
     # Point names may contain commas and braces, so two subsets can share one.
     check_element_names("CL", names)
-    perps = [perp(space, b) for b in family.members]
-    rows = [(*map(a.__and__, perps),) for a in family.members]
-    arrow_of = {m: family.index(perp(space, m)) for m in set().union(*rows)}
+    perps = [perp(space, b) for b in members]
+    rows = [(*map(a.__and__, perps),) for a in members]
+    arrow_of = {m: closed_index(space, perp(space, m)) for m in set().union(*rows)}
     logic = FiniteAlgebra(
         "CL", names, tuple(gather(arrow_of, row) for row in rows),
-        family.index(space.full()), family.index(0),
+        closed_index(space, space.full()), closed_index(space, 0),
     )
     validate_algebra(logic)
     return logic
@@ -217,6 +222,7 @@ def is_dacey(space: OrthoSpace) -> CheckResult:
     return CheckResult("dacey", "fail", check_axiom(logic, "IOM").witness)
 
 
+@recorded
 def blocks(space: OrthoSpace) -> tuple[int, ...]:
     """Maximal sets of mutually orthogonal points, sorted canonically.
 
@@ -248,9 +254,12 @@ def blocks(space: OrthoSpace) -> tuple[int, ...]:
 
 
 def _two_cell_partitions(block: int):
-    """Ordered pairs (E1, E2) of non-empty cells partitioning the block."""
+    """The two-cell partitions (E1, E2) of the block with |E1| <= |E2|, by
+    the size of E1 and then its points.  Both normality tests (``is_normal``,
+    L7-NORMAL-CRIT) are symmetric in the cells, so the first failing ordered
+    pair of cells has the smaller cell first."""
     bits = list(iter_bits(block))
-    for r in range(1, len(bits)):
+    for r in range(1, len(bits) // 2 + 1):
         for combo in combinations(bits, r):
             e1 = 0
             for i in combo:
@@ -258,6 +267,7 @@ def _two_cell_partitions(block: int):
             yield e1, block & ~e1
 
 
+@recorded
 def is_normal(space: OrthoSpace) -> CheckResult:
     """Normality: for every block and every two-cell partition (E1, E2) of
     it, the pair (E1^perpperp, E2^perpperp) must be a decomposition, that is
@@ -268,7 +278,7 @@ def is_normal(space: OrthoSpace) -> CheckResult:
 
     Cells and their perps recur across partitions and blocks, so each perp
     is computed once per call."""
-    perp_of = perp_memo(space)
+    perp_of = cache(partial(perp, space))
     for block in blocks(space):
         if popcount(block) > BLOCK_PARTITION_CAP:
             raise ResourceLimitError(

@@ -10,10 +10,11 @@ table, and ``non_boolean_pair`` the orthogonality table.
 
 Each verdict has one test: ``is_iboolean_subalgebra`` decides the center,
 orthogonal-pair (``orthogonal_pair_boolean_witness``, and the registry's
-``non_boolean_pair``, once per distinct ``pair_hull``) and
-block-family (``block_family_check``, which ``block_boolean_family`` guards
-with its preconditions) results, and ``sasaki_map_search``, one pass over the
-domain points, decides every Sasaki-map question.
+``non_boolean_pair``, once per distinct ``pair_hull``) and block-family
+(``block_boolean_family``, whose preconditions read the space's record)
+results, and ``sasaki_map_search``, one pass over the domain points, decides
+every Sasaki-map question.  ``is_sasaki_space`` files its verdict in the
+space's record (``orthospace.recorded``).
 
 A projection is its image vector.  The canonical family
 {phi_a : a in X} with phi_a(x) = x ^Q a decides the existence question for
@@ -54,11 +55,13 @@ from .orthospace import (
     OrthoSpace,
     blocks,
     cl_algebra,
+    closed_index,
     enumerate_orthoclosed,
     is_normal,
     is_orthoclosed,
     orthoclosure,
     perp,
+    recorded,
 )
 
 
@@ -175,25 +178,18 @@ def non_boolean_pair(alg: FiniteAlgebra) -> Optional[tuple[int, int]]:
 def block_boolean_family(space: OrthoSpace, block: int) -> tuple[CheckResult, tuple[int, ...]]:
     """The family {closure(A) : A subset of the block}, checked to be an
     implicative-Boolean subalgebra of the orthoclosed-set logic; the payload is
-    the family in (cardinality, mask) order.  Requires a normal space and a block."""
+    the family in (cardinality, mask) order.  Requires a normal space and a
+    block; both are read from the space's record."""
     if block not in blocks(space):
         raise PreconditionError(f"{space.subset_name(block)} is not a block")
     if not is_normal(space).passed:
         raise PreconditionError("space is not normal")
-    return block_family_check(space, block)
-
-
-def block_family_check(space: OrthoSpace, block: int) -> tuple[CheckResult, tuple[int, ...]]:
-    """The verdict and family of ``block_boolean_family``, defined on any
-    point mask; callers that test every block of one space check the
-    preconditions once."""
     subsets = [0]
     for i in iter_bits(block):
         subsets += [a | 1 << i for a in subsets]
     family = {orthoclosure(space, a) for a in subsets}
     members = tuple(sorted(family, key=lambda m: (popcount(m), m)))
-    closed = enumerate_orthoclosed(space)
-    mask = sum(1 << closed.index(m) for m in members)
+    mask = sum(1 << closed_index(space, m) for m in members)
     verdict = is_iboolean_subalgebra(cl_algebra(space), mask)
     return CheckResult("block-boolean", verdict.status, verdict.witness), members
 
@@ -272,13 +268,14 @@ def sasaki_map_search(space: OrthoSpace, closed: int) -> Optional[PartialMap]:
     return PartialMap(domain, tuple(image))
 
 
+@recorded
 def is_sasaki_space(space: OrthoSpace) -> CheckResult:
     """Pass iff every orthoclosed subset admits a Sasaki map, by one
     ``sasaki_map_search`` per subset; the failure witness is the first
     subset (in canonical order) with none.  Each subset costs one pass over
     its domain points, so the verdict comes as fast under any labelling of
     the space."""
-    for m in enumerate_orthoclosed(space).members:
+    for m in enumerate_orthoclosed(space):
         if sasaki_map_search(space, m) is None:
             return CheckResult(
                 "sasaki-space", "fail", (("closed-set", space.subset_name(m)),)

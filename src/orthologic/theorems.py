@@ -40,6 +40,7 @@ distinct perp once.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache, partial
 from typing import Callable
 
 from .algebra import (
@@ -80,13 +81,13 @@ from .orthospace import (
     enumerate_orthoclosed,
     is_dacey,
     is_normal,
-    perp_memo,
+    perp,
     _two_cell_partitions,
 )
 from .sasaki import (
     SASAKI_SET_LAWS,
     _phi,
-    block_family_check,
+    block_boolean_family,
     center,
     has_full_sasaki_set,
     is_iboolean_subalgebra,
@@ -764,7 +765,7 @@ def _l7_downset(alg):
     space, n, zero = associated_orthospace(alg), alg.n, alg.zero
     down = [down_set(alg, x) for x in range(n)]
     point_down = [_points(alg, d) for d in down]
-    perp_of = perp_memo(space)
+    perp_of = cache(partial(perp, space))
     for x in range(n):
         lhs = perp_of(point_down[x])
         mid = point_down[star(alg, x)]
@@ -790,11 +791,10 @@ def _l7_downset(alg):
 @_register("P7-CL-ISO", "iol", "the down-set map is an isomorphism onto the logic", 2)
 def _p7_cl_iso(alg):
     space = associated_orthospace(alg)
-    family = enumerate_orthoclosed(space)
     h = [_points(alg, down_set(alg, x)) for x in range(alg.n)]
-    if sorted(h) != sorted(family.members) or len(set(h)) != alg.n:
+    if sorted(h) != sorted(enumerate_orthoclosed(space)) or len(set(h)) != alg.n:
         return CheckResult("P7-CL-ISO", "fail", (("map", "not a bijection"),))
-    perp_of = perp_memo(space)
+    perp_of = cache(partial(perp, space))
     for x in range(alg.n):
         if perp_of(h[x]) != h[star(alg, x)]:
             return CheckResult("P7-CL-ISO", "fail", (("star-at", alg.elements[x]),))
@@ -821,30 +821,19 @@ def _p7_fullset_sasaki(alg):
 @_register("L7-NORMAL-CRIT", "iol", "the decomposition criterion matches the unique-decomposition reading", 0)
 def _l7_normal_crit(alg):
     space = associated_orthospace(alg)
-    perp_of = perp_memo(space)
+    perp_of = cache(partial(perp, space))
     # A member's only possible partner is its perp, which is orthoclosed.
-    members = enumerate_orthoclosed(space).members
+    members = enumerate_orthoclosed(space)
     decomps = [(a, b) for a, b in zip(members, map(perp_of, members))
                if a and b and perp_of(b) == a]
-    by_definition = True
-    witness = ()
-    for block in blocks(space):
-        for e1, e2 in _two_cell_partitions(block):
-            extensions = [
-                (a, b) for a, b in decomps if e1 & ~a == 0 and e2 & ~b == 0
-            ]
-            if len(extensions) != 1:
-                by_definition = False
-                witness = (
-                    ("block", space.subset_name(block)),
-                    ("cell", space.subset_name(e1)),
-                )
-                break
-        if not by_definition:
-            break
-    if is_normal(space).passed == by_definition:
+    # The first partition of a block that not exactly one decomposition extends.
+    ambiguous = next(((block, e1) for block in blocks(space)
+                      for e1, e2 in _two_cell_partitions(block)
+                      if sum(e1 & ~a == 0 and e2 & ~b == 0 for a, b in decomps) != 1), None)
+    if is_normal(space).passed == (ambiguous is None):
         return CheckResult("L7-NORMAL-CRIT", "pass")
-    return CheckResult("L7-NORMAL-CRIT", "fail", witness)
+    return CheckResult("L7-NORMAL-CRIT", "fail", () if ambiguous is None else tuple(
+        zip(("block", "cell"), map(space.subset_name, ambiguous))))
 
 
 @_register("P7-BLOCK-BOOLEAN", "iol", "block closures form Boolean subalgebras in normal spaces", 2)
@@ -852,10 +841,8 @@ def _p7_block_boolean(alg):
     space = associated_orthospace(alg)
     if not is_normal(space).passed:
         return CheckResult("P7-BLOCK-BOOLEAN", "skipped", (("precondition", "normal space"),))
-    # The space is normal and each member of blocks(space) is a block, so
-    # block_boolean_family's preconditions hold; they are checked once here.
     for block in blocks(space):
-        verdict, _ = block_family_check(space, block)
+        verdict, _ = block_boolean_family(space, block)
         if not verdict.passed:
             return CheckResult(
                 "P7-BLOCK-BOOLEAN", "fail",

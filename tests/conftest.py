@@ -1,14 +1,14 @@
 import random
 from functools import lru_cache, partial
-from itertools import count, permutations, product, starmap
+from itertools import combinations, count, permutations, product, starmap
 
 import pytest
 
 from orthologic import FiniteAlgebra, associated_orthospace, classify, enumerate_models, fixture
-from orthologic.algebra import AXIOMS, _render, expand, iter_bits
+from orthologic.algebra import AXIOMS, CheckResult, _render, expand, iter_bits
 from orthologic.enumeration import _UNIVERSE_AXIOMS, _from_key, _standard_names, _star_maps
 from orthologic.fixtures import FIXTURE_NAMES
-from orthologic.orthospace import OrthoSpace
+from orthologic.orthospace import OrthoSpace, blocks, orthoclosure, perp
 
 from derived_reference import le_l
 
@@ -242,6 +242,38 @@ def hexagons(k):
     below.append((1 << n) - 1)
     comp.append(0)
     return ortholattice_iol(f"hex{k}-", below, comp)
+
+
+def ordered_partitions(block):
+    """Every ordered pair (E1, E2) of non-empty cells partitioning the
+    block, by the size of E1 and then its points in order."""
+    bits = list(iter_bits(block))
+    for r in range(1, len(bits)):
+        for combo in combinations(bits, r):
+            e1 = sum(1 << i for i in combo)
+            yield e1, block & ~e1
+
+
+def reference_is_normal(space):
+    """The normality criterion over every ordered partition of each block."""
+    for block in blocks(space):
+        for e1, e2 in ordered_partitions(block):
+            p1, p2 = perp(space, e1), perp(space, e2)
+            if not (p1 != 0 and p2 != 0 and p1 == orthoclosure(space, e2)
+                    and p2 == orthoclosure(space, e1)):
+                return CheckResult("normal", "fail", (
+                    ("block", space.subset_name(block)), ("cell", space.subset_name(e1))))
+    return CheckResult("normal", "pass")
+
+
+def random_spaces(count, seed, sizes=(3, 7)):
+    """Seeded spaces in which each pair of points is orthogonal with
+    probability 1/2."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        points = tuple(f"p{i}" for i in range(rng.randint(*sizes)))
+        yield OrthoSpace.from_pairs(points, [
+            pair for pair in combinations(points, 2) if rng.random() < 0.5])
 
 
 def _order(alg):

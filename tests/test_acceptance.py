@@ -84,7 +84,7 @@ def test_criterion_2_hexagon_orthospace():
     }
     fam = enumerate_orthoclosed(sp)
     assert len(fam) == 6
-    assert [set(sp.names(m)) for m in fam.members] == [
+    assert [set(sp.names(m)) for m in fam] == [
         set(), {"a"}, {"d"}, {"a", "b"}, {"c", "d"}, {"a", "b", "c", "d", "1"},
     ]
     logic = cl_algebra(sp)
@@ -134,7 +134,7 @@ def test_criterion_5_space_classification():
     sa = associated_orthospace(fixture("sasaki6"))
     assert is_sasaki_space(sa).passed
     constant_maps = 0
-    for m in enumerate_orthoclosed(sa).members:
+    for m in enumerate_orthoclosed(sa):
         found = sasaki_map_search(sa, m)
         assert found is not None
         if bin(m).count("1") == 1:

@@ -17,6 +17,7 @@ from orthologic import (
     SearchGoal,
     associated_orthospace,
     classify,
+    closed_index,
     enumerate_orthoclosed,
     fixture,
     parse_algebra,
@@ -466,7 +467,7 @@ def test_cli_goal_errors_exit_2(capsys, argv, message):
 def _index_of_a_set_that_is_not_closed():
     space = associated_orthospace(fixture("benzene6"))
     family = enumerate_orthoclosed(space)
-    family.index(next(m for m in range(1 << space.n) if m not in family))
+    closed_index(space, next(m for m in range(1 << space.n) if m not in family))
 
 
 @pytest.mark.parametrize("call, message", [

@@ -503,7 +503,7 @@ def test_is_sasaki_space(benzene6_space, sasaki6_space, ioml10):
 def test_sasaki6_maps_are_the_four_constants_plus_identity(sasaki6_space):
     sp = sasaki6_space
     constants = 0
-    for mask in enumerate_orthoclosed(sp).members:
+    for mask in enumerate_orthoclosed(sp):
         pm = sasaki_map_search(sp, mask)
         assert pm is not None
         size = bin(mask).count("1")
@@ -588,7 +588,7 @@ def map_search_spaces():
 def test_map_search_agrees_with_the_pairwise_reference():
     found = missing = 0
     for space in map_search_spaces():
-        for closed in enumerate_orthoclosed(space).members:
+        for closed in enumerate_orthoclosed(space):
             result = sasaki_map_search(space, closed)
             assert result == pairwise_reference(space, closed), (space.points, closed)
             found += result is not None
@@ -604,7 +604,7 @@ def test_sasaki_space_verdict_does_not_depend_on_labelling(monkeypatch):
         res = is_sasaki_space(space)
         assert res.failed
         ((_, name),) = res.witness
-        closed = enumerate_orthoclosed(space).members
+        closed = enumerate_orthoclosed(space)
         witness = next(m for m in closed if space.subset_name(m) == name)
         assert sasaki_map_search(space, witness) is None
 

@@ -12,10 +12,12 @@ from orthologic import (
     run_check,
 )
 from orthologic import theorems
-from orthologic.algebra import CheckResult
+from orthologic.algebra import CheckResult, popcount
 from orthologic.enumeration import enumerate_models
 
-from conftest import without_pair
+from orthologic.orthospace import blocks, enumerate_orthoclosed, perp
+
+from conftest import ordered_partitions, random_spaces, without_pair
 
 from theorem_expectations import BENZENE6, IOML_SKIPS
 
@@ -176,8 +178,37 @@ def test_normal_crit_fails_where_is_normal_disagrees(monkeypatch, benzene6, ioml
     assert evaluate("L7-NORMAL-CRIT", ioml10) == CheckResult("L7-NORMAL-CRIT", "fail", ())
 
 
+def first_ambiguous_partition(space):
+    """The first (block, E1), in the order of all ordered partitions of the
+    blocks, that not exactly one decomposition of the space extends."""
+    closed = enumerate_orthoclosed(space)
+    decomps = [(a, b) for a in closed for b in closed
+               if a and b and perp(space, a) == b and perp(space, b) == a]
+    for block in blocks(space):
+        for e1, e2 in ordered_partitions(block):
+            if sum(e1 & ~a == 0 and e2 & ~b == 0 for a, b in decomps) != 1:
+                return block, e1
+    return None
+
+
+def test_normal_crit_reading_fails_at_the_first_ordered_partition(monkeypatch, benzene6):
+    # With is_normal made to pass, L7-NORMAL-CRIT fails exactly where the
+    # unique-decomposition reading does.  The check reads the algebra only
+    # through its space, so each seeded space stands in for benzene6's.
+    monkeypatch.setattr(theorems, "is_normal", lambda space: CheckResult("normal", "pass"))
+    wide = 0
+    for space in random_spaces(300, seed=2):
+        monkeypatch.setattr(theorems, "associated_orthospace", lambda alg: space)
+        found = first_ambiguous_partition(space)
+        expected = CheckResult("L7-NORMAL-CRIT", "pass") if found is None else CheckResult(
+            "L7-NORMAL-CRIT", "fail", tuple(zip(("block", "cell"), map(space.subset_name, found))))
+        assert evaluate("L7-NORMAL-CRIT", benzene6) == expected, space
+        wide += found is not None and popcount(found[0]) > 2
+    assert wide  # failures at blocks where the cells differ in size
+
+
 def test_block_boolean_names_the_first_failing_block(monkeypatch, ioml10):
     verdict = CheckResult("block-boolean", "fail", (("pair", "a,b"),))
-    monkeypatch.setattr(theorems, "block_family_check", lambda space, block: (verdict, ()))
+    monkeypatch.setattr(theorems, "block_boolean_family", lambda space, block: (verdict, ()))
     assert evaluate("P7-BLOCK-BOOLEAN", ioml10) == CheckResult(
         "P7-BLOCK-BOOLEAN", "fail", (("block", "{a,b}"), ("pair", "a,b")))
