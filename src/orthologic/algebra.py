@@ -528,29 +528,56 @@ def _render(term) -> str:
     return "(" + _SCALAR_OPS[head].format(*map(_render, args)) + ")"
 
 
-def _compile(roles, lhs, rhs) -> Callable[..., tuple[int, int] | bool | None]:
+def _compile(roles, lhs, rhs) -> Callable[..., tuple[int, ...] | bool | None]:
     """The law, with sides over the arrow alone (see ``expand``), as one
     instance predicate ``(t, Z, O, U, *roles)`` over an arrow table ``t``
     with 0 = Z and 1 = O whose unknown cells hold U.  It
     returns None when the instance holds, False when it fails, and the cell
     (a, b) of the first unknown arrow it reads, in evaluation order (the
     left side first, each arrow after its operands), while it is not yet
-    determined.  Only the enumeration pruner uses it; ``check_axiom`` runs
-    the row scans below."""
+    determined.  When that arrow is the top of one side and the other side
+    reads no unknown cell, it returns (a, b, v) instead: the instance holds
+    iff cell (a, b) holds v, the other side's value.  Only the enumeration
+    pruner uses it; ``check_axiom`` runs the row scans below."""
     lines = [f"def holds(t, Z, O, U, {', '.join(roles)}):"]
     names: dict = {}
 
-    def walk(term) -> str:
+    def walk(term, names, pad="    ", unknown=None) -> str:
+        """Emit the reads of term not yet in names; an unknown read returns
+        ``unknown``, by default its own cell."""
         if not isinstance(term, tuple):
             return {"0": "Z", "1": "O"}.get(term, term)
         if term not in names:
-            s, u = walk(term[1]), walk(term[2])
-            names[term] = v = f"v{len(names)}"
-            lines.append(f"    {v} = t[{s}][{u}]")
-            lines.append(f"    if {v} == U: return {s}, {u}")
+            s, u = walk(term[1], names, pad, unknown), walk(term[2], names, pad, unknown)
+            names[term] = v = f"v{len(lines)}"
+            lines.append(f"{pad}{v} = t[{s}][{u}]")
+            lines.append(f"{pad}if {v} == U: return {unknown or f'{s}, {u}'}")
         return names[term]
 
-    lines.append(f"    if {walk(lhs)} != {walk(rhs)}: return False")
+    def top(side, forced: Callable[[str, str], None]) -> str:
+        """The side; ``forced(s, u)`` emits the branch taken when its top
+        arrow, the cell (s, u), is unknown."""
+        if not isinstance(side, tuple) or side in names:
+            return walk(side, names)
+        s, u = walk(side[1], names), walk(side[2], names)
+        names[side] = v = f"v{len(lines)}"
+        lines.extend((f"    {v} = t[{s}][{u}]", f"    if {v} == U:"))
+        forced(s, u)
+        return v
+
+    def by_rhs(s, u) -> None:
+        # The right side is read on a copy of the names, so that its reads
+        # are emitted again after this branch; one that reads the unknown
+        # arrow itself is not known.
+        if _mentions(rhs, lhs):
+            lines.append(f"        return {s}, {u}")
+        else:
+            other = walk(rhs, dict(names), "        ", f"{s}, {u}")
+            lines.append(f"        return {s}, {u}, {other}")
+
+    left = top(lhs, by_rhs)
+    right = top(rhs, lambda s, u: lines.append(f"        return {s}, {u}, {left}"))
+    lines.append(f"    if {left} != {right}: return False")
     scope: dict = {}
     exec("\n".join(lines), scope)
     return scope["holds"]
@@ -668,18 +695,17 @@ _SCAN_GLOBALS = {"_get": itemgetter, "_item": getitem, "_first_diff": _first_dif
 def _compile_scan(roles, formula, pair: bool,
                   table: bool = False) -> Callable[..., tuple[int, ...] | bytes | None]:
     """The formula as one scan ``(t, Z, O, n, D) -> failing tuple | None``
-    over a complete arrow table ``t`` of n >= 2 bytes rows and the store
+    over a complete arrow table ``t`` of n >= 1 bytes rows and the store
     ``D`` of its derived tables, the algebra's ``tables``, in one of two
     row layouts.  ``first_failure`` and ``check_axiom`` take the pair
     layout where n <= ``PAIR_CEILING`` and the one-role layout above it.
 
     With ``table`` the formula is a term over the roles x and y, an element
     term or a formula, and the scan is its table form ``(t, Z, O, n, D) ->
-    lanes``, in the pair layout also at n = 1: the term's n * n lanes, lane
-    a * n + b holding its value at x = a and y = b, a formula's truth value
-    as a 0/1 byte.  In the pair layout that is the one row, at (P, Q); in
-    the one-role layout it is the rows of the loop over ``roles[0]``
-    joined.  ``roles`` is ("x", "y"), or ("y", "x") to loop over y, whose
+    lanes``: the term's n * n lanes, lane a * n + b holding its value at
+    x = a and y = b, a formula's truth value as a 0/1 byte.  In the pair
+    layout that is the one row, at (P, Q); in the one-role layout it is the
+    rows of the loop over ``roles[0]`` joined.  ``roles`` is ("x", "y"), or ("y", "x") to loop over y, whose
     rows are the term's columns: the code then transposes them, n slices
     of the joined rows.
 
@@ -837,8 +863,10 @@ def _compile_scan(roles, formula, pair: bool,
             cells = emit(("cells", head), f"{flat(head)} + CELLS", "table", frozenset())[0]
             expr = f'({rows} + {as_int(u, ur)}).to_bytes(N, "little").translate({cells})'
         else:
+            # A trailing index keeps the gathered rows a tuple at n = 1; the
+            # map below stops after n of them.
             rows = table_rows(head) if sk == "q" else \
-                emit(("gathered rows", head, term[1]), f"_get(*{s})({table_rows(head)})",
+                emit(("gathered rows", head, term[1]), f"_get(*{s}, 0)({table_rows(head)})",
                      "table", sr)[0]
             # A range iterates faster than the bytes I.
             expr = f"bytes(map(_item, {rows}, {'range(n)' if uk == 'q' else u}))"
@@ -1021,12 +1049,8 @@ def first_failure(alg: FiniteAlgebra, formula) -> tuple[int, ...] | None:
     which the formula fails; None when it holds throughout.  Formulas are
     compiled to row scans once each, on first use, and must be constants of
     this package, never input."""
-    if alg.n > 1:
-        return _scan_of(formula, alg.n <= PAIR_CEILING)(
-            alg.arrow, alg.zero, alg.one, alg.n, alg.tables)
-    # With one element every term is 0, so the one tuple decides.
-    at = (0,) * len(formula_roles(formula))
-    return None if holds_at(alg, formula, at) else at
+    return _scan_of(formula, alg.n <= PAIR_CEILING)(
+        alg.arrow, alg.zero, alg.one, alg.n, alg.tables)
 
 
 # Compiled once at import from the constant terms above, never from input:
@@ -1070,12 +1094,8 @@ def check_axiom(alg: FiniteAlgebra, axiom_id: str) -> CheckResult:
     differ, is the lexicographically least violating tuple."""
     if axiom_id not in AXIOMS:
         raise InputError(f"unknown axiom id {axiom_id!r}")
-    # With one element every term is 0, so every law holds.
-    failing = (
-        AXIOM_SCANS[axiom_id][alg.n <= PAIR_CEILING](
-            alg.arrow, alg.zero, alg.one, alg.n, alg.tables)
-        if alg.n > 1 else None
-    )
+    failing = AXIOM_SCANS[axiom_id][alg.n <= PAIR_CEILING](
+        alg.arrow, alg.zero, alg.one, alg.n, alg.tables)
     if failing is None:
         return CheckResult(axiom_id, "pass")
     roles = AXIOMS[axiom_id][0]

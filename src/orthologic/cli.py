@@ -11,10 +11,11 @@ import argparse
 import json
 import os
 import sys
-from contextlib import redirect_stdout
+from contextlib import contextmanager, redirect_stdout
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Iterator, Optional
 
 from .algebra import (
     AlgebraError,
@@ -34,6 +35,7 @@ from .algebra import (
 )
 from .documents import parse_algebra, serialize_algebra
 from .enumeration import (
+    SearchStats,
     counterexample_search,
     enumerate_models,
     goal_from_names,
@@ -296,8 +298,23 @@ def _cmd_theorems(args) -> int:
     return EXIT_PROPERTY_FAILS if any(r.failed for r in results) else EXIT_OK
 
 
+@contextmanager
+def _search_stats(args) -> Iterator[Optional[SearchStats]]:
+    """A record of what the search did when ``--stats`` asks for one, printed
+    on stderr as one JSON object when the search ends, also at a cap."""
+    if not args.stats:
+        yield None
+        return
+    stats = SearchStats()
+    try:
+        yield stats
+    finally:
+        print(json.dumps(vars(stats)), file=sys.stderr)
+
+
 def _cmd_enumerate(args) -> int:
-    models = enumerate_models(args.size, args.cls, args.limit)
+    with _search_stats(args) as stats:
+        models = enumerate_models(args.size, args.cls, args.limit, stats)
     if args.count_only:
         print(len(models))
     else:
@@ -325,7 +342,8 @@ def _cmd_search(args) -> int:
     require = [s for s in (args.require or "").split(",") if s]
     forbid = [s for s in (args.forbid or "").split(",") if s]
     goal = goal_from_names(require, forbid, max_size=args.max_size)
-    hit = counterexample_search(goal)
+    with _search_stats(args) as stats:
+        hit = counterexample_search(goal, stats)
     if hit is None:
         print("none")
         return EXIT_PROPERTY_FAILS
@@ -385,6 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="cls", required=True, choices=["iol", "ioml", "iboolean"])
     p.add_argument("--limit", type=int)
     p.add_argument("--count-only", action="store_true")
+    p.add_argument("--stats", action="store_true", help="print search counters on stderr")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("iso", help="isomorphism test")
@@ -400,6 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--require", default="")
     p.add_argument("--forbid", default="")
     p.add_argument("--max-size", type=int, default=6)
+    p.add_argument("--stats", action="store_true", help="print search counters on stderr")
     p.set_defaults(func=_cmd_search)
 
     return parser

@@ -14,7 +14,14 @@ as ``check_axiom``, compiled to instance predicates that name the first
 unknown cell they read.  Each instance is evaluated once at the root and then
 watched, as in SEM and Mace4: it is filed under the depth that assigns the
 cell it waits on, and only the instances filed under a depth are evaluated
-again there.  Each leaf is then verified in full.
+again there.  An instance whose first unknown cell is the top arrow of one
+side, with the other side known, holds for one value of that cell alone; it
+forces that value, and the depth of the cell tries no other.  Two different
+values forced on one cell, a wipe-out, fail the value that forced the
+second, so the branch is abandoned where it became empty, not at the depth
+of the cell.  Only values that would fail are skipped, so the leaves come
+out in the same order as without forcing.  Each leaf is then verified in
+full.
 
 The search breaks the symmetry of the star map with lex-leader constraints
 (Crawford, Ginsberg, Luks & Roy, KR 1996), watched like the law instances:
@@ -36,6 +43,7 @@ from functools import partial
 from itertools import combinations, count, product
 from math import isqrt
 from operator import itemgetter
+from time import perf_counter
 from typing import Callable, Iterator, Optional
 
 from .algebra import (
@@ -82,6 +90,23 @@ class SearchGoal:
             )
 
 
+@dataclass
+class SearchStats:
+    """What the searches of one enumeration or counterexample search did:
+    search nodes (values tried), values forced on a cell by a law instance,
+    wipe-outs (two different values forced on one cell), leaves, the nodes
+    of keying the accepted leaves, and the seconds spent in keying and in
+    the rest: the search and the checks of its leaves."""
+
+    nodes: int = 0
+    forced: int = 0
+    wipeouts: int = 0
+    leaves: int = 0
+    key_nodes: int = 0
+    search_s: float = 0.0
+    key_s: float = 0.0
+
+
 def _standard_names(n: int) -> tuple[str, ...]:
     return ("0",) + tuple(f"x{i}" for i in range(1, n - 1)) + ("1",)
 
@@ -98,16 +123,17 @@ def _star_maps(n: int, required: frozenset[str]) -> Iterator[list[int]]:
         yield star_of
 
 
-def _search_tables(n: int, required: frozenset[str],
-                   nodes: Optional[Iterator[int]] = None) -> Iterator[FiniteAlgebra]:
+def _search_tables(n: int, required: frozenset[str], nodes: Optional[Iterator[int]] = None,
+                   stats: Optional[SearchStats] = None) -> Iterator[FiniteAlgebra]:
     """Yield completed candidate tables (unverified, undeduplicated); the
-    search nodes count on ``nodes`` against ``node_budget``."""
+    search nodes count on ``nodes`` against ``node_budget``, and the values
+    forced and the wipe-outs add to ``stats``."""
     if n > max_elements():
         raise ResourceLimitError(f"enumeration at size {n} exceeds cap {max_elements()}")
     prune_axioms = tuple(a for a in ("BE4", *sorted(required)) if a not in _UNIVERSE_AXIOMS)
-    nodes, budget = nodes or count(1), node_budget()
+    nodes, budget, stats = nodes or count(1), node_budget(), stats or SearchStats()
     for star_of in _star_maps(n, required):
-        yield from _fill_tables(n, star_of, required, prune_axioms, nodes, budget)
+        yield from _fill_tables(n, star_of, required, prune_axioms, nodes, budget, stats)
 
 
 def _star_symmetries(n: int, star_of: list[int]) -> list[bytes]:
@@ -137,10 +163,12 @@ def _fill_tables(
     prune_axioms: tuple[str, ...],
     nodes: Iterator[int],
     budget: int,
+    stats: SearchStats,
 ) -> Iterator[FiniteAlgebra]:
     """Backtrack over the free cells of one star map in one loop over the
     depths, as a thousand nested generators would overflow the stack;
-    ``nodes`` counts search nodes across all star maps of one search."""
+    ``nodes`` counts search nodes across all star maps of one search, and
+    the values forced and the wipe-outs count on ``stats``."""
     zero, one, unknown = 0, n - 1, n
     names = _standard_names(n)
     table = [[unknown] * n for _ in range(n)]
@@ -163,13 +191,30 @@ def _fill_tables(
     # watch[k]: the instances not yet determined whose first unknown cell is
     # assigned at depth k.  An instance that fails on the pre-filled cells
     # alone fails again at depth 0; with no free cell, watch[0] is never read.
-    watch: list[list[tuple[Callable, tuple[int, ...]]]] = [[] for _ in range(len(cells) + 1)]
+    # forced[k]: the value an instance forces on the cell of depth k, or -1;
+    # the instance stays filed under depth k, where it holds at that value.
+    last = len(cells)
+    watch: list[list[tuple[Callable, tuple[int, ...]]]] = [[] for _ in range(last + 1)]
+    forced = [-1] * last
     for a in prune_axioms:
         holds = partial(AXIOM_PREDICATES[a], table, zero, one, unknown)
         for tup in product(range(n), repeat=len(AXIOMS[a][0])):
             cell = holds(*tup)
-            if cell is not None:
-                watch[0 if cell is False else depth_of[cell]].append((holds, tup))
+            if cell is None:
+                continue
+            if cell is False:
+                d = 0
+            elif len(cell) == 3:
+                d = depth_of[cell[:2]]
+                if forced[d] != cell[2]:
+                    if forced[d] >= 0:  # no completion of this star map
+                        stats.wipeouts += 1
+                        return
+                    forced[d] = cell[2]
+                    stats.forced += 1
+            else:
+                d = depth_of[cell]
+            watch[d].append((holds, tup))
 
     # Lex-leader constraints: for each symmetry g, T <= g.T on the free cells
     # in depth order, where (g.T)[i][j] = g[T[g i][g j]].  A check returns
@@ -178,7 +223,7 @@ def _fill_tables(
     # its image under symmetry c are known and equal, so no check re-reads
     # them; rewind[k] holds the (c, agree[c]) that the checks at depth k
     # moved, to restore when depth k takes its next value or is left.
-    syms, last = _star_symmetries(n, star_of), len(cells)
+    syms = _star_symmetries(n, star_of)
     agree, rewind = [0] * len(syms), [[] for _ in cells]
 
     def lex_leader(c: int) -> tuple[int, int] | bool | None:
@@ -205,34 +250,50 @@ def _fill_tables(
         table[star_of[j]][star_of[i]] = v
 
     # values[k] is the value tried last at depth k, -1 before the first;
-    # moved[k] the depths its watched instances moved to.
+    # moved[k] the depths its watched instances moved to, and pinned[k] the
+    # depths whose value it forced.  A depth with a forced value tries that
+    # value alone, once.
     k = 0
-    values, moved = [-1] * last, [[] for _ in cells]
+    values, moved, pinned = [-1] * last, [[] for _ in cells], [[] for _ in cells]
     while k >= 0:
         if k == last:
             yield FiniteAlgebra("model", names, tuple(map(bytes, table)), one, zero)
             k -= 1
             continue
-        undo, back, (i, j) = moved[k], rewind[k], cells[k]
-        for v in range(values[k] + 1, n):
+        undo, back, pins, (i, j), f = moved[k], rewind[k], pinned[k], cells[k], forced[k]
+        for v in range(values[k] + 1, n) if f < 0 else (f,) if f > values[k] else ():
             while undo:
                 watch[undo.pop()].pop()
             while back:
                 c, p = back.pop()
                 agree[c] = p
+            while pins:
+                forced[pins.pop()] = -1
             if next(nodes) > budget:
                 raise ResourceLimitError(f"enumeration at size {n} exceeded node budget"
                                          f" {budget}, {k} of {last} free cells filled")
             assign(i, j, v)
             # Only the instances waiting on this cell can change verdict; each
-            # one still undetermined waits deeper until the next value.
+            # one still undetermined waits deeper until the next value.  One
+            # that forces a value on a cell with another value forced wipes
+            # that cell out, which fails this value.
             for entry in watch[k]:
                 holds, tup = entry
                 cell = holds(*tup)
                 if cell is False:
                     break
                 if cell is not None:
-                    d = depth_of[cell]
+                    if len(cell) == 3:
+                        d, w = depth_of[cell[:2]], cell[2]
+                        if forced[d] != w:
+                            if forced[d] >= 0:
+                                stats.wipeouts += 1
+                                break
+                            forced[d] = w
+                            pins.append(d)
+                            stats.forced += 1
+                    else:
+                        d = depth_of[cell]
                     watch[d].append(entry)
                     undo.append(d)
             else:
@@ -244,6 +305,8 @@ def _fill_tables(
             while back:
                 c, p = back.pop()
                 agree[c] = p
+            while pins:
+                forced[pins.pop()] = -1
             assign(i, j, unknown)
             values[k], k = -1, k - 1
 
@@ -397,43 +460,63 @@ def canonical_form(alg: FiniteAlgebra) -> FiniteAlgebra:
 
 
 def _accepted_keys(
-    n: int, required: frozenset[str], accept: Callable[[FiniteAlgebra], bool]
+    n: int, required: frozenset[str], accept: Callable[[FiniteAlgebra], bool],
+    stats: Optional[SearchStats] = None,
 ) -> list[bytes]:
     """Sorted canonical keys of the search leaves at size n that satisfy BE4
     and every required law, and pass ``accept``.  The search and the keys
-    share one node budget."""
-    nodes = count(1)
-    return sorted({
-        canonical_key(cand, nodes)
-        for cand in _search_tables(n, required, nodes)
-        if axiom_holds(cand, "BE4")
-        and all(axiom_holds(cand, a) for a in sorted(required))
-        and accept(cand)
-    })
+    share one node budget.  What they did adds to ``stats``, also when the
+    budget runs out; keying counts its nodes apart only when it is given."""
+    nodes, key_count, keys = count(1), count(), set()
+    # Each key node is drawn from the shared count and, with stats, from
+    # key_count too.
+    key_nodes = nodes if stats is None else map(lambda node, _: node, nodes, key_count)
+    stats = stats or SearchStats()
+    start, key_s = perf_counter(), stats.key_s
+    try:
+        for cand in _search_tables(n, required, nodes, stats):
+            stats.leaves += 1
+            if (axiom_holds(cand, "BE4") and all(axiom_holds(cand, a) for a in sorted(required))
+                    and accept(cand)):
+                mark = perf_counter()
+                try:
+                    keys.add(canonical_key(cand, key_nodes))
+                finally:
+                    stats.key_s += perf_counter() - mark
+    finally:
+        stats.search_s += perf_counter() - start - (stats.key_s - key_s)
+        key_total = next(key_count)
+        stats.key_nodes += key_total
+        stats.nodes += next(nodes) - 1 - key_total
+    return sorted(keys)
 
 
 def enumerate_models(
-    n: int, cls: str = "iol", limit: Optional[int] = None
+    n: int, cls: str = "iol", limit: Optional[int] = None,
+    stats: Optional[SearchStats] = None,
 ) -> list[FiniteAlgebra]:
     """All algebras of the class with n elements, one per isomorphism class,
-    in canonical order."""
+    in canonical order; what the search did adds to ``stats``."""
     if cls not in _CLASS_AXIOMS:
         raise InputError(f"unknown class {cls!r}; expected iol, ioml or iboolean")
     if n < 2:
         raise InputError("sizes below 2 are rejected (trivial algebra)")
     if limit is not None and limit < 0:
         raise InputError(f"negative limit {limit}")
-    keys = _accepted_keys(n, _CLASS_AXIOMS[cls], lambda c: classify(c).as_dict()[cls])
+    keys = _accepted_keys(n, _CLASS_AXIOMS[cls], lambda c: classify(c).as_dict()[cls], stats)
     return [_from_key(f"{cls}-{n}-{i}", key) for i, key in enumerate(keys[:limit])]
 
 
-def counterexample_search(goal: SearchGoal) -> Optional[FiniteAlgebra]:
+def counterexample_search(
+    goal: SearchGoal, stats: Optional[SearchStats] = None
+) -> Optional[FiniteAlgebra]:
     """Smallest (then canonically least) model satisfying every required
     axiom and refuting every forbidden one; None is a proof of absence for
-    the whole size range."""
+    the whole size range.  What the searches did adds to ``stats``."""
     for n in range(goal.min_size, goal.max_size + 1):
         keys = _accepted_keys(
-            n, goal.require, lambda c: not any(axiom_holds(c, a) for a in sorted(goal.forbid))
+            n, goal.require, lambda c: not any(axiom_holds(c, a) for a in sorted(goal.forbid)),
+            stats,
         )
         if keys:
             return _from_key(f"counterexample-{n}", keys[0])

@@ -97,6 +97,15 @@ class OrthoSpace:
     def subset_name(self, mask: int) -> str:
         return "{" + ",".join(self.names(mask)) + "}"
 
+    @classmethod
+    def _unchecked(cls, points: tuple[str, ...], rel: tuple[int, ...]) -> "OrthoSpace":
+        """A space whose relation is symmetric and irreflexive by
+        construction, as ``associated_orthospace`` builds it: no check."""
+        space = object.__new__(cls)
+        for name, value in (("points", points), ("rel", rel), ("record", {})):
+            object.__setattr__(space, name, value)
+        return space
+
     @staticmethod
     def from_pairs(points: tuple[str, ...], pairs) -> "OrthoSpace":
         rel = [0] * len(points)
@@ -131,11 +140,13 @@ def associated_orthospace(alg: FiniteAlgebra) -> OrthoSpace:
     """The orthogonality space on X \\ {0} with x _|_ y iff x* = x -> y: the
     perp of a point is its row of the _|_ table less the 0 lane, as a mask.
     On an i-OL only 0 is orthogonal to itself (x -> x = 1 = x* only at 0),
-    so the relation is irreflexive."""
+    so the relation is irreflexive, and x _|_ y iff x <= y* iff y <= x*, so
+    it is symmetric: the space is built without re-checking either."""
     require_iol(alg)
     z = alg.zero
     rows = (row[:z] + row[z + 1:] for x, row in enumerate(alg.tables.rows("_|_")) if x != z)
-    return OrthoSpace(alg.elements[:z] + alg.elements[z + 1:], tuple(map(lane_mask, rows)))
+    return OrthoSpace._unchecked(alg.elements[:z] + alg.elements[z + 1:],
+                                 tuple(map(lane_mask, rows)))
 
 
 def perp(space: OrthoSpace, members: int) -> int:

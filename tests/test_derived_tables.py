@@ -228,7 +228,9 @@ def head_terms(draw, atoms=("x", "y", "z", "0", "1"), depth=3):
 def test_pruner_predicates_of_head_equations_match_the_scans(lhs, rhs, n, seed, holes):
     # On a complete table the predicate fails exactly where the scan does;
     # with some cells unknown it fails only where the complete table fails,
-    # and waits only on unknown cells.
+    # waits only on unknown cells, and forces a value v on an unknown cell
+    # only where that cell filled with v, and with no other value, makes
+    # the instance hold.
     equation = ("=", lhs, rhs)
     roles = formula_roles(equation)
     assume(roles)
@@ -247,6 +249,13 @@ def test_pruner_predicates_of_head_equations_match_the_scans(lhs, rhs, n, seed, 
         verdict = holds(table, alg.zero, alg.one, n, *tup)
         if verdict is False:
             assert not algebra._evaluator_of(equation)(alg.arrow, alg.zero, alg.one, *tup)
+        elif verdict is not None and len(verdict) == 3:
+            a, b, v = verdict
+            assert (a, b) in unknown and 0 <= v < n
+            for w in range(n):
+                table[a][b] = w
+                assert holds(table, alg.zero, alg.one, n, *tup) is (None if w == v else False)
+            table[a][b] = n
         elif verdict is not None:
             assert verdict in unknown
 

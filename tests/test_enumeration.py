@@ -1,3 +1,4 @@
+import hashlib
 from functools import lru_cache
 from itertools import count, permutations, product
 
@@ -16,7 +17,9 @@ from orthologic import (
 )
 from orthologic.algebra import axiom_holds, le_l
 from orthologic.enumeration import (
+    _CLASS_AXIOMS,
     SearchGoal,
+    SearchStats,
     _from_key,
     _search_tables,
     _star_maps,
@@ -236,6 +239,51 @@ def test_ten_element_search_keeps_few_leaves():
     leaves = list(_search_tables(10, frozenset({"impl"})))
     assert len(leaves) <= 20
     assert len({canonical_key(c) for c in leaves if classify(c).is_iol}) == 15
+
+
+# Search nodes of the search without forced values, as upper bounds: a
+# forced value only skips values that a law instance rejects.
+NODES_WITHOUT_FORCING = {(6, "iol"): 42, (8, "iol"): 504, (8, "ioml"): 240,
+                         (8, "iboolean"): 152, (10, "iboolean"): 380, (10, "iol"): 5_330,
+                         (12, "iol"): 73_692}
+
+
+@pytest.mark.parametrize("n, cls", sorted(NODES_WITHOUT_FORCING),
+                         ids=[f"{n}-{cls}" for n, cls in sorted(NODES_WITHOUT_FORCING)])
+def test_forced_values_visit_fewer_nodes(n, cls):
+    nodes, stats = count(1), SearchStats()
+    for _ in _search_tables(n, _CLASS_AXIOMS[cls], nodes, stats):
+        pass
+    assert next(nodes) - 1 < NODES_WITHOUT_FORCING[n, cls]
+    assert stats.forced > 0
+
+
+# sha256 of the leaves' arrow bytes, in search order, from the search
+# without forced values: the leaves and their order are unchanged.
+LEAF_DIGESTS = {
+    10: "f185a53dfc8aa49432842f6b74323aab2737488a45e944d490672f975eeb6872",
+    12: "9b9dfb7ac7003725c0bd12872cf830cc49a2b1fd576990c224f4d398b38ee35a",
+}
+
+
+@pytest.mark.parametrize("n", sorted(LEAF_DIGESTS))
+def test_leaves_come_out_in_the_same_order(n):
+    digest = hashlib.sha256()
+    for leaf in _search_tables(n, frozenset({"impl"})):
+        digest.update(b"".join(leaf.arrow))
+    assert digest.hexdigest() == LEAF_DIGESTS[n]
+
+
+# What the search finds beyond the oracle's reach: a regression guard, not
+# a census pinned by an independent oracle.
+FOUND_COUNTS = {(8, "iol"): 5, (8, "ioml"): 2, (8, "iboolean"): 1,
+                (10, "iol"): 15, (10, "ioml"): 2, (10, "iboolean"): 0, (12, "iol"): 60}
+
+
+@pytest.mark.parametrize("n, cls", sorted(FOUND_COUNTS),
+                         ids=[f"{n}-{cls}" for n, cls in sorted(FOUND_COUNTS)])
+def test_counts_found_beyond_the_oracle(n, cls):
+    assert len(enumerate_models(n, cls)) == FOUND_COUNTS[n, cls]
 
 
 def assert_same_partition(algebras):

@@ -371,6 +371,39 @@ def test_cli_enumerate_respects_node_budget(capsys, monkeypatch):
     )
 
 
+STATS_FIELDS = ["nodes", "forced", "wipeouts", "leaves", "key_nodes", "search_s", "key_s"]
+
+
+def test_cli_enumerate_stats_go_to_stderr(capsys):
+    # The record changes nothing on stdout; the n=8 i-OL search without
+    # forced values visits 504 nodes.
+    assert run_cli("enumerate", "--size", "8", "--class", "iol") == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    assert run_cli("enumerate", "--size", "8", "--class", "iol", "--stats") == 0
+    captured = capsys.readouterr()
+    assert captured.out == plain.out
+    stats = json.loads(captured.err)
+    assert list(stats) == STATS_FIELDS
+    assert stats["leaves"] == 5 and 0 < stats["nodes"] < 504
+    assert stats["forced"] > 0 and stats["key_nodes"] > 0
+
+
+def test_cli_search_stats_and_the_cap(capsys, monkeypatch):
+    assert run_cli("search", "--require", "impl", "--forbid", "IOM", "--stats") == 0
+    captured = capsys.readouterr()
+    assert classify(parse_algebra(captured.out)).is_iol
+    assert json.loads(captured.err)["leaves"] > 0
+    # At the cap the record says how far the search got, before the error.
+    monkeypatch.setenv("ORTHO_NODE_BUDGET", "100")
+    assert run_cli("enumerate", "--size", "10", "--class", "iol", "--stats") == 3
+    captured = capsys.readouterr()
+    record, error = captured.err.splitlines()
+    stats = json.loads(record)
+    assert captured.out == "" and error.startswith("resource cap: ")
+    assert stats["nodes"] + stats["key_nodes"] == 101
+
+
 def test_cli_iso(capsys):
     assert run_cli("iso", "ioml6-full", "sasaki6") == 0
     assert "->" in capsys.readouterr().out

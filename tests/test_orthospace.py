@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orthologic import (
+    InputError,
     PreconditionError,
     associated_orthospace,
     block_boolean_family,
@@ -30,7 +31,15 @@ from orthologic.fixtures import FIXTURE_NAMES
 from orthologic.orthospace import OrthoSpace, _two_cell_partitions
 from orthologic.algebra import ortho, popcount
 
-from conftest import ordered_partitions, random_spaces, reference_is_normal
+from conftest import (
+    boolean_iol,
+    iols_up_to,
+    mo_iol,
+    ordered_partitions,
+    random_spaces,
+    reference_is_normal,
+    relabelled,
+)
 from published_tables import CL_ARROW_BENZENE6, CL_KEY
 
 
@@ -58,6 +67,24 @@ def test_one_is_isolated_everywhere(algebras):
     for alg in algebras.values():
         sp = associated_orthospace(alg)
         assert sp.rel[sp.index("1")] == 0
+
+
+def test_spaces_of_iols_equal_their_checked_construction(algebras):
+    # associated_orthospace skips the symmetry and irreflexivity check; the
+    # checked constructor accepts each of its spaces and builds an equal one.
+    for alg in [*algebras.values(), *iols_up_to(8),
+                relabelled(boolean_iol(6), 6), relabelled(mo_iol(31), 31)]:
+        space = associated_orthospace(alg)
+        assert OrthoSpace(space.points, space.rel) == space, alg.name
+        pairs = [(space.points[i], q) for i, row in enumerate(space.rel) for q in space.names(row)]
+        assert OrthoSpace.from_pairs(space.points, pairs) == space, alg.name
+
+
+@pytest.mark.parametrize("rel, message", [((0b10, 0), r"not symmetric at \(a, b\)"),
+                                          ((0b01, 0), "not irreflexive at a")])
+def test_spaces_built_directly_are_still_checked(rel, message):
+    with pytest.raises(InputError, match=message):
+        OrthoSpace(("a", "b"), rel)
 
 
 def test_space_rejects_non_iol():

@@ -920,6 +920,24 @@ def both_layouts(alg, formula):
                  for pair in (False, True))
 
 
+def test_every_law_and_registry_scan_on_the_one_element_table():
+    # With one element every term is 0, so the one tuple decides, and its
+    # rendering evaluates it.  The one-role scans gather rows at a vector of
+    # one lane, which must stay a tuple of one row.
+    alg = FiniteAlgebra("trivial", ("e0",), ((0,),), 0, 0)
+    laws = {algebra.expand(algebra._eq(lhs, rhs)) for _, lhs, rhs in algebra.AXIOMS.values()}
+    formulas = laws | set(theorems._FORMULAS.values())
+    assert len(formulas) == 159
+    for formula in formulas:
+        at = (0,) * len(formula_roles(formula))
+        expected = None if algebra._evaluator_of(formula)(alg.arrow, 0, 0, *at) else at
+        assert both_layouts(alg, formula) == (expected, expected), formula
+        assert first_failure(alg, formula) == expected, formula
+    for key, scans in algebra.AXIOM_SCANS.items():
+        assert [scan(alg.arrow, 0, 0, 1, alg.tables) for scan in scans] == [None, None], key
+        assert check_axiom(alg, key).passed
+
+
 @settings(max_examples=200, deadline=None)
 @given(formula=formulas(roles=("x", "y", "z")), n=st.integers(8, 17),
        seed=st.integers(0, 10 ** 6))
