@@ -26,19 +26,20 @@ scan finds.
 The derived operations and relations (the meets ^Q and ^P, the joins vQ
 and vP, the three orders, orthogonality, commutation and divisibility) are
 heads of the term language, each defined once in ``DERIVED`` by a term over
-the arrow.  The pruner, the tuple-by-tuple rendering and the scans of the
-17 laws expand a head into its definition, so that classifying an algebra
-builds no table.  Any other scan reads a head as a table, the way it reads
-the arrow: each algebra keeps, in ``tables``, one flat table per head, built
-the first time it is asked for by the head's definition compiled at import
-by the same scan compiler, in its table form, which returns the term's
-lanes instead of a failing tuple.  The pair functions (``wedge_q``,
-``le_l``, ``ortho`` ...) read one lane of that table.
+the arrow.  The pruner and the scans of the 17 laws expand a head into its
+definition, so that classifying an algebra builds no table.  Any other scan
+reads a head as a table, the way it reads the arrow: each algebra keeps, in
+``tables``, one flat table per head, built the first time it is asked for by
+the head's definition compiled at import by the same scan compiler, in its
+table form, which returns the term's lanes instead of a failing tuple.  The
+pair functions (``wedge_q``, ``le_l``, ``ortho`` ...) read one lane of that
+table.
 
 The same compiler takes any formula of the term language (equations joined
 by not/and/or/iff, and binders), such as the registry's items in ``theorems``:
 ``first_failure`` compiles each one on first use, in the layout its table
-takes, and returns its least failing tuple.
+takes, and returns its least failing tuple; ``table_of`` compiles a term
+over x and y to its table form, and returns its n * n lanes.
 """
 
 from __future__ import annotations
@@ -511,21 +512,9 @@ def _bound_body(term):
     return term[2]
 
 
-_SCALAR_OPS = {"->": "t[{}][{}]", "=": "{} == {}", "iff": "{} == {}", "!=": "{} != {}",
-               "xor": "{} != {}", "not": "not {}"}
-
-
-def _render(term) -> str:
-    """A term over the arrow alone (see ``expand``) as a Python expression
-    over t, Z (0), O (1) and its roles."""
-    if not isinstance(term, tuple):
-        return {"0": "Z", "1": "O"}.get(term, term)
-    head, *args = term
-    if head in ("and", "or"):
-        return "(" + f" {head} ".join(map(_render, args)) + ")"
-    if head == "all":
-        return f"all({_render(_bound_body(term))} for {BOUND} in range(len(t)))"
-    return "(" + _SCALAR_OPS[head].format(*map(_render, args)) + ")"
+# The scans' Python form of each scalar comparison and connective.
+_SCALAR_OPS = {"=": "{} == {}", "iff": "{} == {}", "!=": "{} != {}", "xor": "{} != {}",
+               "not": "not {}"}
 
 
 def _compile(roles, lhs, rhs) -> Callable[..., tuple[int, ...] | bool | None]:
@@ -705,9 +694,12 @@ def _compile_scan(roles, formula, pair: bool,
     lanes``: the term's n * n lanes, lane a * n + b holding its value at
     x = a and y = b, a formula's truth value as a 0/1 byte.  In the pair
     layout that is the one row, at (P, Q); in the one-role layout it is the
-    rows of the loop over ``roles[0]`` joined.  ``roles`` is ("x", "y"), or ("y", "x") to loop over y, whose
-    rows are the term's columns: the code then transposes them, n slices
-    of the joined rows.
+    rows of the loop over ``roles[0]`` joined.  ``roles`` is ("x", "y"), or
+    ("y", "x") to loop over y, whose rows are the term's columns: the code
+    then transposes them, n slices of the joined rows.  A formula with a
+    binder takes every n-th lane of its row, whose lanes are (y, v) in the
+    pair layout and v in the one-role layout, where x and y are both loops:
+    one lane per (x, y).
 
     In the one-role layout the last role is the row, of n lanes.  In the
     pair layout the last two roles are the row, when the formula has two,
@@ -971,6 +963,7 @@ def _compile_scan(roles, formula, pair: bool,
     if table:
         name, kind, _ = walk(formula)
         lanes = f'{name}.to_bytes(N, "little")' if kind == "truth" else row(formula)
+        lanes += "[::n]" if binder else ""  # the bound element's lanes are equal
         tail = []
         if outer:  # the one-role layout joins the rows of its loop
             levels[0].insert(0, "rows = []")
@@ -1029,19 +1022,8 @@ def _table_builder(term, pair: bool) -> Callable[..., bytes]:
 
 
 @lru_cache(maxsize=None)
-def _scan_of(formula, pair: bool) -> Callable[..., tuple[int, ...] | None]:
-    return _compile_scan(formula_roles(formula), formula, pair)
-
-
-@lru_cache(maxsize=None)
-def _evaluator_of(formula) -> Callable[..., bool]:
-    roles = "".join(role + ", " for role in formula_roles(formula))
-    return eval(f"lambda t, Z, O, {roles}*_: {_render(expand(formula))}")
-
-
-def holds_at(alg: FiniteAlgebra, formula, tup: tuple[int, ...]) -> bool:
-    """The formula's value at one tuple of role values (extra values ignored)."""
-    return _evaluator_of(formula)(alg.arrow, alg.zero, alg.one, *tup)
+def _scan_of(formula, pair: bool, table: bool = False) -> Callable[..., tuple | bytes | None]:
+    return _compile_scan(("x", "y") if table else formula_roles(formula), formula, pair, table)
 
 
 def first_failure(alg: FiniteAlgebra, formula) -> tuple[int, ...] | None:
@@ -1050,6 +1032,14 @@ def first_failure(alg: FiniteAlgebra, formula) -> tuple[int, ...] | None:
     compiled to row scans once each, on first use, and must be constants of
     this package, never input."""
     return _scan_of(formula, alg.n <= PAIR_CEILING)(
+        alg.arrow, alg.zero, alg.one, alg.n, alg.tables)
+
+
+def table_of(alg: FiniteAlgebra, term) -> bytes:
+    """The table form of a term over the roles x and y, compiled once on first
+    use: lane a * n + b holds its value at x = a and y = b, a formula's as 0
+    or 1."""
+    return _scan_of(term, alg.n <= PAIR_CEILING, True)(
         alg.arrow, alg.zero, alg.one, alg.n, alg.tables)
 
 

@@ -503,7 +503,8 @@ def enumerate_models(
         raise InputError("sizes below 2 are rejected (trivial algebra)")
     if limit is not None and limit < 0:
         raise InputError(f"negative limit {limit}")
-    keys = _accepted_keys(n, _CLASS_AXIOMS[cls], lambda c: classify(c).as_dict()[cls], stats)
+    flag = "is_" + cls
+    keys = _accepted_keys(n, _CLASS_AXIOMS[cls], lambda c: getattr(classify(c), flag), stats)
     return [_from_key(f"{cls}-{n}-{i}", key) for i, key in enumerate(keys[:limit])]
 
 

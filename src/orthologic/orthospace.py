@@ -11,12 +11,13 @@ alone.  ``block_boolean_family`` lives in ``sasaki``, beside the test it uses.
 
 Each ``recorded`` function of a whole space fills one entry of the space's
 ``record`` on first use: the orthoclosed family and its positions, which
-``closed_index`` reads, its logic, the blocks, and the normality and
-Sasaki-space verdicts.  The record is released with its space.
+``closed_index`` reads, its logic's arrow over the positions and the logic
+as an algebra, the blocks, and the normality and Sasaki-space verdicts.
+The record is released with its space.
 
 ``perp``, ``orthoclosure`` and ``is_orthoclosed`` act on one subset.  The
 entry points that read a whole family do not call them once per pair:
-``cl_algebra`` computes each member's perp once and looks up the perp of
+``logic_arrow`` computes each member's perp once and looks up the perp of
 each distinct A & B^perp once, and ``is_normal`` remembers every perp it
 takes across the partitions of all blocks.
 """
@@ -202,24 +203,30 @@ def closed_index(space: OrthoSpace, mask: int) -> int:
 
 
 @recorded
-def cl_algebra(space: OrthoSpace) -> FiniteAlgebra:
-    """The orthoclosed-set logic as an algebra: A -> B = (A & B^perp)^perp,
-    with the empty set as 0 and the full point set as 1.
+def logic_arrow(space: OrthoSpace) -> tuple[tuple[int, ...], ...]:
+    """The arrow of the orthoclosed-set logic, A -> B = (A & B^perp)^perp, over
+    the positions of ``enumerate_orthoclosed``: lane j of row i is the
+    position of member i -> member j.
 
     Row A is the perps of A & B^perp over the members B, gathered from one
     lookup table of the distinct masks A & B^perp; the family is closed
     under intersection, so there are at most as many as members."""
     members = enumerate_orthoclosed(space)
-    names = tuple(map(space.subset_name, members))
-    # Point names may contain commas and braces, so two subsets can share one.
-    check_element_names("CL", names)
     perps = [perp(space, b) for b in members]
     rows = [(*map(a.__and__, perps),) for a in members]
     arrow_of = {m: closed_index(space, perp(space, m)) for m in set().union(*rows)}
-    logic = FiniteAlgebra(
-        "CL", names, tuple(gather(arrow_of, row) for row in rows),
-        closed_index(space, space.full()), closed_index(space, 0),
-    )
+    return tuple(gather(arrow_of, row) for row in rows)
+
+
+@recorded
+def cl_algebra(space: OrthoSpace) -> FiniteAlgebra:
+    """The orthoclosed-set logic as an algebra: ``logic_arrow``, each member
+    named by its points, the empty set as 0 and the full point set as 1."""
+    names = tuple(map(space.subset_name, enumerate_orthoclosed(space)))
+    # Point names may contain commas and braces, so two subsets can share one.
+    check_element_names("CL", names)
+    logic = FiniteAlgebra("CL", names, logic_arrow(space),
+                          closed_index(space, space.full()), closed_index(space, 0))
     validate_algebra(logic)
     return logic
 

@@ -33,14 +33,13 @@ copies "!ioml", and P6-FULL-FORMULA's items SS1-SS3 are the laws that
 hulls, and the checks that build the space or decide a full family) are
 functions over the same evaluators.  L7-DOWNSET decides its items over all
 subsets from its element and pair items, without enumerating the subsets;
-it and P7-CL-ISO read their down-sets from the <=L table and take each
-distinct perp once.
+it and P7-CL-ISO compare the arrow with ``logic_arrow``, the logic's,
+row by row through h(x), the family position of the down-set of x.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache, partial
 from typing import Callable
 
 from .algebra import (
@@ -71,8 +70,9 @@ from .algebra import (
     classify,
     down_set,
     first_failure,
-    holds_at,
+    gather,
     star,
+    table_of,
 )
 from .orthospace import (
     associated_orthospace,
@@ -81,7 +81,9 @@ from .orthospace import (
     enumerate_orthoclosed,
     is_dacey,
     is_normal,
+    logic_arrow,
     perp,
+    _closed_positions,
     _two_cell_partitions,
 )
 from .sasaki import (
@@ -142,9 +144,9 @@ def _gated(alg, items):
     it does not, and an ungated one everywhere."""
     if all(len(item) == 2 for item in items):
         return items
-    flags = classify(alg).as_dict()
-    return tuple((tag, pred) for tag, pred, *gate in items
-                 if not gate or flags[gate[0].lstrip("!")] != gate[0].startswith("!"))
+    label = classify(alg)
+    return tuple((tag, pred) for tag, pred, *gate in items if not gate
+                 or getattr(label, "is_" + gate[0].lstrip("!")) != gate[0].startswith("!"))
 
 
 def _pointwise(check_id, precondition, description, arity, *sides):
@@ -160,10 +162,10 @@ def _characterisation(check_id, precondition, description, arity, *clauses):
 
 
 def _meets(alg: FiniteAlgebra, precondition: str) -> bool:
-    flags = classify(alg).as_dict()
+    label = classify(alg)
     if precondition == "invbe":
-        return flags["be"] and flags["involutive"]
-    return flags[precondition]
+        return label.is_be and label.is_involutive
+    return getattr(label, "is_" + precondition)
 
 
 def list_checks() -> tuple[CheckSpec, ...]:
@@ -232,17 +234,18 @@ def _equivalence(check_id, clauses):
 
 
 def _pointwise_equiv(alg, check_id, arity, sides):
-    """sides: (label, formula) pairs that must agree on every tuple.  One row
-    scan of "the first agrees with each other" finds the least tuple where
-    they disagree; each side's value at that tuple is its label's
-    holds/fails."""
+    """sides: (label, formula) pairs over x and y that must agree on every
+    pair.  One row scan of "the first agrees with each other" finds the
+    least pair where they disagree; each side's value there, lane x * n + y
+    of its table form, is its label's holds/fails."""
     preds = [pred for _, pred in sides]
     tup = first_failure(alg, _and(*(_iff(preds[0], pred) for pred in preds[1:])))
     if tup is None:
         return CheckResult(check_id, "pass")
     tup += (0,) * (arity - len(tup))
+    lane = tup[0] * alg.n + tup[1]
     return CheckResult(check_id, "fail", _names(alg, tup) + tuple(
-        (label, "holds" if holds_at(alg, pred, tup) else "fails") for label, pred in sides))
+        (label, "holds" if table_of(alg, pred)[lane] else "fails") for label, pred in sides))
 
 
 # -- basic consequences of the defining laws --------------------------------
@@ -720,12 +723,14 @@ def _t6_fullset(alg):
 
 # -- spaces -------------------------------------------------------------------
 
-def _points(alg, element_mask: int) -> int:
-    """A mask over the algebra's universe as one over the points of its
-    space, which are the elements but 0: point i is element i, less one
-    above 0."""
-    below = (1 << alg.zero) - 1
-    return (element_mask & below) | (element_mask >> (alg.zero + 1) << alg.zero)
+def _down_sets(alg, space) -> tuple[list, list, list]:
+    """The down-set of each x, over the universe and over the points, the
+    elements but 0 (point i is element i, less one above 0), and h(x), its
+    position in the space's orthoclosed family, None where it is not one."""
+    zero, below = alg.zero, (1 << alg.zero) - 1
+    down = [down_set(alg, x) for x in range(alg.n)]
+    points = [d & below | d >> (zero + 1) << zero for d in down]
+    return down, points, [*map(_closed_positions(space).get, points)]
 
 
 @_register("P7-DACEY-IFF-BOOLEAN-PAIRS", "iol", "the Dacey property via Boolean hulls inside the logic", 2)
@@ -739,6 +744,10 @@ def _p7_dacey_pairs(alg):
 def _l7_downset(alg):
     """Items (1)-(3) scanned over the elements and pairs; items (4) and (5),
     which quantify over every subset Y, are decided without visiting them.
+
+    Once item (1) holds at every x, the down-set of each x = x** (DN) is the
+    perp of that of x*, so in the family at h(x), and item (3) at x says that
+    h maps the arrow row of x onto the logic's row h(x) read at h.
 
     Item (4), down(big_meet(Y)) = the intersection of down(y) over Y, holds
     on every Y once item (2) holds, and ``big_meet`` cannot raise.  Fold Y
@@ -763,46 +772,38 @@ def _l7_downset(alg):
     (5) needs no pass of its own.
     """
     space, n, zero = associated_orthospace(alg), alg.n, alg.zero
-    down = [down_set(alg, x) for x in range(n)]
-    point_down = [_points(alg, d) for d in down]
-    perp_of = cache(partial(perp, space))
+    down, point_down, h = _down_sets(alg, space)
     for x in range(n):
-        lhs = perp_of(point_down[x])
-        mid = point_down[star(alg, x)]
         # x's orthogonal points: its row of the space, or all of them at 0.
         direct = space.full() if x == zero else space.rel[x - (x > zero)]
-        if not (lhs == mid == direct):
+        if not (perp(space, point_down[x]) == point_down[star(alg, x)] == direct):
             return CheckResult("L7-DOWNSET", "fail", (("item", "(1)"), ("x", alg.elements[x])))
     meet = alg.tables["^P"]
-    for x in range(n):
-        for y in range(n):
-            if down[x] & down[y] != down[meet[x * n + y]]:
-                return CheckResult(
-                    "L7-DOWNSET", "fail",
-                    (("item", "(2)"), ("x", alg.elements[x]), ("y", alg.elements[y])))
-            cl_arrow = perp_of(point_down[x] & perp_of(point_down[y]))
-            if point_down[alg.arrow[x][y]] != cl_arrow:
-                return CheckResult(
-                    "L7-DOWNSET", "fail",
-                    (("item", "(3)"), ("x", alg.elements[x]), ("y", alg.elements[y])))
+    for x, logic_row in enumerate(gather(logic_arrow(space), h)):
+        meets, mapped, row = meet[x * n:x * n + n], gather(h, alg.arrow[x]), gather(logic_row, h)
+        if (*map(down[x].__and__, down),) != gather(down, meets) or mapped != row:
+            # At the first failing y, item (2) comes first.
+            y, tag = next((y, tag) for y in range(n) for tag, fails in (
+                ("(2)", down[x] & down[y] != down[meets[y]]), ("(3)", mapped[y] != row[y])) if fails)
+            return CheckResult("L7-DOWNSET", "fail", (("item", tag),) + _names(alg, (x, y)))
     return CheckResult("L7-DOWNSET", "pass")
 
 
 @_register("P7-CL-ISO", "iol", "the down-set map is an isomorphism onto the logic", 2)
 def _p7_cl_iso(alg):
+    # h must be a bijection onto the family mapping the arrow row of x onto the
+    # logic's row h(x) read at h; lane 0 first, the star: A -> {} = A^perp.
     space = associated_orthospace(alg)
-    h = [_points(alg, down_set(alg, x)) for x in range(alg.n)]
-    if sorted(h) != sorted(enumerate_orthoclosed(space)) or len(set(h)) != alg.n:
+    h = _down_sets(alg, space)[2]
+    if None in h or sorted(h) != list(range(len(_closed_positions(space)))):
         return CheckResult("P7-CL-ISO", "fail", (("map", "not a bijection"),))
-    perp_of = cache(partial(perp, space))
-    for x in range(alg.n):
-        if perp_of(h[x]) != h[star(alg, x)]:
+    for x, logic_row in enumerate(gather(logic_arrow(space), h)):
+        mapped, row = gather(h, alg.arrow[x]), gather(logic_row, h)
+        if mapped[alg.zero] != row[alg.zero]:
             return CheckResult("P7-CL-ISO", "fail", (("star-at", alg.elements[x]),))
-        for y in range(alg.n):
-            if perp_of(h[x] & perp_of(h[y])) != h[alg.arrow[x][y]]:
-                return CheckResult(
-                    "P7-CL-ISO", "fail",
-                    (("x", alg.elements[x]), ("y", alg.elements[y])))
+        if mapped != row:
+            y = next(y for y in range(alg.n) if mapped[y] != row[y])
+            return CheckResult("P7-CL-ISO", "fail", _names(alg, (x, y)))
     return CheckResult("P7-CL-ISO", "pass")
 
 
@@ -821,11 +822,9 @@ def _p7_fullset_sasaki(alg):
 @_register("L7-NORMAL-CRIT", "iol", "the decomposition criterion matches the unique-decomposition reading", 0)
 def _l7_normal_crit(alg):
     space = associated_orthospace(alg)
-    perp_of = cache(partial(perp, space))
-    # A member's only possible partner is its perp, which is orthoclosed.
+    # A member's only possible partner is its perp, whose perp it is.
     members = enumerate_orthoclosed(space)
-    decomps = [(a, b) for a, b in zip(members, map(perp_of, members))
-               if a and b and perp_of(b) == a]
+    decomps = [(a, b) for a, b in zip(members, (perp(space, a) for a in members)) if a and b]
     # The first partition of a block that not exactly one decomposition extends.
     ambiguous = next(((block, e1) for block in blocks(space)
                       for e1, e2 in _two_cell_partitions(block)

@@ -5,7 +5,8 @@ from itertools import combinations, count, permutations, product, starmap
 import pytest
 
 from orthologic import FiniteAlgebra, associated_orthospace, classify, enumerate_models, fixture
-from orthologic.algebra import AXIOMS, CheckResult, _render, expand, iter_bits
+from orthologic.algebra import (
+    AXIOMS, BOUND, CheckResult, _bound_body, expand, formula_roles, iter_bits)
 from orthologic.enumeration import _UNIVERSE_AXIOMS, _from_key, _standard_names, _star_maps
 from orthologic.fixtures import FIXTURE_NAMES
 from orthologic.orthospace import OrthoSpace, blocks, orthoclosure, perp
@@ -82,13 +83,47 @@ def iols_up_to(n):
     )
 
 
+# -- the tuple-by-tuple reference evaluator -----------------------------------------
+#
+# The package compiles formulas to row scans only; the tests evaluate them one
+# tuple at a time from this rendering, an encoding independent of the scan
+# compiler.
+
+_RENDERED = {"->": "t[{}][{}]", "=": "{} == {}", "iff": "{} == {}", "not": "not {}"}
+
+
+def render(term) -> str:
+    """A term over the arrow alone (see ``expand``) as a Python expression
+    over t, Z (0), O (1) and its roles."""
+    if not isinstance(term, tuple):
+        return {"0": "Z", "1": "O"}.get(term, term)
+    head, *args = term
+    if head in ("and", "or"):
+        return "(" + f" {head} ".join(map(render, args)) + ")"
+    if head == "all":
+        return f"all({render(_bound_body(term))} for {BOUND} in range(len(t)))"
+    return "(" + _RENDERED[head].format(*map(render, args)) + ")"
+
+
+@lru_cache(maxsize=None)
+def evaluator_of(formula):
+    """The formula as a callable ``(t, Z, O, *roles)``; extra values are ignored."""
+    roles = "".join(role + ", " for role in formula_roles(formula))
+    return eval(f"lambda t, Z, O, {roles}*_: {render(expand(formula))}")
+
+
+def holds_at(alg, formula, tup) -> bool:
+    """The formula's value at one tuple of role values (extra values ignored)."""
+    return evaluator_of(formula)(alg.arrow, alg.zero, alg.one, *tup)
+
+
 # -- the search without symmetry breaking -----------------------------------------
 
 def _reference_predicate(roles, lhs, rhs):
     """The law as a bool over a partial table: true when the instance holds
     or either side evaluates to the marker U, which the unknown cells and
     the extra row and column U hold."""
-    body = f"(l := {_render(expand(lhs))}) == (r := {_render(expand(rhs))}) or l == U or r == U"
+    body = f"(l := {render(expand(lhs))}) == (r := {render(expand(rhs))}) or l == U or r == U"
     return eval(f"lambda t, Z, O, U, {', '.join(roles)}: {body}")
 
 

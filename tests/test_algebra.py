@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -27,6 +28,7 @@ from orthologic import (
     wedge_p,
     wedge_q,
 )
+from orthologic import algebra
 from orthologic.algebra import AXIOMS, TABLE_CEILING, axiom_holds, ortho, resolve_axiom_id
 from orthologic.enumeration import counterexample_search, goal_from_names
 from orthologic.fixtures import FIXTURE_NAMES
@@ -382,3 +384,25 @@ def test_a_constant_that_is_not_an_index_is_an_input_error(one, zero):
     bz = fixture("benzene6")
     with pytest.raises(InputError, match="constants outside the universe"):
         FiniteAlgebra("consts", bz.elements, bz.arrow, one, zero)
+
+
+def dynamic_code_sites(tree, where="<module>"):
+    """(innermost enclosing function, name) of each eval or exec call."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in ("eval", "exec"):
+            yield where, node.func.id
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else where
+        yield from dynamic_code_sites(node, inner)
+
+
+def test_the_package_compiles_formulas_in_two_places_only():
+    # The instance predicates of the pruner and the row scans are the only
+    # code the package generates; formulas are evaluated tuple by tuple only
+    # by the tests (``conftest.render``).
+    package = Path(algebra.__file__).parent
+    sites = [(path.name, *site) for path in sorted(package.glob("*.py"))
+             for site in dynamic_code_sites(ast.parse(path.read_text()))]
+    assert sites == [("algebra.py", "_compile", "exec"), ("algebra.py", "_compile_scan", "exec")]
+    for name in ("_render", "_evaluator_of", "holds_at"):
+        assert not hasattr(algebra, name), name

@@ -45,7 +45,7 @@ from orthologic.algebra import (
 )
 from orthologic.fixtures import FIXTURE_NAMES
 
-from conftest import boolean_iol, hexagons, iols_up_to, mo_iol, relabel, relabelled
+from conftest import boolean_iol, evaluator_of, hexagons, iols_up_to, mo_iol, relabel, relabelled
 import derived_reference as ref
 from derived_reference import REFERENCE
 from projection_families import canonical_projection_family, check_sasaki_set
@@ -128,7 +128,7 @@ def test_tables_match_their_definitions_through_every_gather(n):
     algs = [random_table(n, seed) for seed in range(3)] + [a for a in large() if a.n == n]
     layouts = [pair for pair in (False, True) if (n <= PAIR_CEILING if pair else n > 1)]
     for head, term in {**SYNTHETIC, **DERIVED}.items():
-        value = algebra._evaluator_of(expand(term))
+        value = evaluator_of(expand(term))
         builders = [algebra._compile_scan(roles, term, pair, table=True)
                     for pair in layouts for roles in (("x", "y"), ("y", "x"))]
         for alg in algs:
@@ -248,7 +248,7 @@ def test_pruner_predicates_of_head_equations_match_the_scans(lhs, rhs, n, seed, 
     for tup in product(range(n), repeat=len(roles)):
         verdict = holds(table, alg.zero, alg.one, n, *tup)
         if verdict is False:
-            assert not algebra._evaluator_of(equation)(alg.arrow, alg.zero, alg.one, *tup)
+            assert not evaluator_of(equation)(alg.arrow, alg.zero, alg.one, *tup)
         elif verdict is not None and len(verdict) == 3:
             a, b, v = verdict
             assert (a, b) in unknown and 0 <= v < n

@@ -321,6 +321,24 @@ def test_cli_theorems_filter_json(capsys):
         assert "unknown check id 'BOGUS'" in captured.err
 
 
+def test_cli_downset_checks_pass_where_subset_names_collide(capsys, tmp_path):
+    # On B8 with an atom named "a,b,c", its down-set and that of a v b name
+    # the same subset, "{a,b,c}".  The logic cannot be named, so the checks
+    # that build it as an algebra exit 2; the down-set checks read family
+    # positions only, and pass.
+    b8 = boolean_iol(3)
+    alg = FiniteAlgebra("collide", ("0", "a", "b", "c", "a,b,c", "p", "q", "1"),
+                        b8.arrow, b8.one, b8.zero)
+    path = tmp_path / "collide.json"
+    path.write_text(serialize_algebra(alg), encoding="utf-8")
+    assert run_cli("theorems", str(path), "--filter", "L7-DOWNSET", "P7-CL-ISO", "--json") == 0
+    assert json.loads(capsys.readouterr().out) == [
+        {"check": check_id, "status": "pass", "witness": []}
+        for check_id in ("L7-DOWNSET", "P7-CL-ISO")]
+    assert run_cli("theorems", str(path), "--filter", "P3-CL-IS-IOL") == 2
+    assert "duplicate element names ['{a,b,c}']" in capsys.readouterr().err
+
+
 def test_cli_theorems_filter_without_ids_is_a_usage_error(capsys):
     # A bare --filter must not fall back to running all 54 checks.
     with pytest.raises(SystemExit) as exc:

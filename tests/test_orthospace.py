@@ -458,8 +458,8 @@ def test_random_space_blocks_are_maximal_cliques_covering_all_edges(space):
 # -- the derived record --------------------------------------------------------
 
 # Every entry of a space's record, by the name of the function that builds it.
-RECORD_ENTRIES = ("enumerate_orthoclosed", "_closed_positions", "cl_algebra", "blocks",
-                  "is_normal", "is_sasaki_space")
+RECORD_ENTRIES = ("enumerate_orthoclosed", "_closed_positions", "logic_arrow", "cl_algebra",
+                  "blocks", "is_normal", "is_sasaki_space")
 
 
 def counted_builds(monkeypatch):

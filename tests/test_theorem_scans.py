@@ -24,7 +24,7 @@ tables where phi_0 and phi_1 are the constant 0 and the identity.
 """
 
 import random
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from itertools import product
 
 import pytest
@@ -56,18 +56,21 @@ from orthologic.algebra import (
     star,
 )
 from orthologic.fixtures import FIXTURE_NAMES
-from orthologic.orthospace import perp
+from orthologic.orthospace import enumerate_orthoclosed, perp
 from orthologic.theorems import _scan_items
 
 from conftest import (
     boolean_iol,
     direct_product,
+    evaluator_of,
     hexagons,
+    holds_at,
     iols_up_to,
     mo_iol,
     ortholattice_iol,
     reference_search_tables,
     relabelled,
+    render,
     without_pair,
 )
 from derived_reference import commutes, divides, le, le_l, le_q, ortho, vee_q, wedge_p, wedge_q
@@ -475,7 +478,7 @@ def reference_of(check_id, label, formula):
     synthetic check "SYN" stands for its rendering, evaluated tuple by tuple."""
     if check_id != "SYN":
         return REFERENCE[(check_id, label)]
-    value = algebra._evaluator_of(formula)
+    value = evaluator_of(formula)
     return lambda a, *tup: value(a.arrow, a.zero, a.one, *tup)
 
 
@@ -666,6 +669,72 @@ def test_registry_items_agree_on_failing_tables(monkeypatch):
     assert len(failing) >= 10
 
 
+# -- the sides of the pointwise checks ------------------------------------------
+#
+# A pointwise check labels each side holds/fails at its failing pair with one
+# lane of the side's table form.  The table forms, binders included, must be
+# the rendering evaluated pair by pair, and the labels its values there.
+
+@lru_cache(maxsize=None)
+def pointwise_sides():
+    """The (label, formula) sides of every pointwise check, by check id, as
+    its evaluator passes them to ``_pointwise_equiv``."""
+    found = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(theorems, "_pointwise_equiv",
+                      lambda alg, check_id, arity, sides: found.setdefault(check_id, sides))
+        for evaluate in theorems._EVAL.values():
+            evaluate(fixture("ioml10"))
+    return found
+
+
+def rendered_table(alg, formula):
+    return bytes(holds_at(alg, formula, (a, b)) for a in range(alg.n) for b in range(alg.n))
+
+
+def test_pointwise_table_forms_match_their_rendering():
+    # Both layouts up to PAIR_CEILING, the one-role layout above it.
+    sides = {formula for found in pointwise_sides().values() for _, formula in found}
+    assert len(pointwise_sides()) == 8 and len(sides) == 14
+    assert sum(map(algebra._binds, sides)) == 2
+    corpus = [fixture(name) for name in sorted(FIXTURE_NAMES)] + list(iols_up_to(8)) + [
+        relabelled(boolean_iol(4), 4), relabelled(boolean_iol(6), 6), relabelled(mo_iol(31), 31)]
+    for alg in corpus:
+        for formula in sides:
+            expected = rendered_table(alg, formula)
+            for pair in (False, True)[:1 + (alg.n <= algebra.PAIR_CEILING)]:
+                table = algebra._scan_of(formula, pair, True)(
+                    alg.arrow, alg.zero, alg.one, alg.n, alg.tables)
+                assert table == expected, (formula, alg.name, pair)
+            assert algebra.table_of(alg, formula) == expected
+
+
+def test_pointwise_labels_are_the_rendered_values():
+    # Every pointwise check, past its precondition, on the census and on
+    # one-cell mutations: its failing pair is the least at which the
+    # rendered sides disagree, and each label is its side's value there.
+    algs = list(iols_up_to(8)) + [alg for _, alg in mutants(300, 3)]
+    labels = set()
+    for alg in algs:
+        for check_id, sides in pointwise_sides().items():
+            res = theorems._EVAL[check_id](alg)
+            pairs = product(range(alg.n), repeat=2)
+            least = next((tup for tup in pairs
+                          if len({holds_at(alg, f, tup) for _, f in sides}) > 1), None)
+            assert res.passed == (least is None), (check_id, alg.arrow)
+            if least is None:
+                continue
+            assert res.witness[:2] == (("x", alg.elements[least[0]]), ("y", alg.elements[least[1]]))
+            assert res.witness[2:] == tuple((label, "holds" if holds_at(alg, f, least) else "fails")
+                                            for label, f in sides), (check_id, alg.arrow)
+            labels.update((check_id, *label) for label in res.witness[2:])
+    assert {(check_id, label) for check_id, label, _ in labels} == {
+        (check_id, label) for check_id, sides in pointwise_sides().items() for label, _ in sides}
+    # Both binder sides of T4-SP-COMPOSE are read holding and failing.
+    assert {("T4-SP-COMPOSE", side, value) for side in ("(b)", "(c)")
+            for value in ("holds", "fails")} <= labels
+
+
 # -- compiled formulas ---------------------------------------------------------
 
 LONG_ROW_BUDGET = 5000  # tuples per reference scan on the large i-OLs
@@ -766,7 +835,7 @@ def test_compiled_formula_matches_its_rendering(formula, table):
     # scanned over all of its roles, with the bound element as the row.
     assume(formula_roles(formula))
     alg = next(random_tables(1, table))
-    value = algebra._evaluator_of(formula)
+    value = evaluator_of(formula)
     expected = next((tup for tup in product(range(alg.n), repeat=len(formula_roles(formula)))
                      if not value(alg.arrow, alg.zero, alg.one, *tup)), None)
     assert first_failure(alg, formula) == expected
@@ -780,7 +849,7 @@ def test_compiled_formula_matches_its_rendering(formula, table):
 # formula finds, on formulas that swap under x <-> y and on near misses.
 
 def rendered_first_failure(alg, formula):
-    value = algebra._evaluator_of(formula)
+    value = evaluator_of(formula)
     return next((tup for tup in product(range(alg.n), repeat=len(formula_roles(formula)))
                  if not value(alg.arrow, alg.zero, alg.one, *tup)), None)
 
@@ -930,7 +999,7 @@ def test_every_law_and_registry_scan_on_the_one_element_table():
     assert len(formulas) == 159
     for formula in formulas:
         at = (0,) * len(formula_roles(formula))
-        expected = None if algebra._evaluator_of(formula)(alg.arrow, 0, 0, *at) else at
+        expected = None if evaluator_of(formula)(alg.arrow, 0, 0, *at) else at
         assert both_layouts(alg, formula) == (expected, expected), formula
         assert first_failure(alg, formula) == expected, formula
     for key, scans in algebra.AXIOM_SCANS.items():
@@ -1008,7 +1077,7 @@ def test_binders_do_not_nest():
     inner = algebra._all(algebra._eq(BOUND, "0"))
     nested = algebra._all(algebra._and(algebra._eq("x", BOUND), inner))
     for fn in (partial(algebra._compile_scan, pair=False), partial(algebra._compile_scan, pair=True),
-               lambda roles, f: algebra._render(f)):
+               lambda roles, f: render(f)):
         with pytest.raises(ValueError, match="nested binder"):
             fn(("x",), nested)
 
@@ -1030,7 +1099,7 @@ MACROS = [
 
 @pytest.mark.parametrize("macro, fn", MACROS, ids=[fn.__name__ for _, fn in MACROS])
 def test_macro_tables_match_the_functions_of_their_names(macro, fn):
-    value = algebra._evaluator_of(macro)
+    value = evaluator_of(macro)
     for alg in CORPORA["fixtures"]() + CORPORA["random"]()[:50]:
         for tup in product(range(alg.n), repeat=arity_of(fn)):
             assert value(alg.arrow, alg.zero, alg.one, *tup) == fn(alg, *tup), (alg.name, tup)
@@ -1084,9 +1153,10 @@ def test_subset_items_item5_fails_alike(monkeypatch, alg, element):
         "L7-DOWNSET", "fail", (("item", "(1)"), ("x", element)))
 
 
-def mutants(count, seed):
-    """One-cell mutations of small i-OLs off the star column and the forced
-    cells, so star stays an involution while meets and down-sets break."""
+def mutants(count, seed, cells=1):
+    """Mutations of small i-OLs at one cell, or more, off the star column and
+    the forced cells, so star stays an involution while meets and down-sets
+    break."""
     rng = random.Random(seed)
     base = [m for n in (4, 6) for m in enumerate_models(n, "iol")]
     base += [fixture(name) for name in sorted(FIXTURE_NAMES)] + [mo(3), hexagons(2)]
@@ -1094,7 +1164,8 @@ def mutants(count, seed):
         alg = rng.choice(base)
         free = [i for i in range(alg.n) if i not in (alg.one, alg.zero)]
         arrow = [list(row) for row in alg.arrow]
-        arrow[rng.choice(free)][rng.choice(free)] = rng.randrange(alg.n)
+        for _ in range(cells):
+            arrow[rng.choice(free)][rng.choice(free)] = rng.randrange(alg.n)
         yield alg, FiniteAlgebra(f"mut{k}", alg.elements, tuple(map(tuple, arrow)),
                                  alg.one, alg.zero)
 
@@ -1126,6 +1197,148 @@ def test_subset_items_agree_on_mutated_tables():
         else:
             broken.add(res if res in (None, "raised") else res.witness[0][1])
     assert kept and {"raised", "(4)"} <= broken
+
+
+# -- L7-DOWNSET and P7-CL-ISO against the perps they no longer take ------------------
+#
+# Both checks compare the arrow with the logic's arrow of the space row by
+# row, through the family positions of the down-sets.  The bodies below take
+# a perp per element and per pair instead, as the checks did before, and must
+# give the same CheckResult, or raise the same error, on every space the
+# checks can be handed.
+
+def reference_downset(alg, space):
+    """L7-DOWNSET items (1)-(3), with one perp per element and per pair, and
+    each point down-set found by the names of its points."""
+    n, zero = alg.n, alg.zero
+    down = [down_set(alg, x) for x in range(n)]
+    point_down = [space_mask(alg, space, d) for d in down]
+    perp_of = cache(partial(perp, space))
+    for x in range(n):
+        lhs = perp_of(point_down[x])
+        mid = point_down[star(alg, x)]
+        direct = space.full() if x == zero else space.rel[x - (x > zero)]
+        if not (lhs == mid == direct):
+            return CheckResult("L7-DOWNSET", "fail", (("item", "(1)"), ("x", alg.elements[x])))
+    meet = alg.tables["^P"]
+    for x in range(n):
+        for y in range(n):
+            if down[x] & down[y] != down[meet[x * n + y]]:
+                return CheckResult(
+                    "L7-DOWNSET", "fail",
+                    (("item", "(2)"), ("x", alg.elements[x]), ("y", alg.elements[y])))
+            cl_arrow = perp_of(point_down[x] & perp_of(point_down[y]))
+            if point_down[alg.arrow[x][y]] != cl_arrow:
+                return CheckResult(
+                    "L7-DOWNSET", "fail",
+                    (("item", "(3)"), ("x", alg.elements[x]), ("y", alg.elements[y])))
+    return CheckResult("L7-DOWNSET", "pass")
+
+
+def reference_cl_iso(alg, space):
+    """P7-CL-ISO with the perps of the down-sets and of A & B^perp, and each
+    point down-set found by the names of its points."""
+    h = [space_mask(alg, space, down_set(alg, x)) for x in range(alg.n)]
+    if sorted(h) != sorted(enumerate_orthoclosed(space)) or len(set(h)) != alg.n:
+        return CheckResult("P7-CL-ISO", "fail", (("map", "not a bijection"),))
+    perp_of = cache(partial(perp, space))
+    for x in range(alg.n):
+        if perp_of(h[x]) != h[star(alg, x)]:
+            return CheckResult("P7-CL-ISO", "fail", (("star-at", alg.elements[x]),))
+        for y in range(alg.n):
+            if perp_of(h[x] & perp_of(h[y])) != h[alg.arrow[x][y]]:
+                return CheckResult(
+                    "P7-CL-ISO", "fail", (("x", alg.elements[x]), ("y", alg.elements[y])))
+    return CheckResult("P7-CL-ISO", "pass")
+
+
+DOWNSET_REFERENCES = {"L7-DOWNSET": reference_downset, "P7-CL-ISO": reference_cl_iso}
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the package error it raises."""
+    try:
+        return fn(*args)
+    except AlgebraError as error:
+        return type(error), str(error)
+
+
+def downset_outcomes(monkeypatch, cases):
+    """Assert that each check agrees with its reference on each (algebra,
+    space) case, evaluated past the precondition; None stands for the
+    algebra's own space.  Return the set of (check id, first witness pair)
+    of the failures, or (check id, status)."""
+    seen = set()
+    for alg, space in cases:
+        if space is None:
+            monkeypatch.undo()
+            own = outcome(associated_orthospace, alg)
+            expected = {check_id: own if isinstance(own, tuple) else reference(alg, own)
+                        for check_id, reference in DOWNSET_REFERENCES.items()}
+        else:
+            monkeypatch.setattr(theorems, "associated_orthospace", lambda alg: space)
+            expected = {check_id: outcome(reference, alg, space)
+                        for check_id, reference in DOWNSET_REFERENCES.items()}
+        for check_id, reference in expected.items():
+            res = outcome(theorems._EVAL[check_id], alg)
+            assert res == reference, (check_id, alg.name, alg.arrow, space)
+            if isinstance(res, CheckResult):
+                seen.add((check_id, res.witness[0] if res.failed else res.status))
+    monkeypatch.undo()
+    return seen
+
+
+def test_downset_checks_match_their_perp_bodies_on_iols(monkeypatch):
+    census = [alg for n in (2, 4, 6, 8, 10) for alg in enumerate_models(n, "iol")]
+    fixtures = [fixture(name) for name in sorted(FIXTURE_NAMES)]
+    assert downset_outcomes(monkeypatch, ((alg, None) for alg in fixtures + census)) == {
+        ("L7-DOWNSET", "pass"), ("P7-CL-ISO", "pass")}
+
+
+def test_downset_checks_match_their_perp_bodies_on_mutants(monkeypatch):
+    # Each mutant with its own space, where it is still an i-OL, and with
+    # that of the i-OL it was mutated from.
+    cases = [case for parent, alg in mutants(300, 3)
+             for case in ((alg, None), (alg, associated_orthospace(parent)))]
+    seen = downset_outcomes(monkeypatch, cases)
+    assert {("L7-DOWNSET", ("item", tag)) for tag in ("(1)", "(2)", "(3)")} <= seen
+    assert {("P7-CL-ISO", ("map", "not a bijection")), ("P7-CL-ISO", "pass")} <= seen
+    assert any(check_id == "P7-CL-ISO" and witness[0] == "x" for check_id, witness in seen)
+
+
+def test_downset_reports_item_2_before_item_3_at_one_pair(monkeypatch):
+    # Three-cell mutants over the space of the i-OL they come from: where
+    # items (2) and (3) both fail first at one pair, item (2) is reported.
+    cases = [(alg, associated_orthospace(parent)) for parent, alg in mutants(300, 5, cells=3)]
+    assert downset_outcomes(monkeypatch, cases)
+    both = 0
+    for alg, space in cases:
+        res = reference_downset(alg, space)
+        if res.witness[:1] == (("item", "(2)"),):
+            x, y = (alg.index(value) for _, value in res.witness[1:])
+            points = partial(space_mask, alg, space)
+            arrow = perp(space, points(down_set(alg, x)) & perp(space, points(down_set(alg, y))))
+            both += points(down_set(alg, alg.arrow[x][y])) != arrow
+    assert both
+
+
+def test_downset_checks_match_their_perp_bodies_on_substituted_spaces(monkeypatch):
+    # The spaces without their first pair, and the mutated benzene6 arrows
+    # of ``test_theorems.py`` over benzene6's space.
+    algs = [fixture(name) for name in sorted(FIXTURE_NAMES)]
+    algs += [relabelled(mo(3), 5), relabelled(hexagons(2), 6)]
+    cases = [(alg, without_pair(associated_orthospace(alg))) for alg in algs]
+    benzene6 = fixture("benzene6")
+    for cell in (("b", "c", "a"), ("a", "a", "b")):
+        x, y, value = map(benzene6.index, cell)
+        arrow = [bytearray(row) for row in benzene6.arrow]
+        arrow[x][y] = value
+        mutant = FiniteAlgebra("benzene6-mut", benzene6.elements, tuple(arrow),
+                               benzene6.one, benzene6.zero)
+        cases.append((mutant, associated_orthospace(benzene6)))
+    seen = downset_outcomes(monkeypatch, cases)
+    assert {("L7-DOWNSET", ("item", "(1)")), ("P7-CL-ISO", ("map", "not a bijection")),
+            ("L7-DOWNSET", ("item", "(2)")), ("L7-DOWNSET", ("item", "(3)"))} <= seen
 
 
 @pytest.mark.parametrize("alg", [boolean(4), relabelled(mo(7), 7), relabelled(hexagons(4), 4)],

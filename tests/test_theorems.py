@@ -15,7 +15,7 @@ from orthologic import theorems
 from orthologic.algebra import CheckResult, popcount
 from orthologic.enumeration import enumerate_models
 
-from orthologic.orthospace import blocks, enumerate_orthoclosed, perp
+from orthologic.orthospace import blocks, enumerate_orthoclosed, logic_arrow, perp
 
 from conftest import ordered_partitions, random_spaces, without_pair
 
@@ -148,8 +148,12 @@ def test_cl_iso_fails_where_the_family_is_not_the_down_sets(monkeypatch, benzene
 
 
 def test_cl_iso_fails_where_perp_is_not_the_star(monkeypatch, benzene6):
-    # With the identity for star, perp of the empty down-set of 0 is every point.
-    monkeypatch.setattr(theorems, "star", lambda alg, x: x)
+    # With the identity for the logic's star, A -> {} = A at every member A
+    # (lane 0, the empty set), the empty down-set of 0 is its own star, not
+    # every point, the down-set of 0* = 1.
+    logic = logic_arrow(associated_orthospace(benzene6))
+    monkeypatch.setattr(theorems, "logic_arrow",
+                        lambda space: tuple((i, *row[1:]) for i, row in enumerate(logic)))
     assert evaluate("P7-CL-ISO", benzene6) == CheckResult(
         "P7-CL-ISO", "fail", (("star-at", "0"),))
 
