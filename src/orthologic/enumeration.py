@@ -11,17 +11,19 @@ remaining cells come in contrapositive pairs (x -> y = y* -> x*), halving the
 free-cell count.  Backtracking assigns one cell pair at a time and prunes on
 every axiom instance that is already fully determined, using the same laws
 as ``check_axiom``, compiled to instance predicates that name the first
-unknown cell they read.  Each instance is evaluated once at the root and then
-watched, as in SEM and Mace4: it is filed under the depth that assigns the
-cell it waits on, and only the instances filed under a depth are evaluated
-again there.  An instance whose first unknown cell is the top arrow of one
-side, with the other side known, holds for one value of that cell alone; it
-forces that value, and the depth of the cell tries no other.  Two different
-values forced on one cell, a wipe-out, fail the value that forced the
-second, so the branch is abandoned where it became empty, not at the depth
-of the cell.  Only values that would fail are skipped, so the leaves come
-out in the same order as without forcing.  Each leaf is then verified in
-full.
+unknown cell they read.  The instances are watched, as in SEM and Mace4: one
+routine evaluates them, at the root every instance once and at each depth
+the instances filed under it, and files each one still undetermined under
+the depth that assigns the cell it waits on.  An instance that fails at the
+root leaves the star map with no completion, so its search ends there and
+every leaf meets every instance.  An instance whose first unknown cell is
+the top arrow of one side, with the other side known, holds for one value
+of that cell alone; it forces that value, and the depth of the cell tries no
+other.  Two different values forced on one cell, a wipe-out, fail the value
+that forced the second, so the branch is abandoned where it became empty,
+not at the depth of the cell.  Only values that would fail are skipped, so
+the leaves come out in the same order as without forcing.  Each leaf is
+then verified in full.
 
 The search breaks the symmetry of the star map with lex-leader constraints
 (Crawford, Ginsberg, Luks & Roy, KR 1996), watched like the law instances:
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, count, product
+from itertools import combinations, count, product, repeat
 from math import isqrt
 from operator import itemgetter
 from time import perf_counter
@@ -166,9 +168,12 @@ def _fill_tables(
     stats: SearchStats,
 ) -> Iterator[FiniteAlgebra]:
     """Backtrack over the free cells of one star map in one loop over the
-    depths, as a thousand nested generators would overflow the stack;
-    ``nodes`` counts search nodes across all star maps of one search, and
-    the values forced and the wipe-outs count on ``stats``."""
+    depths, as a thousand nested generators would overflow the stack.  One
+    routine, ``propagate``, evaluates and files the watched instances: at
+    the root on every instance, where a failure leaves the star map with no
+    completion, and at each depth on those filed under it.  ``nodes`` counts
+    search nodes across all star maps of one search, and the values forced
+    and the wipe-outs count on ``stats``."""
     zero, one, unknown = 0, n - 1, n
     names = _standard_names(n)
     table = [[unknown] * n for _ in range(n)]
@@ -189,32 +194,45 @@ def _fill_tables(
                 depth_of[i, j] = depth_of[star_of[j], star_of[i]] = len(cells)
                 cells.append((i, j))
     # watch[k]: the instances not yet determined whose first unknown cell is
-    # assigned at depth k.  An instance that fails on the pre-filled cells
-    # alone fails again at depth 0; with no free cell, watch[0] is never read.
+    # assigned at depth k; with no free cell, watch[0] is never read.
     # forced[k]: the value an instance forces on the cell of depth k, or -1;
     # the instance stays filed under depth k, where it holds at that value.
     last = len(cells)
     watch: list[list[tuple[Callable, tuple[int, ...]]]] = [[] for _ in range(last + 1)]
     forced = [-1] * last
-    for a in prune_axioms:
-        holds = partial(AXIOM_PREDICATES[a], table, zero, one, unknown)
-        for tup in product(range(n), repeat=len(AXIOMS[a][0])):
+
+    def propagate(entries, pins: list[int], undo: list[int]) -> bool:
+        # Evaluate the entries and file each one still undetermined under the
+        # depth of the cell it waits on, noting that depth on ``undo`` and a
+        # depth whose value it forces on ``pins``.  False at the first that
+        # fails, or that forces a value on a cell with another value forced:
+        # a wipe-out.
+        for entry in entries:
+            holds, tup = entry
             cell = holds(*tup)
             if cell is None:
                 continue
             if cell is False:
-                d = 0
-            elif len(cell) == 3:
-                d = depth_of[cell[:2]]
-                if forced[d] != cell[2]:
-                    if forced[d] >= 0:  # no completion of this star map
+                return False
+            if len(cell) == 3:
+                d, w = depth_of[cell[:2]], cell[2]
+                if forced[d] != w:
+                    if forced[d] >= 0:
                         stats.wipeouts += 1
-                        return
-                    forced[d] = cell[2]
+                        return False
+                    forced[d] = w
+                    pins.append(d)
                     stats.forced += 1
             else:
                 d = depth_of[cell]
-            watch[d].append((holds, tup))
+            watch[d].append(entry)
+            undo.append(d)
+        return True
+
+    for a in prune_axioms:
+        holds = partial(AXIOM_PREDICATES[a], table, zero, one, unknown)
+        if not propagate(zip(repeat(holds), product(range(n), repeat=len(AXIOMS[a][0]))), [], []):
+            return
 
     # Lex-leader constraints: for each symmetry g, T <= g.T on the free cells
     # in depth order, where (g.T)[i][j] = g[T[g i][g j]].  A check returns
@@ -251,8 +269,10 @@ def _fill_tables(
 
     # values[k] is the value tried last at depth k, -1 before the first;
     # moved[k] the depths its watched instances moved to, and pinned[k] the
-    # depths whose value it forced.  A depth with a forced value tries that
-    # value alone, once.
+    # depths whose value it forced.  Each pass tries one value at depth k,
+    # after undoing what the last value did there; a depth with a forced
+    # value tries that value alone, once.  Only the instances waiting on the
+    # cell of depth k can change verdict when it takes a value.
     k = 0
     values, moved, pinned = [-1] * last, [[] for _ in cells], [[] for _ in cells]
     while k >= 0:
@@ -261,54 +281,27 @@ def _fill_tables(
             k -= 1
             continue
         undo, back, pins, (i, j), f = moved[k], rewind[k], pinned[k], cells[k], forced[k]
-        for v in range(values[k] + 1, n) if f < 0 else (f,) if f > values[k] else ():
-            while undo:
-                watch[undo.pop()].pop()
-            while back:
-                c, p = back.pop()
-                agree[c] = p
-            while pins:
-                forced[pins.pop()] = -1
-            if next(nodes) > budget:
-                raise ResourceLimitError(f"enumeration at size {n} exceeded node budget"
-                                         f" {budget}, {k} of {last} free cells filled")
-            assign(i, j, v)
-            # Only the instances waiting on this cell can change verdict; each
-            # one still undetermined waits deeper until the next value.  One
-            # that forces a value on a cell with another value forced wipes
-            # that cell out, which fails this value.
-            for entry in watch[k]:
-                holds, tup = entry
-                cell = holds(*tup)
-                if cell is False:
-                    break
-                if cell is not None:
-                    if len(cell) == 3:
-                        d, w = depth_of[cell[:2]], cell[2]
-                        if forced[d] != w:
-                            if forced[d] >= 0:
-                                stats.wipeouts += 1
-                                break
-                            forced[d] = w
-                            pins.append(d)
-                            stats.forced += 1
-                    else:
-                        d = depth_of[cell]
-                    watch[d].append(entry)
-                    undo.append(d)
-            else:
-                values[k], k = v, k + 1
-                break
-        else:
-            while undo:
-                watch[undo.pop()].pop()
-            while back:
-                c, p = back.pop()
-                agree[c] = p
-            while pins:
-                forced[pins.pop()] = -1
+        while undo:
+            watch[undo.pop()].pop()
+        while back:
+            c, p = back.pop()
+            agree[c] = p
+        while pins:
+            forced[pins.pop()] = -1
+        v = values[k] + 1
+        if f >= 0:
+            v = f if v <= f else n
+        if v == n:
             assign(i, j, unknown)
             values[k], k = -1, k - 1
+            continue
+        if next(nodes) > budget:
+            raise ResourceLimitError(f"enumeration at size {n} exceeded node budget"
+                                     f" {budget}, {k} of {last} free cells filled")
+        values[k] = v
+        assign(i, j, v)
+        if propagate(watch[k], pins, undo):
+            k += 1
 
 
 _CLASS_AXIOMS = {

@@ -60,6 +60,9 @@ class OrthoSpace:
 
     def __post_init__(self) -> None:
         n = len(self.points)
+        if len(set(self.points)) != n:
+            dupes = sorted({p for p in self.points if self.points.count(p) > 1})
+            raise InputError(f"duplicate point names {dupes}")
         if len(self.rel) != n:
             raise InputError("relation size does not match point count")
         for i, row in enumerate(self.rel):
@@ -112,6 +115,9 @@ class OrthoSpace:
         rel = [0] * len(points)
         idx = {p: i for i, p in enumerate(points)}
         for x, y in pairs:
+            for p in (x, y):
+                if p not in idx:
+                    raise InputError(f"unknown point {p!r}")
             rel[idx[x]] |= 1 << idx[y]
             rel[idx[y]] |= 1 << idx[x]
         return OrthoSpace(points, tuple(rel))

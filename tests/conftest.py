@@ -157,7 +157,8 @@ def free_cells(n, star_of, required):
 
 def reference_fill_tables(n, star_of, required, prune_axioms, nodes):
     """``_fill_tables`` without symmetry breaking, re-scanning every instance
-    of every prune law at every node; each node counts on ``nodes``."""
+    of every prune law at every node, the root included, so a pre-filled
+    table that fails a law has no leaf; each node counts on ``nodes``."""
     zero, one, unknown = 0, n - 1, n
     names = _standard_names(n)
     table, cells = free_cells(n, star_of, required)
@@ -170,6 +171,11 @@ def reference_fill_tables(n, star_of, required, prune_axioms, nodes):
         table[i][j] = v
         table[star_of[j]][star_of[i]] = v
 
+    def meets_laws():
+        return all(
+            all(starmap(holds, product(range(n), repeat=arity))) for holds, arity in checks
+        )
+
     def fill(k):
         if k == len(cells):
             yield FiniteAlgebra(
@@ -180,14 +186,12 @@ def reference_fill_tables(n, star_of, required, prune_axioms, nodes):
         for v in range(n):
             next(nodes)
             assign(i, j, v)
-            if all(
-                all(starmap(holds, product(range(n), repeat=arity)))
-                for holds, arity in checks
-            ):
+            if meets_laws():
                 yield from fill(k + 1)
         assign(i, j, unknown)
 
-    yield from fill(0)
+    if meets_laws():
+        yield from fill(0)
 
 
 def reference_search_tables(n, required, nodes=None):

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 from functools import lru_cache
 from itertools import count, permutations, product
 
@@ -265,13 +266,45 @@ LEAF_DIGESTS = {
     12: "9b9dfb7ac7003725c0bd12872cf830cc49a2b1fd576990c224f4d398b38ee35a",
 }
 
+# What the class searches visit: (search nodes, forced values, wipe-outs,
+# leaves).  Pruning that removes nodes lowers these by design; print fresh
+# values of both tables with ``PYTHONPATH=src python tests/test_enumeration.py``.
+SEARCH_STATS = {
+    (6, "iol"): (32, 9, 1, 2),
+    (6, "ioml"): (31, 8, 1, 1),
+    (8, "iol"): (258, 122, 12, 5),
+    (10, "iboolean"): (121, 138, 15, 0),
+    (10, "iol"): (1_635, 788, 63, 18),
+    (12, "iol"): (13_566, 4_622, 460, 100),
+}
+
+
+@lru_cache(maxsize=None)
+def visit(n, cls):
+    """What the search of the class at size n visits, as in ``SEARCH_STATS``,
+    and the sha256 of its leaves, as in ``LEAF_DIGESTS``."""
+    nodes, stats, digest = count(1), SearchStats(), hashlib.sha256()
+    for leaf in _search_tables(n, _CLASS_AXIOMS[cls], nodes, stats):
+        stats.leaves += 1
+        digest.update(b"".join(leaf.arrow))
+    return (next(nodes) - 1, stats.forced, stats.wipeouts, stats.leaves), digest.hexdigest()
+
 
 @pytest.mark.parametrize("n", sorted(LEAF_DIGESTS))
 def test_leaves_come_out_in_the_same_order(n):
-    digest = hashlib.sha256()
-    for leaf in _search_tables(n, frozenset({"impl"})):
-        digest.update(b"".join(leaf.arrow))
-    assert digest.hexdigest() == LEAF_DIGESTS[n]
+    assert visit(n, "iol")[1] == LEAF_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n, cls", SEARCH_STATS, ids=[f"{n}-{cls}" for n, cls in SEARCH_STATS])
+def test_the_search_visits_the_pinned_nodes(n, cls):
+    assert visit(n, cls)[0] == SEARCH_STATS[n, cls]
+
+
+def test_a_pre_filled_table_that_fails_a_law_has_no_leaf():
+    # At n = 3 every cell is pre-filled, and the one table fails pi and Idis1.
+    for law in ("pi", "Idis1"):
+        assert list(_search_tables(3, frozenset({law}))) == []
+    assert counterexample_search(goal_from_names(["pi"], ["IOM"], 2, 5)) is None
 
 
 # What the search finds beyond the oracle's reach: a regression guard, not
@@ -589,3 +622,26 @@ def test_empty_size_range_is_rejected():
     with pytest.raises(InputError, match="empty size range"):
         SearchGoal(frozenset(), frozenset({"impl"}), min_size=5, max_size=4)
     assert goal_from_names(["impl"], ["IOM"], 4, 4).max_size == 4
+
+
+def main():
+    """Print fresh ``LEAF_DIGESTS`` and ``SEARCH_STATS`` in this file's form,
+    and name each entry that moved on stderr."""
+    print("LEAF_DIGESTS = {")
+    for n, pinned in LEAF_DIGESTS.items():
+        fresh = visit(n, "iol")[1]
+        print(f'    {n}: "{fresh}",')
+        if fresh != pinned:
+            print(f"changed: LEAF_DIGESTS[{n}]", file=sys.stderr)
+    print("}")
+    print("SEARCH_STATS = {")
+    for (n, cls), pinned in SEARCH_STATS.items():
+        fresh = visit(n, cls)[0]
+        print(f'    ({n}, "{cls}"): ({", ".join(f"{x:_}" for x in fresh)}),')
+        if fresh != pinned:
+            print(f"changed: SEARCH_STATS[{n}, {cls!r}]", file=sys.stderr)
+    print("}")
+
+
+if __name__ == "__main__":
+    main()

@@ -87,6 +87,16 @@ def test_spaces_built_directly_are_still_checked(rel, message):
         OrthoSpace(("a", "b"), rel)
 
 
+def test_spaces_reject_unknown_and_duplicate_points_when_built():
+    with pytest.raises(InputError, match="unknown point 'c'"):
+        OrthoSpace.from_pairs(("a", "b"), [("a", "c")])
+    with pytest.raises(InputError, match=r"duplicate point names \['a'\]"):
+        OrthoSpace(("a", "a"), (2, 1))
+    with pytest.raises(InputError, match=r"duplicate point names \['a'\]"):
+        OrthoSpace.from_pairs(("a", "b", "a"), [])
+    assert OrthoSpace((), ()).n == 0
+
+
 def test_space_rejects_non_iol():
     from orthologic.enumeration import counterexample_search, goal_from_names
 
