@@ -21,7 +21,8 @@ through the flattened table reads the table at two vectors.  On larger
 tables the row is the last role.  The first outer tuple at which the two
 sides differ, completed by the first lane at which they differ, is the
 lexicographically least violating tuple, the same witness a tuple-by-tuple
-scan finds.
+scan finds.  Each scan takes the algebra's ``tables`` store alone, which
+decides the layout once.  ``CLASS_LAWS`` maps each class to all its laws.
 
 The derived operations and relations (the meets ^Q and ^P, the joins vQ
 and vP, the three orders, orthogonality, commutation and divisibility) are
@@ -131,8 +132,8 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class ClassLabel:
-    """Classification flags; the chain iboolean => ioml => iol => involutive
-    & bounded & BE holds by construction."""
+    """One flag per class of ``CLASS_LAWS``, in order: all its laws hold.  So iol implies be,
+    bounded and involutive; iboolean implies ioml only by theorem ``P5-BOOLEAN-IS-IOML``."""
 
     is_be: bool
     is_bounded: bool
@@ -142,14 +143,7 @@ class ClassLabel:
     is_iboolean: bool
 
     def as_dict(self) -> dict[str, bool]:
-        return {
-            "be": self.is_be,
-            "bounded": self.is_bounded,
-            "involutive": self.is_involutive,
-            "iol": self.is_iol,
-            "ioml": self.is_ioml,
-            "iboolean": self.is_iboolean,
-        }
+        return {name: getattr(self, "is_" + name) for name in CLASS_LAWS}
 
 
 @dataclass(frozen=True)
@@ -487,6 +481,17 @@ AXIOMS: dict[str, tuple[tuple[str, ...], tuple | str, tuple | str]] = {
     ),
 }
 
+# The single definition of every class: its ``ClassLabel`` flag -> all of its
+# laws, in flag order, as the paper defines them.
+CLASS_LAWS: dict[str, tuple[str, ...]] = {
+    "be": ("BE1", "BE2", "BE3", "BE4"),
+    "bounded": ("bounded",),
+    "involutive": ("bounded", "DN"),
+}
+CLASS_LAWS["iol"] = (*CLASS_LAWS["be"], *CLASS_LAWS["involutive"], "impl")
+CLASS_LAWS["ioml"] = (*CLASS_LAWS["iol"], "IOM")
+CLASS_LAWS["iboolean"] = (*CLASS_LAWS["iol"], "@")
+
 
 def formula_roles(term) -> tuple[str, ...]:
     """The roles of a term: x, y, z, u up to the last of them it reads."""
@@ -543,29 +548,23 @@ def _compile(roles, lhs, rhs) -> Callable[..., tuple[int, ...] | bool | None]:
             lines.append(f"{pad}if {v} == U: return {unknown or f'{s}, {u}'}")
         return names[term]
 
-    def top(side, forced: Callable[[str, str], None]) -> str:
-        """The side; ``forced(s, u)`` emits the branch taken when its top
-        arrow, the cell (s, u), is unknown."""
+    def top(side, other) -> str:
+        """The side.  While its top arrow, the cell (s, u), is unknown, return
+        (s, u) and the other side's value, read on a copy of the names so that
+        its reads are emitted again, or (s, u) alone if the other side reads it."""
         if not isinstance(side, tuple) or side in names:
             return walk(side, names)
         s, u = walk(side[1], names), walk(side[2], names)
         names[side] = v = f"v{len(lines)}"
         lines.extend((f"    {v} = t[{s}][{u}]", f"    if {v} == U:"))
-        forced(s, u)
-        return v
-
-    def by_rhs(s, u) -> None:
-        # The right side is read on a copy of the names, so that its reads
-        # are emitted again after this branch; one that reads the unknown
-        # arrow itself is not known.
-        if _mentions(rhs, lhs):
+        if _mentions(other, side):
             lines.append(f"        return {s}, {u}")
         else:
-            other = walk(rhs, dict(names), "        ", f"{s}, {u}")
-            lines.append(f"        return {s}, {u}, {other}")
+            value = walk(other, dict(names), "        ", f"{s}, {u}")
+            lines.append(f"        return {s}, {u}, {value}")
+        return v
 
-    left = top(lhs, by_rhs)
-    right = top(rhs, lambda s, u: lines.append(f"        return {s}, {u}, {left}"))
+    left, right = top(lhs, rhs), top(rhs, lhs)
     lines.append(f"    if {left} != {right}: return False")
     scope: dict = {}
     exec("\n".join(lines), scope)
@@ -640,28 +639,28 @@ def _lanes(n: int, pair: bool) -> tuple:
 
 
 class DerivedTables(dict):
-    """The tables of the derived heads of one arrow table, each built on
-    first use and released with its algebra.
+    """The one input of every compiled scan: an arrow table, its constants,
+    its size ``n``, its row layout ``pair`` (n <= ``PAIR_CEILING``, decided
+    here once), and its derived tables, built on first use and released
+    with its algebra.
 
     ``tables[head]`` is one flat ``bytes`` of n * n lanes, lane a * n + b
     holding head(a, b): an element index, or, for a relation, 1 where it
     holds and 0 where it does not.  It is built by the head's builder in
     ``TABLE_BUILDERS``, its definition compiled by ``_compile_scan`` in the
-    table form of the layout the scans take at n, so a definition that
-    reads another head reads that head's table from this store.
-    ``rows(head)`` is the table as n rows; only above ``PAIR_CEILING``,
-    where the one-role scans read rows, are they kept."""
+    table form of the store's layout, so a definition that reads another
+    head reads that head's table from this store.  ``rows(head)`` is the
+    table as n rows, kept only in the one-role layout, which reads rows."""
 
-    __slots__ = ("arrow", "zero", "one")
+    __slots__ = ("arrow", "zero", "one", "n", "pair")
 
     def __init__(self, arrow: tuple[bytes, ...], zero: int, one: int) -> None:
         super().__init__()
-        self.arrow, self.zero, self.one = arrow, zero, one
+        self.arrow, self.zero, self.one, self.n = arrow, zero, one, len(arrow)
+        self.pair = self.n <= PAIR_CEILING
 
     def __missing__(self, head: str) -> bytes:
-        n = len(self.arrow)
-        build = TABLE_BUILDERS[head][n <= PAIR_CEILING]
-        table = self[head] = build(self.arrow, self.zero, self.one, n, self)
+        table = self[head] = TABLE_BUILDERS[head][self.pair](self)
         return table
 
     def rows(self, head: str) -> tuple[bytes, ...]:
@@ -669,9 +668,9 @@ class DerivedTables(dict):
         key = (head,)
         rows = self.get(key)
         if rows is None:
-            table, n = self[head], len(self.arrow)
+            table, n = self[head], self.n
             rows = tuple(table[i:i + n] for i in range(0, n * n, n))
-            if n > PAIR_CEILING:
+            if not self.pair:
                 self[key] = rows
         return rows
 
@@ -683,15 +682,15 @@ _SCAN_GLOBALS = {"_get": itemgetter, "_item": getitem, "_first_diff": _first_dif
 
 def _compile_scan(roles, formula, pair: bool,
                   table: bool = False) -> Callable[..., tuple[int, ...] | bytes | None]:
-    """The formula as one scan ``(t, Z, O, n, D) -> failing tuple | None``
-    over a complete arrow table ``t`` of n >= 1 bytes rows and the store
-    ``D`` of its derived tables, the algebra's ``tables``, in one of two
-    row layouts.  ``first_failure`` and ``check_axiom`` take the pair
-    layout where n <= ``PAIR_CEILING`` and the one-role layout above it.
+    """The formula as one scan ``(D) -> failing tuple | None``, in one of two
+    row layouts, of the store ``D`` (``DerivedTables``, an algebra's
+    ``tables``): a complete arrow table ``t`` of n >= 1 bytes rows, 0 = Z,
+    1 = O, and the derived tables.  ``first_failure`` and ``check_axiom``
+    take the layout the store names, ``D.pair``.
 
     With ``table`` the formula is a term over the roles x and y, an element
-    term or a formula, and the scan is its table form ``(t, Z, O, n, D) ->
-    lanes``: the term's n * n lanes, lane a * n + b holding its value at
+    term or a formula, and the scan is its table form ``(D) -> lanes``: the
+    term's n * n lanes, lane a * n + b holding its value at
     x = a and y = b, a formula's truth value as a 0/1 byte.  In the pair
     layout that is the one row, at (P, Q); in the one-role layout it is the
     rows of the loop over ``roles[0]`` joined.  ``roles`` is ("x", "y"), or
@@ -990,7 +989,8 @@ def _compile_scan(roles, formula, pair: bool,
         else:  # a binder's scan: every disjunct failed at this outer tuple
             tail = [f"return ({found})"]
     name = ("pair_" if pair else "row_") + ("table" if table else "scan")
-    lines = [f"def {name}(t, Z, O, n, D):", f"    {_LANE_NAMES[pair]} = _lanes(n, {pair})"]
+    lines = [f"def {name}(D):", "    t, Z, O, n = D.arrow, D.zero, D.one, D.n",
+             f"    {_LANE_NAMES[pair]} = _lanes(n, {pair})"]
     if "EQ" in tables:
         lines.append("    EQ, NE = _one_hot(n)")
     lines += ["    " + stmt for stmt in levels[0]]
@@ -1031,16 +1031,14 @@ def first_failure(alg: FiniteAlgebra, formula) -> tuple[int, ...] | None:
     which the formula fails; None when it holds throughout.  Formulas are
     compiled to row scans once each, on first use, and must be constants of
     this package, never input."""
-    return _scan_of(formula, alg.n <= PAIR_CEILING)(
-        alg.arrow, alg.zero, alg.one, alg.n, alg.tables)
+    return _scan_of(formula, alg.tables.pair)(alg.tables)
 
 
 def table_of(alg: FiniteAlgebra, term) -> bytes:
     """The table form of a term over the roles x and y, compiled once on first
     use: lane a * n + b holds its value at x = a and y = b, a formula's as 0
     or 1."""
-    return _scan_of(term, alg.n <= PAIR_CEILING, True)(
-        alg.arrow, alg.zero, alg.one, alg.n, alg.tables)
+    return _scan_of(term, alg.tables.pair, True)(alg.tables)
 
 
 # Compiled once at import from the constant terms above, never from input:
@@ -1084,8 +1082,7 @@ def check_axiom(alg: FiniteAlgebra, axiom_id: str) -> CheckResult:
     differ, is the lexicographically least violating tuple."""
     if axiom_id not in AXIOMS:
         raise InputError(f"unknown axiom id {axiom_id!r}")
-    failing = AXIOM_SCANS[axiom_id][alg.n <= PAIR_CEILING](
-        alg.arrow, alg.zero, alg.one, alg.n, alg.tables)
+    failing = AXIOM_SCANS[axiom_id][alg.tables.pair](alg.tables)
     if failing is None:
         return CheckResult(axiom_id, "pass")
     roles = AXIOMS[axiom_id][0]
@@ -1100,15 +1097,16 @@ def axiom_holds(alg: FiniteAlgebra, axiom_id: str) -> bool:
 
 @lru_cache(maxsize=None)
 def classify(alg: FiniteAlgebra) -> ClassLabel:
-    """Derive all classification flags; the monotone flag chain holds by
-    construction, so a defective table simply gets all-false flags."""
-    is_be = all(axiom_holds(alg, a) for a in ("BE1", "BE2", "BE3", "BE4"))
-    is_bounded = axiom_holds(alg, "bounded")
-    is_involutive = is_bounded and axiom_holds(alg, "DN")
-    is_iol = is_be and is_involutive and axiom_holds(alg, "impl")
-    is_ioml = is_iol and axiom_holds(alg, "IOM")
-    is_iboolean = is_iol and axiom_holds(alg, "@")
-    return ClassLabel(is_be, is_bounded, is_involutive, is_iol, is_ioml, is_iboolean)
+    """The flag of each class of ``CLASS_LAWS``: whether its laws hold, read
+    in order up to the first that fails.  Each verdict is looked up once."""
+    verdicts: dict[str, bool] = {}
+
+    def holds(law: str) -> bool:
+        if law not in verdicts:
+            verdicts[law] = axiom_holds(alg, law)
+        return verdicts[law]
+
+    return ClassLabel(*(all(map(holds, laws)) for laws in CLASS_LAWS.values()))
 
 
 def is_distributive(alg: FiniteAlgebra) -> bool:

@@ -20,6 +20,7 @@ from typing import Iterator, Optional
 from .algebra import (
     AlgebraError,
     CheckResult,
+    CLASS_LAWS,
     FiniteAlgebra,
     InputError,
     RELATIONS,
@@ -35,6 +36,7 @@ from .algebra import (
 )
 from .documents import parse_algebra, serialize_algebra
 from .enumeration import (
+    _CLASS_AXIOMS,
     SearchStats,
     counterexample_search,
     enumerate_models,
@@ -156,7 +158,7 @@ def _table(header: list[str], rows: list[list[str]]) -> str:
 def _cmd_validate(args) -> int:
     alg = _load(args.file)
     broken = []
-    for axiom_id in ("BE1", "BE2", "BE3", "BE4", "bounded", "DN"):
+    for axiom_id in CLASS_LAWS["be"] + CLASS_LAWS["involutive"]:
         res = check_axiom(alg, axiom_id)
         _print_result(res)
         if res.failed:
@@ -400,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="stream all models of a size and class")
     p.add_argument("--size", type=int, required=True)
-    p.add_argument("--class", dest="cls", required=True, choices=["iol", "ioml", "iboolean"])
+    p.add_argument("--class", dest="cls", required=True, choices=_CLASS_AXIOMS)
     p.add_argument("--limit", type=int)
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--stats", action="store_true", help="print search counters on stderr")

@@ -1,7 +1,8 @@
 """Exhaustive generation of small models up to isomorphism.
 
-The search universe is the bounded involutive BE candidates.  The star map is
-fixed first, which pins the 0-column.  Every involution on the non-constant
+The search universe is the bounded involutive BE candidates, the laws of the
+be and involutive classes of ``CLASS_LAWS``.  The star map is fixed first,
+which pins the 0-column.  Every involution on the non-constant
 elements is conjugate to a standard one, pairs followed by k fixed points,
 so the search runs over those, for every k of the parity of n - 2.
 When the goal requires ``impl`` or ``iG`` only the fixed-point-free pairing
@@ -51,6 +52,7 @@ from typing import Callable, Iterator, Optional
 from .algebra import (
     AXIOM_PREDICATES,
     AXIOMS,
+    CLASS_LAWS,
     FiniteAlgebra,
     InputError,
     ResourceLimitError,
@@ -61,8 +63,12 @@ from .algebra import (
     resolve_axiom_id,
 )
 
-# Axioms that hold on every candidate by construction of the pre-fill.
-_UNIVERSE_AXIOMS = frozenset({"BE1", "BE2", "BE3", "bounded", "DN"})
+# The search universe; the pre-fill meets all of its laws but BE4, which the
+# search prunes on.  A class whose laws contain it is searched by those it adds.
+_UNIVERSE = frozenset(CLASS_LAWS["be"] + CLASS_LAWS["involutive"])
+_UNIVERSE_AXIOMS = _UNIVERSE - {"BE4"}
+_CLASS_AXIOMS = {cls: frozenset(laws) - _UNIVERSE
+                 for cls, laws in CLASS_LAWS.items() if _UNIVERSE <= frozenset(laws)}
 
 
 @dataclass(frozen=True)
@@ -81,7 +87,7 @@ class SearchGoal:
                 raise InputError(f"unknown axiom id {name!r}")
         if self.require & self.forbid:
             raise InputError("contradictory goal: require and forbid overlap")
-        if self.forbid & (_UNIVERSE_AXIOMS | {"BE4"}):
+        if self.forbid & _UNIVERSE:
             raise InputError("goal lies outside the bounded involutive BE search universe")
         if self.min_size < 2:
             raise InputError("sizes below 2 are rejected (trivial algebra)")
@@ -304,13 +310,6 @@ def _fill_tables(
             k += 1
 
 
-_CLASS_AXIOMS = {
-    "iol": frozenset({"impl"}),
-    "ioml": frozenset({"impl", "IOM"}),
-    "iboolean": frozenset({"impl", "@"}),
-}
-
-
 # ---------------------------------------------------------------------------
 # Isomorphism: one individualisation-refinement tree (McKay & Piperno,
 # "Practical graph isomorphism II", 2014) gives the key and the test.
@@ -491,13 +490,13 @@ def enumerate_models(
     """All algebras of the class with n elements, one per isomorphism class,
     in canonical order; what the search did adds to ``stats``."""
     if cls not in _CLASS_AXIOMS:
-        raise InputError(f"unknown class {cls!r}; expected iol, ioml or iboolean")
+        *most, last = _CLASS_AXIOMS
+        raise InputError(f"unknown class {cls!r}; expected {', '.join(most)} or {last}")
     if n < 2:
         raise InputError("sizes below 2 are rejected (trivial algebra)")
     if limit is not None and limit < 0:
         raise InputError(f"negative limit {limit}")
-    flag = "is_" + cls
-    keys = _accepted_keys(n, _CLASS_AXIOMS[cls], lambda c: getattr(classify(c), flag), stats)
+    keys = _accepted_keys(n, _CLASS_AXIOMS[cls], lambda c: classify(c).as_dict()[cls], stats)
     return [_from_key(f"{cls}-{n}-{i}", key) for i, key in enumerate(keys[:limit])]
 
 

@@ -29,11 +29,25 @@ from orthologic import (
     wedge_q,
 )
 from orthologic import algebra
-from orthologic.algebra import AXIOMS, TABLE_CEILING, axiom_holds, ortho, resolve_axiom_id
-from orthologic.enumeration import counterexample_search, goal_from_names
+from orthologic.algebra import (
+    AXIOMS,
+    CLASS_LAWS,
+    TABLE_CEILING,
+    axiom_holds,
+    ortho,
+    resolve_axiom_id,
+)
+from orthologic.enumeration import (
+    _CLASS_AXIOMS,
+    _UNIVERSE_AXIOMS,
+    counterexample_search,
+    goal_from_names,
+)
 from orthologic.fixtures import FIXTURE_NAMES
 
+from conftest import iols_up_to
 from published_tables import WEDGE_Q
+from test_theorem_scans import mutants, random_tables
 
 
 def pairs(alg):
@@ -215,6 +229,47 @@ def test_flag_chain_is_monotone(algebras):
             assert lab.is_iol
         if lab.is_iol:
             assert lab.is_involutive and lab.is_bounded and lab.is_be
+
+
+# The paper's definitions of its three classes, and of the three flags below
+# them: an i-OL is a bounded involutive BE algebra that satisfies impl; an
+# i-OML is an i-OL that satisfies IOM, an implicative-Boolean algebra an i-OL
+# that satisfies @.
+PAPER_CLASSES = {
+    "be": {"BE1", "BE2", "BE3", "BE4"},
+    "bounded": {"bounded"},
+    "involutive": {"bounded", "DN"},
+    "iol": {"BE1", "BE2", "BE3", "BE4", "bounded", "DN", "impl"},
+    "ioml": {"BE1", "BE2", "BE3", "BE4", "bounded", "DN", "impl", "IOM"},
+    "iboolean": {"BE1", "BE2", "BE3", "BE4", "bounded", "DN", "impl", "@"},
+}
+
+
+def test_the_class_table_is_the_papers_definitions():
+    assert list(CLASS_LAWS) == list(PAPER_CLASSES)
+    assert {cls: set(laws) for cls, laws in CLASS_LAWS.items()} == PAPER_CLASSES
+    assert all(len(set(laws)) == len(laws) for laws in CLASS_LAWS.values())
+    # The model search: the universe less BE4, which it prunes on, and each
+    # searchable class by the laws it adds to the universe.
+    assert _UNIVERSE_AXIOMS == {"BE1", "BE2", "BE3", "bounded", "DN"}
+    assert _CLASS_AXIOMS == {"iol": {"impl"}, "ioml": {"impl", "IOM"}, "iboolean": {"impl", "@"}}
+    assert list(_CLASS_AXIOMS) == ["iol", "ioml", "iboolean"]
+
+
+def test_classify_flags_are_the_laws_of_their_class():
+    # Against check_axiom on the fixtures, the census to n=8, one-cell
+    # mutants (not all BE) and random tables (mostly neither bounded nor
+    # involutive): every flag is seen both set and clear.
+    corpus = [fixture(name) for name in sorted(FIXTURE_NAMES)] + list(iols_up_to(8)) + \
+        [mutant for _, mutant in mutants(300, 1)] + list(random_tables(200, 1, (2, 6)))
+    seen = set()
+    for alg in corpus:
+        flags = {cls: all(check_axiom(alg, law).passed for law in laws)
+                 for cls, laws in PAPER_CLASSES.items()}
+        assert classify(alg).as_dict() == flags, alg.name
+        assert list(classify(alg).as_dict()) == list(PAPER_CLASSES)
+        seen |= flags.items()
+    assert seen == {(cls, value) for cls in PAPER_CLASSES for value in (False, True)}
 
 
 def test_distributive_iff_boolean_on_iols(algebras):

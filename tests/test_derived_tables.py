@@ -135,8 +135,7 @@ def test_tables_match_their_definitions_through_every_gather(n):
             expected = bytes(value(alg.arrow, alg.zero, alg.one, a, b)
                              for a in range(n) for b in range(n))
             for build in builders:
-                assert build(alg.arrow, alg.zero, alg.one, n, alg.tables) == expected, \
-                    (head, alg.name, build.__name__)
+                assert build(alg.tables) == expected, (head, alg.name, build.__name__)
             if head in DERIVED:
                 assert alg.tables[head] == expected, (head, alg.name)
 
@@ -153,6 +152,7 @@ def test_no_derived_table_reads_a_table_lane_by_lane():
 def test_rows_are_kept_only_above_the_pair_ceiling():
     for n in (PAIR_CEILING, PAIR_CEILING + 1):
         alg = random_table(n, 0)
+        assert (alg.tables.n, alg.tables.pair) == (n, n <= PAIR_CEILING)
         rows = alg.tables.rows("^Q")
         assert b"".join(rows) == alg.tables["^Q"]
         assert (("^Q",) in alg.tables) == (n > PAIR_CEILING)
@@ -258,6 +258,19 @@ def test_pruner_predicates_of_head_equations_match_the_scans(lhs, rhs, n, seed, 
             table[a][b] = n
         elif verdict is not None:
             assert verdict in unknown
+
+
+def test_a_side_that_reads_the_other_sides_unknown_top_arrow_forces_nothing():
+    # Both sides are x -> y: with cell (1, 2) unknown the right side reads
+    # the left side's unknown top arrow, so the instance waits on the cell
+    # with no forced value, and holds once the cell holds any value.
+    holds = algebra._compile(("x", "y"), ("->", "x", "y"), ("->", "x", "y"))
+    table = [[0] * 3 for _ in range(3)]
+    table[1][2] = 3
+    assert holds(table, 0, 2, 3, 1, 2) == (1, 2)
+    for v in range(3):
+        table[1][2] = v
+        assert holds(table, 0, 2, 3, 1, 2) is None
 
 
 # -- the registry and the full projection family ------------------------------------

@@ -18,6 +18,7 @@ from orthologic import (
     associated_orthospace,
     classify,
     closed_index,
+    enumerate_models,
     enumerate_orthoclosed,
     fixture,
     parse_algebra,
@@ -349,6 +350,16 @@ def test_cli_theorems_filter_without_ids_is_a_usage_error(capsys):
     assert "--filter: expected at least one argument" in captured.err
 
 
+def test_cli_enumerate_offers_the_searchable_classes(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("enumerate", "--size", "4", "--class", "be")
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--class {iol,ioml,iboolean}" in captured.err
+    assert "argument --class: invalid choice: 'be'" in captured.err
+
+
 def test_cli_parser_is_built_once(monkeypatch, capsys):
     import orthologic.cli as cli
 
@@ -529,7 +540,10 @@ def _index_of_a_set_that_is_not_closed():
      "unknown axiom id 'nonsense'"),
     (lambda: SearchGoal(frozenset(), frozenset({"impl"}), min_size=1, max_size=4),
      "sizes below 2 are rejected (trivial algebra)"),
-], ids=["element", "point", "closed-set", "goal-axiom", "goal-size"])
+    (lambda: SearchGoal(frozenset(), frozenset({"BE4"})),
+     "goal lies outside the bounded involutive BE search universe"),
+    (lambda: enumerate_models(4, "be"), "unknown class 'be'; expected iol, ioml or iboolean"),
+], ids=["element", "point", "closed-set", "goal-axiom", "goal-size", "goal-universe", "class"])
 def test_lookups_and_goals_raise_input_errors(call, message):
     # No command names an element, a point or a closed set, and the CLI
     # resolves axiom names and fixes the least size before it builds a goal,

@@ -703,8 +703,7 @@ def test_pointwise_table_forms_match_their_rendering():
         for formula in sides:
             expected = rendered_table(alg, formula)
             for pair in (False, True)[:1 + (alg.n <= algebra.PAIR_CEILING)]:
-                table = algebra._scan_of(formula, pair, True)(
-                    alg.arrow, alg.zero, alg.one, alg.n, alg.tables)
+                table = algebra._scan_of(formula, pair, True)(alg.tables)
                 assert table == expected, (formula, alg.name, pair)
             assert algebra.table_of(alg, formula) == expected
 
@@ -985,8 +984,7 @@ def test_symmetric_scan_on_one_cell_mutations(alg):
 def both_layouts(alg, formula):
     """The failing tuples of the one-role and the pair scan of the formula,
     each called with the algebra's derived tables."""
-    return tuple(algebra._scan_of(formula, pair)(alg.arrow, alg.zero, alg.one, alg.n, alg.tables)
-                 for pair in (False, True))
+    return tuple(algebra._scan_of(formula, pair)(alg.tables) for pair in (False, True))
 
 
 def test_every_law_and_registry_scan_on_the_one_element_table():
@@ -1003,7 +1001,7 @@ def test_every_law_and_registry_scan_on_the_one_element_table():
         assert both_layouts(alg, formula) == (expected, expected), formula
         assert first_failure(alg, formula) == expected, formula
     for key, scans in algebra.AXIOM_SCANS.items():
-        assert [scan(alg.arrow, 0, 0, 1, alg.tables) for scan in scans] == [None, None], key
+        assert [scan(alg.tables) for scan in scans] == [None, None], key
         assert check_axiom(alg, key).passed
 
 
