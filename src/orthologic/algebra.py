@@ -155,7 +155,9 @@ class FiniteAlgebra:
     so a table given as tuples equals, and hashes as, the same table given
     as bytes.  A table has at most 256 elements.  ``tables`` holds the
     tables of the derived heads, each built on first use (``DerivedTables``);
-    it takes no part in equality or hashing."""
+    it takes no part in equality or hashing.  The hash is computed once, as
+    algebras key the caches of ``axiom_holds``, ``classify`` and
+    ``associated_orthospace``."""
 
     name: str
     elements: tuple[str, ...]
@@ -163,6 +165,7 @@ class FiniteAlgebra:
     one: int
     zero: int
     tables: DerivedTables = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.elements)
@@ -184,6 +187,11 @@ class FiniteAlgebra:
             rows = tuple(map(self._checked_row, range(n), self.arrow))
         object.__setattr__(self, "arrow", rows)
         object.__setattr__(self, "tables", DerivedTables(rows, self.zero, self.one))
+        object.__setattr__(self, "_hash",
+                           hash((self.name, self.elements, rows, self.one, self.zero)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def _checked_row(self, i: int, row) -> bytes:
         """Row i as bytes; raises at its first cell that is not an element index."""

@@ -35,8 +35,11 @@ same star are isomorphic only by a map that commutes with it, so every
 isomorphism class keeps at least one leaf.
 
 Leaves are deduplicated by ``canonical_key``, the least table over the
-leaves of an individualisation-refinement tree; ``is_isomorphic`` matches
-two such trees.  Sizes above ``max_elements`` are refused before the search.
+leaves of an individualisation-refinement tree, which the automorphisms that
+equal leaf tables reveal prune without changing the least table.
+``is_isomorphic`` compares the refined roots of two such trees, and when
+they agree matches the trees.  Sizes above ``max_elements`` are refused
+before the search.
 """
 
 from __future__ import annotations
@@ -103,14 +106,16 @@ class SearchStats:
     """What the searches of one enumeration or counterexample search did:
     search nodes (values tried), values forced on a cell by a law instance,
     wipe-outs (two different values forced on one cell), leaves, the nodes
-    of keying the accepted leaves, and the seconds spent in keying and in
-    the rest: the search and the checks of its leaves."""
+    of keying the accepted leaves and the automorphisms that keying found,
+    and the seconds spent in keying and in the rest: the search and the
+    checks of its leaves."""
 
     nodes: int = 0
     forced: int = 0
     wipeouts: int = 0
     leaves: int = 0
     key_nodes: int = 0
+    automorphisms: int = 0
     search_s: float = 0.0
     key_s: float = 0.0
 
@@ -347,87 +352,164 @@ def _refine(rows, cols, colors: list[int], every_cell: bool) -> tuple[list[int],
         cells = len(ranked)
 
 
-def _children(rows, cols, colors: list[int]) -> Iterator[tuple[list[int], int]]:
-    """Per element x of the non-singleton cell of least colour (colours are
-    ranks), the colouring that puts x before its cellmates, refined."""
-    ordered = sorted(colors)
-    cell = next(c for c, d in zip(ordered, ordered[1:]) if c == d)
-    for x, c in enumerate(colors):
-        if c == cell:
-            yield _refine(rows, cols,
-                          [2 * k + (k == cell and y != x) for y, k in enumerate(colors)], False)
+def _join_orbits(orbit: list[int], g: bytes) -> None:
+    """Merge the orbits of x and g[x] for every x; ``orbit[x]`` is the least
+    element of the orbit of x."""
+    for x, y in enumerate(g):
+        a, b = sorted((orbit[x], orbit[y]))
+        if a != b:
+            orbit[:] = [a if o == b else o for o in orbit]
+
+
+def _count(nodes: Iterator[int], budget: int, task: str, deepest: list[int]) -> None:
+    """Draw one node from ``nodes``; past ``budget``, the cap error names
+    ``task``, the size and the elements fixed at ``deepest``, the colours of
+    the deepest node."""
+    if next(nodes) > budget:
+        n = len(deepest)
+        fixed = [deepest.count(c) for c in deepest].count(1)
+        raise ResourceLimitError(f"{task} at size {n} exceeded node budget {budget},"
+                                 f" {fixed} of {n} elements fixed at the deepest node")
+
+
+def _root(alg: FiniteAlgebra, task: str, nodes: Iterator[int]) -> tuple[list[int], int]:
+    """The root of the tree of ``alg`` and its trace: the cells {0}, the rest
+    and {1}, refined on every cell.  It counts as a node on ``nodes``."""
+    colors = [1] * alg.n
+    colors[alg.zero], colors[alg.one] = 0, 2
+    root = _refine(alg.arrow, tuple(zip(*alg.arrow)), colors, True)
+    _count(nodes, node_budget(), task, root[0])
+    return root
 
 
 def _leaves(
-    alg: FiniteAlgebra, task: str, nodes: Iterator[int], traces: Optional[tuple[int, ...]] = None
+    alg: FiniteAlgebra, task: str, nodes: Iterator[int], root: tuple[list[int], int],
+    traces: Optional[tuple[int, ...]] = None, automorphisms: Optional[list[bytes]] = None,
 ) -> Iterator[tuple[list[int], tuple[int, ...]]]:
-    """The leaves of the tree of ``alg``, depth first, with the traces of
-    their paths; with ``traces``, only through nodes of the same trace at
-    their depth.  The root refines the cells {0}, the rest and {1}.  Nodes
-    count on ``nodes`` against ``node_budget``, and the error at the cap
-    names ``task``, the size and the elements fixed at the deepest node."""
-    n, budget, path, most = alg.n, node_budget(), [], -1
-    cols, colors = tuple(zip(*alg.arrow)), [1] * n
-    colors[alg.zero], colors[alg.one] = 0, 2
-    stack = [iter([_refine(alg.arrow, cols, colors, True)])]
-    while stack:
-        node, depth = next(stack[-1], None), len(stack) - 1
-        if node is None:
-            stack.pop()
-            continue
-        colors, trace = node
-        if traces is not None and (depth == len(traces) or trace != traces[depth]):
-            continue
-        if depth > most:
-            most, deepest = depth, colors
-        path[depth:] = [trace]
-        if next(nodes) > budget:
-            fixed = [deepest.count(c) for c in deepest].count(1)
-            raise ResourceLimitError(f"{task} at size {n} exceeded node budget {budget},"
-                                     f" {fixed} of {n} elements fixed at the deepest node")
-        if len(set(colors)) == n:
+    """The leaves below ``root``, the root of the tree of ``alg``, depth
+    first, with the traces of their paths; with ``traces``, only through
+    nodes of the same trace at their depth.  A child of a node puts one
+    element of the node's least cell of two or more before its cellmates,
+    and refines.  Each child counts on ``nodes`` against ``node_budget``.
+
+    ``automorphisms`` holds automorphisms of ``alg``, to which the consumer
+    may add, while it holds a leaf, one that maps that leaf onto an earlier
+    leaf.  It maps each element of the leaf's path onto the element at the
+    same depth of the earlier leaf's path, so the walk goes back to the
+    deepest node whose path it fixes: the subtree it leaves is the image of
+    one walked before.  At each node the walk skips every child in the orbit
+    of a child already walked under the automorphisms that fix the node's
+    path, as their subtrees are images of each other, with the same leaf
+    tables."""
+    n, rows, budget, most = alg.n, alg.arrow, node_budget(), 0
+    cols, autos = tuple(zip(*rows)), [] if automorphisms is None else automorphisms
+    colors, path, fixed, deepest = root[0], [root[1]], [], root[0]
+    # Per node on the path: its colours, the colour of the cell it splits,
+    # the cellmates not yet tried, the children walked, the orbits of the
+    # automorphisms that fix its path (None before the first), and how many
+    # of ``autos`` those orbits have read.  fixed[d] is the element that the
+    # path's node at depth d + 1 puts first.
+    stack: list[list] = []
+    while True:
+        if max(colors) == n - 1:
+            found = len(autos)
             yield colors, tuple(path)
+            if len(autos) > found:
+                g = autos[-1]
+                del stack[next(d for d, x in enumerate(fixed) if g[x] != x) + 1:]
         else:
-            stack.append(_children(alg.arrow, cols, colors))
+            ordered = sorted(colors)
+            cell = next(c for c, d in zip(ordered, ordered[1:]) if c == d)
+            stack.append([colors, cell, iter([x for x, c in enumerate(colors) if c == cell]),
+                          [], None, 0])
+        while stack:
+            node = parent, cell, todo, walked, orbit, read = stack[-1]
+            depth = len(stack) - 1
+            for g in autos[read:]:
+                if all(g[x] == x for x in fixed[:depth]):
+                    if orbit is None:
+                        orbit = node[4] = list(range(n))
+                    _join_orbits(orbit, g)
+            node[5] = len(autos)
+            if orbit is None:
+                x = next(todo, None)
+            else:
+                seen = {orbit[w] for w in walked}
+                x = next((x for x in todo if orbit[x] not in seen), None)
+            if x is None:
+                stack.pop()
+                continue
+            walked.append(x)
+            colors, trace = _refine(
+                rows, cols, [2 * k + (k == cell and y != x) for y, k in enumerate(parent)], False)
+            if depth >= most:
+                most, deepest = depth + 1, colors
+            _count(nodes, budget, task, deepest)
+            if traces is None or depth + 1 < len(traces) and trace == traces[depth + 1]:
+                fixed[depth:], path[depth + 1:] = [x], [trace]
+                break
+        else:
+            return
 
 
-def canonical_key(alg: FiniteAlgebra, nodes: Optional[Iterator[int]] = None) -> bytes:
+def canonical_key(
+    alg: FiniteAlgebra, nodes: Optional[Iterator[int]] = None,
+    automorphisms: Optional[list[bytes]] = None,
+) -> bytes:
     """Min-lex flattened arrow table over the leaves of the tree, which put
     each element at its colour; equal keys mean isomorphic algebras.
 
     The tree does not depend on the labelling, so isomorphic inputs have the
     same leaf tables, and the same least one.  0 comes first and 1 last.
-    Leaves are not pruned by automorphisms: MO_m has m!·2^m of them.  The
-    nodes count on ``nodes``, a fresh count by default."""
+    A leaf whose table equals that of the first or the least leaf so far
+    gives an automorphism, the element of each colour here to the element
+    of that colour there, which prunes the tree (``_leaves``); the subtrees
+    it skips hold only leaf tables already seen, so the key does not change.
+    MO_m has m!·2^m leaves, all with one table; the pruned tree of MO6 has
+    about 30 nodes instead of 75,973.  The nodes count on ``nodes``, a fresh
+    count by default.  The automorphisms found are appended to
+    ``automorphisms`` when it is given; the pruning reads that list, so it
+    may hold automorphisms of ``alg`` alone."""
+    nodes, found = nodes or count(1), [] if automorphisms is None else automorphisms
     # Row x of a leaf table is row x read at the elements in colour order,
     # then relabelled by colour: two translates.
     pad = bytes(256 - alg.n)
     padded = [row + pad for row in alg.arrow]
-    best: Optional[bytes] = None
-    for colors, _ in _leaves(alg, "canonical key", nodes or count(1)):
+    first = best = None
+    for colors, _ in _leaves(alg, "canonical key", nodes, _root(alg, "canonical key", nodes),
+                             automorphisms=found):
         at, relabel = bytes(sorted(range(alg.n), key=colors.__getitem__)), bytes(colors) + pad
         key = b"".join([at.translate(padded[x]).translate(relabel) for x in at])
-        if best is None or key < best:
-            best = key
+        if best is None:
+            first = best = key, at + pad
+        elif key == best[0] or key == first[0]:
+            found.append(relabel[:alg.n].translate((best if key == best[0] else first)[1]))
+        elif key < best[0]:
+            best = key, at + pad
     assert best is not None
-    return best
+    return best[0]
 
 
 def is_isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> Optional[tuple[int, ...]]:
     """An arrow-preserving bijection that keeps 0 and 1, as an index map
     (position i of ``a`` to position map[i] of ``b``), or None.
 
-    It takes the first leaf of a's tree and searches b's tree for the leaves
-    reached through the same traces, whose maps it checks on every arrow.
-    Any isomorphism carries a's path onto one of them, so the search is
-    complete.  The nodes of both trees count against ``node_budget``."""
+    It refines both roots first and returns None when their traces differ.
+    Otherwise it takes the first leaf of a's tree and searches b's tree for
+    the leaves reached through the same traces, whose maps it checks on
+    every arrow.  Any isomorphism carries a's path onto one of them, so the
+    search is complete.  The nodes of both trees count against
+    ``node_budget``."""
     if a.n != b.n:
         return None
     if a.arrow == b.arrow and a.one == b.one and a.zero == b.zero:
         return tuple(range(a.n))
-    nodes = count(1)
-    leaf, traces = next(_leaves(a, "isomorphism search", nodes))
-    for colors, _ in _leaves(b, "isomorphism search", nodes, traces):
+    nodes, task = count(1), "isomorphism search"
+    root_a, root_b = _root(a, task, nodes), _root(b, task, nodes)
+    if root_a[1] != root_b[1]:
+        return None
+    leaf, traces = next(_leaves(a, task, nodes, root_a))
+    for colors, _ in _leaves(b, task, nodes, root_b, traces):
         at = sorted(range(b.n), key=colors.__getitem__)
         mapping = tuple(at[c] for c in leaf)
         image = itemgetter(*mapping)
@@ -470,11 +552,12 @@ def _accepted_keys(
             stats.leaves += 1
             if (axiom_holds(cand, "BE4") and all(axiom_holds(cand, a) for a in sorted(required))
                     and accept(cand)):
-                mark = perf_counter()
+                mark, found = perf_counter(), []
                 try:
-                    keys.add(canonical_key(cand, key_nodes))
+                    keys.add(canonical_key(cand, key_nodes, found))
                 finally:
                     stats.key_s += perf_counter() - mark
+                    stats.automorphisms += len(found)
     finally:
         stats.search_s += perf_counter() - start - (stats.key_s - key_s)
         key_total = next(key_count)

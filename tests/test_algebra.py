@@ -412,6 +412,9 @@ def test_tuple_rows_and_bytes_rows_give_one_algebra():
     as_tuples = FiniteAlgebra("rows", bz.elements, rows, bz.one, bz.zero)
     as_bytes = FiniteAlgebra("rows", bz.elements, tuple(map(bytes, rows)), bz.one, bz.zero)
     assert as_tuples == as_bytes and hash(as_tuples) == hash(as_bytes)
+    # The hash is that of the compared fields, computed once at construction.
+    assert hash(as_tuples) == as_tuples._hash == hash(
+        ("rows", bz.elements, bz.arrow, bz.one, bz.zero))
     assert as_tuples.arrow == as_bytes.arrow == bz.arrow
     classify.cache_clear()
     classify(as_tuples)

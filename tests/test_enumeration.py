@@ -28,6 +28,7 @@ from orthologic.enumeration import (
     canonical_key,
     goal_from_names,
 )
+from orthologic.fixtures import FIXTURE_NAMES
 
 from conftest import (
     boolean_iol,
@@ -324,6 +325,90 @@ def assert_same_partition(algebras):
     the same classes."""
     pairs = {(canonical_key(a), brute_force_key(a)) for a in algebras}
     assert len({k for k, _ in pairs}) == len({b for _, b in pairs}) == len(pairs)
+
+
+# sha256 of the canonical keys of each entry of ``key_cases``, computed on the
+# tree without automorphism pruning: pruning skips only subtrees whose leaf
+# tables were seen, so no key moves.  ``main`` prints fresh values.
+KEY_DIGESTS = {
+    "benzene6": "c67d7c764f0d81c87f8d8eb09833d0e9acd5277a9ae4f3781b7047bbe83d2f42",
+    "ioml10": "5e069079cfaac59f450ea2a5de423eb6ab00cd10104067db26509b83565a2920",
+    "ioml6-full": "7f6cab5ac82d94cf5372181f0931fa997697aeeb1cd4ca98deb7961e37c92d52",
+    "sasaki6": "7f6cab5ac82d94cf5372181f0931fa997697aeeb1cd4ca98deb7961e37c92d52",
+    "census-2-iol": "252c0b6b080fa045acfcd1437f693f3be2be2ac8223ea525d492fa19ab028942",
+    "census-2-ioml": "252c0b6b080fa045acfcd1437f693f3be2be2ac8223ea525d492fa19ab028942",
+    "census-2-iboolean": "252c0b6b080fa045acfcd1437f693f3be2be2ac8223ea525d492fa19ab028942",
+    "census-4-iol": "a39e644820aa4e4f4622cd8b67295255269f5b228197b6bcb18191a354043e62",
+    "census-4-ioml": "a39e644820aa4e4f4622cd8b67295255269f5b228197b6bcb18191a354043e62",
+    "census-4-iboolean": "a39e644820aa4e4f4622cd8b67295255269f5b228197b6bcb18191a354043e62",
+    "census-6-iol": "81e73c2cbca7439524eaf0c44a4b4bed645bbbf6f47861cd8a3bb8c4017909fe",
+    "census-6-ioml": "7f6cab5ac82d94cf5372181f0931fa997697aeeb1cd4ca98deb7961e37c92d52",
+    "census-6-iboolean": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "census-8-iol": "61be4821a765dfa08cf766e38acabc65caa5d8127870274d6083427725986279",
+    "census-8-ioml": "a97c56f818436afa7d8cc5506b899397ecf0a1500cdf068d64a6c501e0a032cf",
+    "census-8-iboolean": "f18239c06b14e14b42e66f3d8b6ac8266d6dac9ffc0361795404441fd3c7b2e8",
+    "census-10-iol": "4e2d4530d7bbae6796fd775c42e11c337397f628044a17daf689cd0982d334e3",
+    "census-10-ioml": "153495406b225a4f7bcdd808ddb4353a98c1759aa0eaec9d7be7e40e9042c135",
+    "census-10-iboolean": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "B8": "f18239c06b14e14b42e66f3d8b6ac8266d6dac9ffc0361795404441fd3c7b2e8",
+    "B16": "5b62be2a02c59e39a4fc9fc6e46a22d622f437f0e8887a38798d3a3530d7f2df",
+    "B32": "3d0eba2240a293f536b40a95ed70b22c91925a840d03784073fc87f5cfc5ef08",
+    "B64": "9eac426d5c1b6340757ae2d21c2f471b82b89949de0c49d8a39344e89798df48",
+    "MO3": "64c11b2d8c8a6a84fc74103ab4b6b8435d23b7aa0c23b9b02be40f7aec3d435a",
+    "MO4": "fa663ae70fbeb24b7436c0bdcd9ce6781bced1f24210f590448b9c6bfe421bb5",
+    "MO5": "d82a458cea82ae0cce942de9173975be2f6685bf834108bcb911eec5656887dc",
+    "MO6": "c1a17aa78014d97e3ad6bb01e5308df2f9ad2a79627556e9696c0a9dd1e342cf",
+    "hex1": "c67d7c764f0d81c87f8d8eb09833d0e9acd5277a9ae4f3781b7047bbe83d2f42",
+    "hex2": "53c7b7f7f84bf81d7941afe08c39ea61447d1ee09b0197713937d33d2e3cacdc",
+    "hex3": "ce80037a0b4a1ce253bc060340c21d820c7e3d6c6940377e0dca7cbcabbce850",
+    "hex4": "3d2613b6154fcabaa05e5ec0a8adf8a2a46690f7e270a142e80fe159c5bc8bfc",
+}
+
+
+@lru_cache(maxsize=None)
+def key_cases():
+    """The algebras whose keys ``KEY_DIGESTS`` pins, by name: the fixtures,
+    relabelled copies of the census at even n up to 10, and relabelled
+    Boolean algebras B8-B64, MO3-MO6 and horizontal sums of one to four
+    hexagons."""
+    cases = {name: (fixture(name),) for name in FIXTURE_NAMES}
+    for n, cls in product(range(2, 11, 2), _CLASS_AXIOMS):
+        census = enumerate_models(n, cls)
+        cases[f"census-{n}-{cls}"] = tuple(relabelled(m, i) for i, m in enumerate(census))
+    cases |= {f"B{1 << k}": (relabelled(boolean_iol(k), k),) for k in range(3, 7)}
+    cases |= {f"MO{m}": (relabelled(mo_iol(m), m),) for m in range(3, 7)}
+    cases |= {f"hex{k}": (relabelled(hexagons(k), k),) for k in range(1, 5)}
+    return cases
+
+
+def key_digest(name):
+    return hashlib.sha256(b"".join(map(canonical_key, key_cases()[name]))).hexdigest()
+
+
+@pytest.mark.parametrize("name", KEY_DIGESTS)
+def test_pruning_keeps_every_key(name):
+    assert key_digest(name) == KEY_DIGESTS[name]
+    for alg in key_cases()[name]:
+        if alg.n <= 8:
+            assert brute_force_key(_from_key("k", canonical_key(alg))) == brute_force_key(alg)
+
+
+# Nodes of the pruned trees over eight relabellings, as upper bounds.  The
+# tree without pruning has 75,973 nodes on MO6, 7,889 on the four-hexagon
+# sum and 921 on B64; MO31 did not finish within 9 minutes.
+PRUNED_NODES = {"MO6": 40, "MO31": 600, "hex4": 150, "B64": 20}
+
+
+@pytest.mark.parametrize("name", PRUNED_NODES)
+def test_automorphisms_prune_the_key_tree(name):
+    alg = {"MO6": mo_iol(6), "MO31": mo_iol(31), "hex4": hexagons(4), "B64": boolean_iol(6)}[name]
+    for seed in range(8):
+        copy, nodes, found = relabelled(alg, seed), count(1), []
+        canonical_key(copy, nodes, found)
+        assert next(nodes) - 1 <= PRUNED_NODES[name]
+        assert found
+        for g in found:
+            assert_isomorphism(copy, copy, g)
 
 
 def test_key_partition_on_unconstrained_leaves():
@@ -625,8 +710,8 @@ def test_empty_size_range_is_rejected():
 
 
 def main():
-    """Print fresh ``LEAF_DIGESTS`` and ``SEARCH_STATS`` in this file's form,
-    and name each entry that moved on stderr."""
+    """Print fresh ``LEAF_DIGESTS``, ``SEARCH_STATS`` and ``KEY_DIGESTS`` in
+    this file's form, and name each entry that moved on stderr."""
     print("LEAF_DIGESTS = {")
     for n, pinned in LEAF_DIGESTS.items():
         fresh = visit(n, "iol")[1]
@@ -640,6 +725,13 @@ def main():
         print(f'    ({n}, "{cls}"): ({", ".join(f"{x:_}" for x in fresh)}),')
         if fresh != pinned:
             print(f"changed: SEARCH_STATS[{n}, {cls!r}]", file=sys.stderr)
+    print("}")
+    print("KEY_DIGESTS = {")
+    for name, pinned in KEY_DIGESTS.items():
+        fresh = key_digest(name)
+        print(f'    "{name}": "{fresh}",')
+        if fresh != pinned:
+            print(f"changed: KEY_DIGESTS[{name!r}]", file=sys.stderr)
     print("}")
 
 

@@ -400,7 +400,8 @@ def test_cli_enumerate_respects_node_budget(capsys, monkeypatch):
     )
 
 
-STATS_FIELDS = ["nodes", "forced", "wipeouts", "leaves", "key_nodes", "search_s", "key_s"]
+STATS_FIELDS = ["nodes", "forced", "wipeouts", "leaves", "key_nodes", "automorphisms", "search_s",
+                "key_s"]
 
 
 def test_cli_enumerate_stats_go_to_stderr(capsys):
@@ -415,7 +416,7 @@ def test_cli_enumerate_stats_go_to_stderr(capsys):
     stats = json.loads(captured.err)
     assert list(stats) == STATS_FIELDS
     assert stats["leaves"] == 5 and 0 < stats["nodes"] < 504
-    assert stats["forced"] > 0 and stats["key_nodes"] > 0
+    assert stats["forced"] > 0 and stats["key_nodes"] > 0 and stats["automorphisms"] > 0
 
 
 def test_cli_search_stats_and_the_cap(capsys, monkeypatch):
@@ -437,6 +438,14 @@ def test_cli_iso(capsys):
     assert run_cli("iso", "ioml6-full", "sasaki6") == 0
     assert "->" in capsys.readouterr().out
     assert run_cli("iso", "benzene6", "ioml6-full") == 1
+    assert capsys.readouterr().out.strip() == "non-isomorphic"
+
+
+def test_cli_iso_compares_the_roots_first(capsys, monkeypatch):
+    # The two roots are two nodes; their traces differ, so neither tree is
+    # descended.  The path of ioml6-full alone would take two more.
+    monkeypatch.setenv("ORTHO_NODE_BUDGET", "2")
+    assert run_cli("iso", "ioml6-full", "benzene6") == 1
     assert capsys.readouterr().out.strip() == "non-isomorphic"
 
 

@@ -799,31 +799,38 @@ OPERATIONS = ("->", "->", "->", *sorted(set(algebra.DERIVED) - algebra.RELATIONS
 
 
 @st.composite
-def formulas(draw, depth=3, roles=ROLES):
+def formulas(draw, depth=3, roles=ROLES, binder=False):
     """A random formula over the roles, 0 and 1, with every connective and
     binders, whose bodies may also read the bound element, and with every
-    derived head, nested and under binders."""
+    derived head, nested and under binders.  With ``binder``, the formula
+    contains a binder."""
     def element(d, atoms):
         if d == 0 or draw(st.integers(0, 2)) == 0:
             return draw(st.sampled_from(atoms))
         return (draw(st.sampled_from(OPERATIONS)), element(d - 1, atoms), element(d - 1, atoms))
 
-    def formula(d, atoms):
-        kind = draw(st.sampled_from(("=", "=", "rel", "not", "and", "or", "iff", "all")))
+    def formula(d, atoms, binder=False):
+        # With ``binder``, a connective passes it on to one of its operands,
+        # and at depth 0 the formula is a binder.
+        kinds = ("not", "and", "or", "iff", "all") if binder else (
+            "=", "=", "rel", "not", "and", "or", "iff", "all")
+        kind = draw(st.sampled_from(kinds))
         if kind == "rel":
             return (draw(st.sampled_from(sorted(algebra.RELATIONS))),
                     element(1, atoms), element(1, atoms))
+        if binder and d == 0:
+            return ("all", BOUND, formula(0, atoms + (BOUND,)))
         if d == 0 or kind == "=" or kind == "all" and BOUND in atoms:
             return ("=", element(2, atoms), element(2, atoms))
         if kind == "all":
             return ("all", BOUND, formula(d - 1, atoms + (BOUND,)))
         if kind == "not":
-            return ("not", formula(d - 1, atoms))
-        if kind == "iff":
-            return ("iff", formula(d - 1, atoms), formula(d - 1, atoms))
-        return (kind, *(formula(d - 1, atoms) for _ in range(draw(st.integers(2, 3)))))
+            return ("not", formula(d - 1, atoms, binder))
+        parts = 2 if kind == "iff" else draw(st.integers(2, 3))
+        carrier = draw(st.integers(0, parts - 1)) if binder else -1
+        return (kind, *(formula(d - 1, atoms, i == carrier) for i in range(parts)))
 
-    return formula(depth, roles + ("0", "1"))
+    return formula(depth, roles + ("0", "1"), binder)
 
 
 @settings(max_examples=400, deadline=None)
@@ -1015,10 +1022,10 @@ def test_pair_layout_matches_its_rendering_on_random_tables(formula, n, seed):
 
 
 @settings(max_examples=150, deadline=None)
-@given(formula=formulas(roles=("x", "y", "z")), n=st.integers(8, 17),
+@given(formula=formulas(roles=("x", "y", "z"), binder=True), n=st.integers(8, 17),
        seed=st.integers(0, 10 ** 6))
 def test_pair_layout_matches_its_rendering_with_binders(formula, n, seed):
-    assume(algebra._binds(formula))
+    assert algebra._binds(formula)
     alg = next(random_tables(1, seed, (n, n)))
     assert first_failure(alg, formula) == rendered_first_failure(alg, formula)
 
