@@ -586,6 +586,13 @@ def _swap_roles(term, a: str, b: str):
     return {a: b, b: a}.get(term, term)
 
 
+def swaps_first_roles(roles, lhs, rhs) -> bool:
+    """Whether rhs is lhs with the first two roles exchanged, as in BE4.  The
+    equation at (x, y, ...) is then the one at (y, x, ...) with its sides
+    exchanged, and it holds wherever x = y."""
+    return len(roles) > 1 and _swap_roles(lhs, *roles[:2]) == rhs
+
+
 def _first_diff(l: bytes, r: bytes) -> int:
     """The first index at which two unequal byte strings of one length
     differ: the lowest set bit of their XOR, in byte lanes."""
@@ -767,8 +774,7 @@ def _compile_scan(roles, formula, pair: bool,
     *outer, last = (*roles, BOUND) if binder else roles
     pair = pair and bool(outer)
     first = outer.pop() if pair else None
-    symmetric = formula[0] == "=" and len(outer) > 1 and \
-        _swap_roles(formula[1], *outer[:2]) == formula[2]
+    symmetric = formula[0] == "=" and swaps_first_roles(outer, *formula[1:])
     levels: list[list[str]] = [[] for _ in range(len(outer) + 1)]
     # term, or derived key -> (variable, kind, loop depths of the outer roles
     # it reads).  Kinds: "scalar"; "vector" of elements, of which "p" and

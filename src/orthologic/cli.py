@@ -67,11 +67,11 @@ EXIT_RESOURCE_CAP = 3
 
 def _load(path_or_name: str) -> FiniteAlgebra:
     p = Path(path_or_name)
-    if p.exists():
-        try:
-            text = p.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise InputError(f"cannot read {path_or_name!r}: {exc}") from None
+    try:  # exists() raises on a name the system cannot look up, such as an overlong one
+        text = p.read_text(encoding="utf-8") if p.exists() else None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path_or_name!r}: {exc}") from None
+    if text is not None:
         return parse_algebra(text, default_name=p.stem)
     if path_or_name in FIXTURE_NAMES:
         return fixture(path_or_name)

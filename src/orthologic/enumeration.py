@@ -15,7 +15,10 @@ as ``check_axiom``, compiled to instance predicates that name the first
 unknown cell they read.  The instances are watched, as in SEM and Mace4: one
 routine evaluates them, at the root every instance once and at each depth
 the instances filed under it, and files each one still undetermined under
-the depth that assigns the cell it waits on.  An instance that fails at the
+the depth that assigns the cell it waits on.  A law whose right side is its
+left side with the first two roles exchanged, BE4 alone, is watched once per
+equation, at x < y: its instance at (y, x, z) is the one at (x, y, z) with
+its sides exchanged, and it holds where x = y.  An instance that fails at the
 root leaves the star map with no completion, so its search ends there and
 every leaf meets every instance.  An instance whose first unknown cell is
 the top arrow of one side, with the other side known, holds for one value
@@ -64,6 +67,7 @@ from .algebra import (
     max_elements,
     node_budget,
     resolve_axiom_id,
+    swaps_first_roles,
 )
 
 # The search universe; the pre-fill meets all of its laws but BE4, which the
@@ -105,14 +109,16 @@ class SearchGoal:
 class SearchStats:
     """What the searches of one enumeration or counterexample search did:
     search nodes (values tried), values forced on a cell by a law instance,
-    wipe-outs (two different values forced on one cell), leaves, the nodes
-    of keying the accepted leaves and the automorphisms that keying found,
-    and the seconds spent in keying and in the rest: the search and the
-    checks of its leaves."""
+    wipe-outs (two different values forced on one cell), rejects (values
+    that a law instance or a lex-leader check rejected at their own depth,
+    wipe-outs included), leaves, the nodes of keying the accepted leaves and
+    the automorphisms that keying found, and the seconds spent in keying and
+    in the rest: the search and the checks of its leaves."""
 
     nodes: int = 0
     forced: int = 0
     wipeouts: int = 0
+    rejects: int = 0
     leaves: int = 0
     key_nodes: int = 0
     automorphisms: int = 0
@@ -140,7 +146,7 @@ def _search_tables(n: int, required: frozenset[str], nodes: Optional[Iterator[in
                    stats: Optional[SearchStats] = None) -> Iterator[FiniteAlgebra]:
     """Yield completed candidate tables (unverified, undeduplicated); the
     search nodes count on ``nodes`` against ``node_budget``, and the values
-    forced and the wipe-outs add to ``stats``."""
+    forced, the wipe-outs and the rejects add to ``stats``."""
     if n > max_elements():
         raise ResourceLimitError(f"enumeration at size {n} exceeds cap {max_elements()}")
     prune_axioms = tuple(a for a in ("BE4", *sorted(required)) if a not in _UNIVERSE_AXIOMS)
@@ -183,8 +189,8 @@ def _fill_tables(
     routine, ``propagate``, evaluates and files the watched instances: at
     the root on every instance, where a failure leaves the star map with no
     completion, and at each depth on those filed under it.  ``nodes`` counts
-    search nodes across all star maps of one search, and the values forced
-    and the wipe-outs count on ``stats``."""
+    search nodes across all star maps of one search, and the values forced,
+    the wipe-outs and the rejects count on ``stats``."""
     zero, one, unknown = 0, n - 1, n
     names = _standard_names(n)
     table = [[unknown] * n for _ in range(n)]
@@ -241,8 +247,13 @@ def _fill_tables(
         return True
 
     for a in prune_axioms:
+        roles, lhs, rhs = AXIOMS[a]
         holds = partial(AXIOM_PREDICATES[a], table, zero, one, unknown)
-        if not propagate(zip(repeat(holds), product(range(n), repeat=len(AXIOMS[a][0]))), [], []):
+        tuples = product(range(n), repeat=len(roles))
+        if swaps_first_roles(roles, lhs, rhs):
+            # (y, x, ...) is the equation of (x, y, ...), and x = y holds.
+            tuples = (t for t in tuples if t[0] < t[1])
+        if not propagate(zip(repeat(holds), tuples), [], []):
             return
 
     # Lex-leader constraints: for each symmetry g, T <= g.T on the free cells
@@ -313,6 +324,8 @@ def _fill_tables(
         assign(i, j, v)
         if propagate(watch[k], pins, undo):
             k += 1
+        else:
+            stats.rejects += 1
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from orthologic import (
     fixture,
     is_isomorphic,
 )
-from orthologic.algebra import axiom_holds, le_l
+from orthologic.algebra import AXIOM_PREDICATES, AXIOMS, axiom_holds, le_l, swaps_first_roles
 from orthologic.enumeration import (
     _CLASS_AXIOMS,
     SearchGoal,
@@ -275,8 +275,8 @@ SEARCH_STATS = {
     (6, "ioml"): (31, 8, 1, 1),
     (8, "iol"): (258, 122, 12, 5),
     (10, "iboolean"): (121, 138, 15, 0),
-    (10, "iol"): (1_635, 788, 63, 18),
-    (12, "iol"): (13_566, 4_622, 460, 100),
+    (10, "iol"): (1_662, 787, 63, 18),
+    (12, "iol"): (14_325, 4_641, 456, 100),
 }
 
 
@@ -299,6 +299,21 @@ def test_leaves_come_out_in_the_same_order(n):
 @pytest.mark.parametrize("n, cls", SEARCH_STATS, ids=[f"{n}-{cls}" for n, cls in SEARCH_STATS])
 def test_the_search_visits_the_pinned_nodes(n, cls):
     assert visit(n, cls)[0] == SEARCH_STATS[n, cls]
+
+
+def test_be4_is_watched_once_per_equation(monkeypatch):
+    # BE4 at (y, x, z) is BE4 at (x, y, z) with its sides exchanged, and it
+    # holds where x = y, so the search evaluates it at x < y alone.
+    assert [a for a, law in AXIOMS.items() if swaps_first_roles(*law)] == ["BE4"]
+    be4, calls = AXIOM_PREDICATES["BE4"], []
+
+    def counted(t, Z, O, U, *roles):
+        calls.append(roles)
+        return be4(t, Z, O, U, *roles)
+
+    monkeypatch.setitem(AXIOM_PREDICATES, "BE4", counted)
+    list(_search_tables(6, _CLASS_AXIOMS["iol"]))
+    assert calls and all(x < y for x, y, _ in calls)
 
 
 def test_a_pre_filled_table_that_fails_a_law_has_no_leaf():

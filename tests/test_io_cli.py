@@ -181,9 +181,9 @@ def test_cli_missing_file_is_input_error(capsys):
 
 
 @pytest.mark.parametrize("argv", [("classify", "{dir}"), ("iso", "{dir}", "ioml10"),
-                                  ("classify", "{bad}")])
+                                  ("classify", "{bad}"), ("classify", "a" * 5000)])
 def test_cli_unreadable_file_is_input_error(capsys, tmp_path, argv):
-    # A directory, and a file that is not UTF-8.
+    # A directory, a file that is not UTF-8, and a name too long to look up.
     bad = tmp_path / "bad.json"
     bad.write_bytes(b"\xff\xfe")
     assert run_cli(*(a.format(dir=tmp_path, bad=bad) for a in argv)) == 2
@@ -400,8 +400,8 @@ def test_cli_enumerate_respects_node_budget(capsys, monkeypatch):
     )
 
 
-STATS_FIELDS = ["nodes", "forced", "wipeouts", "leaves", "key_nodes", "automorphisms", "search_s",
-                "key_s"]
+STATS_FIELDS = ["nodes", "forced", "wipeouts", "rejects", "leaves", "key_nodes", "automorphisms",
+                "search_s", "key_s"]
 
 
 def test_cli_enumerate_stats_go_to_stderr(capsys):
@@ -416,6 +416,7 @@ def test_cli_enumerate_stats_go_to_stderr(capsys):
     stats = json.loads(captured.err)
     assert list(stats) == STATS_FIELDS
     assert stats["leaves"] == 5 and 0 < stats["nodes"] < 504
+    assert 0 < stats["rejects"] < stats["nodes"]
     assert stats["forced"] > 0 and stats["key_nodes"] > 0 and stats["automorphisms"] > 0
 
 
