@@ -754,7 +754,12 @@ def _compile_scan(roles, formula, pair: bool,
     Each subterm is evaluated once, in the loop of the innermost outer role
     it reads; one that reads one outer role, not the first, is evaluated
     instead in a loop over that role before the others, and read back from
-    the table that loop fills.  A scalar disjunct of a top-level "or" skips
+    the table that loop fills.  In the one-role layout a gather
+    ``v.translate(t[s] + PAD)`` whose vector v lives in an outer loop and
+    whose index s, a computed scalar and not a role, lives in the loop
+    just inside it is kept by the value of s, in a dict emptied whenever v
+    is computed again: s often takes few values, as phi_x(y) = y ^Q x does
+    in the SS1 row ``phi_x(y) <=L phi_x(z)``.  A scalar disjunct of a top-level "or" skips
     the rest of its loop when it holds, since every tuple below it holds.
     An equation at the top compares its two sides as whole rows; any other
     formula is a truth vector, and its first 0 lane completes the witness
@@ -783,11 +788,20 @@ def _compile_scan(roles, formula, pair: bool,
     tables: set[str] = set()  # of "EQ", when the scan reads EQ and NE
     tabulated: dict[int, list[tuple[str, str]]] = {}  # loop depth -> its (variable, expr)
 
-    def emit(key, expr, kind, reads):
+    def emit(key, expr, kind, reads, kept=None):
+        """The node of key, computed by expr in the loop of its innermost
+        role.  With ``kept`` = (s, depth), expr is computed once per value of
+        the scalar s and kept in a dict emptied in the loop at that depth."""
         if key not in nodes:
             depth, name = max(reads, default=0), f"v{len(nodes)}"
             nodes[key] = (name, kind, reads)
-            if len(reads) == 1 and depth > 1:
+            if kept:
+                index, reset = kept
+                memo = "m" + name[1:]
+                levels[reset].append(f"{memo} = {{}}")
+                levels[depth] += [f"{name} = {memo}.get({index})",
+                                  f"if {name} is None: {name} = {memo}[{index}] = {expr}"]
+            elif len(reads) == 1 and depth > 1:
                 tabulated.setdefault(depth, []).append((name, expr))
             else:
                 levels[depth].append(f"{name} = {expr}")
@@ -836,7 +850,10 @@ def _compile_scan(roles, formula, pair: bool,
             return emit(term, expr, "scalar", reads)
         # A row (column) read at a vector two or more loops outer than its
         # index is gathered for every row (column) once, in the vector's loop.
-        repeat = " * n" if pair else ""
+        # In the one-role layout a row read at a vector one loop outer than
+        # its index, a computed scalar, is gathered once per value of the
+        # index in each pass of the vector's loop.
+        repeat, kept = (" * n" if pair else ""), None
         if sk == "scalar":
             if uk == "q":
                 expr = row_of(head, s) + repeat
@@ -844,6 +861,8 @@ def _compile_scan(roles, formula, pair: bool,
                 expr = emit(("rows at", head, term[2]),
                             f"[{u}.translate(r + PAD) for r in {table_rows(head)}]",
                             "table", ur)[0] + f"[{s}]"
+            elif not pair and sd > ud > 0 and isinstance(term[1], tuple):
+                expr, kept = f"{u}.translate({row_of(head, s)} + PAD)", (s, ud)
             else:
                 expr = f"{u}.translate({padded(('row', head, term[1]), row_of(head, s), sr)})"
         elif uk == "scalar":
@@ -876,8 +895,8 @@ def _compile_scan(roles, formula, pair: bool,
             # A range iterates faster than the bytes I.
             expr = f"bytes(map(_item, {rows}, {'range(n)' if uk == 'q' else u}))"
         if head in RELATIONS:
-            return emit(term, f'_from({expr}, "little")', "truth", reads)
-        return emit(term, expr, "vector", reads)
+            return emit(term, f'_from({expr}, "little")', "truth", reads, kept)
+        return emit(term, expr, "vector", reads, kept)
 
     def compare(key, head, parts):
         """"=" of two element terms, or "!=", their negation."""

@@ -70,7 +70,9 @@ def _load(path_or_name: str) -> FiniteAlgebra:
     try:  # exists() raises on a name the system cannot look up, such as an overlong one
         text = p.read_text(encoding="utf-8") if p.exists() else None
     except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {path_or_name!r}: {exc}") from None
+        # An OSError's text repeats the file name; its strerror does not.
+        reason = getattr(exc, "strerror", None) or exc
+        raise InputError(f"cannot read {path_or_name!r}: {reason}") from None
     if text is not None:
         return parse_algebra(text, default_name=p.stem)
     if path_or_name in FIXTURE_NAMES:

@@ -11,15 +11,16 @@ alone.  ``block_boolean_family`` lives in ``sasaki``, beside the test it uses.
 
 Each ``recorded`` function of a whole space fills one entry of the space's
 ``record`` on first use: the orthoclosed family and its positions, which
-``closed_index`` reads, its logic's arrow over the positions and the logic
-as an algebra, the blocks, and the normality and Sasaki-space verdicts.
-The record is released with its space.
+``closed_index`` reads, the perp of each member, its logic's arrow over the
+positions and the logic as an algebra, the blocks, and the normality and
+Sasaki-space verdicts.  The record is released with its space.
 
 ``perp``, ``orthoclosure`` and ``is_orthoclosed`` act on one subset.  The
-entry points that read a whole family do not call them once per pair:
-``logic_arrow`` computes each member's perp once and looks up the perp of
-each distinct A & B^perp once, and ``is_normal`` remembers every perp it
-takes across the partitions of all blocks.
+entry points that read a whole family do not call them once per pair: the
+perp of a member is computed once, in ``closed_perps``, which
+``logic_arrow``, ``is_normal``, ``sasaki.is_sasaki_space`` and the registry
+check L7-NORMAL-CRIT read, and ``is_normal`` remembers the perp of every
+cell it takes across the partitions of all blocks.
 """
 
 from __future__ import annotations
@@ -209,19 +210,26 @@ def closed_index(space: OrthoSpace, mask: int) -> int:
 
 
 @recorded
+def closed_perps(space: OrthoSpace) -> tuple[int, ...]:
+    """The perp of each member of ``enumerate_orthoclosed``, in family order.
+    Every perp is orthoclosed, so each is a member again, and the tuple is
+    the star of the orthoclosed-set logic."""
+    return tuple(perp(space, m) for m in enumerate_orthoclosed(space))
+
+
+@recorded
 def logic_arrow(space: OrthoSpace) -> tuple[tuple[int, ...], ...]:
     """The arrow of the orthoclosed-set logic, A -> B = (A & B^perp)^perp, over
     the positions of ``enumerate_orthoclosed``: lane j of row i is the
     position of member i -> member j.
 
-    Row A is the perps of A & B^perp over the members B, gathered from one
-    lookup table of the distinct masks A & B^perp; the family is closed
-    under intersection, so there are at most as many as members."""
-    members = enumerate_orthoclosed(space)
-    perps = [perp(space, b) for b in members]
-    rows = [(*map(a.__and__, perps),) for a in members]
-    arrow_of = {m: closed_index(space, perp(space, m)) for m in set().union(*rows)}
-    return tuple(gather(arrow_of, row) for row in rows)
+    The family is closed under intersection, so every A & B^perp is a
+    member, and its perp is read from ``closed_perps``: row A is the masks
+    A & B^perp over the members B, gathered through one table that maps
+    each member to the position of its perp."""
+    members, perps = enumerate_orthoclosed(space), closed_perps(space)
+    arrow_of = dict(zip(members, gather(_closed_positions(space), perps)))
+    return tuple(gather(arrow_of, [*map(a.__and__, perps)]) for a in members)
 
 
 @recorded
@@ -300,9 +308,11 @@ def is_normal(space: OrthoSpace) -> CheckResult:
     registry check L7-NORMAL-CRIT cross-checks the two readings.  The hexagon
     space fails at the partition ({a},{d}) of the block {a,d}.
 
-    Cells and their perps recur across partitions and blocks, so each perp
-    is computed once per call."""
+    Cells recur across the blocks, so the perp of each cell is computed once
+    per call.  perp(E1) and perp(E2) are members of the family, so their
+    perps are read from ``closed_perps``."""
     perp_of = cache(partial(perp, space))
+    closed_perp = dict(zip(enumerate_orthoclosed(space), closed_perps(space)))
     for block in blocks(space):
         if popcount(block) > BLOCK_PARTITION_CAP:
             raise ResourceLimitError(
@@ -311,7 +321,7 @@ def is_normal(space: OrthoSpace) -> CheckResult:
             )
         for e1, e2 in _two_cell_partitions(block):
             p1, p2 = perp_of(e1), perp_of(e2)
-            ok = p1 != 0 and p2 != 0 and p1 == perp_of(p2) and p2 == perp_of(p1)
+            ok = p1 != 0 and p2 != 0 and p1 == closed_perp[p2] and p2 == closed_perp[p1]
             if not ok:
                 return CheckResult(
                     "normal",

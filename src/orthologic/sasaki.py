@@ -56,6 +56,7 @@ from .orthospace import (
     blocks,
     cl_algebra,
     closed_index,
+    closed_perps,
     enumerate_orthoclosed,
     is_normal,
     is_orthoclosed,
@@ -242,7 +243,9 @@ def sasaki_map_search(space: OrthoSpace, closed: int) -> Optional[PartialMap]:
     """The lexicographically least map from the complement of closed^perp
     into the closed set A that fixes A and satisfies
     (phi x _|_ y iff x _|_ phi y) on every pair of domain points, or None
-    when there is none.
+    when there is none.  Raises ``PreconditionError`` when the set is not
+    orthoclosed; ``is_sasaki_space``, whose sets are the members of the
+    family, skips that check and reads their perps from the space's record.
 
     Fixing A allows phi(j) = c, for a domain point j outside A, exactly when
     c has the same trace on A as j: rel[c] & A == rel[j] & A.  No
@@ -255,8 +258,13 @@ def sasaki_map_search(space: OrthoSpace, closed: int) -> Optional[PartialMap]:
     under any labelling of the space."""
     if not is_orthoclosed(space, closed):
         raise PreconditionError(f"{space.subset_name(closed)} is not orthoclosed")
+    return _least_sasaki_map(space, closed, perp(space, closed))
+
+
+def _least_sasaki_map(space: OrthoSpace, closed: int, closed_perp: int) -> Optional[PartialMap]:
+    """``sasaki_map_search`` on an orthoclosed set whose perp is given."""
     # The domain contains the closed set, which is disjoint from its perp.
-    domain = space.full() & ~perp(space, closed)
+    domain = space.full() & ~closed_perp
     least: dict[int, int] = {}
     for c in iter_bits(closed):
         least.setdefault(space.rel[c] & closed, c)
@@ -270,13 +278,13 @@ def sasaki_map_search(space: OrthoSpace, closed: int) -> Optional[PartialMap]:
 
 @recorded
 def is_sasaki_space(space: OrthoSpace) -> CheckResult:
-    """Pass iff every orthoclosed subset admits a Sasaki map, by one
-    ``sasaki_map_search`` per subset; the failure witness is the first
-    subset (in canonical order) with none.  Each subset costs one pass over
-    its domain points, so the verdict comes as fast under any labelling of
-    the space."""
-    for m in enumerate_orthoclosed(space):
-        if sasaki_map_search(space, m) is None:
+    """Pass iff every orthoclosed subset admits a Sasaki map: the least map
+    of ``sasaki_map_search`` for each member of the family, its perp read
+    from ``closed_perps``; the failure witness is the first subset (in
+    canonical order) with none.  Each subset costs one pass over its domain
+    points, so the verdict comes as fast under any labelling of the space."""
+    for m, m_perp in zip(enumerate_orthoclosed(space), closed_perps(space)):
+        if _least_sasaki_map(space, m, m_perp) is None:
             return CheckResult(
                 "sasaki-space", "fail", (("closed-set", space.subset_name(m)),)
             )

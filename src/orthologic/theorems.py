@@ -78,6 +78,7 @@ from .orthospace import (
     associated_orthospace,
     blocks,
     cl_algebra,
+    closed_perps,
     enumerate_orthoclosed,
     is_dacey,
     is_normal,
@@ -823,8 +824,7 @@ def _p7_fullset_sasaki(alg):
 def _l7_normal_crit(alg):
     space = associated_orthospace(alg)
     # A member's only possible partner is its perp, whose perp it is.
-    members = enumerate_orthoclosed(space)
-    decomps = [(a, b) for a, b in zip(members, (perp(space, a) for a in members)) if a and b]
+    decomps = [(a, b) for a, b in zip(enumerate_orthoclosed(space), closed_perps(space)) if a and b]
     # The first partition of a block that not exactly one decomposition extends.
     ambiguous = next(((block, e1) for block in blocks(space)
                       for e1, e2 in _two_cell_partitions(block)

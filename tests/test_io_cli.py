@@ -181,15 +181,20 @@ def test_cli_missing_file_is_input_error(capsys):
 
 
 @pytest.mark.parametrize("argv", [("classify", "{dir}"), ("iso", "{dir}", "ioml10"),
-                                  ("classify", "{bad}"), ("classify", "a" * 5000)])
+                                  ("classify", "{bad}"), ("classify", "a" * 5000),
+                                  ("iso", "ioml10", "b" * 5000)])
 def test_cli_unreadable_file_is_input_error(capsys, tmp_path, argv):
     # A directory, a file that is not UTF-8, and a name too long to look up.
     bad = tmp_path / "bad.json"
     bad.write_bytes(b"\xff\xfe")
-    assert run_cli(*(a.format(dir=tmp_path, bad=bad) for a in argv)) == 2
+    args = [a.format(dir=tmp_path, bad=bad) for a in argv]
+    assert run_cli(*args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: cannot read")
+    # The error names the file once, whatever the system's message says.
+    name = next(a for a in args[1:] if a not in FIXTURE_NAMES)
+    assert captured.err.count(name) == 1
 
 
 def test_cli_classify_json(capsys):

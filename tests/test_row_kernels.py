@@ -30,12 +30,14 @@ from orthologic.algebra import (
     InputError,
     iter_bits,
     star,
+    star_row,
 )
 from orthologic.documents import algebra_from_names, serialize_algebra
 from orthologic.fixtures import FIXTURE_NAMES
 from orthologic.orthospace import (
     OrthoSpace,
     blocks,
+    closed_perps,
     enumerate_orthoclosed,
     is_normal,
     orthoclosure,
@@ -44,8 +46,10 @@ from orthologic.orthospace import (
 from orthologic.sasaki import (
     center,
     is_iboolean_subalgebra,
+    is_sasaki_space,
     is_subalgebra,
     pair_hull,
+    sasaki_map_search,
     sasaki_projection,
 )
 
@@ -351,6 +355,29 @@ def test_cl_algebra_and_normality(corpus):
     if corpus == "large":
         # Some spaces without a pair have more than 64 orthoclosed sets.
         assert {kind for _, kind in verdicts} == {tuple, FiniteAlgebra}
+
+
+def reference_is_sasaki_space(space):
+    """A Sasaki map searched for each orthoclosed set, checked afresh."""
+    for m in enumerate_orthoclosed(space):
+        if sasaki_map_search(space, m) is None:
+            return CheckResult("sasaki-space", "fail", (("closed-set", space.subset_name(m)),))
+    return CheckResult("sasaki-space", "pass")
+
+
+@pytest.mark.parametrize("corpus", CORPORA)
+def test_closed_perps_and_sasaki_space(corpus):
+    verdicts = set()
+    for space in spaces(corpus):
+        members, perps = enumerate_orthoclosed(space), closed_perps(space)
+        assert perps == tuple(perp(space, m) for m in members), space.points
+        logic = outcome(cl_algebra, space)
+        if isinstance(logic, FiniteAlgebra):  # the logic's star is the perps
+            assert perps == tuple(members[i] for i in star_row(logic)), space.points
+        verdict = is_sasaki_space(space)
+        assert verdict == reference_is_sasaki_space(space), space.points
+        verdicts.add(verdict.status)
+    assert verdicts == {"pass", "fail"}
 
 
 def test_cl_algebra_keeps_the_errors_of_the_name_round_trip():

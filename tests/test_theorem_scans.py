@@ -57,6 +57,7 @@ from orthologic.algebra import (
 )
 from orthologic.fixtures import FIXTURE_NAMES
 from orthologic.orthospace import enumerate_orthoclosed, perp
+from orthologic.sasaki import SASAKI_SET_LAWS
 from orthologic.theorems import _scan_items
 
 from conftest import (
@@ -910,6 +911,64 @@ def test_compiled_three_role_formula_matches_its_rendering_at_scale(formula, pic
     assume(len(formula_roles(formula)) == 3)
     alg = mutated(constructions()[pick], cell)
     assert first_failure(alg, formula) == rendered_first_failure(alg, formula)
+
+
+# -- the kept-gather rule --------------------------------------------------------
+#
+# In the one-role layout a row gathered at a vector one loop outer than its
+# index, a computed scalar, is kept by the index's value until the vector
+# changes.  Every registry formula and projection-family law whose scan
+# keeps such a gather must find the rendering's least failing tuple on the
+# constructions of 17 to 32 elements, and on one-cell mutations of them,
+# where the formula fails after rows that filled the kept gathers.
+
+KEPT_MUTATIONS = 8  # seeded one-cell mutations per construction
+KEPT_BUDGET = 400_000  # tuples per rendered scan
+
+
+def kept_gathers(scan) -> bool:
+    """Whether a compiled scan keeps gathers: its dicts are the locals m<k>."""
+    return any(name[0] == "m" and name[1:].isdigit() for name in scan.__code__.co_varnames)
+
+
+@lru_cache(maxsize=None)
+def kept_gather_formulas():
+    candidates = {**theorems._FORMULAS, **{("laws", law): f for law, _, f in SASAKI_SET_LAWS}}
+    return {key: formula for key, formula in candidates.items()
+            if kept_gathers(algebra._scan_of(formula, False))}
+
+
+def kept_gather_tables():
+    """The constructions of 17 to 32 elements, each followed by seeded
+    one-cell mutations of it, flagged True."""
+    rng = random.Random(41)
+    for alg in constructions():
+        if algebra.PAIR_CEILING < alg.n <= 32:
+            yield alg, False
+            for _ in range(KEPT_MUTATIONS):
+                yield mutated(alg, [rng.randrange(alg.n) for _ in range(3)]), True
+
+
+def test_ss1_scan_keeps_its_gathers():
+    ss1 = SASAKI_SET_LAWS[0][2]
+    assert kept_gathers(algebra._scan_of(ss1, False))
+    assert not kept_gathers(algebra._scan_of(ss1, True))  # the pair layout has no such rule
+    assert {("laws", "SS1"), ("P6-FULL-FORMULA", "SS1")} <= set(kept_gather_formulas())
+
+
+def test_kept_gathers_match_the_rendering():
+    formulas = kept_gather_formulas()
+    failing_mutants = set()
+    for alg, mutant in kept_gather_tables():
+        assert not alg.tables.pair
+        for key, formula in formulas.items():
+            if alg.n ** len(formula_roles(formula)) > KEPT_BUDGET:
+                continue
+            expected = rendered_first_failure(alg, formula)
+            assert first_failure(alg, formula) == expected, (key, alg.name, alg.arrow)
+            if mutant and expected is not None:
+                failing_mutants.add(key)
+    assert failing_mutants == set(formulas)
 
 
 @st.composite
